@@ -289,16 +289,15 @@ def _suite_oracle(q: int, rho_frac: Fraction, tol: float, rng) -> List[CheckResu
     unit = abs(complex(inner_S_exact(one, one, rho_frac)[0]) - 1.0)
     rel = sphere_relation(rho_frac)
     ideal_worst = 0.0
-    pyrng = np.random.default_rng(abs(hash(("oracle", str(rho_frac)))) % 2**32)
     for _ in range(10):
         comps = []
         for _ in range(4):
             comp = {}
             for _ in range(3):
-                key = tuple(int(x) for x in pyrng.integers(0, 3, size=3))
+                key = tuple(int(x) for x in rng.integers(0, 3, size=3))
                 comp[key] = QQi(
-                    Fraction(int(pyrng.integers(-9, 10)), int(pyrng.integers(1, 7))),
-                    Fraction(int(pyrng.integers(-9, 10)), int(pyrng.integers(1, 7))),
+                    Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7))),
+                    Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 7))),
                 )
             comps.append(comp)
         g = SuperPoly(*comps)

@@ -2,15 +2,17 @@
 
 A graded vector space is laid out with all even basis vectors first, then
 all odd ones, so a matrix splits into four blocks addressed through the
-dimension split alone.  Everything here is immutable and pure; matrices at
-desk scale stay below ~100x100, so dense double precision is adequate.
+dimension split alone.  Everything here is immutable and pure, in dense
+double precision.  Graded matrices at desk scale stay below ~100x100; the
+assembled d matrices that reach rank_decision have thousands of rows but
+are sparse, so their singular values are taken block by block.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -244,13 +246,64 @@ class RankDecision:
         return self.gap < 10.0 * self.tol
 
 
+def _nonzero_blocks(m: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Row and column indices of the independent blocks of m.
+
+    A block is a connected component of the bipartite graph that joins row
+    r to column c wherever m[r, c] != 0.  Rows and columns without any
+    nonzero entry belong to no block.  Components are found by vectorised
+    label propagation: every edge hooks the larger of its two root labels
+    onto the smaller one, then pointer jumping flattens each tree to its
+    root, until both ends of every edge carry the same label.
+    """
+    n_rows = m.shape[0]
+    rows, cols = np.nonzero(m)
+    if rows.size == 0:
+        return []
+    u, v = rows, cols + n_rows
+    label = np.arange(n_rows + m.shape[1])
+    while True:
+        lu, lv = label[u], label[v]
+        if np.array_equal(lu, lv):
+            break
+        low = np.minimum(lu, lv)
+        np.minimum.at(label, lu, low)
+        np.minimum.at(label, lv, low)
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+    blocks = []
+    for idx in (np.unique(rows), np.unique(cols) + n_rows):
+        order = np.argsort(label[idx], kind="stable")
+        _, starts = np.unique(label[idx][order], return_index=True)
+        blocks.append(np.split(idx[order], starts[1:]))
+    return [(r, c - n_rows) for r, c in zip(*blocks)]
+
+
 def rank_decision(m: np.ndarray, tol: float = 1e-8) -> RankDecision:
+    """Numerical rank of m: singular values above tol * max(s_max, 1).
+
+    The spectrum is computed block by block over the independent blocks of
+    m's nonzero pattern (see _nonzero_blocks); row and column permutations
+    keep singular values, so the union of the block spectra is the spectrum
+    of m.  Rows and columns outside every block contribute only zeros, so
+    the union is padded with exact zeros to min(m.shape) values.
+    """
     if tol <= 0:
         raise ValueError("tol must be positive")
     m = np.asarray(m, dtype=complex)
     if m.size == 0:
         return RankDecision(rank=0, gap=math.inf, tol=tol)
-    s = np.linalg.svd(m, compute_uv=False)
+    s = np.zeros(min(m.shape))
+    spectra = [
+        np.linalg.svd(m[np.ix_(r, c)], compute_uv=False) for r, c in _nonzero_blocks(m)
+    ]
+    if spectra:
+        values = np.concatenate(spectra)
+        s[: values.size] = values
+    s = np.sort(s)[::-1]
     scale = max(float(s[0]), 1.0)
     cut = tol * scale
     rank = int(np.sum(s > cut))

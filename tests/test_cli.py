@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fuzzsuper
 from fuzzsuper.cli import main
 
 
@@ -21,6 +26,43 @@ def test_verify_reports_seed(capsys):
     code, out = run(capsys, "verify", "--q", "1", "--suite", "harmonics", "--seed", "9")
     assert code == 0
     assert "seed=9" in out
+
+
+ORACLE_INPUTS_SCRIPT = """
+import json
+from fuzzsuper import cli
+
+seen = []
+real = cli.berezin_radial_sum
+
+
+def recording(f, rho):
+    seen.append([sorted((list(k), str(v.re), str(v.im)) for k, v in c.items())
+                 for c in f.components()])
+    return real(f, rho)
+
+
+cli.berezin_radial_sum = recording
+cli.main(["verify", "--q", "1", "--suite", "oracle", "--seed", "3"])
+print(json.dumps(seen))
+"""
+
+
+def test_oracle_suite_inputs_ignore_hash_seed():
+    # the random ideal polynomials come from --seed alone, so two processes
+    # with different string-hash salts must integrate the same polynomials
+    src = str(Path(fuzzsuper.__file__).resolve().parents[1])
+    runs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", ORACLE_INPUTS_SCRIPT],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        runs.append(json.loads(proc.stdout.strip().splitlines()[-1]))
+    assert len(runs[0]) == 10
+    assert runs[0] == runs[1]
 
 
 def test_verify_rejects_level_zero():

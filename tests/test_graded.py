@@ -179,6 +179,90 @@ def test_rank_decision_zero_and_empty():
     assert d.rank == 0 and d.gap == math.inf
 
 
+def reference_decision(m, tol=1e-8):
+    """rank and gap from one whole-matrix SVD, with rank_decision's cut."""
+    s = np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)
+    scale = max(float(s[0]), 1.0)
+    rank = int(np.sum(s > tol * scale))
+    if rank == 0:
+        gap = tol - float(s[0]) / scale
+    elif rank == len(s):
+        gap = float(s[-1]) / scale
+    else:
+        gap = (float(s[rank - 1]) - float(s[rank])) / scale
+    return rank, gap
+
+
+def crandn(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def block_diagonal(blocks):
+    out = np.zeros(tuple(map(sum, zip(*(b.shape for b in blocks)))), dtype=complex)
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r, c = r + b.shape[0], c + b.shape[1]
+    return out
+
+
+def shuffled(rng, m):
+    return m[rng.permutation(m.shape[0])][:, rng.permutation(m.shape[1])]
+
+
+def assert_matches_reference(m, tol=1e-8):
+    d = rank_decision(m, tol)
+    rank, gap = reference_decision(m, tol)
+    assert d.rank == rank
+    assert abs(d.gap - gap) <= 1e-12
+    return d
+
+
+def test_rank_decision_permuted_blocks():
+    rng = np.random.default_rng(11)
+    # three blocks of unequal shapes; the middle one has rank 2 of 6
+    low_rank = crandn(rng, (9, 2)) @ crandn(rng, (2, 6))
+    m = block_diagonal([crandn(rng, (5, 3)), low_rank, crandn(rng, (4, 7))])
+    m = shuffled(rng, m)
+    d = assert_matches_reference(m)
+    assert d.rank == 3 + 2 + 4
+
+
+def test_rank_decision_zero_padding():
+    rng = np.random.default_rng(12)
+    # zero rows and columns contribute the padded zeros below the cut
+    m = np.zeros((8, 6), dtype=complex)
+    m[np.ix_([1, 4, 6], [0, 3])] = crandn(rng, (3, 2))
+    m[np.ix_([2, 7], [5])] = crandn(rng, (2, 1))
+    d = assert_matches_reference(shuffled(rng, m))
+    assert d.rank == 3
+    # the kept rank equals min(m, n): the padding stays out of the spectrum
+    m = np.zeros((7, 3), dtype=complex)
+    m[np.ix_([0, 5], [1, 2])] = crandn(rng, (2, 2))
+    m[3, 0] = 2.0
+    d = assert_matches_reference(m)
+    assert d.rank == 3
+
+
+def test_rank_decision_single_dense_block():
+    rng = np.random.default_rng(13)
+    m = crandn(rng, (6, 6))
+    assert assert_matches_reference(m).rank == 6
+    m = crandn(rng, (7, 2)) @ crandn(rng, (2, 7))
+    assert assert_matches_reference(m).rank == 2
+
+
+def test_rank_decision_tall_and_wide():
+    rng = np.random.default_rng(14)
+    for shape in ((40, 6), (6, 40)):
+        parts = [crandn(rng, (shape[0] // 2, shape[1] // 2)) for _ in range(2)]
+        parts[1][:, 0] = 0.0
+        m = shuffled(rng, block_diagonal(parts))
+        assert_matches_reference(m)
+        assert_matches_reference(m.T)
+        assert_matches_reference(np.abs(m))
+
+
 def test_numerical_rank():
     m = np.outer([1.0, 2.0, 0.0], [1.0, 1.0, 1.0])
     assert numerical_rank(m) == 1
