@@ -8,10 +8,14 @@ complex does not terminate at the top even degree.
 
 Signs follow one commutation-factor convention throughout: permuting
 arguments costs the permutation sign times (-1) for every transposed pair
-of odd slots.  The exterior derivative, Lie derivative, interior product
-and wedge are all expressed against canonical tuples; the same expansion
-assembles d as an explicit matrix on coefficient space, which is what the
-cohomology ranks are computed from.
+of odd slots, and moving an odd object past a form w costs (-1)^|w|, where
+|w| is the value parity plus the tuple parity.  The context writes d, L_a
+and the wedge out once per degree as cached term lists; the part of a
+sign that depends on the value parity is a grade twist of the source
+value (even part minus odd part), so no operator splits a form by parity.
+The pointwise operators apply these terms to form values, and d_matrix and
+lie_matrix assemble the same terms into matrices on coefficient space,
+which is what the cohomology ranks are computed from.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import dataclasses
 import itertools
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -41,15 +45,25 @@ from .osp import build_osp_basis
 
 Label = int
 IndexTuple = Tuple[Label, ...]
+#: (target tuple, source tuple, operator, twist, coefficient); see DerivationContext
+Term = Tuple[IndexTuple, IndexTuple, Union[Label, IndexTuple], int, complex]
 
 
 class DerivationContext:
     """A matrix algebra together with its distinguished basis derivations.
 
     Carries the structure constants of the derivation algebra and caches
-    canonical index tuples, sorting signs, and wedge expansion plans.  Two
-    flavors exist: the five osp(1|2) derivations on the graded algebra and
-    their three even companions on the body.
+    canonical index tuples, sorting signs, and the term lists of d
+    (d_terms), L_a (lie_terms) and the wedge (wedge_plan).  A term
+    (target, source, op, twist, coefficient) adds coefficient times op
+    applied to the source value into the target value; op is a derivation
+    label, 0 for none, or for the wedge the left factor's tuple.  These
+    lists hold the whole sign convention: a term with twist 1 carries the
+    sign (-1)^|w| of its source form, the tuple part of which is folded into
+    the coefficient, while the value part is the grade twist (even part
+    minus odd part) of the source value.  Two flavors exist: the five
+    osp(1|2) derivations on the graded algebra and their three even
+    companions on the body.
     """
 
     def __init__(
@@ -70,9 +84,13 @@ class DerivationContext:
         self.dims: GradedDims = generators[0].dims
         self.n = self.dims.total
         self.unit = GradedMatrix.identity(self.dims)
+        row_sign = np.ones(self.n)
+        row_sign[self.dims.even :] = -1.0
+        #: +1 on even matrix entries, -1 on odd ones: the grade twist
+        self.grade = np.outer(row_sign, row_sign)
         self._tuples: Dict[int, Tuple[IndexTuple, ...]] = {}
         self._sort_cache: Dict[IndexTuple, Tuple[Optional[IndexTuple], int]] = {}
-        self._wedge_plans: Dict[Tuple[int, int, int], dict] = {}
+        self._terms: Dict[tuple, Tuple[Term, ...]] = {}
 
     # -- labels and tuples
 
@@ -111,9 +129,8 @@ class DerivationContext:
         for i in range(1, len(arr)):
             j = i
             while j > 0 and arr[j - 1] > arr[j]:
-                if self.label_parity(arr[j - 1]) and self.label_parity(arr[j]):
-                    sign = sign  # two odd slots commute at no cost
-                else:
+                # two odd slots commute at no cost
+                if not (self.label_parity(arr[j - 1]) and self.label_parity(arr[j])):
                     sign = -sign
                 arr[j - 1], arr[j] = arr[j], arr[j - 1]
                 j -= 1
@@ -129,47 +146,102 @@ class DerivationContext:
     # -- the derivations
 
     def derivation(self, a: Label, f: GradedMatrix) -> GradedMatrix:
-        return graded_commutator(self.generators[a - 1], f)
+        """D_a f = [E_a, f]; label 0, as in the term lists, is the identity."""
+        return graded_commutator(self.generators[a - 1], f) if a else f
 
-    def bracket_coeffs(self, a: Label, b: Label) -> np.ndarray:
-        """[D_a, D_b] = sum_C coeffs[C-1] D_C."""
-        return self.constants[:, a - 1, b - 1]
+    # -- term lists
 
-    # -- wedge expansion plans
+    def _collect(self, key: tuple, entries: Iterable[Term]) -> Tuple[Term, ...]:
+        """Cache the entries, merged per (target, source, op, twist).
 
-    def wedge_plan(
-        self, p: int, pp: int, par2: int
-    ) -> Dict[IndexTuple, List[Tuple[IndexTuple, IndexTuple, Fraction]]]:
-        """Aggregated permutation sum for (p-form) wedge (pp-form of parity par2).
-
-        For each canonical output tuple, a list of (left tuple, right
-        tuple, rational coefficient): the full signed sum over
-        permutations folded down to canonical evaluations.
+        A twisted entry takes the sign (-1)^|source tuple| here, the tuple
+        part of the (-1)^|w| that its twist stands for.
         """
-        key = (p, pp, par2)
-        if key in self._wedge_plans:
-            return self._wedge_plans[key]
-        plan: Dict[IndexTuple, List[Tuple[IndexTuple, IndexTuple, Fraction]]] = {}
+        acc: Dict[tuple, complex] = {}
+        for target, source, op, twist, coef in entries:
+            if twist and self.tuple_parity(source):
+                coef = -coef
+            k = (target, source, op, twist)
+            acc[k] = acc.get(k, 0) + coef
+        terms = tuple(k + (complex(c),) for k, c in acc.items() if c != 0)
+        self._terms[key] = terms
+        return terms
+
+    def _substitutions(
+        self, target: IndexTuple, t: IndexTuple, slot: int, a: Label, b: Label, sign: int, twist=0
+    ) -> Iterable[Term]:
+        """sign * sum_C c^C_ab times the value on t with C in place of t[slot]."""
+        for c in self.labels:
+            coef = self.constants[c - 1, a - 1, b - 1]
+            if coef == 0:
+                continue
+            canon, s = self.sort_signed(t[:slot] + (c,) + t[slot + 1 :])
+            if canon is not None:
+                yield (target, canon, 0, twist, sign * s * coef)
+
+    def d_terms(self, p: int) -> Tuple[Term, ...]:
+        """Terms of d: Omega^p -> Omega^(p+1).
+
+        On each canonical (p+1)-tuple: D_l of the value with slot l left
+        out, signed by the slots it passes and twisted when D_l is odd, and
+        the bracket [D_l, D_l'] substituted into slot l for each l < l'.
+        """
+        key = ("d", p)
+        if key in self._terms:
+            return self._terms[key]
+        entries = []
+        for big in self.index_tuples(p + 1):
+            pars = [self.label_parity(b) for b in big]
+            for l in range(p + 1):
+                sign = (-1) ** (l + pars[l] * sum(pars[:l]))
+                entries.append((big, big[:l] + big[l + 1 :], big[l], pars[l], sign))
+                for lp in range(l + 1, p + 1):
+                    sub_sign = (-1) ** (lp + pars[lp] * sum(pars[l + 1 : lp]))
+                    rest = big[:lp] + big[lp + 1 :]
+                    entries += self._substitutions(big, rest, l, big[l], big[lp], sub_sign)
+        return self._collect(key, entries)
+
+    def lie_terms(self, a: Label, p: int) -> Tuple[Term, ...]:
+        """Terms of L_a on Omega^p.
+
+        D_a of the value minus [D_a, D_b] substituted into each slot b,
+        twisted when D_a is odd and signed by the slots before b.
+        """
+        key = ("lie", a, p)
+        if key in self._terms:
+            return self._terms[key]
+        par_a = self.label_parity(a)
+        entries = []
+        for t in self.index_tuples(p):
+            entries.append((t, t, a, 0, 1))
+            for slot, b in enumerate(t):
+                sign = -((-1) ** (par_a * self.tuple_parity(t[:slot])))
+                entries += self._substitutions(t, t, slot, a, b, sign, par_a)
+        return self._collect(key, entries)
+
+    def wedge_plan(self, p: int, pp: int) -> Tuple[Term, ...]:
+        """Terms of (p-form) wedge (pp-form).
+
+        The full signed sum over permutations folded down to canonical
+        evaluations: each term multiplies the right factor's value at
+        source from the left by the left factor's value at op, and twists
+        it when the left tuple is odd.
+        """
+        key = ("wedge", p, pp)
+        if key in self._terms:
+            return self._terms[key]
         denom = math.factorial(p) * math.factorial(pp)
+        entries = []
         for big in self.index_tuples(p + pp):
             pars = tuple(self.label_parity(a) for a in big)
-            acc: Dict[Tuple[IndexTuple, IndexTuple], Fraction] = {}
             for sigma in itertools.permutations(range(p + pp)):
-                left = tuple(big[sigma[i]] for i in range(p))
-                right = tuple(big[sigma[i]] for i in range(p, p + pp))
-                lc, ls = self.sort_signed(left)
-                if lc is None:
+                lc, ls = self.sort_signed(tuple(big[i] for i in sigma[:p]))
+                rc, rs = self.sort_signed(tuple(big[i] for i in sigma[p:]))
+                if lc is None or rc is None:
                     continue
-                rc, rs = self.sort_signed(right)
-                if rc is None:
-                    continue
-                sgn = perm_sign(sigma) * commutation_factor(sigma, pars)
-                koszul = -1 if (par2 and sum(pars[sigma[i]] for i in range(p)) % 2) else 1
-                total = Fraction(sgn * koszul * ls * rs, denom)
-                acc[(lc, rc)] = acc.get((lc, rc), Fraction(0)) + total
-            plan[big] = [(lc, rc, c) for (lc, rc), c in acc.items() if c]
-        self._wedge_plans[key] = plan
-        return plan
+                sgn = perm_sign(sigma) * commutation_factor(sigma, pars) * ls * rs
+                entries.append((big, rc, lc, self.tuple_parity(lc), Fraction(sgn, denom)))
+        return self._collect(key, entries)
 
 
 def super_context(q: int, rho: float = 1.0) -> DerivationContext:
@@ -267,17 +339,6 @@ class SuperForm:
     def norm(self) -> float:
         return max((v.norm() for v in self.vals.values()), default=0.0)
 
-    def parity_part(self, parity: int) -> "SuperForm":
-        """The part of the form with total parity |value| + |tuple|."""
-        out = {}
-        for t, v in self.vals.items():
-            want = (parity + self.ctx.tuple_parity(t)) % 2
-            out[t] = v.part(want)
-        return SuperForm(self.ctx, self.p, out)
-
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return self.norm() <= tol
-
     # -- coefficients in the dual-basis expansion
 
     def _coeff_scalar(self, t: IndexTuple) -> float:
@@ -330,54 +391,31 @@ def maurer_cartan(ctx: DerivationContext) -> SuperForm:
 # the Cartan operations
 
 
+def _apply(
+    w: SuperForm, p: int, terms: Iterable[Term], act: Callable[[object, GradedMatrix], GradedMatrix]
+) -> SuperForm:
+    """The p-form summing coefficient * act(op, twisted source value of w)."""
+    ctx = w.ctx
+    out: Dict[IndexTuple, np.ndarray] = {}
+    for target, source, op, twist, coef in terms:
+        f = w.vals[source]
+        if twist:
+            f = GradedMatrix(ctx.dims, f.mat * ctx.grade)
+        out[target] = out.get(target, 0) + coef * act(op, f).mat
+    return SuperForm(ctx, p, {t: GradedMatrix(ctx.dims, m) for t, m in out.items()})
+
+
 def wedge(w1: SuperForm, w2: SuperForm) -> SuperForm:
     """Graded wedge; on 0-forms it is left/right multiplication."""
     if w1.ctx is not w2.ctx:
         raise ValueError("forms live on different contexts")
-    ctx = w1.ctx
-    out: Dict[IndexTuple, GradedMatrix] = {}
-    for par2 in (EVEN, ODD):
-        part = w2.parity_part(par2)
-        if part.is_zero():
-            continue
-        plan = ctx.wedge_plan(w1.p, w2.p, par2)
-        for big, terms in plan.items():
-            acc = out.get(big)
-            for lc, rc, coeff in terms:
-                piece = float(coeff) * (w1.vals[lc] @ part.vals[rc])
-                acc = piece if acc is None else acc + piece
-            if acc is not None:
-                out[big] = acc
-    return SuperForm(ctx, w1.p + w2.p, out)
+    terms = w1.ctx.wedge_plan(w1.p, w2.p)
+    return _apply(w2, w1.p + w2.p, terms, lambda lc, f: w1.vals[lc] @ f)
 
 
 def lie_derivative(a: Label, w: SuperForm) -> SuperForm:
     """L_a: derivation of the value minus substitution into each slot."""
-    ctx = w.ctx
-    par_a = ctx.label_parity(a)
-    out: Dict[IndexTuple, GradedMatrix] = {
-        t: ctx.derivation(a, v) for t, v in w.vals.items()
-    }
-    for i in (EVEN, ODD):
-        part = w.parity_part(i)
-        if part.is_zero():
-            continue
-        for t in ctx.index_tuples(w.p):
-            pars = [ctx.label_parity(b) for b in t]
-            acc = out[t]
-            for slot, b in enumerate(t):
-                presum = sum(pars[:slot]) % 2
-                sign = -1 if (par_a and (i + presum) % 2) else 1
-                for c_label in ctx.labels:
-                    coef = ctx.constants[c_label - 1, a - 1, b - 1]
-                    if coef == 0:
-                        continue
-                    canon, s = ctx.sort_signed(t[:slot] + (c_label,) + t[slot + 1 :])
-                    if canon is None:
-                        continue
-                    acc = acc - (sign * s * coef) * part.vals[canon]
-            out[t] = acc
-    return SuperForm(ctx, w.p, out)
+    return _apply(w, w.p, w.ctx.lie_terms(a, w.p), w.ctx.derivation)
 
 
 def interior(a: Label, w: SuperForm) -> SuperForm:
@@ -393,38 +431,11 @@ def exterior_d(w: SuperForm) -> SuperForm:
     """The graded exterior derivative.
 
     Alternating sum of derivations of punctured values plus the bracket
-    substitution sum, each with the parity-aware sign of the slots passed
-    over; matches the recursion through the Lie derivative and interior
-    product, which the tests pin down.
+    substitution sum (DerivationContext.d_terms); matches the recursion
+    through the Lie derivative and interior product, which the tests pin
+    down.
     """
-    ctx = w.ctx
-    out: Dict[IndexTuple, GradedMatrix] = {}
-    for i in (EVEN, ODD):
-        part = w.parity_part(i)
-        if part.is_zero():
-            continue
-        for big in ctx.index_tuples(w.p + 1):
-            pars = [ctx.label_parity(b) for b in big]
-            acc = out.get(big, GradedMatrix.zero(ctx.dims))
-            for l in range(w.p + 1):
-                presum = sum(pars[:l]) % 2
-                sign = (-1) ** (l + pars[l] * ((i + presum) % 2))
-                acc = acc + sign * ctx.derivation(big[l], part.vals[big[:l] + big[l + 1 :]])
-            for l in range(w.p + 1):
-                for lp in range(l + 1, w.p + 1):
-                    mid = sum(pars[l + 1 : lp]) % 2
-                    sign = (-1) ** (lp + pars[lp] * mid)
-                    for c_label in ctx.labels:
-                        coef = ctx.constants[c_label - 1, big[l] - 1, big[lp] - 1]
-                        if coef == 0:
-                            continue
-                        sub = big[:l] + (c_label,) + big[l + 1 : lp] + big[lp + 1 :]
-                        canon, s = ctx.sort_signed(sub)
-                        if canon is None:
-                            continue
-                        acc = acc + (sign * s * coef) * part.vals[canon]
-            out[big] = acc
-    return SuperForm(ctx, w.p + 1, out)
+    return _apply(w, w.p + 1, w.ctx.d_terms(w.p), w.ctx.derivation)
 
 
 # ---------------------------------------------------------------------------
@@ -435,22 +446,38 @@ def _vec_index(ctx: DerivationContext, p: int) -> Dict[IndexTuple, int]:
     return {t: i for i, t in enumerate(ctx.index_tuples(p))}
 
 
-def _value_sign_diag(ctx: DerivationContext) -> np.ndarray:
-    """Diagonal of +-1: +1 on even matrix entries, -1 on odd ones."""
-    block = np.ones(ctx.n)
-    block[ctx.dims.even :] = -1.0
-    return np.kron(block, block)
-
-
 def _ad_operator(ctx: DerivationContext, a: Label) -> np.ndarray:
-    """The graded commutator with E_a as an n^2 x n^2 matrix, row-major vec."""
+    """ctx.derivation(a, .) as an n^2 x n^2 matrix, row-major vec."""
     e = ctx.generators[a - 1].mat
     eye = np.eye(ctx.n)
-    left = np.kron(e, eye)
     right = np.kron(eye, e.T)
-    if ctx.label_parity(a) == EVEN:
-        return left - right
-    return left - right * _value_sign_diag(ctx)[np.newaxis, :]
+    if ctx.label_parity(a):
+        right = right * ctx.grade.reshape(-1)
+    return np.kron(e, eye) - right
+
+
+def _assemble(ctx: DerivationContext, terms: Iterable[Term], p_out: int, p_in: int) -> np.ndarray:
+    """Terms as a matrix from Omega^p_in to Omega^p_out on stacked value vectors.
+
+    A derivation term is a scalar times an _ad_operator block, a label-0
+    term a scalar diagonal block; a twist scales the block's columns by the
+    grade signs.
+    """
+    n2 = ctx.n * ctx.n
+    dst = _vec_index(ctx, p_out)
+    src = _vec_index(ctx, p_in)
+    out = np.zeros((n2 * len(dst), n2 * len(src)), dtype=complex)
+    grade = ctx.grade.reshape(-1)
+    ent = np.arange(n2)
+    ad_ops = {a: _ad_operator(ctx, a) for a in ctx.labels}
+    for target, source, label, twist, coef in terms:
+        row, col = dst[target] * n2, src[source] * n2
+        if label:
+            block = coef * ad_ops[label]
+            out[row : row + n2, col : col + n2] += block * grade if twist else block
+        else:
+            out[row + ent, col + ent] += coef * grade if twist else coef
+    return out
 
 
 def form_to_vec(w: SuperForm) -> np.ndarray:
@@ -471,75 +498,13 @@ def vec_to_form(ctx: DerivationContext, p: int, vec: np.ndarray) -> SuperForm:
 
 
 def d_matrix(ctx: DerivationContext, p: int) -> np.ndarray:
-    """d: Omega^p -> Omega^(p+1) on stacked value vectors.
-
-    The substitution terms are scalar blocks; the derivation terms are
-    graded-commutator operators twisted by the value-parity sign when the
-    inserted slot is odd, which reproduces the form-parity signs without
-    splitting the space.
-    """
-    n2 = ctx.n * ctx.n
-    src = _vec_index(ctx, p)
-    dst = _vec_index(ctx, p + 1)
-    out = np.zeros((n2 * len(dst), n2 * len(src)), dtype=complex)
-    sign_diag = _value_sign_diag(ctx)
-    ad_ops = {a: _ad_operator(ctx, a) for a in ctx.labels}
-    for big, row in dst.items():
-        pars = [ctx.label_parity(b) for b in big]
-        for l in range(p + 1):
-            t = big[:l] + big[l + 1 :]
-            presum = sum(pars[:l]) % 2
-            base = (-1) ** (l + pars[l] * ((presum + ctx.tuple_parity(t)) % 2))
-            op = ad_ops[big[l]]
-            if pars[l]:
-                op = op * sign_diag[np.newaxis, :]
-            out[row * n2 : (row + 1) * n2, src[t] * n2 : (src[t] + 1) * n2] += base * op
-        for l in range(p + 1):
-            for lp in range(l + 1, p + 1):
-                mid = sum(pars[l + 1 : lp]) % 2
-                sign = (-1) ** (lp + pars[lp] * mid)
-                for c_label in ctx.labels:
-                    coef = ctx.constants[c_label - 1, big[l] - 1, big[lp] - 1]
-                    if coef == 0:
-                        continue
-                    sub = big[:l] + (c_label,) + big[l + 1 : lp] + big[lp + 1 :]
-                    canon, s = ctx.sort_signed(sub)
-                    if canon is None:
-                        continue
-                    col = src[canon]
-                    idx = np.arange(n2)
-                    out[row * n2 + idx, col * n2 + idx] += sign * s * coef
-    return out
+    """d: Omega^p -> Omega^(p+1) on stacked value vectors."""
+    return _assemble(ctx, ctx.d_terms(p), p + 1, p)
 
 
 def lie_matrix(ctx: DerivationContext, a: Label, p: int) -> np.ndarray:
     """L_a on Omega^p as a matrix, same vec layout as d_matrix."""
-    n2 = ctx.n * ctx.n
-    idx = _vec_index(ctx, p)
-    out = np.zeros((n2 * len(idx), n2 * len(idx)), dtype=complex)
-    sign_diag = _value_sign_diag(ctx)
-    par_a = ctx.label_parity(a)
-    ad_a = _ad_operator(ctx, a)
-    ent = np.arange(n2)
-    for t, row in idx.items():
-        out[row * n2 : (row + 1) * n2, row * n2 : (row + 1) * n2] += ad_a
-        pars = [ctx.label_parity(b) for b in t]
-        for slot, b in enumerate(t):
-            presum = sum(pars[:slot]) % 2
-            for c_label in ctx.labels:
-                coef = ctx.constants[c_label - 1, a - 1, b - 1]
-                if coef == 0:
-                    continue
-                canon, s = ctx.sort_signed(t[:slot] + (c_label,) + t[slot + 1 :])
-                if canon is None:
-                    continue
-                col = idx[canon]
-                scalar = -s * coef * (-1) ** (par_a * ((presum + ctx.tuple_parity(canon)) % 2))
-                if par_a:
-                    out[row * n2 + ent, col * n2 + ent] += scalar * sign_diag
-                else:
-                    out[row * n2 + ent, col * n2 + ent] += scalar
-    return out
+    return _assemble(ctx, ctx.lie_terms(a, p), p, p)
 
 
 def invariant_one_forms(ctx: DerivationContext, tol: float = 1e-8) -> RankDecision:
@@ -624,6 +589,20 @@ class CohomologyReport:
         }
 
 
+def _betti_report(
+    name: str, dims: Tuple[int, ...], d_of: Callable[[int], np.ndarray], tol: float
+) -> CohomologyReport:
+    """betti_p = dims[p] - rank d_p - rank d_(p-1), for p < len(dims)."""
+    decisions = tuple(rank_decision(d_of(p), tol) for p in range(len(dims)))
+    betti = tuple(
+        dims[p] - decisions[p].rank - (decisions[p - 1].rank if p > 0 else 0)
+        for p in range(len(dims))
+    )
+    return CohomologyReport(
+        name=name, p_max=len(dims) - 1, dims=dims, betti=betti, decisions=decisions, tol=tol
+    )
+
+
 def cohomology_dims(ctx: DerivationContext, p_max: int, tol: float = 1e-8) -> CohomologyReport:
     """Betti numbers of the derivation complex for p = 0..p_max.
 
@@ -632,46 +611,22 @@ def cohomology_dims(ctx: DerivationContext, p_max: int, tol: float = 1e-8) -> Co
     """
     n2 = ctx.n * ctx.n
     dims = tuple(n2 * len(ctx.index_tuples(p)) for p in range(p_max + 1))
-    decisions = [rank_decision(d_matrix(ctx, p), tol) for p in range(p_max + 1)]
-    betti = []
-    for p in range(p_max + 1):
-        prev = decisions[p - 1].rank if p > 0 else 0
-        betti.append(dims[p] - decisions[p].rank - prev)
-    return CohomologyReport(
-        name=ctx.name,
-        p_max=p_max,
-        dims=dims,
-        betti=tuple(betti),
-        decisions=tuple(decisions),
-        tol=tol,
-    )
+    return _betti_report(ctx.name, dims, lambda p: d_matrix(ctx, p), tol)
 
 
 def center_d_matrix(ctx: DerivationContext, p: int) -> np.ndarray:
     """d restricted to forms valued in multiples of the unit.
 
-    The derivation terms vanish on the center, leaving the bracket
-    substitution scalars: the trivial-coefficient complex of the
+    The derivation terms vanish on the center, leaving the label-0 bracket
+    substitution scalars of d_terms: the trivial-coefficient complex of the
     derivation algebra, independent of the level.
     """
     src = _vec_index(ctx, p)
     dst = _vec_index(ctx, p + 1)
     out = np.zeros((len(dst), len(src)), dtype=complex)
-    for big, row in dst.items():
-        pars = [ctx.label_parity(b) for b in big]
-        for l in range(p + 1):
-            for lp in range(l + 1, p + 1):
-                mid = sum(pars[l + 1 : lp]) % 2
-                sign = (-1) ** (lp + pars[lp] * mid)
-                for c_label in ctx.labels:
-                    coef = ctx.constants[c_label - 1, big[l] - 1, big[lp] - 1]
-                    if coef == 0:
-                        continue
-                    sub = big[:l] + (c_label,) + big[l + 1 : lp] + big[lp + 1 :]
-                    canon, s = ctx.sort_signed(sub)
-                    if canon is None:
-                        continue
-                    out[row, src[canon]] += sign * s * coef
+    for target, source, label, _, coef in ctx.d_terms(p):
+        if label == 0:
+            out[dst[target], src[source]] += coef
     return out
 
 
@@ -684,19 +639,7 @@ def center_cohomology_dims(
     these must agree with the full computation.
     """
     dims = tuple(len(ctx.index_tuples(p)) for p in range(p_max + 1))
-    decisions = [rank_decision(center_d_matrix(ctx, p), tol) for p in range(p_max + 1)]
-    betti = []
-    for p in range(p_max + 1):
-        prev = decisions[p - 1].rank if p > 0 else 0
-        betti.append(dims[p] - decisions[p].rank - prev)
-    return CohomologyReport(
-        name=f"{ctx.name} [center]",
-        p_max=p_max,
-        dims=dims,
-        betti=tuple(betti),
-        decisions=tuple(decisions),
-        tol=tol,
-    )
+    return _betti_report(f"{ctx.name} [center]", dims, lambda p: center_d_matrix(ctx, p), tol)
 
 
 EXPECTED_BETTI_SUPER = (1, 0, 0, 1, 0, 0)

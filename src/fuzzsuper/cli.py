@@ -381,16 +381,24 @@ def _emit(text: str, out_path: Optional[str]) -> None:
 # subcommands
 
 
-def _parse_half(value: str, parser: argparse.ArgumentParser, flag: str) -> int:
-    """Spin given as '1', '3/2' or '1.5'; returns the doubled integer."""
+def _parse_half(
+    value: str, parser: argparse.ArgumentParser, flag: str, signed: bool = False
+) -> int:
+    """Spin given as '1', '3/2' or '1.5'; returns the doubled integer.
+
+    With signed, one leading '-' is split off before the magnitude is
+    parsed, and negates the result.
+    """
+    negative = signed and value.startswith("-")
     try:
-        frac = Fraction(value)
+        frac = Fraction(value[1:] if negative else value)
     except (ValueError, ZeroDivisionError):
         parser.error(f"{flag} must be a half-integer, got {value!r}")
     doubled = frac * 2
     if doubled.denominator != 1 or doubled < 0:
-        parser.error(f"{flag} must be a non-negative half-integer, got {value!r}")
-    return int(doubled)
+        kind = "a" if signed else "a non-negative"
+        parser.error(f"{flag} must be {kind} half-integer, got {value!r}")
+    return -int(doubled) if negative else int(doubled)
 
 
 def _validate_level(q: int, allow_large: bool, parser: argparse.ArgumentParser) -> None:
@@ -400,6 +408,12 @@ def _validate_level(q: int, allow_large: bool, parser: argparse.ArgumentParser) 
         parser.error(
             f"level q={q} builds matrices of size {(2 * q + 1)}^2; pass --allow-large to proceed"
         )
+
+
+def _validate_pmax(p_max: int, parser: argparse.ArgumentParser) -> None:
+    top = len(EXPECTED_BETTI_SUPER) - 1
+    if not 0 <= p_max <= top:
+        parser.error(f"--pmax must be in 0..{top}, got {p_max}")
 
 
 def cmd_verify(args, parser) -> int:
@@ -490,6 +504,7 @@ def cmd_converge(args, parser) -> int:
 
 def cmd_cohomology(args, parser) -> int:
     _validate_level(args.q, args.allow_large, parser)
+    _validate_pmax(args.pmax, parser)
     ctx = super_context(args.q, float(Fraction(args.rho)))
     bctx = body_context(args.q, float(Fraction(args.rho)))
     p_super = args.pmax
@@ -583,9 +598,7 @@ def cmd_oracle(args, parser) -> int:
             parser.error("--j1 (the superspin) is required for harmonic")
         two_j = _parse_half(args.j1, parser, "--j1")
         mu = args.mu
-        two_m = _parse_half(args.m, parser, "--m") if args.m is not None else two_j - mu
-        if args.m is not None and Fraction(args.m) < 0:
-            two_m = -two_m
+        two_m = two_j - mu if args.m is None else _parse_half(args.m, parser, "--m", signed=True)
         try:
             cls = classical_harmonic(two_j, mu, two_m, rho)
         except ValueError as exc:
@@ -648,7 +661,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_coh = sub.add_parser("cohomology", help="Betti numbers with sv-gap evidence")
     p_coh.add_argument("--q", type=int, default=1, help="truncation level (default 1)")
-    p_coh.add_argument("--pmax", type=int, default=5, help="top degree (default 5)")
+    p_coh.add_argument(
+        "--pmax",
+        type=int,
+        default=5,
+        help=f"top degree, 0..{len(EXPECTED_BETTI_SUPER) - 1} (default 5)",
+    )
     common(p_coh, with_seed=False)
 
     p_or = sub.add_parser("oracle", help="exact classical-side computations")
@@ -662,7 +680,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_or.add_argument("--j1", help="superspin argument")
     p_or.add_argument("--j2", help="second superspin argument")
     p_or.add_argument("--mu", type=int, default=0, choices=(0, 1))
-    p_or.add_argument("--m", help="magnetic label (default: highest weight)")
+    p_or.add_argument(
+        "--m", help="magnetic label, e.g. --m=-1/2 or --m -0.5 (default: highest weight)"
+    )
     common(p_or, with_seed=False)
     return parser
 

@@ -10,6 +10,7 @@ from fuzzsuper.calculus import (
     body_cochain_map,
     body_context,
     center_cohomology_dims,
+    center_d_matrix,
     cohomology_dims,
     d_matrix,
     eta_forms,
@@ -267,6 +268,19 @@ def test_d_matrix_matches_pointwise(p):
     w = random_superform(CTX, p, RNG)
     via_matrix = vec_to_form(CTX, p + 1, d_matrix(CTX, p) @ form_to_vec(w))
     assert (via_matrix - exterior_d(w)).norm() < 1e-10
+
+
+@pytest.mark.parametrize(
+    "ctx, p",
+    [(CTX, p) for p in range(4)] + [(BCTX, p) for p in range(2)],
+    ids=[f"super-p{p}" for p in range(4)] + [f"body-p{p}" for p in range(2)],
+)
+def test_assembled_d_squared_zero(ctx, p):
+    # the matrix path on its own: kron blocks, twisted ad operators, center scalars
+    dd = d_matrix(ctx, p + 1) @ d_matrix(ctx, p)
+    assert dd.shape[0] > 0 and np.abs(dd).max() < 1e-10
+    cc = center_d_matrix(ctx, p + 1) @ center_d_matrix(ctx, p)
+    assert np.abs(cc).max() < 1e-12
 
 
 @pytest.mark.parametrize("p", [0, 1, 2])

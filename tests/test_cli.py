@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import fuzzsuper
 from fuzzsuper.cli import main
+from fuzzsuper.continuum import classical_harmonic, format_superpoly
 
 
 def run(capsys, *argv):
@@ -221,3 +223,19 @@ def test_oracle_harmonic(capsys):
     code, out = run(capsys, "oracle", "--op", "harmonic", "--j1", "1/2", "--mu", "1")
     assert code == 0
     assert "scale" in out and "poly" in out
+
+
+@pytest.mark.parametrize("m_args", [["--m=-1/2"], ["--m", "-0.5"]])
+def test_oracle_harmonic_negative_m(capsys, m_args):
+    code, out = run(capsys, "oracle", "--op", "harmonic", "--j1", "1/2", "--mu", "0", *m_args)
+    assert code == 0
+    cls = classical_harmonic(1, 0, -1, Fraction(1))
+    want = f"scale = {cls.scale.coef} * sqrt({cls.scale.rad})\npoly  = {format_superpoly(cls.poly)}"
+    assert out.strip() == want
+
+
+@pytest.mark.parametrize("pmax", ["-1", "6"])
+def test_cohomology_rejects_pmax_out_of_range(pmax):
+    with pytest.raises(SystemExit) as exc:
+        main(["cohomology", "--q", "1", "--pmax", pmax])
+    assert exc.value.code == 2
