@@ -84,10 +84,8 @@ class DerivationContext:
         self.dims: GradedDims = generators[0].dims
         self.n = self.dims.total
         self.unit = GradedMatrix.identity(self.dims)
-        row_sign = np.ones(self.n)
-        row_sign[self.dims.even :] = -1.0
         #: +1 on even matrix entries, -1 on odd ones: the grade twist
-        self.grade = np.outer(row_sign, row_sign)
+        self.grade = self.dims.twist
         self._tuples: Dict[int, Tuple[IndexTuple, ...]] = {}
         self._sort_cache: Dict[IndexTuple, Tuple[Optional[IndexTuple], int]] = {}
         self._terms: Dict[tuple, Tuple[Term, ...]] = {}

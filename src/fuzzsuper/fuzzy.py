@@ -270,7 +270,7 @@ class FuzzySuperSphere:
             raise ValueError("level mismatch")
         mat = np.zeros((self.n, self.n), dtype=complex)
         for label, c in e.coeffs.items():
-            mat = mat + c * self.harmonic(label).mat
+            mat += c * self.harmonic(label).mat
         return GradedMatrix(self.dims, mat)
 
 
@@ -489,7 +489,7 @@ class FuzzySphere:
     def reconstruct(self, coeffs: Dict[SphereLabel, complex]) -> np.ndarray:
         mat = np.zeros((self.n, self.n), dtype=complex)
         for label, c in coeffs.items():
-            mat = mat + c * self.harmonic(label)
+            mat += c * self.harmonic(label)
         return mat
 
 

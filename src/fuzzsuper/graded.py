@@ -6,11 +6,19 @@ dimension split alone.  Everything here is immutable and pure, in dense
 double precision.  Graded matrices at desk scale stay below ~100x100; the
 assembled d matrices that reach rank_decision have thousands of rows but
 are sparse, so their singular values are taken block by block.
+
+Every parity-dependent kernel goes through one grade twist,
+tau(b) = b_even - b_odd = b * dims.twist, an elementwise product with a
+cached read-only array of +-1 (exact in floating point).  From it
+b_even = (b + tau(b)) / 2 and b_odd = (b - tau(b)) / 2, so no kernel builds
+a parity mask.  The inner products cost O(n^2); a graded commutator with a
+homogeneous left factor costs two matrix products.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -40,15 +48,19 @@ class GradedDims:
     def total(self) -> int:
         return self.even + self.odd
 
+    @functools.cached_property
+    def twist(self) -> np.ndarray:
+        """The grade twist: +1 on even matrix entries, -1 on odd ones.
 
-def _block_mask(dims: GradedDims, parity: Parity) -> np.ndarray:
-    """Boolean mask of the entries carrying the given parity.
-
-    Entry (r, c) has parity (row parity + column parity) mod 2.
-    """
-    row_par = np.zeros(dims.total, dtype=int)
-    row_par[dims.even:] = 1
-    return (row_par[:, None] + row_par[None, :]) % 2 == parity
+        Entry (r, c) has parity (row parity + column parity) mod 2, so the
+        array is the outer product of the row signs.  Built once per dims
+        and read-only, because every matrix of these dims shares it.
+        """
+        sign = np.ones(self.total)
+        sign[self.even:] = -1.0
+        out = np.outer(sign, sign)
+        out.setflags(write=False)
+        return out
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -86,8 +98,8 @@ class GradedMatrix:
         return self.dims.total
 
     def part(self, parity: Parity) -> "GradedMatrix":
-        out = np.where(_block_mask(self.dims, parity % 2), self.mat, 0.0)
-        return GradedMatrix(self.dims, out)
+        sign = -1.0 if parity % 2 else 1.0
+        return GradedMatrix(self.dims, 0.5 * (self.mat + sign * self.mat * self.dims.twist))
 
     def even_part(self) -> "GradedMatrix":
         return self.part(EVEN)
@@ -101,8 +113,9 @@ class GradedMatrix:
         The zero matrix counts as even.
         """
         scale = max(float(np.abs(self.mat).max()), 1.0)
-        odd_norm = float(np.abs(self.part(ODD).mat).max())
-        even_norm = float(np.abs(self.part(EVEN).mat).max())
+        twisted = self.mat * self.dims.twist
+        odd_norm = 0.5 * float(np.abs(self.mat - twisted).max())
+        even_norm = 0.5 * float(np.abs(self.mat + twisted).max())
         if odd_norm <= tol * scale:
             return EVEN
         if even_norm <= tol * scale:
@@ -173,26 +186,46 @@ def indefinite_inner(f: GradedMatrix, g: GradedMatrix) -> complex:
     """-supertrace(superadjoint(f) g); antilinear in f, <Id|Id> = 1.
 
     Indefinite in general: pseudo-orthonormal bases have diagonal +-1.
+    The supertrace reads only the diagonal of f^+ g.  Its entry i is the
+    column sum i of conj(f) * g, with the odd-row/even-column block negated
+    as in the superadjoint, so the cost is O(n^2) with no matrix product.
     """
     f._check(g)
-    return -supertrace(superadjoint(f) @ g)
+    ne = f.dims.even
+    prod = f.mat.conj()
+    prod *= g.mat
+    prod[ne:, :ne] *= -1
+    diag = prod.sum(axis=0)
+    return complex(diag[ne:].sum() - diag[:ne].sum())
 
 
 def hs_inner(f: np.ndarray, g: np.ndarray) -> complex:
-    """Normalized Hilbert-Schmidt product trace(f^dag g)/n on plain matrices."""
+    """Normalized Hilbert-Schmidt product trace(f^dag g)/n on plain matrices.
+
+    Computed as vdot(f, g)/n, in O(n^2) work.
+    """
     f = np.asarray(f)
     g = np.asarray(g)
     if f.shape != g.shape or f.ndim != 2 or f.shape[0] != f.shape[1]:
         raise ValueError(f"need equal square matrices, got {f.shape} and {g.shape}")
-    return complex(np.trace(f.conj().T @ g)) / f.shape[0]
+    return complex(np.vdot(f, g)) / f.shape[0]
 
 
 def graded_commutator(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
-    """[a, b] = ab - (-1)^{|a||b|} ba on homogeneous parts, extended bilinearly."""
+    """[a, b] = ab - (-1)^{|a||b|} ba on homogeneous parts, extended bilinearly.
+
+    Computed as a b - b a_even - tau(b) a_odd.  A product whose part of a is
+    exactly zero is skipped, so a homogeneous a costs two matrix products
+    and a mixed one three.
+    """
     a._check(b)
-    ae, ao = a.even_part().mat, a.odd_part().mat
-    be, bo = b.even_part().mat, b.odd_part().mat
-    out = (ae @ b.mat - b.mat @ ae) + (ao @ be - be @ ao) + (ao @ bo + bo @ ao)
+    a_even = 0.5 * (a.mat + a.mat * a.dims.twist)
+    a_odd = a.mat - a_even
+    out = a.mat @ b.mat
+    if a_even.any():
+        out -= b.mat @ a_even
+    if a_odd.any():
+        out -= (b.mat * b.dims.twist) @ a_odd
     return GradedMatrix(a.dims, out)
 
 

@@ -22,7 +22,7 @@ from fuzzsuper.fuzzy import (
     psi_q_inv,
     structure_constant_fuzzy,
 )
-from fuzzsuper.graded import hs_inner, indefinite_inner, numerical_rank
+from fuzzsuper.graded import hs_inner, indefinite_inner, numerical_rank, random_graded_matrix
 from fuzzsuper.continuum import structure_constant_classical
 
 RNG = np.random.default_rng(21)
@@ -70,7 +70,7 @@ def test_element_json_round_trip():
 # ---------------------------------------------------------------- harmonics
 
 
-@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("q", [1, 2, 3, 8])
 def test_graded_gram(q):
     s = FuzzySuperSphere(q)
     mats = [(la, s.harmonic(la)) for la in s.labels()]
@@ -118,6 +118,14 @@ def test_decompose_reconstruct_round_trip():
     e = random_element(2, n_terms=10)
     back = s.decompose(s.reconstruct(e))
     assert e.max_abs_diff(back) < 1e-12
+
+
+def test_matrix_round_trip_below_cliff():
+    # below the accuracy cliff of ROADMAP item 2, the CLI's default --tol holds
+    s = FuzzySuperSphere(16)
+    f = random_graded_matrix(s.dims, np.random.default_rng(16))
+    back = s.reconstruct(s.decompose(f))
+    assert (back - f).norm() <= 1e-8 * f.norm()
 
 
 def test_psi_round_trip():
@@ -254,8 +262,6 @@ def test_body_map_equivariance():
     q = 2
     s = FuzzySuperSphere(q)
     b = FuzzySphere(q)
-    from fuzzsuper.graded import random_graded_matrix
-
     for _ in range(4):
         f = random_graded_matrix(s.dims, RNG)
         for a in (1, 2, 3):

@@ -95,6 +95,67 @@ def test_hs_inner_unit():
     assert hs_inner(np.eye(n), np.eye(n)) == pytest.approx(1.0)
 
 
+# -- the mask-and-matmul kernels, kept as references for the twisted ones
+
+REFERENCE_DIMS = [GradedDims(2, 1), GradedDims(5, 4), GradedDims(3, 0), GradedDims(0, 2)]
+
+
+def reference_part(m, parity):
+    """Parity part by a boolean mask of the entries with that parity."""
+    dims = m.dims
+    row_par = np.zeros(dims.total, dtype=int)
+    row_par[dims.even:] = 1
+    mask = (row_par[:, None] + row_par[None, :]) % 2 == parity
+    return np.where(mask, m.mat, 0.0)
+
+
+def reference_commutator(a, b):
+    """Six products over the parity parts of both factors."""
+    ae, ao = reference_part(a, EVEN), reference_part(a, ODD)
+    be, bo = reference_part(b, EVEN), reference_part(b, ODD)
+    return (ae @ b.mat - b.mat @ ae) + (ao @ be - be @ ao) + (ao @ bo + bo @ ao)
+
+
+@pytest.mark.parametrize("dims", REFERENCE_DIMS, ids=lambda d: f"{d.even}-{d.odd}")
+def test_part_matches_mask_reference(dims):
+    rng = np.random.default_rng(31)
+    m = random_graded_matrix(dims, rng)
+    for parity in (EVEN, ODD):
+        assert np.array_equal(m.part(parity).mat, reference_part(m, parity))
+
+
+@pytest.mark.parametrize("dims", REFERENCE_DIMS, ids=lambda d: f"{d.even}-{d.odd}")
+def test_graded_commutator_matches_reference(dims):
+    rng = np.random.default_rng(32)
+    for pa in (EVEN, ODD, None):
+        for pb in (EVEN, ODD, None):
+            a = random_graded_matrix(dims, rng, parity=pa)
+            b = random_graded_matrix(dims, rng, parity=pb)
+            err = np.linalg.norm(graded_commutator(a, b).mat - reference_commutator(a, b))
+            assert err <= 1e-12 * a.norm() * b.norm(), (pa, pb)
+
+
+@pytest.mark.parametrize("dims", REFERENCE_DIMS, ids=lambda d: f"{d.even}-{d.odd}")
+def test_inner_products_match_trace_reference(dims):
+    rng = np.random.default_rng(33)
+    for pf in (EVEN, ODD, None):
+        for pg in (EVEN, ODD, None):
+            f = random_graded_matrix(dims, rng, parity=pf)
+            g = random_graded_matrix(dims, rng, parity=pg)
+            want = -supertrace(superadjoint(f) @ g)
+            assert abs(indefinite_inner(f, g) - want) <= 1e-12 * f.norm() * g.norm()
+            want = np.trace(f.mat.conj().T @ g.mat) / dims.total
+            assert abs(hs_inner(f.mat, g.mat) - want) <= 1e-12 * f.norm() * g.norm()
+
+
+def test_twist_is_shared_and_read_only():
+    dims = GradedDims(2, 1)
+    assert dims.twist is dims.twist
+    assert np.array_equal(dims.twist, [[1, 1, -1], [1, 1, -1], [-1, -1, 1]])
+    with pytest.raises(ValueError):
+        dims.twist[0, 0] = 0.0
+
+
 def test_graded_commutator_signs():
     fe, ge = rand(EVEN), rand(EVEN)
     fo, go = rand(ODD), rand(ODD)
