@@ -8,9 +8,13 @@ defining relation
     (x3)^2 = rho^2 - (x1)^2 - (x2)^2 - 2 theta4 theta5
 
 is eliminated exactly, and Berezin-spherical integration reduces to closed
-rational sphere moments.  Irrational normalization prefactors are carried
-separately as a single surd per harmonic so that orthonormality and
-structure constants come out exact up to one final square root.
+rational sphere moments.  The inner products pair two polynomials without
+forming their product: a monomial pair contributes only when its exponents
+have equal parity, and only the even components of cross(f) * g are
+summed, in integer arithmetic over common denominators.  Irrational
+normalization prefactors are carried separately as a single surd per
+harmonic so that orthonormality and structure constants come out exact up
+to one final square root.
 
 This module deliberately imports nothing from the matrix side: it is the
 independent ground truth the fuzzy constructions are tested against.
@@ -22,7 +26,7 @@ import dataclasses
 import math
 import re
 from fractions import Fraction
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 Mono = Tuple[int, int, int]
 
@@ -447,12 +451,92 @@ def _as_class_parts(f: PolyOrClass, rho: RhoLike) -> Tuple[SuperPoly, Surd]:
     return f, Surd.one()
 
 
+def _parity_buckets(p: Dict[Mono, QQi]) -> Tuple[int, Dict[Mono, list]]:
+    """p as (den, buckets): den times every coefficient is a Gaussian integer.
+
+    The terms (a, b, c, re, im) of den * p are bucketed by the exponent
+    parity (a & 1, b & 1, c & 1).
+    """
+    den = math.lcm(*[x.denominator for v in p.values() for x in (v.re, v.im)])
+    buckets: Dict[Mono, list] = {}
+    for (a, b, c), v in p.items():
+        term = (
+            a, b, c,
+            v.re.numerator * (den // v.re.denominator),
+            v.im.numerator * (den // v.im.denominator),
+        )
+        buckets.setdefault((a & 1, b & 1, c & 1), []).append(term)
+    return den, buckets
+
+
+def _paired_moments(pairs: List[Tuple[Dict[Mono, QQi], Dict[Mono, QQi], int]]) -> Dict[int, QQi]:
+    """Degree-n unit-sphere moments of sum_k sign_k conj(p_k) q_k.
+
+    The products are never formed: a product monomial has a nonzero moment
+    only when all three exponents are even, so a monomial of p meets only
+    the monomials of q with the same exponent parity.  Every paired
+    monomial then has the moment (a-1)!! (b-1)!! (c-1)!! / (n+1)!!, and the
+    sums stay in integers over the common denominators until one Fraction
+    per degree.  pairs holds (p, q, sign).
+    """
+    out: Dict[int, QQi] = {}
+    for p, q, sign in pairs:
+        if not p or not q:
+            continue
+        dp, left = _parity_buckets(p)
+        dq, right = _parity_buckets(q)
+        acc: Dict[Mono, list] = {}
+        for parity, p_terms in left.items():
+            q_terms = right.get(parity, ())
+            for a1, b1, c1, pr, pi in p_terms:
+                for a2, b2, c2, qr, qi in q_terms:
+                    slot = acc.setdefault((a1 + a2, b1 + b2, c1 + c2), [0, 0])
+                    slot[0] += pr * qr + pi * qi
+                    slot[1] += pr * qi - pi * qr
+        by_degree: Dict[int, list] = {}
+        for (a, b, c), (re, im) in acc.items():
+            w = _dfact(a - 1) * _dfact(b - 1) * _dfact(c - 1)
+            slot = by_degree.setdefault(a + b + c, [0, 0])
+            slot[0] += w * re
+            slot[1] += w * im
+        for n, (re, im) in by_degree.items():
+            den = sign * dp * dq * _dfact(n + 1)
+            out[n] = out.get(n, QQI_ZERO) + QQi(Fraction(re, den), Fraction(im, den))
+    return out
+
+
+def _berezin_pairing(f: SuperPoly, g: SuperPoly, rho: Fraction) -> QQi:
+    """berezin_radial_sum(cross_involution(f) * g, rho), never forming the product.
+
+    The even components of the product are f0* g0 and
+    f0* g45 + f45* g0 - f5* g5 - f4* g4 (the cross involution folded in).
+    """
+    if rho == 0:
+        raise ValueError("radius must be nonzero")
+    body = _paired_moments([(f.c0, g.c0, 1)])
+    top = _paired_moments(
+        [(f.c0, g.c45, 1), (f.c45, g.c0, 1), (f.c5, g.c5, -1), (f.c4, g.c4, -1)]
+    )
+    total = QQI_ZERO
+    for n, m in body.items():
+        total = total + QQi(Fraction(n + 1) * rho ** (n - 1)) * m
+    for n, m in top.items():
+        total = total - QQi(rho ** (n + 1)) * m
+    return total
+
+
 def inner_S_exact(f: PolyOrClass, g: PolyOrClass, rho: RhoLike) -> Tuple[QQi, Surd]:
-    """<f|g> = (rho/2pi) I(f-cross * g) as (rational core, surd scale)."""
+    """<f|g> = (rho/2pi) I(f-cross * g) as (rational core, surd scale).
+
+    The core is rho * berezin_radial_sum(cross_involution(f) * g, rho),
+    computed as a bilinear pairing of the components of f and g: only
+    monomial pairs of equal exponent parity contribute, and only the even
+    components of the product are summed.
+    """
+    rho = Fraction(rho)
     fp, fs = _as_class_parts(f, rho)
     gp, gs = _as_class_parts(g, rho)
-    core = QQi(Fraction(rho)) * berezin_radial_sum(cross_involution(fp) * gp, rho)
-    return core, fs * gs
+    return QQi(rho) * _berezin_pairing(fp, gp, rho), fs * gs
 
 def inner_S(f: PolyOrClass, g: PolyOrClass, rho: RhoLike) -> complex:
     core, s = inner_S_exact(f, g, rho)
@@ -470,20 +554,43 @@ def _orbital(i: int, p: Dict[Mono, QQi]) -> Dict[Mono, QQi]:
     return _pscale(term, -QQI_I)
 
 
+def _orbital_ladder(s: int, p: Dict[Mono, QQi]) -> Dict[Mono, QQi]:
+    """L_1 + s i L_2 = -s (x1 + s i x2) d3 + s x3 (d1 + s i d2), s = +-1, in one pass."""
+    out: Dict[Mono, QQi] = {}
+
+    def put(k: Mono, re: Fraction, im: Fraction) -> None:
+        old = out.get(k)
+        out[k] = QQi(re, im) if old is None else QQi(old.re + re, old.im + im)
+
+    for (a, b, c), v in p.items():
+        if c:
+            put((a + 1, b, c - 1), -s * c * v.re, -s * c * v.im)
+            put((a, b + 1, c - 1), c * v.im, -c * v.re)
+        if a:
+            put((a - 1, b, c + 1), s * a * v.re, s * a * v.im)
+        if b:
+            put((a, b - 1, c + 1), -b * v.im, b * v.re)
+    return _clean(out)
+
+
 def vector_field_action(a: Union[int, str], f: SuperPoly) -> SuperPoly:
     """First-order graded derivation J_a acting on a superpolynomial.
 
-    Labels 1..5 or the ladder aliases '+', '-'.  The even fields combine
-    the orbital rotation with the spinor mixing of (theta4, theta5); the
-    odd fields exchange bosonic and Grassmann data.  All five annihilate
-    the relation polynomial, so they descend to the quotient.
+    Labels 1..5 or the ladder aliases '+', '-' for J_1 +- i J_2.  The even
+    fields combine the orbital rotation with the spinor mixing of
+    (theta4, theta5); the odd fields exchange bosonic and Grassmann data.
+    All five annihilate the relation polynomial, so they descend to the
+    quotient.  A ladder field is applied in one pass: its spinor part moves
+    f5 theta5 to f5 theta4 ('+') or f4 theta4 to f4 theta5 ('-').
     """
-    if a == "+":
-        g1, g2 = vector_field_action(1, f), vector_field_action(2, f)
-        return g1 + g2.scale(QQI_I)
-    if a == "-":
-        g1, g2 = vector_field_action(1, f), vector_field_action(2, f)
-        return g1 - g2.scale(QQI_I)
+    if a in ("+", "-"):
+        s = 1 if a == "+" else -1
+        out0, out4, out5, out45 = (_orbital_ladder(s, comp) for comp in f.components())
+        if s == 1:
+            out4 = _padd(out4, f.c5)
+        else:
+            out5 = _padd(out5, f.c4)
+        return SuperPoly(out0, out4, out5, out45)
 
     f0, f4, f5, f45 = f.components()
     half = QQI_HALF
@@ -647,9 +754,8 @@ def inner_sphere_exact(f: PolyOrClass, g: PolyOrClass, rho: RhoLike) -> Tuple[QQ
     rho = Fraction(rho)
     fp, fs = _as_class_parts(f, rho)
     gp, gs = _as_class_parts(g, rho)
-    prod = _pmul(_pconj(fp.c0), gp.c0)
     total = QQI_ZERO
-    for n, m in _moment_by_degree(prod).items():
+    for n, m in _paired_moments([(fp.c0, gp.c0, 1)]).items():
         total = total + QQi(rho**n) * m
     return total, fs * gs
 
@@ -763,7 +869,10 @@ def parse_superpoly(text: str) -> SuperPoly:
                     continue
                 m = re.fullmatch(r"t([45])", tok)
                 if m:
-                    grass[int(m.group(1)) - 4] += 1
+                    odd = int(m.group(1)) - 4
+                    if odd == 0 and grass[1]:
+                        coeff = -coeff  # t5 t4 = -t4 t5
+                    grass[odd] += 1
                     continue
                 coeff = coeff * _parse_coeff(tok)
         if grass[0] > 1 or grass[1] > 1:

@@ -201,6 +201,13 @@ def test_oracle_integral(capsys):
     assert "1/2" in out
 
 
+def test_oracle_integral_orders_odd_coordinates(capsys):
+    # t5 t4 = -t4 t5, whose integral at rho = 1 is +2 pi
+    code, out = run(capsys, "oracle", "--op", "integral", "--expr", "t5 t4", "--rho", "1")
+    assert code == 0
+    assert out.startswith("(2*pi) * (1+0i)")
+
+
 def test_oracle_inner(capsys):
     code, out = run(capsys, "oracle", "--op", "inner", "--expr", "1", "--expr2", "1")
     assert code == 0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fuzzsuper.continuum import (
+    QQI_I,
     QQI_ONE,
     QQi,
     SuperPoly,
@@ -19,6 +20,7 @@ from fuzzsuper.continuum import (
     inner_S,
     inner_S_exact,
     inner_sphere,
+    inner_sphere_exact,
     normal_form,
     parse_superpoly,
     sphere_harmonic,
@@ -26,6 +28,9 @@ from fuzzsuper.continuum import (
     sphere_relation,
     structure_constant_classical,
     vector_field_action,
+    _moment_by_degree,
+    _pconj,
+    _pmul,
 )
 
 X1, X2, X3 = (SuperPoly.variable(v) for v in ("x1", "x2", "x3"))
@@ -194,6 +199,22 @@ def test_unit_inner_product():
     assert float(scale) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("rho", [Fraction(1), Fraction(5, 2)])
+def test_inner_products_equal_the_formed_product(rho):
+    # mixed parity in every component, x3 powers up to 3 (not in normal form)
+    rng = np.random.default_rng(12)
+    polys = [rand_poly(rng, deg=3) for _ in range(8)]
+    assert any(k[2] >= 2 for f in polys for comp in f.components() for k in comp)
+    for f in polys:
+        for g in polys:
+            want = QQi(rho) * berezin_radial_sum(cross_involution(f) * g, rho)
+            assert inner_S_exact(f, g, rho)[0] == want
+            sphere = QQi(Fraction(0))
+            for n, m in _moment_by_degree(_pmul(_pconj(f.c0), g.c0)).items():
+                sphere = sphere + QQi(rho**n) * m
+            assert inner_sphere_exact(f, g, rho)[0] == sphere
+
+
 # ---------------------------------------------------------------- fields
 
 
@@ -244,6 +265,15 @@ def test_highest_weight_annihilation():
         assert raised.is_zero()
 
 
+def test_ladder_fields_are_exact_combinations():
+    rng = np.random.default_rng(13)
+    for _ in range(6):
+        f = rand_poly(rng, deg=3)
+        j1, j2 = vector_field_action(1, f), vector_field_action(2, f)
+        for label, want in (("+", j1 + j2.scale(QQI_I)), ("-", j1 - j2.scale(QQI_I))):
+            assert vector_field_action(label, f).components() == want.components()
+
+
 # ---------------------------------------------------------------- harmonics
 
 
@@ -259,14 +289,17 @@ def all_harmonic_labels(max_two_j):
 
 @pytest.mark.parametrize("rho", [Fraction(1), Fraction(5, 2)])
 def test_classical_gram_exact(rho):
-    labels = list(all_harmonic_labels(4))
+    labels = list(all_harmonic_labels(6))
     harms = [(lab, classical_harmonic(*lab, rho)) for lab in labels]
     for i, (la, ya) in enumerate(harms):
         for lb, yb in harms[i:]:
             core, scale = inner_S_exact(ya, yb, rho)
-            got = complex(core) * float(scale)
-            want = harmonic_sign(la[0], la[1]) if la == lb else 0.0
-            assert got == want  # exact: products of matching surds are rational
+            if la != lb:
+                assert core.is_zero()
+                continue
+            # exact: products of matching surds are rational
+            assert scale.exact() is not None
+            assert core * QQi(scale.exact()) == QQi.of(harmonic_sign(la[0], la[1]))
 
 
 def test_harmonic_sign_pattern():
@@ -335,6 +368,14 @@ def test_parse_examples():
     assert complex(f.c0.get((1, 0, 1))) == pytest.approx(0.5)
     assert complex(f.c4.get((0, 0, 0))) == pytest.approx(1j)
     assert complex(f.c0.get((0, 2, 0))) == pytest.approx(-1.0)
+
+
+def test_parse_orders_odd_coordinates():
+    # t5 t4 = -t4 t5
+    f = parse_superpoly("x1 * t5 t4")
+    assert f.c45 == {(1, 0, 0): -QQI_ONE}
+    assert (parse_superpoly("t5 t4") + T4 * T5).is_zero()
+    assert berezin_radial_sum(parse_superpoly("t5 t4"), 1) == QQI_ONE
 
 
 def test_parse_rejects_garbage():
