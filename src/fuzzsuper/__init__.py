@@ -29,8 +29,6 @@ from .fuzzy import (
     FuzzySuperSphere,
     HarmonicLabel,
     body_map_fuzzy,
-    build_fuzzy_sphere,
-    build_fuzzy_supersphere,
     eta,
     fuzzy_product,
     structure_constant_fuzzy,

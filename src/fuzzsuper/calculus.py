@@ -28,7 +28,7 @@ from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple,
 
 import numpy as np
 
-from .fuzzy import FuzzySphere, FuzzySuperSphere, body_map_fuzzy, eta, psi_q, psi_q_inv
+from .fuzzy import FuzzySphere, FuzzySuperSphere, body_map_fuzzy, eta
 from .graded import (
     EVEN,
     ODD,
@@ -546,8 +546,8 @@ def eta_forms(w: SuperForm, ctx_to: DerivationContext) -> SuperForm:
         raise ValueError("eta_forms moves between super contexts")
     vals = {}
     for t, v in w.vals.items():
-        e = psi_q_inv(v, ctx.sphere)
-        vals[t] = psi_q(eta(e, ctx_to.sphere.q), ctx_to.sphere)
+        e = ctx.sphere.decompose(v)
+        vals[t] = ctx_to.sphere.reconstruct(eta(e, ctx_to.sphere.q))
     return SuperForm(ctx_to, w.p, vals)
 
 

@@ -20,17 +20,15 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
 from .calculus import (
-    CohomologyReport,
     EXPECTED_BETTI_BODY,
     EXPECTED_BETTI_SUPER,
     SuperForm,
-    body_cochain_map,
     body_context,
     center_cohomology_dims,
     cohomology_dims,
@@ -39,7 +37,6 @@ from .calculus import (
     form_to_vec,
     interior,
     invariant_one_forms,
-    lambda_form,
     lie_derivative,
     maurer_cartan,
     random_superform,
@@ -61,23 +58,18 @@ from .continuum import (
     sphere_relation,
     structure_constant_classical,
 )
-from .continuum import QQi, QQI_ONE
+from .continuum import QQi
 from .fuzzy import (
     FuzzyElement,
     FuzzySphere,
     FuzzySuperSphere,
     HarmonicLabel,
-    all_labels,
-    body_label_image,
     body_map_fuzzy,
     body_map_matrix,
     fuzzy_product,
-    psi_q,
-    psi_q_inv,
     structure_constant_fuzzy,
 )
 from .graded import (
-    GradedMatrix,
     hs_inner,
     indefinite_inner,
     numerical_rank,

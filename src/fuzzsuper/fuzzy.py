@@ -5,27 +5,27 @@ highest weight; its (2q+1)^2-dimensional harmonic basis diagonalizes the
 pseudo-inner product -str(f-dag g) up to signs.  The bosonic companion,
 End of the spin-q/2 sl2 irrep, is the target of the body map.  All
 normalizations are fixed once by the highest-weight matrices; everything
-else is generated by exact ladder steps, so orthonormality is a theorem
-here, not a fitting procedure.
+else is generated by ladder steps, so orthonormality is a theorem here, not
+a fitting procedure.  Both spheres keep their harmonics in one weight table,
+built in one sweep; its one projection per step removes only rounding noise.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from .graded import (
-    EVEN,
     ODD,
     GradedDims,
     GradedMatrix,
     graded_commutator,
     hs_inner,
     indefinite_inner,
-    superadjoint,
 )
 from .osp import Irrep, OspBasis, Sl2Irrep, build_irrep, build_osp_basis, build_sl2_irrep
 
@@ -159,15 +159,78 @@ class FuzzyElement:
 
 
 # ---------------------------------------------------------------------------
+# harmonics stored by weight
+
+
+class _WeightTable:
+    """The harmonic basis of a sphere, stored on the entries of each weight.
+
+    A harmonic of doubled weight m is nonzero only on the entries (r, c)
+    whose row weight minus column weight is m.  For each m the table keeps
+    those entries and one column per label, labels sorted by descending l.
+    ``tops`` lists (label, sign) for the top of each chain, where two_m is
+    2l, and ``top(label)`` gives its matrix.  One sweep down from the top
+    weight builds every chain: it starts from its top matrix, gathered onto
+    its entries, and each step applies ad J_- restricted to the entries and
+    divides by the ladder's sqrt(step).  The step then loses its components
+    along the columns of larger l at that weight, in the pairing given
+    entrywise by ``pair`` and the label signs.  Those components vanish in
+    exact arithmetic; in floating point they are the rounding noise that
+    later steps would amplify.
+    """
+
+    def __init__(self, j3: np.ndarray, jm: np.ndarray, pair: np.ndarray, tops: list, top) -> None:
+        two_w = np.rint(2 * j3.diagonal().real).astype(int)
+        diff = two_w[:, None] - two_w[None, :]
+        tops = sorted(tops, key=lambda t: -t[0].two_m)
+        self.n = len(two_w)
+        self.entries: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        self.cols: Dict[int, np.ndarray] = {}
+        self.where: Dict[object, Tuple[int, int]] = {}
+        for two_m in np.unique(diff)[::-1].tolist():
+            live = [t for t in tops if t[0].two_m >= abs(two_m) and (t[0].two_m - two_m) % 2 == 0]
+            r, c = np.nonzero(diff == two_m)
+            h = np.empty((len(r), len(live)), dtype=complex)
+            k0 = sum(la.two_m > two_m for la, _ in live)  # chains stepping down from two_m + 2
+            if k0:
+                ra, ca = self.entries[two_m + 2]
+                ad = jm[r[:, None], ra] * (c[:, None] == ca) - (r[:, None] == ra) * jm[ca, c[:, None]]
+                step = [(la.two_m + two_m + 2) // 2 * ((la.two_m - two_m) // 2) for la, _ in live[:k0]]
+                h[:, :k0] = ad @ self.cols[two_m + 2][:, :k0] / np.sqrt(step)
+            for k in range(k0, len(live)):
+                h[:, k] = top(live[k][0])[r, c]
+            w, s = pair[r, c], np.array([sign for _, sign in live], dtype=float)
+            neg_l = np.array([-la.two_m for la, _ in live])
+            for k, j in enumerate(np.searchsorted(neg_l, neg_l[:k0])):  # j columns of larger l
+                h[:, k] -= h[:, :j] @ (s[:j] * (h[:, :j].conj().T @ (w * h[:, k])))
+            self.entries[two_m], self.cols[two_m] = (r, c), h
+            for k, (la, _) in enumerate(live):
+                self.where[dataclasses.replace(la, two_m=two_m)] = (two_m, k)
+
+    def combine(self, coeffs) -> np.ndarray:
+        """sum_L coeffs[L] Y_L, one product per weight that occurs."""
+        vecs: Dict[int, np.ndarray] = {}
+        for label, c in coeffs.items():
+            if label not in self.where:
+                raise ValueError(f"label {label} does not exist at this level")
+            two_m, k = self.where[label]
+            vecs.setdefault(two_m, np.zeros(self.cols[two_m].shape[1], dtype=complex))[k] += c
+        out = np.zeros((self.n, self.n), dtype=complex)
+        for two_m, v in vecs.items():
+            out[self.entries[two_m]] = self.cols[two_m] @ v
+        return out
+
+
+# ---------------------------------------------------------------------------
 # the fuzzy supersphere
 
 
 class FuzzySuperSphere:
     """Level-q truncation: End(V(q/2)) with its harmonic basis.
 
-    Harmonic chains are built lazily per (j, mu) and cached, so working
-    with a handful of highest-weight harmonics at large q never pays for
-    the full (2q+1)^2 basis.
+    The weight table of all (2q+1)^2 harmonics is built on the first call
+    that needs it, so working with the highest-weight harmonics alone at
+    large q never pays for the basis.
     """
 
     def __init__(self, q: int, rho: float = 1.0):
@@ -180,7 +243,6 @@ class FuzzySuperSphere:
         self.rep: Irrep = build_irrep(self.q, ODD)
         self.basis: OspBasis = build_osp_basis()
         self.dims: GradedDims = self.rep.dims
-        self._chains: Dict[Tuple[int, int], Dict[int, GradedMatrix]] = {}
 
     @property
     def n(self) -> int:
@@ -229,27 +291,21 @@ class FuzzySuperSphere:
             mat = norm * (np.linalg.matrix_power(jp, k) @ core)
         return GradedMatrix(self.dims, mat)
 
-    def _chain(self, two_j: int, mu: int) -> Dict[int, GradedMatrix]:
-        key = (two_j, mu)
-        if key in self._chains:
-            return self._chains[key]
-        top = self.highest_weight(two_j)
-        if mu == 1:
-            top = (2.0 / math.sqrt(two_j)) * self.adjoint_action(5, top)
-        two_l = two_j - mu
-        chain = {two_l: top}
-        cur = top
-        for two_m in range(two_l, -two_l, -2):
-            step = ((two_l + two_m) // 2) * ((two_l - two_m + 2) // 2)
-            cur = self.adjoint_action("-", cur) / math.sqrt(step)
-            chain[two_m - 2] = cur
-        self._chains[key] = chain
-        return chain
+    @functools.cached_property
+    def _table(self) -> _WeightTable:
+        pair = np.ones((self.n, self.n))
+        pair[: self.dims.even, : self.dims.even] = -1.0  # -str(f^+ g), entrywise
+        tops = [(la, la.sign) for la in self.labels() if la.two_m == la.two_l]
+        return _WeightTable(self.rep.j3.mat, self.rep.jm.mat, pair, tops, self._top)
+
+    def _top(self, label: HarmonicLabel) -> np.ndarray:
+        top = self.highest_weight(label.two_j)
+        if label.mu == 1:
+            top = (2.0 / math.sqrt(label.two_j)) * self.adjoint_action(5, top)
+        return top.mat
 
     def harmonic(self, label: HarmonicLabel) -> GradedMatrix:
-        if label.two_j > 2 * self.q:
-            raise ValueError(f"label {label} does not exist at level {self.q}")
-        return self._chain(label.two_j, label.mu)[label.two_m]
+        return GradedMatrix(self.dims, self._table.combine({label: 1.0}))
 
     def labels(self) -> List[HarmonicLabel]:
         return all_labels(self.q)
@@ -268,24 +324,7 @@ class FuzzySuperSphere:
     def reconstruct(self, e: FuzzyElement) -> GradedMatrix:
         if e.q != self.q:
             raise ValueError("level mismatch")
-        mat = np.zeros((self.n, self.n), dtype=complex)
-        for label, c in e.coeffs.items():
-            mat += c * self.harmonic(label).mat
-        return GradedMatrix(self.dims, mat)
-
-
-def build_fuzzy_supersphere(q: int, rho: float = 1.0) -> FuzzySuperSphere:
-    return FuzzySuperSphere(q, rho)
-
-
-def psi_q(e: FuzzyElement, sphere: FuzzySuperSphere) -> GradedMatrix:
-    """Coefficients to matrix."""
-    return sphere.reconstruct(e)
-
-
-def psi_q_inv(f: GradedMatrix, sphere: FuzzySuperSphere) -> FuzzyElement:
-    """Matrix to coefficients; inverse of psi_q on all of End(V)."""
-    return sphere.decompose(f)
+        return GradedMatrix(self.dims, self._table.combine(e.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +466,6 @@ class FuzzySphere:
         self.q = int(q)
         self.rho = float(rho)
         self.rep: Sl2Irrep = build_sl2_irrep(self.q)
-        self._chains: Dict[int, Dict[int, np.ndarray]] = {}
 
     @property
     def n(self) -> int:
@@ -455,21 +493,16 @@ class FuzzySphere:
         )
         return norm * np.linalg.matrix_power(self.rep.matrix("+"), j)
 
-    def _chain(self, j: int) -> Dict[int, np.ndarray]:
-        if j in self._chains:
-            return self._chains[j]
-        chain = {j: self.highest_weight(j)}
-        cur = chain[j]
-        for m in range(j, -j, -1):
-            cur = self.adjoint_action("-", cur) / math.sqrt((j + m) * (j - m + 1))
-            chain[m - 1] = cur
-        self._chains[j] = chain
-        return chain
+    @functools.cached_property
+    def _table(self) -> _WeightTable:
+        pair = np.full((self.n, self.n), 1.0 / self.n)  # hs_inner, entrywise
+        tops = [(la, 1) for la in self.labels() if la.two_m == la.two_j]
+        return _WeightTable(
+            self.rep.j3, self.rep.jm, pair, tops, lambda la: self.highest_weight(la.two_j // 2)
+        )
 
     def harmonic(self, label: SphereLabel) -> np.ndarray:
-        if label.two_j > 2 * self.q or label.two_j % 2:
-            raise ValueError(f"label {label} does not exist at level {self.q}")
-        return self._chain(label.two_j // 2)[label.two_m // 2]
+        return self._table.combine({label: 1.0})
 
     def labels(self) -> List[SphereLabel]:
         return [
@@ -487,14 +520,7 @@ class FuzzySphere:
         return out
 
     def reconstruct(self, coeffs: Dict[SphereLabel, complex]) -> np.ndarray:
-        mat = np.zeros((self.n, self.n), dtype=complex)
-        for label, c in coeffs.items():
-            mat += c * self.harmonic(label)
-        return mat
-
-
-def build_fuzzy_sphere(q: int, rho: float = 1.0) -> FuzzySphere:
-    return FuzzySphere(q, rho)
+        return self._table.combine(coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -531,8 +557,8 @@ def body_map_fuzzy(
     """The noncommutative body projection End(V(q/2)) -> End(V_q/2, sl2).
 
     Decompose, drop odd labels, rescale even ones, reassemble downstairs.
-    An algebra map onto its image with kernel of dimension
-    (2q+1)^2 - (q+1)^2.
+    Linear, rotation-equivariant and a cochain map, onto End(V_q/2) with
+    kernel of dimension (2q+1)^2 - (q+1)^2; not an algebra homomorphism.
     """
     if sphere.q != body.q:
         raise ValueError("levels of the super and body spheres must agree")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 

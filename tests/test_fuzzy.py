@@ -13,19 +13,40 @@ from fuzzsuper.fuzzy import (
     body_label_image,
     body_map_fuzzy,
     body_map_matrix,
-    build_fuzzy_sphere,
-    build_fuzzy_supersphere,
     eta,
     fuzzy_product,
     label_action,
-    psi_q,
-    psi_q_inv,
     structure_constant_fuzzy,
 )
 from fuzzsuper.graded import hs_inner, indefinite_inner, numerical_rank, random_graded_matrix
 from fuzzsuper.continuum import structure_constant_classical
 
 RNG = np.random.default_rng(21)
+
+
+def reference_super_chain(s, two_j, mu):
+    """One (j, mu) chain of dense ladder steps Y_(m-1) = [J_-, Y_m] / sqrt(step)."""
+    top = s.highest_weight(two_j)
+    if mu == 1:
+        top = (2.0 / math.sqrt(two_j)) * s.adjoint_action(5, top)
+    two_l = two_j - mu
+    chain = {two_l: top}
+    cur = top
+    for two_m in range(two_l, -two_l, -2):
+        step = ((two_l + two_m) // 2) * ((two_l - two_m + 2) // 2)
+        cur = s.adjoint_action("-", cur) / math.sqrt(step)
+        chain[two_m - 2] = cur
+    return chain
+
+
+def reference_body_chain(b, j):
+    """The same dense ladder for the spin-j chain of the body sphere."""
+    chain = {j: b.highest_weight(j)}
+    cur = chain[j]
+    for m in range(j, -j, -1):
+        cur = b.adjoint_action("-", cur) / math.sqrt((j + m) * (j - m + 1))
+        chain[m - 1] = cur
+    return chain
 
 
 def random_element(q, n_terms=6):
@@ -83,6 +104,23 @@ def test_graded_gram(q):
     assert worst < 1e-12
 
 
+@pytest.mark.parametrize("q", [2, 5, 8, 12])
+def test_harmonics_match_reference_ladder(q):
+    s, b = FuzzySuperSphere(q), FuzzySphere(q)
+    chains = {
+        (la.two_j, la.mu): reference_super_chain(s, la.two_j, la.mu)
+        for la in s.labels()
+        if la.two_m == la.two_l
+    }
+    for la in s.labels():
+        want = chains[(la.two_j, la.mu)][la.two_m].mat
+        assert np.abs(s.harmonic(la).mat - want).max() < 1e-10, la
+    chains = {j: reference_body_chain(b, j) for j in range(q + 1)}
+    for la in b.labels():
+        want = chains[la.two_j // 2][la.two_m // 2]
+        assert np.abs(b.harmonic(la) - want).max() < 1e-10, la
+
+
 def test_unit_harmonic_is_identity():
     s = FuzzySuperSphere(3)
     y = s.harmonic(HarmonicLabel(0, 0, 0))
@@ -120,20 +158,22 @@ def test_decompose_reconstruct_round_trip():
     assert e.max_abs_diff(back) < 1e-12
 
 
-def test_matrix_round_trip_below_cliff():
-    # below the accuracy cliff of ROADMAP item 2, the CLI's default --tol holds
-    s = FuzzySuperSphere(16)
-    f = random_graded_matrix(s.dims, np.random.default_rng(16))
-    back = s.reconstruct(s.decompose(f))
-    assert (back - f).norm() <= 1e-8 * f.norm()
+@pytest.mark.parametrize("q", [16, 32, 48])
+def test_matrix_round_trip(q):
+    rng = np.random.default_rng(q)
+    s, b = FuzzySuperSphere(q), FuzzySphere(q)
+    f = random_graded_matrix(s.dims, rng)
+    assert (s.reconstruct(s.decompose(f)) - f).norm() <= 1e-12 * f.norm()
+    g = rng.normal(size=(b.n, b.n)) + 1j * rng.normal(size=(b.n, b.n))
+    assert np.linalg.norm(b.reconstruct(b.decompose(g)) - g) <= 1e-12 * np.linalg.norm(g)
 
 
 def test_psi_round_trip():
     s = FuzzySuperSphere(2)
     e = random_element(2)
-    assert e.max_abs_diff(psi_q_inv(psi_q(e, s), s)) < 1e-12
+    assert e.max_abs_diff(s.decompose(s.reconstruct(e))) < 1e-12
     m = s.harmonic(HarmonicLabel(2, 1, 1)) * (0.3 - 1j)
-    assert (psi_q(psi_q_inv(m, s), s) - m).norm() < 1e-12
+    assert (s.reconstruct(s.decompose(m)) - m).norm() < 1e-12
 
 
 @pytest.mark.parametrize("a", [1, 2, 3, 4, 5])
@@ -141,8 +181,8 @@ def test_label_action_matches_adjoint(a):
     q = 2
     s = FuzzySuperSphere(q)
     e = random_element(q, n_terms=8)
-    via_labels = psi_q(label_action(a, e), s)
-    via_matrix = s.adjoint_action(a, psi_q(e, s))
+    via_labels = s.reconstruct(label_action(a, e))
+    via_matrix = s.adjoint_action(a, s.reconstruct(e))
     assert (via_labels - via_matrix).norm() < 1e-12
 
 
@@ -181,7 +221,7 @@ def test_fuzzy_product_matches_matrix_product():
     s = FuzzySuperSphere(q)
     e1, e2 = random_element(q), random_element(q)
     p = fuzzy_product(e1, e2, s)
-    assert (psi_q(p, s) - psi_q(e1, s) @ psi_q(e2, s)).norm() < 1e-11
+    assert (s.reconstruct(p) - s.reconstruct(e1) @ s.reconstruct(e2)).norm() < 1e-11
 
 
 def test_fuzzy_product_associative():
@@ -288,6 +328,9 @@ def test_body_decompose_round_trip():
         assert back[la] == pytest.approx(v)
 
 
-def test_builders():
-    assert build_fuzzy_supersphere(2).n == 5
-    assert build_fuzzy_sphere(2).rep.dim == 3
+def test_body_reconstruct_rejects_label_beyond_level():
+    b = FuzzySphere(2)
+    with pytest.raises(ValueError):
+        b.reconstruct({SphereLabel(20, 0): 1.0})
+    with pytest.raises(ValueError):
+        b.harmonic(SphereLabel(1, 1))  # half-integer spin is not in the body basis
