@@ -8,8 +8,9 @@ Four subcommands:
     fuzzsuper cohomology  Betti numbers with singular-value gap evidence
     fuzzsuper oracle      evaluate exact supersphere expressions
 
-Output formats: text (default), json, csv.  Floats in csv carry 17
-significant digits, enough to round-trip doubles.
+verify, converge and cohomology print text (default), json or csv; oracle
+prints text.  Floats in csv carry 17 significant digits, enough to
+round-trip doubles.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ from .fuzzy import (
     FuzzySphere,
     FuzzySuperSphere,
     HarmonicLabel,
+    all_labels,
     body_map_fuzzy,
     body_map_matrix,
     fuzzy_product,
@@ -296,14 +298,7 @@ def _suite_oracle(q: int, rho_frac: Fraction, tol: float, rng) -> List[CheckResu
         if not berezin_radial_sum(rel * g, rho_frac).is_zero():
             ideal_worst = 1.0
     gram_worst = 0.0
-    labels = []
-    for two_j in range(0, 4):
-        for mu in (0, 1):
-            if mu == 1 and two_j == 0:
-                continue
-            two_l = two_j - mu
-            for two_m in range(two_l, -two_l - 1, -2):
-                labels.append((two_j, mu, two_m))
+    labels = [(la.two_j, la.mu, la.two_m) for la in all_labels(2) if la.two_j < 4]
     harms = [(lab, classical_harmonic(*lab, rho_frac)) for lab in labels]
     for i, (la, ya) in enumerate(harms):
         for lb, yb in harms[i:]:
@@ -628,14 +623,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_seed=True):
-        p.add_argument("--rho", default="1", help="sphere radius, rational or decimal (default 1)")
-        p.add_argument("--tol", type=float, default=1e-8, help="tolerance (default 1e-8)")
-        if with_seed:
-            p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-        p.add_argument("--format", choices=("text", "json", "csv"), default="text")
-        p.add_argument("--out", help="write the report to this file instead of stdout")
-        p.add_argument("--allow-large", action="store_true", help="permit levels q > 60")
+    shared = {
+        "--rho": dict(default="1", help="sphere radius, rational or decimal (default 1)"),
+        "--tol": dict(type=float, default=1e-8, help="tolerance (default 1e-8)"),
+        "--seed": dict(type=int, default=0, help="seed for randomized checks"),
+        "--format": dict(choices=("text", "json", "csv"), default="text"),
+        "--out": dict(help="write the report to this file instead of stdout"),
+        "--allow-large": dict(action="store_true", help="permit levels q > 60"),
+    }
+
+    def common(p, *flags):
+        """Add the shared options that the subcommand reads."""
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
 
     p_verify = sub.add_parser("verify", help="run residual check suites")
     p_verify.add_argument("--q", type=int, default=2, help="truncation level (default 2)")
@@ -643,13 +643,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--suite", default="all", help=f"one of: {', '.join(SUITES)}, all (default all)"
     )
-    common(p_verify)
+    common(p_verify, *shared)
 
     p_conv = sub.add_parser("converge", help="structure constants against the classical value")
     p_conv.add_argument("--j1", required=True, help="first superspin (e.g. 1/2)")
     p_conv.add_argument("--j2", required=True, help="second superspin")
     p_conv.add_argument("--q-list", type=_int_list, help="levels (default 10,20,40)")
-    common(p_conv, with_seed=False)
+    common(p_conv, "--rho", "--format", "--out", "--allow-large")
 
     p_coh = sub.add_parser("cohomology", help="Betti numbers with sv-gap evidence")
     p_coh.add_argument("--q", type=int, default=1, help="truncation level (default 1)")
@@ -659,7 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=5,
         help=f"top degree, 0..{len(EXPECTED_BETTI_SUPER) - 1} (default 5)",
     )
-    common(p_coh, with_seed=False)
+    common(p_coh, "--rho", "--tol", "--format", "--out", "--allow-large")
 
     p_or = sub.add_parser("oracle", help="exact classical-side computations")
     p_or.add_argument(
@@ -675,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_or.add_argument(
         "--m", help="magnetic label, e.g. --m=-1/2 or --m -0.5 (default: highest weight)"
     )
-    common(p_or, with_seed=False)
+    common(p_or, "--rho", "--out")
     return parser
 
 

@@ -16,6 +16,12 @@ normalization prefactors are carried separately as a single surd per
 harmonic so that orthonormality and structure constants come out exact up
 to one final square root.
 
+The generators of osp(1|2) act as first-order graded vector fields.  Each
+field is data: a table of terms, coefficient times x_a d/dx_b from one
+component into another, which one applier runs over in a single exact
+pass.  The superspherical harmonics are the highest-weight polynomials
+(closed binomial forms) followed by steps of the lowering field.
+
 This module deliberately imports nothing from the matrix side: it is the
 independent ground truth the fuzzy constructions are tested against.
 """
@@ -158,24 +164,6 @@ def _pmul(a: Dict[Mono, QQi], b: Dict[Mono, QQi]) -> Dict[Mono, QQi]:
             out[k] = out.get(k, QQI_ZERO) + va * vb
     return _clean(out)
 
-def _pdiff(a: Dict[Mono, QQi], axis: int) -> Dict[Mono, QQi]:
-    out: Dict[Mono, QQi] = {}
-    for k, v in a.items():
-        if k[axis] == 0:
-            continue
-        kk = list(k)
-        kk[axis] -= 1
-        out[tuple(kk)] = out.get(tuple(kk), QQI_ZERO) + QQi(Fraction(k[axis])) * v
-    return _clean(out)
-
-def _pvar(a: Dict[Mono, QQi], axis: int) -> Dict[Mono, QQi]:
-    out: Dict[Mono, QQi] = {}
-    for k, v in a.items():
-        kk = list(k)
-        kk[axis] += 1
-        out[tuple(kk)] = v
-    return out
-
 def _pconj(a: Dict[Mono, QQi]) -> Dict[Mono, QQi]:
     return {k: v.conj() for k, v in a.items()}
 
@@ -301,16 +289,14 @@ def sphere_relation(rho: RhoLike) -> SuperPoly:
 
 
 def _bosonic_radical_powers(t: int, rho: RhoLike) -> Dict[Mono, QQi]:
-    """(rho^2 - x1^2 - x2^2)^t as a polynomial table."""
-    base = {
-        (0, 0, 0): QQi(Fraction(rho) ** 2),
-        (2, 0, 0): -QQI_ONE,
-        (0, 2, 0): -QQI_ONE,
-    }
-    out: Dict[Mono, QQi] = {(0, 0, 0): QQI_ONE}
-    for _ in range(t):
-        out = _pmul(out, base)
-    return out
+    """(rho^2 - x1^2 - x2^2)^t as a polynomial table, by the trinomial theorem."""
+    rho2 = Fraction(rho) ** 2
+    out: Dict[Mono, QQi] = {}
+    for b in range(t + 1):
+        for c in range(t - b + 1):
+            n = (-1) ** (b + c) * math.comb(t, b) * math.comb(t - b, c)
+            out[(2 * b, 2 * c, 0)] = QQi(n * rho2 ** (t - b - c))
+    return _clean(out)
 
 
 def _reduce_bosonic(p: Dict[Mono, QQi], rho: RhoLike) -> Tuple[Dict[Mono, QQi], Dict[Mono, QQi]]:
@@ -545,126 +531,100 @@ def inner_S(f: PolyOrClass, g: PolyOrClass, rho: RhoLike) -> complex:
 
 # ---------------------------------------------------------------------------
 # the osp(1|2) vector fields
+#
+# A field is a tuple of terms (dst, src, mul, diff, coefficient): each adds
+# coefficient * x_mul d/dx_diff of component src into component dst, where
+# the components are 0 = f0, 1 = f4, 2 = f5, 3 = f45 and an axis of -1
+# leaves that factor out.  The rotation part of an even field acts alike
+# on all four components, so it is listed once and spread by _rotation.
+
+_ONE, _HALF = QQI_ONE, QQI_HALF
+_I, _IHALF = QQI_I, QQI_HALF * QQI_I
 
 
-def _orbital(i: int, p: Dict[Mono, QQi]) -> Dict[Mono, QQi]:
-    """L_i = -i eps_ijk x^j d/dx^k on one bosonic component, i 0-indexed."""
-    j, k = (i + 1) % 3, (i + 2) % 3
-    term = _padd(_pvar(_pdiff(p, k), j), _pvar(_pdiff(p, j), k), -QQI_ONE)
-    return _pscale(term, -QQI_I)
+def _rotation(*terms: Tuple[int, int, QQi]) -> tuple:
+    return tuple((c, c, mul, diff, coef) for c in range(4) for mul, diff, coef in terms)
 
 
-def _orbital_ladder(s: int, p: Dict[Mono, QQi]) -> Dict[Mono, QQi]:
-    """L_1 + s i L_2 = -s (x1 + s i x2) d3 + s x3 (d1 + s i d2), s = +-1, in one pass."""
-    out: Dict[Mono, QQi] = {}
-
-    def put(k: Mono, re: Fraction, im: Fraction) -> None:
-        old = out.get(k)
-        out[k] = QQi(re, im) if old is None else QQi(old.re + re, old.im + im)
-
-    for (a, b, c), v in p.items():
-        if c:
-            put((a + 1, b, c - 1), -s * c * v.re, -s * c * v.im)
-            put((a, b + 1, c - 1), c * v.im, -c * v.re)
-        if a:
-            put((a - 1, b, c + 1), s * a * v.re, s * a * v.im)
-        if b:
-            put((a, b - 1, c + 1), -b * v.im, b * v.re)
-    return _clean(out)
+_FIELDS: Dict[Union[int, str], tuple] = {
+    # L_i = -i eps_ijk x^j d/dx^k plus the spinor mixing of (theta4, theta5)
+    1: _rotation((1, 2, -_I), (2, 1, _I)) + ((1, 2, -1, -1, _HALF), (2, 1, -1, -1, _HALF)),
+    2: _rotation((2, 0, -_I), (0, 2, _I)) + ((1, 2, -1, -1, -_IHALF), (2, 1, -1, -1, _IHALF)),
+    3: _rotation((0, 1, -_I), (1, 0, _I)) + ((1, 1, -1, -1, _HALF), (2, 2, -1, -1, -_HALF)),
+    # J_1 +- i J_2 = -+(x1 +- i x2) d3 +- x3 (d1 +- i d2), theta5 -> theta4 or back
+    "+": _rotation((0, 2, -_ONE), (1, 2, -_I), (2, 0, _ONE), (2, 1, _I)) + ((1, 2, -1, -1, _ONE),),
+    "-": _rotation((0, 2, _ONE), (1, 2, -_I), (2, 0, -_ONE), (2, 1, _I)) + ((2, 1, -1, -1, _ONE),),
+    # the odd fields exchange bosonic and Grassmann data
+    4: (
+        (0, 1, 0, -1, _HALF), (0, 1, 1, -1, _IHALF), (0, 2, 2, -1, -_HALF),
+        (1, 3, 2, -1, _HALF), (1, 0, -1, 2, -_HALF),
+        (2, 3, 0, -1, _HALF), (2, 3, 1, -1, _IHALF), (2, 0, -1, 0, -_HALF), (2, 0, -1, 1, -_IHALF),
+        (3, 1, -1, 0, _HALF), (3, 1, -1, 1, _IHALF), (3, 2, -1, 2, -_HALF),
+    ),
+    5: (
+        (0, 2, 0, -1, -_HALF), (0, 2, 1, -1, _IHALF), (0, 1, 2, -1, -_HALF),
+        (1, 3, 0, -1, _HALF), (1, 3, 1, -1, -_IHALF), (1, 0, -1, 0, -_HALF), (1, 0, -1, 1, _IHALF),
+        (2, 0, -1, 2, _HALF), (2, 3, 2, -1, -_HALF),
+        (3, 2, -1, 0, -_HALF), (3, 2, -1, 1, _IHALF), (3, 1, -1, 2, -_HALF),
+    ),
+}
 
 
 def vector_field_action(a: Union[int, str], f: SuperPoly) -> SuperPoly:
     """First-order graded derivation J_a acting on a superpolynomial.
 
-    Labels 1..5 or the ladder aliases '+', '-' for J_1 +- i J_2.  The even
-    fields combine the orbital rotation with the spinor mixing of
-    (theta4, theta5); the odd fields exchange bosonic and Grassmann data.
-    All five annihilate the relation polynomial, so they descend to the
-    quotient.  A ladder field is applied in one pass: its spinor part moves
-    f5 theta5 to f5 theta4 ('+') or f4 theta4 to f4 theta5 ('-').
+    Labels 1..5 or the ladder aliases '+', '-' for J_1 +- i J_2.  Every
+    field is one entry of the term table _FIELDS, applied in one pass over
+    its terms: the even fields rotate each component and mix (theta4,
+    theta5) as a spinor, the odd fields exchange bosonic and Grassmann
+    data.  All of them annihilate the relation polynomial, so they descend
+    to the quotient.  Every coefficient is real or purely imaginary, so a
+    term scales the two Fraction parts of each value directly, and the
+    results accumulate in [re, im] slots.
     """
-    if a in ("+", "-"):
-        s = 1 if a == "+" else -1
-        out0, out4, out5, out45 = (_orbital_ladder(s, comp) for comp in f.components())
-        if s == 1:
-            out4 = _padd(out4, f.c5)
-        else:
-            out5 = _padd(out5, f.c4)
-        return SuperPoly(out0, out4, out5, out45)
-
-    f0, f4, f5, f45 = f.components()
-    half = QQI_HALF
-    ihalf = QQI_HALF * QQI_I
-
-    if a in (1, 2, 3):
-        i = a - 1
-        out0 = _orbital(i, f0)
-        out4 = _orbital(i, f4)
-        out5 = _orbital(i, f5)
-        out45 = _orbital(i, f45)
-        if a == 1:
-            out4 = _padd(out4, _pscale(f5, half))
-            out5 = _padd(out5, _pscale(f4, half))
-        elif a == 2:
-            out4 = _padd(out4, _pscale(f5, -ihalf))
-            out5 = _padd(out5, _pscale(f4, ihalf))
-        else:
-            out4 = _padd(out4, _pscale(f4, half))
-            out5 = _padd(out5, _pscale(f5, -half))
-        return SuperPoly(out0, out4, out5, out45)
-
-    dx1 = _pdiff(f0, 0)
-    dx2 = _pdiff(f0, 1)
-    dx3 = _pdiff(f0, 2)
-    if a == 4:
-        out0 = _pscale(_padd(_padd(_pvar(f4, 0), _pvar(f4, 1), QQI_I), _pvar(f5, 2), -QQI_ONE), half)
-        out4 = _pscale(_padd(_pvar(f45, 2), dx3, -QQI_ONE), half)
-        out5 = _pscale(
-            _padd(
-                _padd(_pvar(f45, 0), _pvar(f45, 1), QQI_I),
-                _padd(dx1, dx2, QQI_I),
-                -QQI_ONE,
-            ),
-            half,
-        )
-        d4x1 = _pdiff(f4, 0)
-        d4x2 = _pdiff(f4, 1)
-        out45 = _pscale(_padd(_padd(d4x1, d4x2, QQI_I), _pdiff(f5, 2), -QQI_ONE), half)
-        return SuperPoly(out0, out4, out5, out45)
-    if a == 5:
-        out0 = _pscale(
-            _padd(_padd(_pvar(f5, 0), _pvar(f5, 1), -QQI_I), _pvar(f4, 2)),
-            -half,
-        )
-        out4 = _pscale(
-            _padd(
-                _padd(_pvar(f45, 0), _pvar(f45, 1), -QQI_I),
-                _padd(dx1, dx2, -QQI_I),
-                -QQI_ONE,
-            ),
-            half,
-        )
-        out5 = _pscale(_padd(dx3, _pvar(f45, 2), -QQI_ONE), half)
-        d5x1 = _pdiff(f5, 0)
-        d5x2 = _pdiff(f5, 1)
-        out45 = _pscale(_padd(_padd(d5x1, d5x2, -QQI_I), _pdiff(f4, 2)), -half)
-        return SuperPoly(out0, out4, out5, out45)
-    raise ValueError(f"unknown basis label {a!r}")
+    try:
+        terms = _FIELDS[a]
+    except KeyError:
+        raise ValueError(f"unknown basis label {a!r}") from None
+    comps = f.components()
+    out: Tuple[Dict[Mono, list], ...] = ({}, {}, {}, {})
+    for dst, src, mul, diff, coef in terms:
+        shift = [0, 0, 0]
+        if mul >= 0:
+            shift[mul] += 1
+        if diff >= 0:
+            shift[diff] -= 1
+        da, db, dc = shift
+        real = coef.im == 0
+        c = coef.re if real else coef.im
+        if c.denominator == 1:
+            c = c.numerator
+        acc = out[dst]
+        for mono, v in comps[src].items():
+            k = c if diff < 0 else c * mono[diff]
+            if not k:
+                continue
+            re, im = (k * v.re, k * v.im) if real else (-k * v.im, k * v.re)
+            key = (mono[0] + da, mono[1] + db, mono[2] + dc)
+            slot = acc.get(key)
+            if slot is None:
+                acc[key] = [re, im]
+            else:
+                slot[0] += re
+                slot[1] += im
+    return SuperPoly(*({k: QQi(re, im) for k, (re, im) in acc.items()} for acc in out))
 
 
 # ---------------------------------------------------------------------------
 # classical harmonics
 
 
-def _fact(n: int) -> int:
-    return math.factorial(n)
-
-
 def _x_plus_power(k: int) -> Dict[Mono, QQi]:
-    out: Dict[Mono, QQi] = {(0, 0, 0): QQI_ONE}
-    xp = {(1, 0, 0): QQI_ONE, (0, 1, 0): QQI_I}
-    for _ in range(k):
-        out = _pmul(out, xp)
+    """(x1 + i x2)^k by the binomial theorem."""
+    out: Dict[Mono, QQi] = {}
+    for r in range(k + 1):
+        n = math.comb(k, r) * (-1) ** (r // 2)
+        out[(k - r, r, 0)] = QQi(Fraction(0), Fraction(n)) if r % 2 else QQi(Fraction(n))
     return out
 
 
@@ -686,15 +646,19 @@ def classical_harmonic(two_j: int, mu: int, two_m: int, rho: RhoLike) -> SphereP
     if two_j % 2 == 0:
         j = two_j // 2
         poly = SuperPoly(c0=_x_plus_power(j))
-        scale = Surd(Fraction(1, 2**j * _fact(j)) / rho**j, Fraction(_fact(2 * j)))
-    else:
-        k = (two_j - 1) // 2
-        head = _x_plus_power(k)
-        poly = SuperPoly(
-            c4=_pvar(head, 2),
-            c5=_pmul(head, _x_plus_power(1)),
+        scale = Surd(
+            Fraction(1, 2**j * math.factorial(j)) / rho**j, Fraction(math.factorial(2 * j))
         )
-        scale = Surd(Fraction(1, 2**k * _fact(k)) / rho ** (k + 2), Fraction(_fact(two_j)))
+    else:
+        # x3 (x1 + i x2)^k theta4 + (x1 + i x2)^(k+1) theta5
+        k = (two_j - 1) // 2
+        poly = SuperPoly(
+            c4={(a, b, 1): v for (a, b, _), v in _x_plus_power(k).items()},
+            c5=_x_plus_power(k + 1),
+        )
+        scale = Surd(
+            Fraction(1, 2**k * math.factorial(k)) / rho ** (k + 2), Fraction(math.factorial(two_j))
+        )
 
     if mu == 1:
         poly = vector_field_action(5, poly)
@@ -736,17 +700,16 @@ def structure_constant_classical(two_j1: int, two_j2: int, rho: RhoLike = 1) -> 
 
 
 def sphere_harmonic(j: int, m: int, rho: RhoLike) -> SpherePolyClass:
-    """Ordinary spherical harmonic class Y_(j, m), bosonic normal form."""
-    rho = Fraction(rho)
+    """Ordinary spherical harmonic class Y_(j, m), bosonic normal form.
+
+    The even superspin-j harmonic with mu = 0 has the same polynomial; the
+    round sphere's average carries the extra factor sqrt(2j + 1).
+    """
     if j < 0 or abs(m) > j:
         raise ValueError("bad spherical label")
-    poly = SuperPoly(c0=_x_plus_power(j))
-    scale = Surd(Fraction(1, 2**j * _fact(j)) / rho**j, Fraction(_fact(2 * j + 1)))
-    for m_cur in range(j, m, -1):
-        poly = vector_field_action("-", poly)
-        scale = scale * Surd(Fraction(1), Fraction(1, (j + m_cur) * (j - m_cur + 1)))
-    out = normal_form(poly, rho)
-    return SpherePolyClass(poly=out.poly, rho=rho, scale=scale)
+    h = classical_harmonic(2 * j, 0, 2 * m, rho)
+    root = Surd(Fraction(1), Fraction(2 * j + 1))
+    return SpherePolyClass(poly=h.poly, rho=h.rho, scale=h.scale * root)
 
 
 def inner_sphere_exact(f: PolyOrClass, g: PolyOrClass, rho: RhoLike) -> Tuple[QQi, Surd]:

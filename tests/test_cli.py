@@ -246,3 +246,17 @@ def test_cohomology_rejects_pmax_out_of_range(pmax):
     with pytest.raises(SystemExit) as exc:
         main(["cohomology", "--q", "1", "--pmax", pmax])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--op", "cross", "--expr", "x1", "--format", "json"],
+        ["converge", "--j1", "1/2", "--j2", "1", "--tol", "1"],
+    ],
+)
+def test_unread_options_are_usage_errors(argv):
+    # each subcommand accepts only the shared options it reads
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

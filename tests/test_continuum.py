@@ -265,6 +265,136 @@ def test_highest_weight_annihilation():
         assert raised.is_zero()
 
 
+# Reference fields, written without the term table: orbital rotations
+# composed from derivatives and coordinate multiplications, the ladders in
+# one pass, and the odd fields written out component by component.
+
+
+def ref_padd(a, b, bscale=QQI_ONE):
+    out = dict(a)
+    for k, v in b.items():
+        out[k] = out.get(k, QQi()) + bscale * v
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def ref_pscale(a, s):
+    return {k: s * v for k, v in a.items() if not (s * v).is_zero()}
+
+
+def ref_pdiff(a, axis):
+    out = {}
+    for k, v in a.items():
+        if k[axis]:
+            kk = list(k)
+            kk[axis] -= 1
+            out = ref_padd(out, {tuple(kk): QQi.of(k[axis]) * v})
+    return out
+
+
+def ref_pvar(a, axis):
+    return {tuple(e + (i == axis) for i, e in enumerate(k)): v for k, v in a.items()}
+
+
+def ref_orbital(i, p):
+    j, k = (i + 1) % 3, (i + 2) % 3
+    term = ref_padd(ref_pvar(ref_pdiff(p, k), j), ref_pvar(ref_pdiff(p, j), k), -QQI_ONE)
+    return ref_pscale(term, -QQI_I)
+
+
+def ref_orbital_ladder(s, p):
+    out = {}
+    for (a, b, c), v in p.items():
+        if c:
+            out = ref_padd(out, {(a + 1, b, c - 1): QQi(-s * c * v.re, -s * c * v.im)})
+            out = ref_padd(out, {(a, b + 1, c - 1): QQi(c * v.im, -c * v.re)})
+        if a:
+            out = ref_padd(out, {(a - 1, b, c + 1): QQi(s * a * v.re, s * a * v.im)})
+        if b:
+            out = ref_padd(out, {(a, b - 1, c + 1): QQi(-b * v.im, b * v.re)})
+    return out
+
+
+def reference_vector_field_action(a, f):
+    if a in ("+", "-"):
+        s = 1 if a == "+" else -1
+        out0, out4, out5, out45 = (ref_orbital_ladder(s, comp) for comp in f.components())
+        if s == 1:
+            out4 = ref_padd(out4, f.c5)
+        else:
+            out5 = ref_padd(out5, f.c4)
+        return SuperPoly(out0, out4, out5, out45)
+    f0, f4, f5, f45 = f.components()
+    half = QQi(Fraction(1, 2))
+    ihalf = half * QQI_I
+    if a in (1, 2, 3):
+        out0, out4, out5, out45 = (ref_orbital(a - 1, comp) for comp in (f0, f4, f5, f45))
+        if a == 1:
+            out4 = ref_padd(out4, ref_pscale(f5, half))
+            out5 = ref_padd(out5, ref_pscale(f4, half))
+        elif a == 2:
+            out4 = ref_padd(out4, ref_pscale(f5, -ihalf))
+            out5 = ref_padd(out5, ref_pscale(f4, ihalf))
+        else:
+            out4 = ref_padd(out4, ref_pscale(f4, half))
+            out5 = ref_padd(out5, ref_pscale(f5, -half))
+        return SuperPoly(out0, out4, out5, out45)
+    dx1, dx2, dx3 = (ref_pdiff(f0, k) for k in range(3))
+    if a == 4:
+        out0 = ref_pscale(
+            ref_padd(ref_padd(ref_pvar(f4, 0), ref_pvar(f4, 1), QQI_I), ref_pvar(f5, 2), -QQI_ONE),
+            half,
+        )
+        out4 = ref_pscale(ref_padd(ref_pvar(f45, 2), dx3, -QQI_ONE), half)
+        out5 = ref_pscale(
+            ref_padd(
+                ref_padd(ref_pvar(f45, 0), ref_pvar(f45, 1), QQI_I),
+                ref_padd(dx1, dx2, QQI_I),
+                -QQI_ONE,
+            ),
+            half,
+        )
+        out45 = ref_pscale(
+            ref_padd(
+                ref_padd(ref_pdiff(f4, 0), ref_pdiff(f4, 1), QQI_I), ref_pdiff(f5, 2), -QQI_ONE
+            ),
+            half,
+        )
+        return SuperPoly(out0, out4, out5, out45)
+    out0 = ref_pscale(
+        ref_padd(ref_padd(ref_pvar(f5, 0), ref_pvar(f5, 1), -QQI_I), ref_pvar(f4, 2)), -half
+    )
+    out4 = ref_pscale(
+        ref_padd(
+            ref_padd(ref_pvar(f45, 0), ref_pvar(f45, 1), -QQI_I),
+            ref_padd(dx1, dx2, -QQI_I),
+            -QQI_ONE,
+        ),
+        half,
+    )
+    out5 = ref_pscale(ref_padd(dx3, ref_pvar(f45, 2), -QQI_ONE), half)
+    out45 = ref_pscale(
+        ref_padd(ref_padd(ref_pdiff(f5, 0), ref_pdiff(f5, 1), -QQI_I), ref_pdiff(f4, 2)), -half
+    )
+    return SuperPoly(out0, out4, out5, out45)
+
+
+@pytest.mark.parametrize("label", [1, 2, 3, 4, 5, "+", "-"])
+def test_fields_match_reference(label):
+    rng = np.random.default_rng(14)
+    for _ in range(8):
+        f = rand_poly(rng, deg=3)
+        got = vector_field_action(label, f).components()
+        want = reference_vector_field_action(label, f).components()
+        for mine, theirs in zip(got, want):
+            assert mine == theirs
+
+
+@pytest.mark.parametrize("label", [6, "x", 0])
+def test_unknown_field_label_raises(label):
+    with pytest.raises(ValueError):
+        vector_field_action(label, X1)
+
+
 def test_ladder_fields_are_exact_combinations():
     rng = np.random.default_rng(13)
     for _ in range(6):
@@ -337,12 +467,17 @@ def test_structure_constant_values():
 
 def test_sphere_harmonics_orthonormal():
     rho = Fraction(2)
-    labels = [(j, m) for j in range(0, 3) for m in range(-j, j + 1)]
+    labels = [(j, m) for j in range(0, 5) for m in range(-j, j + 1)]
     harms = [(lab, sphere_harmonic(*lab, rho)) for lab in labels]
     for i, (la, ya) in enumerate(harms):
         for lb, yb in harms[i:]:
             got = inner_sphere(ya, yb, rho)
             assert got == pytest.approx(1.0 if la == lb else 0.0, abs=1e-14)
+            core, scale = inner_sphere_exact(ya, yb, rho)
+            if la != lb:
+                assert core.is_zero()
+            else:
+                assert core * QQi(scale.exact()) == QQI_ONE
 
 
 def test_body_map_classical_strips_odd_directions():
