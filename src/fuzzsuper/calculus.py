@@ -14,8 +14,12 @@ and the wedge out once per degree as cached term lists; the part of a
 sign that depends on the value parity is a grade twist of the source
 value (even part minus odd part), so no operator splits a form by parity.
 The pointwise operators apply these terms to form values, and d_matrix and
-lie_matrix assemble the same terms into matrices on coefficient space,
-which is what the cohomology ranks are computed from.
+lie_matrix assemble the same terms into matrices on coefficient space.
+
+The cohomology ranks are computed in the ladder frame of weight vectors
+(J_+/sqrt2, J_-/sqrt2, J_3, J_4, J_5), on the weight-0 block of d only:
+there L_3 = d iota_3 + iota_3 d acts on each form component by its total
+weight, so every subcomplex of nonzero weight is acyclic.
 """
 
 from __future__ import annotations
@@ -63,7 +67,9 @@ class DerivationContext:
     the coefficient, while the value part is the grade twist (even part
     minus odd part) of the source value.  Two flavors exist: the five
     osp(1|2) derivations on the graded algebra and their three even
-    companions on the body.
+    companions on the body.  In a frame of weight vectors (_ladder_frame)
+    the context also knows the doubled J_3 weight of each label and each
+    matrix entry, which d_matrix uses to keep one weight.
     """
 
     def __init__(
@@ -74,6 +80,7 @@ class DerivationContext:
         constants: np.ndarray,
         generators: Sequence[GradedMatrix],
         sphere: Union[FuzzySuperSphere, FuzzySphere],
+        weights: Optional[Sequence[int]] = None,
     ):
         self.name = name
         self.labels = tuple(labels)
@@ -86,6 +93,13 @@ class DerivationContext:
         self.unit = GradedMatrix.identity(self.dims)
         #: +1 on even matrix entries, -1 on odd ones: the grade twist
         self.grade = self.dims.twist
+        #: in a frame of weight vectors: the doubled J_3 weights of the labels,
+        #: and of each row-major matrix entry (m_i - m_j, from the diagonal of J_3)
+        self.weights = None if weights is None else tuple(weights)
+        self.entry_weights: Optional[np.ndarray] = None
+        if weights is not None:
+            two_m = np.rint(2 * self.generators[2].mat.diagonal().real).astype(int)
+            self.entry_weights = (two_m[:, None] - two_m[None, :]).reshape(-1)
         self._tuples: Dict[int, Tuple[IndexTuple, ...]] = {}
         self._sort_cache: Dict[IndexTuple, Tuple[Optional[IndexTuple], int]] = {}
         self._terms: Dict[tuple, Tuple[Term, ...]] = {}
@@ -272,6 +286,36 @@ def body_context(q: int, rho: float = 1.0) -> DerivationContext:
     )
 
 
+#: doubled J_3 weights of J_+/sqrt2, J_-/sqrt2, J_3, J_4, J_5
+_LADDER_WEIGHTS = (2, -2, 0, 1, -1)
+
+
+def _ladder_frame(ctx: DerivationContext) -> DerivationContext:
+    """ctx in the frame (J_+/sqrt2, J_-/sqrt2, J_3[, J_4, J_5]) of weight vectors.
+
+    The label change U is unitary on labels 1 and 2 and the identity on the
+    rest, so the frame's d has the singular values of ctx's.  Rounding residue
+    in the transformed constants is snapped to exact zero: _substitutions
+    skips only zero constants, and a residue would couple different weights.
+    """
+    k = len(ctx.labels)
+    u = np.eye(k, dtype=complex)
+    u[:2, :2] = np.array([[1, 1j], [1, -1j]]) / math.sqrt(2)
+    gens = np.einsum("ab,bij->aij", u, np.array([g.mat for g in ctx.generators]))
+    c = np.einsum("xC,ay,bz,xyz->Cab", u.conj().T, u, u, ctx.constants)
+    c.real[np.abs(c.real) < 1e-12] = 0.0
+    c.imag[np.abs(c.imag) < 1e-12] = 0.0
+    return DerivationContext(
+        name=ctx.name,
+        labels=ctx.labels,
+        parities=ctx.parities,
+        constants=c,
+        generators=tuple(GradedMatrix(ctx.dims, g) for g in gens),
+        sphere=ctx.sphere,
+        weights=_LADDER_WEIGHTS[:k],
+    )
+
+
 # ---------------------------------------------------------------------------
 # forms
 
@@ -454,27 +498,69 @@ def _ad_operator(ctx: DerivationContext, a: Label) -> np.ndarray:
     return np.kron(e, eye) - right
 
 
-def _assemble(ctx: DerivationContext, terms: Iterable[Term], p_out: int, p_in: int) -> np.ndarray:
+def _layout(
+    ctx: DerivationContext, p: int, weight: Optional[int]
+) -> Tuple[Dict[IndexTuple, tuple], int]:
+    """Where each canonical p-tuple's value sits in a stacked vector, and its length.
+
+    Maps each tuple to (offset, key, kept entries).  Without a weight every
+    entry is kept (key None, a full slice).  With a doubled total weight, in
+    a frame of weight vectors, only the row-major entries whose weight minus
+    the tuple's label weight equals it are kept; key is the tuple's weight.
+    """
+    n2 = ctx.n * ctx.n
+    if weight is not None and ctx.weights is None:
+        raise ValueError("a weight needs a frame of weight vectors")
+    out, offset, kept = {}, 0, {}
+    for t in ctx.index_tuples(p):
+        if weight is None:
+            key, idx, size = None, slice(None), n2
+        else:
+            key = sum(ctx.weights[a - 1] for a in t)
+            if key not in kept:
+                kept[key] = np.flatnonzero(ctx.entry_weights == weight + key)
+            idx = kept[key]
+            size = idx.size
+        out[t] = (offset, key, idx)
+        offset += size
+    return out, offset
+
+
+def _assemble(
+    ctx: DerivationContext,
+    terms: Iterable[Term],
+    p_out: int,
+    p_in: int,
+    weight: Optional[int] = None,
+) -> np.ndarray:
     """Terms as a matrix from Omega^p_in to Omega^p_out on stacked value vectors.
 
     A derivation term is a scalar times an _ad_operator block, a label-0
     term a scalar diagonal block; a twist scales the block's columns by the
-    grade signs.
+    grade signs.  With a weight, only the rows and columns of that total
+    weight (see _layout) are kept.
     """
-    n2 = ctx.n * ctx.n
-    dst = _vec_index(ctx, p_out)
-    src = _vec_index(ctx, p_in)
-    out = np.zeros((n2 * len(dst), n2 * len(src)), dtype=complex)
+    dst, n_rows = _layout(ctx, p_out, weight)
+    src, n_cols = _layout(ctx, p_in, weight)
+    out = np.zeros((n_rows, n_cols), dtype=complex)
     grade = ctx.grade.reshape(-1)
-    ent = np.arange(n2)
     ad_ops = {a: _ad_operator(ctx, a) for a in ctx.labels}
+    blocks: Dict[tuple, np.ndarray] = {}
+    cols: Dict[Optional[int], Tuple[np.ndarray, np.ndarray]] = {}
     for target, source, label, twist, coef in terms:
-        row, col = dst[target] * n2, src[source] * n2
+        (row, rkey, ridx), (col, ckey, cidx) = dst[target], src[source]
+        if ckey not in cols:
+            cols[ckey] = (grade[cidx], np.arange(grade[cidx].size))
+        signs, ent = cols[ckey]
         if label:
-            block = coef * ad_ops[label]
-            out[row : row + n2, col : col + n2] += block * grade if twist else block
+            key = (label, rkey, ckey)
+            if key not in blocks:
+                blocks[key] = ad_ops[label][ridx][:, cidx]
+            block = coef * blocks[key]
+            h, w = block.shape
+            out[row : row + h, col : col + w] += block * signs if twist else block
         else:
-            out[row + ent, col + ent] += coef * grade if twist else coef
+            out[row + ent, col + ent] += coef * signs if twist else coef
     return out
 
 
@@ -495,9 +581,13 @@ def vec_to_form(ctx: DerivationContext, p: int, vec: np.ndarray) -> SuperForm:
     return SuperForm(ctx, p, vals)
 
 
-def d_matrix(ctx: DerivationContext, p: int) -> np.ndarray:
-    """d: Omega^p -> Omega^(p+1) on stacked value vectors."""
-    return _assemble(ctx, ctx.d_terms(p), p + 1, p)
+def d_matrix(ctx: DerivationContext, p: int, weight: Optional[int] = None) -> np.ndarray:
+    """d: Omega^p -> Omega^(p+1) on stacked value vectors, or its block of one weight.
+
+    d commutes with L_3, so in a frame of weight vectors it keeps the total
+    weight, and the weight block is d on that subcomplex (see _layout).
+    """
+    return _assemble(ctx, ctx.d_terms(p), p + 1, p, weight)
 
 
 def lie_matrix(ctx: DerivationContext, a: Label, p: int) -> np.ndarray:
@@ -604,12 +694,21 @@ def _betti_report(
 def cohomology_dims(ctx: DerivationContext, p_max: int, tol: float = 1e-8) -> CohomologyReport:
     """Betti numbers of the derivation complex for p = 0..p_max.
 
-    betti_p = dim Omega^p - rank d_p - rank d_(p-1), each rank backed by a
-    singular-value gap decision.
+    Computed on the weight-0 subcomplex of the ladder frame (_ladder_frame).
+    There L_3 acts on each form component by its total weight, the entry's
+    weight minus its labels' weights, and L_3 = d iota_3 + iota_3 d commutes
+    with d.  So each subcomplex of nonzero weight w is acyclic (iota_3 / w is
+    a contracting homotopy), and the cohomology is that of the weight-0 part.
+    dims are the weight-0 dimensions, and betti_p = dims[p] - rank d_p -
+    rank d_(p-1), each rank backed by a singular-value gap decision; the
+    frame change is unitary, so each block's spectrum is part of the full
+    one.
     """
-    n2 = ctx.n * ctx.n
-    dims = tuple(n2 * len(ctx.index_tuples(p)) for p in range(p_max + 1))
-    return _betti_report(ctx.name, dims, lambda p: d_matrix(ctx, p), tol)
+    frame = _ladder_frame(ctx)
+    dims = tuple(_layout(frame, p, 0)[1] for p in range(p_max + 1))
+    return _betti_report(
+        f"{ctx.name} [weight 0]", dims, lambda p: d_matrix(frame, p, weight=0), tol
+    )
 
 
 def center_d_matrix(ctx: DerivationContext, p: int) -> np.ndarray:

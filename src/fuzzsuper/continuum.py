@@ -522,7 +522,10 @@ def inner_S_exact(f: PolyOrClass, g: PolyOrClass, rho: RhoLike) -> Tuple[QQi, Su
     rho = Fraction(rho)
     fp, fs = _as_class_parts(f, rho)
     gp, gs = _as_class_parts(g, rho)
-    return QQi(rho) * _berezin_pairing(fp, gp, rho), fs * gs
+    core = _berezin_pairing(fp, gp, rho)
+    # rho is real: scale the two parts, no Gaussian product
+    return QQi(rho * core.re, rho * core.im), fs * gs
+
 
 def inner_S(f: PolyOrClass, g: PolyOrClass, rho: RhoLike) -> complex:
     core, s = inner_S_exact(f, g, rho)

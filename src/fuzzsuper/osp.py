@@ -90,12 +90,13 @@ def jacobi_residual(basis: OspBasis) -> float:
     """Max violation of the graded Jacobi identity over all basis triples."""
     c = basis.constants
     par = basis.parities
+    k = len(par)
     worst = 0.0
-    for a in range(5):
-        for b in range(5):
-            for d in range(5):
-                term = np.zeros(5, dtype=complex)
-                for e in range(5):
+    for a in range(k):
+        for b in range(k):
+            for d in range(k):
+                term = np.zeros(k, dtype=complex)
+                for e in range(k):
                     term += (-1) ** (par[a] * par[d]) * c[:, a, e] * c[e, b, d]
                     term += (-1) ** (par[b] * par[a]) * c[:, b, e] * c[e, d, a]
                     term += (-1) ** (par[d] * par[b]) * c[:, d, e] * c[e, a, b]

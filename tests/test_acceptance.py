@@ -278,7 +278,7 @@ def test_c07_invariant_form():
 
 def test_c08_cohomology():
     t0 = time.perf_counter()
-    for q in (1, 2, 3):
+    for q in range(1, 9):
         rep_s = cohomology_dims(super_context(q), 5)
         rep_b = cohomology_dims(body_context(q), 3)
         print(

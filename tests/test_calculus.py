@@ -27,8 +27,9 @@ from fuzzsuper.calculus import (
     vec_to_form,
     wedge,
 )
-from fuzzsuper.graded import GradedMatrix, random_graded_matrix
-from fuzzsuper.osp import build_osp_basis
+from fuzzsuper.calculus import _betti_report, _ladder_frame, _layout
+from fuzzsuper.graded import GradedMatrix, graded_commutator, random_graded_matrix
+from fuzzsuper.osp import OspBasis, build_osp_basis, jacobi_residual
 
 CTX = super_context(1)
 BCTX = body_context(1)
@@ -332,6 +333,103 @@ def test_center_crosscheck_agrees():
     center = center_cohomology_dims(CTX, 5)
     assert tuple(center.betti) == tuple(full.betti)
     assert not center.inconclusive
+
+
+def full_report(ctx, p_max):
+    """Betti numbers of the whole Cartesian complex, no frame change."""
+    n2 = ctx.n * ctx.n
+    dims = tuple(n2 * len(ctx.index_tuples(p)) for p in range(p_max + 1))
+    return _betti_report(ctx.name, dims, lambda p: d_matrix(ctx, p), 1e-8)
+
+
+def total_weights(frame, p):
+    """Doubled total weight of each row of the stacked p-form vector."""
+    rows = [frame.entry_weights - sum(frame.weights[a - 1] for a in t) for t in frame.index_tuples(p)]
+    return np.concatenate([np.zeros(0, dtype=int)] + rows)
+
+
+CONTEXTS = {"super": (super_context, 5), "body": (body_context, 3)}
+
+
+@pytest.mark.parametrize("kind", CONTEXTS)
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_full_complex_agrees_with_weight_zero(kind, q):
+    make, p_max = CONTEXTS[kind]
+    ctx = make(q)
+    full, zero = full_report(ctx, p_max), cohomology_dims(ctx, p_max)
+    assert zero.name == f"{ctx.name} [weight 0]"
+    assert zero.betti == full.betti
+    assert not full.inconclusive and not zero.inconclusive
+    assert all(z < f for z, f in zip(zero.dims, full.dims))
+
+
+@pytest.mark.parametrize("kind", CONTEXTS)
+def test_ladder_frame_conserves_weight(kind):
+    frame = _ladder_frame(CONTEXTS[kind][0](1))
+    w = frame.weights
+    nonzero = np.argwhere(frame.constants != 0)
+    assert len(nonzero) > 0
+    for c, a, b in nonzero:
+        assert w[c] == w[a] + w[b], (c + 1, a + 1, b + 1)
+    assert jacobi_residual(OspBasis(frame.parities, frame.constants)) < 1e-12
+    # the frame's generators close under its constants, and J_3 weighs them
+    for a in frame.labels:
+        ea = frame.generators[a - 1]
+        assert (graded_commutator(frame.generators[2], ea) - 0.5 * w[a - 1] * ea).norm() < 1e-12
+        for b in frame.labels:
+            rhs = GradedMatrix.zero(frame.dims)
+            for c in frame.labels:
+                rhs = rhs + complex(frame.constants[c - 1, a - 1, b - 1]) * frame.generators[c - 1]
+            lhs = graded_commutator(ea, frame.generators[b - 1])
+            assert (lhs - rhs).norm() < 1e-12
+
+
+LADDER_CASES = [("super", 1, p) for p in range(5)] + [("super", 2, p) for p in range(4)]
+LADDER_CASES += [("body", q, p) for q in (1, 2) for p in range(3)]
+
+
+@pytest.mark.parametrize(
+    "kind, q, p", LADDER_CASES, ids=[f"{k}-q{q}-p{p}" for k, q, p in LADDER_CASES]
+)
+def test_ladder_d_is_unitarily_equivalent_and_weight_diagonal(kind, q, p):
+    ctx = CONTEXTS[kind][0](q)
+    frame = _ladder_frame(ctx)
+    d_cart, d_lad = d_matrix(ctx, p), d_matrix(frame, p)
+    s_cart = np.linalg.svd(d_cart, compute_uv=False)
+    assert np.abs(np.linalg.svd(d_lad, compute_uv=False) - s_cart).max() < 1e-12
+    rows, cols = total_weights(frame, p + 1), total_weights(frame, p)
+    assert not d_lad[rows[:, None] != cols[None, :]].any()
+    # so the spectrum is the union of the weight blocks' spectra
+    blocks = []
+    for w in np.union1d(rows, cols):
+        block = d_matrix(frame, p, weight=int(w))
+        assert block.shape == ((rows == w).sum(), (cols == w).sum())
+        assert np.array_equal(block, d_lad[np.ix_(rows == w, cols == w)])
+        if block.size:
+            blocks.append(np.linalg.svd(block, compute_uv=False))
+    union = np.zeros_like(s_cart)
+    values = np.sort(np.concatenate(blocks))[::-1]
+    union[: values.size] = values
+    assert np.abs(union - s_cart).max() < 1e-12
+
+
+@pytest.mark.parametrize("kind", CONTEXTS)
+@pytest.mark.parametrize("q", [1, 2])
+def test_nonzero_weight_subcomplexes_are_acyclic(kind, q):
+    make, p_max = CONTEXTS[kind]
+    frame = _ladder_frame(make(q))
+    weights = np.unique(np.concatenate([total_weights(frame, p) for p in range(p_max + 2)]))
+    assert 0 in weights and len(weights) > 1
+    for w in weights[weights != 0].tolist():
+        dims = tuple(_layout(frame, p, w)[1] for p in range(p_max + 1))
+        rep = _betti_report(f"weight {w}", dims, lambda p: d_matrix(frame, p, weight=w), 1e-8)
+        assert rep.betti == (0,) * (p_max + 1), w
+        assert not rep.inconclusive, w
+
+
+def test_weight_needs_a_ladder_frame():
+    with pytest.raises(ValueError):
+        d_matrix(CTX, 0, weight=0)
 
 
 def test_report_json_shape():
