@@ -40,10 +40,12 @@ from .graded import (
     GradedMatrix,
     RankDecision,
     commutation_factor,
+    entry_weights,
     graded_commutator,
     perm_sign,
     rank_decision,
     random_graded_matrix,
+    restricted_adjoint,
 )
 from .osp import build_osp_basis
 
@@ -68,8 +70,8 @@ class DerivationContext:
     minus odd part) of the source value.  Two flavors exist: the five
     osp(1|2) derivations on the graded algebra and their three even
     companions on the body.  In a frame of weight vectors (_ladder_frame)
-    the context also knows the doubled J_3 weight of each label and each
-    matrix entry, which d_matrix uses to keep one weight.
+    the context also knows the doubled J_3 weight of each label, which
+    d_matrix adds to the entry weights to keep one total weight.
     """
 
     def __init__(
@@ -93,16 +95,12 @@ class DerivationContext:
         self.unit = GradedMatrix.identity(self.dims)
         #: +1 on even matrix entries, -1 on odd ones: the grade twist
         self.grade = self.dims.twist
-        #: in a frame of weight vectors: the doubled J_3 weights of the labels,
-        #: and of each row-major matrix entry (m_i - m_j, from the diagonal of J_3)
+        #: in a frame of weight vectors: the doubled J_3 weights of the labels
         self.weights = None if weights is None else tuple(weights)
-        self.entry_weights: Optional[np.ndarray] = None
-        if weights is not None:
-            two_m = np.rint(2 * self.generators[2].mat.diagonal().real).astype(int)
-            self.entry_weights = (two_m[:, None] - two_m[None, :]).reshape(-1)
         self._tuples: Dict[int, Tuple[IndexTuple, ...]] = {}
         self._sort_cache: Dict[IndexTuple, Tuple[Optional[IndexTuple], int]] = {}
         self._terms: Dict[tuple, Tuple[Term, ...]] = {}
+        self._blocks: Dict[tuple, np.ndarray] = {}  # of _assemble, shared by its calls
 
     # -- labels and tuples
 
@@ -488,41 +486,27 @@ def _vec_index(ctx: DerivationContext, p: int) -> Dict[IndexTuple, int]:
     return {t: i for i, t in enumerate(ctx.index_tuples(p))}
 
 
-def _ad_operator(ctx: DerivationContext, a: Label) -> np.ndarray:
-    """ctx.derivation(a, .) as an n^2 x n^2 matrix, row-major vec."""
-    e = ctx.generators[a - 1].mat
-    eye = np.eye(ctx.n)
-    right = np.kron(eye, e.T)
-    if ctx.label_parity(a):
-        right = right * ctx.grade.reshape(-1)
-    return np.kron(e, eye) - right
-
-
 def _layout(
     ctx: DerivationContext, p: int, weight: Optional[int]
 ) -> Tuple[Dict[IndexTuple, tuple], int]:
     """Where each canonical p-tuple's value sits in a stacked vector, and its length.
 
-    Maps each tuple to (offset, key, kept entries).  Without a weight every
-    entry is kept (key None, a full slice).  With a doubled total weight, in
-    a frame of weight vectors, only the row-major entries whose weight minus
-    the tuple's label weight equals it are kept; key is the tuple's weight.
+    Maps each tuple to (offset, key, kept entries), the entries as row-major
+    (rows, cols) index arrays for graded.restricted_adjoint.  Without a weight
+    all are kept (key None); with a doubled total weight, only those whose
+    entry weight minus the tuple's label weight (key) equals it.
     """
-    n2 = ctx.n * ctx.n
     if weight is not None and ctx.weights is None:
         raise ValueError("a weight needs a frame of weight vectors")
+    two_m = entry_weights(ctx.generators[2].mat)
     out, offset, kept = {}, 0, {}
     for t in ctx.index_tuples(p):
-        if weight is None:
-            key, idx, size = None, slice(None), n2
-        else:
-            key = sum(ctx.weights[a - 1] for a in t)
-            if key not in kept:
-                kept[key] = np.flatnonzero(ctx.entry_weights == weight + key)
-            idx = kept[key]
-            size = idx.size
-        out[t] = (offset, key, idx)
-        offset += size
+        key = None if weight is None else sum(ctx.weights[a - 1] for a in t)
+        if key not in kept:
+            keep = np.ones(two_m.shape, dtype=bool) if key is None else two_m == weight + key
+            kept[key] = np.nonzero(keep)
+        out[t] = (offset, key, kept[key])
+        offset += kept[key][0].size
     return out, offset
 
 
@@ -535,32 +519,26 @@ def _assemble(
 ) -> np.ndarray:
     """Terms as a matrix from Omega^p_in to Omega^p_out on stacked value vectors.
 
-    A derivation term is a scalar times an _ad_operator block, a label-0
-    term a scalar diagonal block; a twist scales the block's columns by the
-    grade signs.  With a weight, only the rows and columns of that total
-    weight (see _layout) are kept.
+    A term adds its coefficient times a block: graded.restricted_adjoint of
+    E_a between the kept entries (see _layout), or the identity for label 0,
+    with columns scaled by the grade signs if twisted.  With a weight, only
+    the rows and columns of that total weight are kept.
     """
     dst, n_rows = _layout(ctx, p_out, weight)
     src, n_cols = _layout(ctx, p_in, weight)
     out = np.zeros((n_rows, n_cols), dtype=complex)
-    grade = ctx.grade.reshape(-1)
-    ad_ops = {a: _ad_operator(ctx, a) for a in ctx.labels}
-    blocks: Dict[tuple, np.ndarray] = {}
-    cols: Dict[Optional[int], Tuple[np.ndarray, np.ndarray]] = {}
+    blocks = ctx._blocks
     for target, source, label, twist, coef in terms:
-        (row, rkey, ridx), (col, ckey, cidx) = dst[target], src[source]
-        if ckey not in cols:
-            cols[ckey] = (grade[cidx], np.arange(grade[cidx].size))
-        signs, ent = cols[ckey]
-        if label:
-            key = (label, rkey, ckey)
-            if key not in blocks:
-                blocks[key] = ad_ops[label][ridx][:, cidx]
-            block = coef * blocks[key]
-            h, w = block.shape
-            out[row : row + h, col : col + w] += block * signs if twist else block
-        else:
-            out[row + ent, col + ent] += coef * signs if twist else coef
+        (row, rkey, rent), (col, ckey, cent) = dst[target], src[source]
+        key = (label, twist, weight, rkey, ckey)
+        if key not in blocks:
+            if label:
+                block = restricted_adjoint(ctx.generators[label - 1], rent, cent)
+            else:
+                block = np.eye(cent[0].size)
+            blocks[key] = block * ctx.grade[cent] if twist else block
+        h, w = blocks[key].shape
+        out[row : row + h, col : col + w] += coef * blocks[key]
     return out
 
 

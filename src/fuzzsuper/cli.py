@@ -410,7 +410,7 @@ def cmd_verify(args, parser) -> int:
     if args.suite != "all" and args.suite not in SUITES:
         parser.error(f"unknown suite {args.suite!r}; choose from {', '.join(SUITES)} or all")
     rng = np.random.default_rng(args.seed)
-    rho_frac = Fraction(args.rho)
+    rho_frac = args.rho
     rho = float(rho_frac)
     names = list(SUITES) if args.suite == "all" else [args.suite]
     results: List[CheckResult] = []
@@ -440,7 +440,7 @@ def cmd_converge(args, parser) -> int:
     qs = args.q_list or [10, 20, 40]
     for q in qs:
         _validate_level(q, args.allow_large, parser)
-    rho_frac = Fraction(args.rho)
+    rho_frac = args.rho
     c_cl, resid_cl = structure_constant_classical(two_j1, two_j2, rho_frac)
     rows = []
     notes = []
@@ -492,8 +492,8 @@ def cmd_converge(args, parser) -> int:
 def cmd_cohomology(args, parser) -> int:
     _validate_level(args.q, args.allow_large, parser)
     _validate_pmax(args.pmax, parser)
-    ctx = super_context(args.q, float(Fraction(args.rho)))
-    bctx = body_context(args.q, float(Fraction(args.rho)))
+    ctx = super_context(args.q, float(args.rho))
+    bctx = body_context(args.q, float(args.rho))
     p_super = args.pmax
     p_body = min(args.pmax, 3)
     rep_s = cohomology_dims(ctx, p_super, args.tol)
@@ -552,7 +552,7 @@ def cmd_cohomology(args, parser) -> int:
 
 
 def cmd_oracle(args, parser) -> int:
-    rho = Fraction(args.rho)
+    rho = args.rho
     op = args.op
     if op in ("normal-form", "cross", "integral") and not args.expr:
         parser.error(f"--expr is required for {op}")
@@ -612,7 +612,35 @@ def cmd_oracle(args, parser) -> int:
 
 
 def _int_list(text: str) -> List[int]:
-    return [int(tok) for tok in text.replace(" ", "").split(",") if tok]
+    out = [int(tok) for tok in text.replace(" ", "").split(",") if tok]
+    if not out:
+        raise argparse.ArgumentTypeError("expected a comma-separated list of levels")
+    return out
+
+
+def _positive_rational(text: str) -> Fraction:
+    """A radius such as '5/2' or '2.5', kept exact for the oracle.
+
+    It must also convert to a positive float, which the matrix suites use.
+    """
+    try:
+        value = Fraction(text)
+        positive = float(value) > 0
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise argparse.ArgumentTypeError(f"expected a rational or decimal in float range: {text!r}")
+    if not positive:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -624,8 +652,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     shared = {
-        "--rho": dict(default="1", help="sphere radius, rational or decimal (default 1)"),
-        "--tol": dict(type=float, default=1e-8, help="tolerance (default 1e-8)"),
+        "--rho": dict(
+            type=_positive_rational,
+            default="1",
+            help="sphere radius, a positive rational or decimal (default 1)",
+        ),
+        "--tol": dict(
+            type=_positive_float, default=1e-8, help="tolerance, finite and > 0 (default 1e-8)"
+        ),
         "--seed": dict(type=int, default=0, help="seed for randomized checks"),
         "--format": dict(choices=("text", "json", "csv"), default="text"),
         "--out": dict(help="write the report to this file instead of stdout"),

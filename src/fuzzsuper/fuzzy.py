@@ -23,9 +23,11 @@ from .graded import (
     ODD,
     GradedDims,
     GradedMatrix,
+    entry_weights,
     graded_commutator,
     hs_inner,
     indefinite_inner,
+    restricted_adjoint,
 )
 from .osp import Irrep, OspBasis, Sl2Irrep, build_irrep, build_osp_basis, build_sl2_irrep
 
@@ -165,13 +167,13 @@ class FuzzyElement:
 class _WeightTable:
     """The harmonic basis of a sphere, stored on the entries of each weight.
 
-    A harmonic of doubled weight m is nonzero only on the entries (r, c)
-    whose row weight minus column weight is m.  For each m the table keeps
-    those entries and one column per label, labels sorted by descending l.
-    ``tops`` lists (label, sign) for the top of each chain, where two_m is
-    2l, and ``top(label)`` gives its matrix.  One sweep down from the top
-    weight builds every chain: it starts from its top matrix, gathered onto
-    its entries, and each step applies ad J_- restricted to the entries and
+    A harmonic of doubled weight m is nonzero only on the entries of weight
+    m (graded.entry_weights).  For each m the table keeps those entries and
+    one column per label, labels sorted by descending l.  ``tops`` lists
+    (label, sign) for the top of each chain, where two_m is 2l, and
+    ``top(label)`` gives its matrix.  One sweep down from the top weight
+    builds every chain: from its top matrix, gathered onto its entries, each
+    step applies ad J_- between the entries (graded.restricted_adjoint) and
     divides by the ladder's sqrt(step).  The step then loses its components
     along the columns of larger l at that weight, in the pairing given
     entrywise by ``pair`` and the label signs.  Those components vanish in
@@ -179,11 +181,10 @@ class _WeightTable:
     later steps would amplify.
     """
 
-    def __init__(self, j3: np.ndarray, jm: np.ndarray, pair: np.ndarray, tops: list, top) -> None:
-        two_w = np.rint(2 * j3.diagonal().real).astype(int)
-        diff = two_w[:, None] - two_w[None, :]
+    def __init__(self, j3: np.ndarray, jm: GradedMatrix, pair: np.ndarray, tops: list, top) -> None:
+        diff = entry_weights(j3)
         tops = sorted(tops, key=lambda t: -t[0].two_m)
-        self.n = len(two_w)
+        self.n = len(diff)
         self.entries: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self.cols: Dict[int, np.ndarray] = {}
         self.where: Dict[object, Tuple[int, int]] = {}
@@ -193,8 +194,7 @@ class _WeightTable:
             h = np.empty((len(r), len(live)), dtype=complex)
             k0 = sum(la.two_m > two_m for la, _ in live)  # chains stepping down from two_m + 2
             if k0:
-                ra, ca = self.entries[two_m + 2]
-                ad = jm[r[:, None], ra] * (c[:, None] == ca) - (r[:, None] == ra) * jm[ca, c[:, None]]
+                ad = restricted_adjoint(jm, (r, c), self.entries[two_m + 2])
                 step = [(la.two_m + two_m + 2) // 2 * ((la.two_m - two_m) // 2) for la, _ in live[:k0]]
                 h[:, :k0] = ad @ self.cols[two_m + 2][:, :k0] / np.sqrt(step)
             for k in range(k0, len(live)):
@@ -296,7 +296,7 @@ class FuzzySuperSphere:
         pair = np.ones((self.n, self.n))
         pair[: self.dims.even, : self.dims.even] = -1.0  # -str(f^+ g), entrywise
         tops = [(la, la.sign) for la in self.labels() if la.two_m == la.two_l]
-        return _WeightTable(self.rep.j3.mat, self.rep.jm.mat, pair, tops, self._top)
+        return _WeightTable(self.rep.j3.mat, self.rep.jm, pair, tops, self._top)
 
     def _top(self, label: HarmonicLabel) -> np.ndarray:
         top = self.highest_weight(label.two_j)
@@ -497,8 +497,9 @@ class FuzzySphere:
     def _table(self) -> _WeightTable:
         pair = np.full((self.n, self.n), 1.0 / self.n)  # hs_inner, entrywise
         tops = [(la, 1) for la in self.labels() if la.two_m == la.two_j]
+        jm = GradedMatrix(GradedDims(self.n, 0), self.rep.jm)
         return _WeightTable(
-            self.rep.j3, self.rep.jm, pair, tops, lambda la: self.highest_weight(la.two_j // 2)
+            self.rep.j3, jm, pair, tops, lambda la: self.highest_weight(la.two_j // 2)
         )
 
     def harmonic(self, label: SphereLabel) -> np.ndarray:

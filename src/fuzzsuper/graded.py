@@ -229,6 +229,26 @@ def graded_commutator(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
     return GradedMatrix(a.dims, out)
 
 
+def restricted_adjoint(e: GradedMatrix, target, source) -> np.ndarray:
+    """[e, .] from the source entries of a matrix to the target entries, as a block.
+
+    Entries are (rows, cols) index arrays, as np.nonzero gives them.  Element
+    (i, k) is e[r, r'] d(c, c') - d(r, r') e[c', c] for target entry (r, c)
+    and source entry (r', c'), the second term grade-twisted on the source
+    entry where e[c', c] is odd: the rule of graded_commutator.
+    """
+    (r, c), (rs, cs) = (x[:, None] for x in target), (x[None, :] for x in source)
+    tw = e.dims.twist
+    right = (r == rs) * e.mat[cs, c] * np.where(tw[cs, c] < 0, tw[rs, cs], 1.0)
+    return e.mat[r, rs] * (c == cs) - right
+
+
+def entry_weights(j3: np.ndarray) -> np.ndarray:
+    """Doubled J_3 weight m_r - m_c of each entry (r, c), for a diagonal J_3."""
+    two_m = np.rint(2 * j3.diagonal().real).astype(int)
+    return two_m[:, None] - two_m[None, :]
+
+
 def perm_sign(sigma: Sequence[int]) -> int:
     """Sign of a permutation given as a tuple of images (0-indexed)."""
     sign = 1

@@ -28,7 +28,12 @@ from fuzzsuper.calculus import (
     wedge,
 )
 from fuzzsuper.calculus import _betti_report, _ladder_frame, _layout
-from fuzzsuper.graded import GradedMatrix, graded_commutator, random_graded_matrix
+from fuzzsuper.graded import (
+    GradedMatrix,
+    entry_weights,
+    graded_commutator,
+    random_graded_matrix,
+)
 from fuzzsuper.osp import OspBasis, build_osp_basis, jacobi_residual
 
 CTX = super_context(1)
@@ -277,7 +282,8 @@ def test_d_matrix_matches_pointwise(p):
     ids=[f"super-p{p}" for p in range(4)] + [f"body-p{p}" for p in range(2)],
 )
 def test_assembled_d_squared_zero(ctx, p):
-    # the matrix path on its own: kron blocks, twisted ad operators, center scalars
+    # the matrix path on its own: restricted adjoint blocks, twisted for odd
+    # labels, and center scalars
     dd = d_matrix(ctx, p + 1) @ d_matrix(ctx, p)
     assert dd.shape[0] > 0 and np.abs(dd).max() < 1e-10
     cc = center_d_matrix(ctx, p + 1) @ center_d_matrix(ctx, p)
@@ -344,7 +350,8 @@ def full_report(ctx, p_max):
 
 def total_weights(frame, p):
     """Doubled total weight of each row of the stacked p-form vector."""
-    rows = [frame.entry_weights - sum(frame.weights[a - 1] for a in t) for t in frame.index_tuples(p)]
+    two_m = entry_weights(frame.generators[2].mat).reshape(-1)
+    rows = [two_m - sum(frame.weights[a - 1] for a in t) for t in frame.index_tuples(p)]
     return np.concatenate([np.zeros(0, dtype=int)] + rows)
 
 
@@ -425,6 +432,56 @@ def test_nonzero_weight_subcomplexes_are_acyclic(kind, q):
         rep = _betti_report(f"weight {w}", dims, lambda p: d_matrix(frame, p, weight=w), 1e-8)
         assert rep.betti == (0,) * (p_max + 1), w
         assert not rep.inconclusive, w
+
+
+def kron_reference(ctx, terms, p_out, p_in):
+    """The terms assembled with dense n^2 x n^2 kron operators on row-major vecs.
+
+    [E_a, f] = E_a f - f E_a, with f grade-twisted in the right term when
+    E_a is odd, is kron(E_a, 1) - kron(1, E_a^T) on vec(f); label 0 is the
+    identity.
+    """
+    n2 = ctx.n * ctx.n
+    eye, grade = np.eye(ctx.n), ctx.grade.reshape(-1)
+    ops = {0: np.eye(n2)}
+    for a in ctx.labels:
+        e = ctx.generators[a - 1].mat
+        right = np.kron(eye, e.T)
+        if ctx.label_parity(a):
+            right = right * grade
+        ops[a] = np.kron(e, eye) - right
+    dst = {t: i * n2 for i, t in enumerate(ctx.index_tuples(p_out))}
+    src = {t: i * n2 for i, t in enumerate(ctx.index_tuples(p_in))}
+    out = np.zeros((len(dst) * n2, len(src) * n2), dtype=complex)
+    for target, source, label, twist, coef in terms:
+        block = coef * ops[label]
+        row, col = dst[target], src[source]
+        out[row : row + n2, col : col + n2] += block * grade if twist else block
+    return out
+
+
+KRON_CASES = [(k, q, f) for k in CONTEXTS for q in (1, 2, 3) for f in ("cartesian", "ladder")]
+
+
+@pytest.mark.parametrize(
+    "kind, q, frame", KRON_CASES, ids=[f"{k}-q{q}-{f}" for k, q, f in KRON_CASES]
+)
+def test_assembly_matches_kron_reference(kind, q, frame):
+    ctx = CONTEXTS[kind][0](q)
+    if frame == "ladder":
+        ctx = _ladder_frame(ctx)
+    assert kind == "body" or ctx.label_parity(4) == ctx.label_parity(5) == 1
+    for p in range(3):
+        ref = kron_reference(ctx, ctx.d_terms(p), p + 1, p)
+        assert np.array_equal(d_matrix(ctx, p), ref)
+        if frame == "ladder":
+            rows, cols = total_weights(ctx, p + 1), total_weights(ctx, p)
+            for w in (0, 1, -1, 2, -2):
+                block = d_matrix(ctx, p, weight=w)
+                assert np.array_equal(block, ref[np.ix_(rows == w, cols == w)]), w
+        for a in ctx.labels:
+            want = kron_reference(ctx, ctx.lie_terms(a, p), p, p)
+            assert np.array_equal(lie_matrix(ctx, a, p), want), a
 
 
 def test_weight_needs_a_ladder_frame():

@@ -260,3 +260,40 @@ def test_unread_options_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+CONVERGE = ["converge", "--j1", "1/2", "--j2", "1"]
+ORACLE = ["oracle", "--op", "integral", "--expr", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--q", "1", "--suite", "casimir", "--rho", "abc"],
+        ["verify", "--q", "1", "--suite", "casimir", "--rho", "-1"],
+        ["verify", "--q", "1", "--suite", "casimir", "--rho", "1/0"],
+        ["verify", "--q", "1", "--suite", "casimir", "--rho", "1e-400"],
+        ["cohomology", "--rho", "1e400"],
+        ["cohomology", "--rho", "0"],
+        CONVERGE + ["--rho", "0"],
+        ORACLE + ["--rho=-5/2"],
+        ["cohomology", "--tol", "0"],
+        ["verify", "--q", "1", "--suite", "casimir", "--tol", "nan"],
+        ["verify", "--q", "1", "--suite", "casimir", "--tol", "inf"],
+        CONVERGE + ["--q-list", ""],
+        ["verify", "--suite", "casimir", "--q-list", ","],
+    ],
+)
+def test_bad_radius_tolerance_and_level_list_are_usage_errors(argv):
+    # --rho must be a positive rational or decimal, --tol finite and positive, and a
+    # level list nonempty, on every subcommand that reads them
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("rho", ["5/2", "2.5"])
+def test_radius_accepts_rational_and_decimal(capsys, rho):
+    code, out = run(capsys, *ORACLE, "--rho", rho)
+    assert code == 0
+    assert out == run(capsys, *ORACLE, "--rho", "5/2")[1]

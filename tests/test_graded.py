@@ -16,6 +16,7 @@ from fuzzsuper.graded import (
     perm_sign,
     random_graded_matrix,
     rank_decision,
+    restricted_adjoint,
     superadjoint,
     supertrace,
 )
@@ -133,6 +134,27 @@ def test_graded_commutator_matches_reference(dims):
             b = random_graded_matrix(dims, rng, parity=pb)
             err = np.linalg.norm(graded_commutator(a, b).mat - reference_commutator(a, b))
             assert err <= 1e-12 * a.norm() * b.norm(), (pa, pb)
+
+
+@pytest.mark.parametrize("dims", REFERENCE_DIMS, ids=lambda d: f"{d.even}-{d.odd}")
+def test_restricted_adjoint_is_a_block_of_the_commutator(dims):
+    rng = np.random.default_rng(34)
+    n = dims.total
+    every = np.nonzero(np.ones((n, n), dtype=bool))
+    # an arbitrary subset of entries on each side, in row-major order
+    target = np.nonzero(rng.random((n, n)) < 0.5)
+    source = np.nonzero(rng.random((n, n)) < 0.5)
+    for pe in (EVEN, ODD, None):
+        e = random_graded_matrix(dims, rng, parity=pe)
+        f = random_graded_matrix(dims, rng)
+        tol = 1e-12 * e.norm() * f.norm()
+        full = restricted_adjoint(e, every, every) @ f.mat.reshape(-1)
+        assert np.abs(full - graded_commutator(e, f).mat.reshape(-1)).max() <= tol
+        kept = np.zeros((n, n), dtype=complex)
+        kept[source] = f.mat[source]
+        block = restricted_adjoint(e, target, source) @ f.mat[source]
+        want = graded_commutator(e, GradedMatrix(dims, kept)).mat[target]
+        assert np.abs(block - want).max() <= tol
 
 
 @pytest.mark.parametrize("dims", REFERENCE_DIMS, ids=lambda d: f"{d.even}-{d.odd}")
