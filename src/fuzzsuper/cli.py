@@ -77,7 +77,13 @@ from .graded import (
     numerical_rank,
     random_graded_matrix,
 )
-from .osp import build_osp_basis, bracket_residual, jacobi_residual, verify_grade_star
+from .osp import (
+    build_osp_basis,
+    bracket_residual,
+    grade_star_label,
+    jacobi_residual,
+    verify_grade_star,
+)
 
 MAX_LEVEL_WITHOUT_OPT_IN = 60
 
@@ -122,7 +128,6 @@ def _suite_algebra(q: int, rho: float, tol: float, rng) -> List[CheckResult]:
     ]
     # the level-1 star is realized through the pairing, not the matrix
     # superadjoint, so it is checked on homogeneous elements
-    star1 = {1: (1, 1.0), 2: (2, 1.0), 3: (3, 1.0), 4: (5, -1.0), 5: (4, 1.0)}
     worst = 0.0
     for _ in range(4):
         for pf in (0, 1):
@@ -130,7 +135,7 @@ def _suite_algebra(q: int, rho: float, tol: float, rng) -> List[CheckResult]:
             g = random_graded_matrix(sphere.dims, rng)
             for a in (1, 2, 3, 4, 5):
                 lhs = indefinite_inner(f, sphere.adjoint_action(a, g))
-                target, s = star1[a]
+                target, s = grade_star_label(a, 1)
                 sign = (-1.0) ** (basis.parities[a - 1] * pf)
                 rhs = sign * indefinite_inner(
                     sphere.adjoint_action(target, s * f), g

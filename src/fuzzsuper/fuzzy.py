@@ -29,11 +29,7 @@ from .graded import (
     indefinite_inner,
     restricted_adjoint,
 )
-from .osp import Irrep, OspBasis, Sl2Irrep, build_irrep, build_osp_basis, build_sl2_irrep
-
-
-def _fact(n: int) -> int:
-    return math.factorial(n)
+from .osp import Irrep, OspBasis, Sl2Irrep, build_irrep, build_osp_basis, build_sl2_irrep, label_parity
 
 
 def _dfact(n: int) -> int:
@@ -275,7 +271,8 @@ class FuzzySuperSphere:
         if two_j % 2 == 0:
             j = two_j // 2
             norm = math.sqrt(
-                2**j * _dfact(2 * j - 1) * _fact(q - j) / (_fact(j) * _fact(q + j))
+                2**j * _dfact(2 * j - 1) * math.factorial(q - j)
+                / (math.factorial(j) * math.factorial(q + j))
             )
             mat = norm * np.linalg.matrix_power(jp, j)
         else:
@@ -283,8 +280,8 @@ class FuzzySuperSphere:
             norm = (1.0 / (q + 0.5)) * math.sqrt(
                 2 ** (k + 4)
                 * _dfact(2 * k + 1)
-                * _fact(q - k - 1)
-                / (_fact(k) * _fact(q + k + 1))
+                * math.factorial(q - k - 1)
+                / (math.factorial(k) * math.factorial(q + k + 1))
             )
             j3, j4, j5 = (self.rep.matrix(a).mat for a in (3, 4, 5))
             core = (j3 - 0.75 * np.eye(self.n)) @ j4 + jp @ j5
@@ -332,56 +329,28 @@ class FuzzySuperSphere:
 
 
 def label_action(a: Union[int, str], e: FuzzyElement) -> FuzzyElement:
-    """The five basis derivations acting on coefficient vectors.
+    """The basis derivations (1..5, '+', '-') acting on coefficient vectors.
 
-    Mirrors the matrix-side adjoint action exactly, because each harmonic
-    chain is a standard irrep basis; used to move between levels without
-    materializing matrices.
+    The superspin-j harmonics are a standard basis of the osp(1|2) module
+    V(j): the label (2j, mu, 2m) is the basis vector (2l, 2m) of
+    build_irrep(2j) with 2l = 2j - mu.  So the coefficients of each superspin
+    present are multiplied by that irrep's matrix, which mirrors the
+    matrix-side adjoint action without materializing the level-q matrices.
     """
-    if a == 1:
-        plus, minus = label_action("+", e), label_action("-", e)
-        return (plus + minus).scale(0.5)
-    if a == 2:
-        plus, minus = label_action("+", e), label_action("-", e)
-        return (plus - minus).scale(-0.5j)
-
-    out: Dict[HarmonicLabel, complex] = {}
-
-    def add(label: HarmonicLabel, v: complex) -> None:
-        if v != 0:
-            out[label] = out.get(label, 0j) + v
-
+    label_parity(a)  # rejects an unknown label, even on an empty element
+    by_j: Dict[int, Dict[Tuple[int, int], complex]] = {}
     for L, c in e.coeffs.items():
-        two_j, mu, two_m = L.two_j, L.mu, L.two_m
-        two_l = L.two_l
-        if a == 3:
-            add(L, c * (two_m / 2))
-        elif a == "+":
-            if two_m + 2 <= two_l:
-                w = math.sqrt(((two_l - two_m) // 2) * ((two_l + two_m + 2) // 2))
-                add(HarmonicLabel(two_j, mu, two_m + 2), c * w)
-        elif a == "-":
-            if two_m - 2 >= -two_l:
-                w = math.sqrt(((two_l + two_m) // 2) * ((two_l - two_m + 2) // 2))
-                add(HarmonicLabel(two_j, mu, two_m - 2), c * w)
-        elif a == 4:
-            if mu == 0:
-                if two_j - two_m > 0:
-                    w = -0.5 * math.sqrt((two_j - two_m) / 2)
-                    add(HarmonicLabel(two_j, 1, two_m + 1), c * w)
-            else:
-                w = -0.5 * math.sqrt((two_j + two_m + 1) / 2)
-                add(HarmonicLabel(two_j, 0, two_m + 1), c * w)
-        elif a == 5:
-            if mu == 0:
-                if two_j + two_m > 0:
-                    w = 0.5 * math.sqrt((two_j + two_m) / 2)
-                    add(HarmonicLabel(two_j, 1, two_m - 1), c * w)
-            else:
-                w = -0.5 * math.sqrt((two_j - two_m + 1) / 2)
-                add(HarmonicLabel(two_j, 0, two_m - 1), c * w)
-        else:
-            raise ValueError(f"unknown basis label {a!r}")
+        by_j.setdefault(L.two_j, {})[(L.two_l, L.two_m)] = c
+    out: Dict[HarmonicLabel, complex] = {}
+    for two_j, coeffs in by_j.items():
+        rep = build_irrep(two_j, two_j % 2)
+        v = np.zeros(rep.dims.total, dtype=complex)
+        for key, c in coeffs.items():
+            v[rep.index[key]] = c
+        w = rep.matrix(a).mat @ v
+        for (two_l, two_m), k in rep.index.items():
+            if w[k] != 0:
+                out[HarmonicLabel(two_j, two_j - two_l, two_m)] = complex(w[k])
     return FuzzyElement(e.q, out)
 
 
@@ -430,6 +399,8 @@ def structure_constant_fuzzy(
         )
     if sphere is None:
         sphere = FuzzySuperSphere(q)
+    elif sphere.q != q:
+        raise ValueError(f"sphere is at level {sphere.q}, not {q}")
     y1 = sphere.highest_weight(two_j1)
     y2 = sphere.highest_weight(two_j2)
     y12 = sphere.highest_weight(two_j1 + two_j2)
@@ -489,7 +460,8 @@ class FuzzySphere:
         if j < 0 or j > q:
             raise ValueError(f"spin {j} out of range at level {q}")
         norm = math.sqrt(
-            2**j * _dfact(2 * j + 1) * (q + 1) * _fact(q - j) / (_fact(j) * _fact(q + j + 1))
+            2**j * _dfact(2 * j + 1) * (q + 1) * math.factorial(q - j)
+            / (math.factorial(j) * math.factorial(q + j + 1))
         )
         return norm * np.linalg.matrix_power(self.rep.matrix("+"), j)
 

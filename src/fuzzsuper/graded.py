@@ -101,12 +101,6 @@ class GradedMatrix:
         sign = -1.0 if parity % 2 else 1.0
         return GradedMatrix(self.dims, 0.5 * (self.mat + sign * self.mat * self.dims.twist))
 
-    def even_part(self) -> "GradedMatrix":
-        return self.part(EVEN)
-
-    def odd_part(self) -> "GradedMatrix":
-        return self.part(ODD)
-
     def homogeneous_parity(self, tol: float = 1e-12) -> Optional[Parity]:
         """0 or 1 for (numerically) homogeneous matrices, None for mixed.
 

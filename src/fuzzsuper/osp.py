@@ -8,8 +8,11 @@ odd spinor pair.  Brackets:
     [J_a, J_b] = 1/2 (i sigma_2 sigma_i)_{ab} J_i
 
 with a, b in {4, 5} mapped to spinor rows 1, 2.  Irreps are highest-weight
-modules V(j, hw_parity) of dimension 4j+1, realized in ladder form; J_1 and
-J_2 are reconstructed from J_+- = J_1 +- i J_2 on demand.
+modules V(j, hw_parity) of dimension 4j+1, realized in ladder form.  One
+helper, _spin_block, gives the J_3, J_+ and J_- of a spin-l block: the sl(2)
+irrep is one such block, and V(j) places its l = j and l = j - 1/2 blocks
+with it and adds only the odd couplings J_4, J_5.  J_1 and J_2 are
+reconstructed from J_+- = J_1 +- i J_2 on demand, by one helper for both.
 """
 
 from __future__ import annotations
@@ -108,6 +111,28 @@ def _half(two_x: int) -> float:
     return two_x / 2.0
 
 
+def _spin_block(two_l: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """J_3, J_+ and J_- of the spin-l module, basis e_m with m descending from l."""
+    n = two_l + 1
+    l = _half(two_l)
+    j3, jp, jm = (np.zeros((n, n), dtype=complex) for _ in range(3))
+    for col in range(n):
+        m = l - col
+        j3[col, col] = m
+        if col > 0:
+            jp[col - 1, col] = math.sqrt((l - m) * (l + m + 1))
+        if col < n - 1:
+            jm[col + 1, col] = math.sqrt((l + m) * (l - m + 1))
+    return j3, jp, jm
+
+
+def _cartesian(a: Label, jp, jm):
+    """J_1 = (J_+ + J_-)/2 or J_2 = -i/2 (J_+ - J_-), for arrays or graded matrices."""
+    if a == 1:
+        return 0.5 * (jp + jm)
+    return -0.5j * (jp - jm)
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class Irrep:
     """Irreducible graded osp(1|2)-module V(j, hw_parity), dim 4j+1.
@@ -139,10 +164,8 @@ class Irrep:
             return self.jp
         if a == "-":
             return self.jm
-        if a == 1:
-            return (self.jp + self.jm) * 0.5
-        if a == 2:
-            return (self.jp - self.jm) * (-0.5j)
+        if a in (1, 2):
+            return _cartesian(a, self.jp, self.jm)
         if a == 3:
             return self.j3
         if a == 4:
@@ -174,34 +197,26 @@ def build_irrep(two_j: int, hw_parity: Parity = ODD) -> Irrep:
     dims = GradedDims(even=even_dim, odd=n - even_dim)
 
     index: Dict[Tuple[int, int], int] = {}
+    j3, jp, jm, j4, j5 = (np.zeros((n, n), dtype=complex) for _ in range(5))
     pos = 0
     for two_l, _, _ in _block_layout(two_j, hw_parity):
+        block = slice(pos, pos + two_l + 1)
+        j3[block, block], jp[block, block], jm[block, block] = _spin_block(two_l)
         for two_m in range(two_l, -two_l - 2, -2):
             index[(two_l, two_m)] = pos
             pos += 1
 
-    j3 = np.zeros((n, n), dtype=complex)
-    jp = np.zeros((n, n), dtype=complex)
-    jm = np.zeros((n, n), dtype=complex)
-    j4 = np.zeros((n, n), dtype=complex)
-    j5 = np.zeros((n, n), dtype=complex)
-
+    # the odd generators step the l = j block down to l = j - 1/2 and back up;
+    # coefficients on the way up carry the superspin j
+    jj = _half(two_j)
     for (two_l, two_m), col in index.items():
-        l, m = _half(two_l), _half(two_m)
-        j3[col, col] = m
-        if two_m + 2 <= two_l:
-            jp[index[(two_l, two_m + 2)], col] = math.sqrt((l - m) * (l + m + 1))
-        if two_m - 2 >= -two_l:
-            jm[index[(two_l, two_m - 2)], col] = math.sqrt((l + m) * (l - m + 1))
+        m = _half(two_m)
         if two_l == two_j:
-            # on the l = j block the odd generators step down to l = j - 1/2
             if two_m + 1 <= two_j - 1:
-                j4[index[(two_j - 1, two_m + 1)], col] = -0.5 * math.sqrt(l - m)
+                j4[index[(two_j - 1, two_m + 1)], col] = -0.5 * math.sqrt(jj - m)
             if two_m - 1 >= -(two_j - 1):
-                j5[index[(two_j - 1, two_m - 1)], col] = 0.5 * math.sqrt(l + m)
+                j5[index[(two_j - 1, two_m - 1)], col] = 0.5 * math.sqrt(jj + m)
         else:
-            # and back up to l = j; coefficients carry the superspin j
-            jj = _half(two_j)
             j4[index[(two_j, two_m + 1)], col] = -0.5 * math.sqrt(jj + m + 0.5)
             j5[index[(two_j, two_m - 1)], col] = -0.5 * math.sqrt(jj - m + 0.5)
 
@@ -243,10 +258,8 @@ class Sl2Irrep:
             return self.jp
         if a == "-":
             return self.jm
-        if a == 1:
-            return 0.5 * (self.jp + self.jm)
-        if a == 2:
-            return -0.5j * (self.jp - self.jm)
+        if a in (1, 2):
+            return _cartesian(a, self.jp, self.jm)
         if a == 3:
             return self.j3
         raise ValueError(f"unknown sl(2) label {a!r}")
@@ -255,18 +268,7 @@ class Sl2Irrep:
 def build_sl2_irrep(two_s: int) -> Sl2Irrep:
     if two_s < 0:
         raise ValueError("spin must be non-negative")
-    n = two_s + 1
-    s = _half(two_s)
-    j3 = np.zeros((n, n), dtype=complex)
-    jp = np.zeros((n, n), dtype=complex)
-    jm = np.zeros((n, n), dtype=complex)
-    for col in range(n):
-        m = s - col
-        j3[col, col] = m
-        if col > 0:
-            jp[col - 1, col] = math.sqrt((s - m) * (s + m + 1))
-        if col < n - 1:
-            jm[col + 1, col] = math.sqrt((s + m) * (s - m + 1))
+    j3, jp, jm = _spin_block(two_s)
     return Sl2Irrep(two_s=two_s, j3=j3, jp=jp, jm=jm)
 
 

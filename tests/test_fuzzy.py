@@ -49,6 +49,47 @@ def reference_body_chain(b, j):
     return chain
 
 
+def reference_label_action(a, e):
+    """The label action written out coefficient by coefficient: the reference for label_action."""
+    if a == 1:
+        plus, minus = reference_label_action("+", e), reference_label_action("-", e)
+        return (plus + minus).scale(0.5)
+    if a == 2:
+        plus, minus = reference_label_action("+", e), reference_label_action("-", e)
+        return (plus - minus).scale(-0.5j)
+    out = {}
+
+    def add(label, v):
+        if v != 0:
+            out[label] = out.get(label, 0j) + v
+
+    for L, c in e.coeffs.items():
+        two_j, mu, two_m, two_l = L.two_j, L.mu, L.two_m, L.two_l
+        if a == 3:
+            add(L, c * (two_m / 2))
+        elif a == "+":
+            if two_m + 2 <= two_l:
+                w = math.sqrt(((two_l - two_m) // 2) * ((two_l + two_m + 2) // 2))
+                add(HarmonicLabel(two_j, mu, two_m + 2), c * w)
+        elif a == "-":
+            if two_m - 2 >= -two_l:
+                w = math.sqrt(((two_l + two_m) // 2) * ((two_l - two_m + 2) // 2))
+                add(HarmonicLabel(two_j, mu, two_m - 2), c * w)
+        elif a == 4:
+            if mu == 0:
+                if two_j - two_m > 0:
+                    add(HarmonicLabel(two_j, 1, two_m + 1), c * -0.5 * math.sqrt((two_j - two_m) / 2))
+            else:
+                add(HarmonicLabel(two_j, 0, two_m + 1), c * -0.5 * math.sqrt((two_j + two_m + 1) / 2))
+        elif a == 5:
+            if mu == 0:
+                if two_j + two_m > 0:
+                    add(HarmonicLabel(two_j, 1, two_m - 1), c * 0.5 * math.sqrt((two_j + two_m) / 2))
+            else:
+                add(HarmonicLabel(two_j, 0, two_m - 1), c * -0.5 * math.sqrt((two_j - two_m + 1) / 2))
+    return FuzzyElement(e.q, out)
+
+
 def random_element(q, n_terms=6):
     labels = all_labels(q)
     picks = RNG.choice(len(labels), size=min(n_terms, len(labels)), replace=False)
@@ -176,7 +217,7 @@ def test_psi_round_trip():
     assert (s.reconstruct(s.decompose(m)) - m).norm() < 1e-12
 
 
-@pytest.mark.parametrize("a", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("a", [1, 2, 3, 4, 5, "+", "-"])
 def test_label_action_matches_adjoint(a):
     q = 2
     s = FuzzySuperSphere(q)
@@ -184,6 +225,22 @@ def test_label_action_matches_adjoint(a):
     via_labels = s.reconstruct(label_action(a, e))
     via_matrix = s.adjoint_action(a, s.reconstruct(e))
     assert (via_labels - via_matrix).norm() < 1e-12
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_label_action_matches_reference_table(q):
+    rng = np.random.default_rng(q)
+    e = FuzzyElement(q, {la: complex(*rng.normal(size=2)) for la in all_labels(q)})
+    norm = math.sqrt(sum(abs(c) ** 2 for c in e.coeffs.values()))
+    for a in (1, 2, 3, 4, 5, "+", "-"):
+        assert label_action(a, e).max_abs_diff(reference_label_action(a, e)) < 1e-14 * norm, a
+
+
+@pytest.mark.parametrize("a", [0, 6, "x", None])
+def test_label_action_rejects_unknown_label(a):
+    for e in (FuzzyElement(2, {}), FuzzyElement(2, {HarmonicLabel(3, 1, 0): 1.0})):
+        with pytest.raises(ValueError):
+            label_action(a, e)
 
 
 def test_eta_embed_then_truncate():
@@ -236,6 +293,11 @@ def test_fuzzy_product_associative():
 def test_structure_constant_cutoff_guard():
     with pytest.raises(ValueError):
         structure_constant_fuzzy(2, 3, 2)
+
+
+def test_structure_constant_rejects_sphere_at_other_level():
+    with pytest.raises(ValueError):
+        structure_constant_fuzzy(3, 1, 1, FuzzySuperSphere(2))
 
 
 def test_structure_constant_residual_small():

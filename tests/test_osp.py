@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,44 @@ from fuzzsuper.osp import (
 )
 
 BASIS = build_osp_basis()
+
+
+def reference_irrep_arrays(two_j, index):
+    """J_3, J_+, J_-, J_4, J_5 by one ladder loop over the columns: the reference for build_irrep."""
+    n = 2 * two_j + 1
+    j3, jp, jm, j4, j5 = (np.zeros((n, n), dtype=complex) for _ in range(5))
+    for (two_l, two_m), col in index.items():
+        l, m = two_l / 2.0, two_m / 2.0
+        j3[col, col] = m
+        if two_m + 2 <= two_l:
+            jp[index[(two_l, two_m + 2)], col] = math.sqrt((l - m) * (l + m + 1))
+        if two_m - 2 >= -two_l:
+            jm[index[(two_l, two_m - 2)], col] = math.sqrt((l + m) * (l - m + 1))
+        if two_l == two_j:
+            if two_m + 1 <= two_j - 1:
+                j4[index[(two_j - 1, two_m + 1)], col] = -0.5 * math.sqrt(l - m)
+            if two_m - 1 >= -(two_j - 1):
+                j5[index[(two_j - 1, two_m - 1)], col] = 0.5 * math.sqrt(l + m)
+        else:
+            jj = two_j / 2.0
+            j4[index[(two_j, two_m + 1)], col] = -0.5 * math.sqrt(jj + m + 0.5)
+            j5[index[(two_j, two_m - 1)], col] = -0.5 * math.sqrt(jj - m + 0.5)
+    return j3, jp, jm, j4, j5
+
+
+def reference_sl2_arrays(two_s):
+    """J_3, J_+, J_- by one ladder loop over the columns: the reference for build_sl2_irrep."""
+    n = two_s + 1
+    s = two_s / 2.0
+    j3, jp, jm = (np.zeros((n, n), dtype=complex) for _ in range(3))
+    for col in range(n):
+        m = s - col
+        j3[col, col] = m
+        if col > 0:
+            jp[col - 1, col] = math.sqrt((s - m) * (s + m + 1))
+        if col < n - 1:
+            jm[col + 1, col] = math.sqrt((s + m) * (s - m + 1))
+    return j3, jp, jm
 
 
 def test_label_parities():
@@ -146,3 +186,31 @@ def test_sl2_irrep():
         assert np.allclose(cas, s * (s + 1) * np.eye(rep.dim), atol=1e-12)
         comm = rep.matrix(1) @ rep.matrix(2) - rep.matrix(2) @ rep.matrix(1)
         assert np.allclose(comm, 1j * rep.matrix(3), atol=1e-12)
+
+
+@pytest.mark.parametrize("hw_parity", [EVEN, ODD])
+def test_irrep_matches_reference_loop(hw_parity):
+    for two_j in range(0, 21):
+        rep = build_irrep(two_j, hw_parity)
+        # even block first, m descending inside each block
+        blocks = sorted(
+            [(two_j, hw_parity)] + ([(two_j - 1, 1 - hw_parity)] if two_j else []),
+            key=lambda b: b[1],
+        )
+        order = [(tl, tm) for tl, _ in blocks for tm in range(tl, -tl - 2, -2)]
+        assert rep.index == {key: pos for pos, key in enumerate(order)}
+        ref = reference_irrep_arrays(two_j, rep.index)
+        for a, want in zip((3, "+", "-", 4, 5), ref):
+            assert np.array_equal(rep.matrix(a).mat, want), (two_j, a)
+        assert np.array_equal(rep.matrix(1).mat, 0.5 * (ref[1] + ref[2]))
+        assert np.array_equal(rep.matrix(2).mat, -0.5j * (ref[1] - ref[2]))
+
+
+def test_sl2_irrep_matches_reference_loop():
+    for two_s in range(0, 21):
+        rep = build_sl2_irrep(two_s)
+        j3, jp, jm = reference_sl2_arrays(two_s)
+        for a, want in zip((3, "+", "-"), (j3, jp, jm)):
+            assert np.array_equal(rep.matrix(a), want), (two_s, a)
+        assert np.array_equal(rep.matrix(1), 0.5 * (jp + jm))
+        assert np.array_equal(rep.matrix(2), -0.5j * (jp - jm))
