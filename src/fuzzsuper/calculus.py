@@ -13,8 +13,11 @@ of odd slots, and moving an odd object past a form w costs (-1)^|w|, where
 and the wedge out once per degree as cached term lists; the part of a
 sign that depends on the value parity is a grade twist of the source
 value (even part minus odd part), so no operator splits a form by parity.
-The pointwise operators apply these terms to form values, and d_matrix and
-lie_matrix assemble the same terms into matrices on coefficient space.
+The pointwise operators compile each term list once into a stacked plan
+(Plan) and apply it to all values of a form together: one batched product
+per derivation label, or one for the wedge, and one coefficient matrix that
+sums the products into the target values.  d_matrix and lie_matrix assemble
+the same terms into matrices on coefficient space.
 
 The cohomology ranks are computed in the ladder frame of weight vectors
 (J_+/sqrt2, J_-/sqrt2, J_3, J_4, J_5), on the weight-0 block of d only:
@@ -27,8 +30,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-from fractions import Fraction
-from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -55,6 +57,25 @@ IndexTuple = Tuple[Label, ...]
 Term = Tuple[IndexTuple, IndexTuple, Union[Label, IndexTuple], int, complex]
 
 
+class Plan(NamedTuple):
+    """A term list compiled for the stacked evaluation of _apply.
+
+    The inputs are the distinct (op, twist, source) triples of the terms,
+    sorted by op.  Input k reads row rows[k] of the stack [X; tau X] of the
+    source values X, in index_tuples order, and their grade twists; twins[k]
+    is the row of the same value with the other twist.  ops[k] is its
+    derivation label, or for the wedge the position of its left tuple, and
+    groups holds each op with its run of inputs.  coefs is the (targets x
+    inputs) matrix that sums the inputs, acted on, into the target values.
+    """
+
+    rows: np.ndarray
+    twins: np.ndarray
+    ops: np.ndarray
+    groups: Tuple[Tuple[int, slice], ...]
+    coefs: np.ndarray
+
+
 class DerivationContext:
     """A matrix algebra together with its distinguished basis derivations.
 
@@ -72,6 +93,13 @@ class DerivationContext:
     companions on the body.  In a frame of weight vectors (_ladder_frame)
     the context also knows the doubled J_3 weight of each label, which
     d_matrix adds to the entry weights to keep one total weight.
+
+    The pointwise operators read each term list through its Plan (plan),
+    compiled once and cached next to the term list: the values of a form
+    are stacked into one (S, n, n) array, twisted once, acted on by one
+    batched product per op and summed by one coefficient matrix.  Each
+    generator must be homogeneous of its label's parity, so that [E_a, X]
+    is E_a X - X E_a with X grade-twisted on the right when E_a is odd.
     """
 
     def __init__(
@@ -92,6 +120,9 @@ class DerivationContext:
         self.sphere = sphere
         self.dims: GradedDims = generators[0].dims
         self.n = self.dims.total
+        for a, g in zip(self.labels, self.generators):
+            if g.part(1 - self.label_parity(a)).mat.any():
+                raise ValueError(f"generator {a} is not homogeneous of its label's parity")
         self.unit = GradedMatrix.identity(self.dims)
         #: +1 on even matrix entries, -1 on odd ones: the grade twist
         self.grade = self.dims.twist
@@ -100,6 +131,7 @@ class DerivationContext:
         self._tuples: Dict[int, Tuple[IndexTuple, ...]] = {}
         self._sort_cache: Dict[IndexTuple, Tuple[Optional[IndexTuple], int]] = {}
         self._terms: Dict[tuple, Tuple[Term, ...]] = {}
+        self._plans: Dict[tuple, Plan] = {}
         self._blocks: Dict[tuple, np.ndarray] = {}  # of _assemble, shared by its calls
 
     # -- labels and tuples
@@ -232,26 +264,62 @@ class DerivationContext:
     def wedge_plan(self, p: int, pp: int) -> Tuple[Term, ...]:
         """Terms of (p-form) wedge (pp-form).
 
-        The full signed sum over permutations folded down to canonical
-        evaluations: each term multiplies the right factor's value at
-        source from the left by the left factor's value at op, and twists
-        it when the left tuple is odd.
+        The signed sum over the (p, pp)-shuffles of each canonical tuple:
+        a shuffle puts the slots I, in order, before the rest, so both
+        factors' tuples are canonical already, and the p! pp! permutations
+        of the full alternating sum that reorder within the factors add the
+        same term.  Each term multiplies the right factor's value at source
+        from the left by the left factor's value at op, and twists it when
+        the left tuple is odd.
         """
         key = ("wedge", p, pp)
         if key in self._terms:
             return self._terms[key]
-        denom = math.factorial(p) * math.factorial(pp)
         entries = []
         for big in self.index_tuples(p + pp):
             pars = tuple(self.label_parity(a) for a in big)
-            for sigma in itertools.permutations(range(p + pp)):
-                lc, ls = self.sort_signed(tuple(big[i] for i in sigma[:p]))
-                rc, rs = self.sort_signed(tuple(big[i] for i in sigma[p:]))
-                if lc is None or rc is None:
-                    continue
-                sgn = perm_sign(sigma) * commutation_factor(sigma, pars) * ls * rs
-                entries.append((big, rc, lc, self.tuple_parity(lc), Fraction(sgn, denom)))
+            for left in itertools.combinations(range(p + pp), p):
+                sigma = left + tuple(i for i in range(p + pp) if i not in left)
+                lc = tuple(big[i] for i in left)
+                rc = tuple(big[i] for i in sigma[p:])
+                sgn = perm_sign(sigma) * commutation_factor(sigma, pars)
+                entries.append((big, rc, lc, self.tuple_parity(lc), sgn))
         return self._collect(key, entries)
+
+    def plan(
+        self, key: tuple, terms: Sequence[Term], p_in: int, p_out: int, p_op: Optional[int] = None
+    ) -> Plan:
+        """The Plan of the term list cached under key, compiled on first use.
+
+        terms map p_in-forms to p_out-forms; for the wedge, p_op is the
+        degree of the left factor, whose tuples the ops are.
+        """
+        if key in self._plans:
+            return self._plans[key]
+        src = {t: i for i, t in enumerate(self.index_tuples(p_in))}
+        dst = {t: i for i, t in enumerate(self.index_tuples(p_out))}
+        pos = None if p_op is None else {t: i for i, t in enumerate(self.index_tuples(p_op))}
+        keyed = [
+            (dst[target], (op if pos is None else pos[op], twist, src[source]), coef)
+            for target, source, op, twist, coef in terms
+        ]
+        inputs = sorted({k for _, k, _ in keyed})
+        column = {k: j for j, k in enumerate(inputs)}
+        coefs = np.zeros((len(dst), len(inputs)), dtype=complex)
+        for row, k, coef in keyed:
+            coefs[row, column[k]] += coef
+        ops, twists, sources = np.array(inputs, dtype=np.intp).reshape(-1, 3).T
+        labels, starts = np.unique(ops, return_index=True)
+        stops = [*starts[1:], len(ops)]
+        plan = Plan(
+            rows=twists * len(src) + sources,
+            twins=(1 - twists) * len(src) + sources,
+            ops=ops,
+            groups=tuple((int(a), slice(int(i), int(j))) for a, i, j in zip(labels, starts, stops)),
+            coefs=coefs,
+        )
+        self._plans[key] = plan
+        return plan
 
 
 def super_context(q: int, rho: float = 1.0) -> DerivationContext:
@@ -431,31 +499,61 @@ def maurer_cartan(ctx: DerivationContext) -> SuperForm:
 # the Cartan operations
 
 
-def _apply(
-    w: SuperForm, p: int, terms: Iterable[Term], act: Callable[[object, GradedMatrix], GradedMatrix]
-) -> SuperForm:
-    """The p-form summing coefficient * act(op, twisted source value of w)."""
+def _stack(w: SuperForm) -> np.ndarray:
+    """The values of w, in index_tuples order, as one (S, n, n) array."""
     ctx = w.ctx
-    out: Dict[IndexTuple, np.ndarray] = {}
-    for target, source, op, twist, coef in terms:
-        f = w.vals[source]
-        if twist:
-            f = GradedMatrix(ctx.dims, f.mat * ctx.grade)
-        out[target] = out.get(target, 0) + coef * act(op, f).mat
-    return SuperForm(ctx, p, {t: GradedMatrix(ctx.dims, m) for t, m in out.items()})
+    vals = [w.vals[t].mat for t in ctx.index_tuples(w.p)]
+    return np.array(vals, dtype=complex).reshape(-1, ctx.n, ctx.n)
+
+
+def _apply(w: SuperForm, p: int, plan: Plan, act: Callable[[np.ndarray], np.ndarray]) -> SuperForm:
+    """The p-form plan.coefs @ act(stack of w's values and their grade twists).
+
+    act returns the (inputs, n, n) stack of the plan's inputs, acted on.
+    """
+    ctx = w.ctx
+    x = _stack(w)
+    y = act(np.concatenate([x, x * ctx.grade]))
+    out = (plan.coefs @ y.reshape(len(y), ctx.n * ctx.n)).reshape(-1, ctx.n, ctx.n)
+    vals = {t: GradedMatrix(ctx.dims, m) for t, m in zip(ctx.index_tuples(p), out)}
+    return SuperForm(ctx, p, vals)
+
+
+def _derive(ctx: DerivationContext, x: np.ndarray, plan: Plan) -> np.ndarray:
+    """The inputs of a derivation plan acted on: E_a X - X' E_a per label a.
+
+    X is the label's run of inputs, gathered from the stack x, and X' is X
+    with the other twist (plan.twins) when E_a is odd, else X; label 0 is
+    the identity.
+    """
+    y = np.empty((len(plan.rows), ctx.n, ctx.n), dtype=complex)
+    for a, run in plan.groups:
+        f = x[plan.rows[run]]
+        if a == 0:
+            y[run] = f
+            continue
+        e = ctx.generators[a - 1].mat
+        right = x[plan.twins[run]] if ctx.label_parity(a) else f
+        y[run] = e @ f - right @ e
+    return y
 
 
 def wedge(w1: SuperForm, w2: SuperForm) -> SuperForm:
     """Graded wedge; on 0-forms it is left/right multiplication."""
-    if w1.ctx is not w2.ctx:
+    ctx = w1.ctx
+    if ctx is not w2.ctx:
         raise ValueError("forms live on different contexts")
-    terms = w1.ctx.wedge_plan(w1.p, w2.p)
-    return _apply(w2, w1.p + w2.p, terms, lambda lc, f: w1.vals[lc] @ f)
+    p, pp = w1.p, w2.p
+    plan = ctx.plan(("wedge", p, pp), ctx.wedge_plan(p, pp), pp, p + pp, p)
+    left = _stack(w1)
+    return _apply(w2, p + pp, plan, lambda x: left[plan.ops] @ x[plan.rows])
 
 
 def lie_derivative(a: Label, w: SuperForm) -> SuperForm:
     """L_a: derivation of the value minus substitution into each slot."""
-    return _apply(w, w.p, w.ctx.lie_terms(a, w.p), w.ctx.derivation)
+    ctx = w.ctx
+    plan = ctx.plan(("lie", a, w.p), ctx.lie_terms(a, w.p), w.p, w.p)
+    return _apply(w, w.p, plan, lambda x: _derive(ctx, x, plan))
 
 
 def interior(a: Label, w: SuperForm) -> SuperForm:
@@ -475,7 +573,9 @@ def exterior_d(w: SuperForm) -> SuperForm:
     through the Lie derivative and interior product, which the tests pin
     down.
     """
-    return _apply(w, w.p + 1, w.ctx.d_terms(w.p), w.ctx.derivation)
+    ctx = w.ctx
+    plan = ctx.plan(("d", w.p), ctx.d_terms(w.p), w.p, w.p + 1)
+    return _apply(w, w.p + 1, plan, lambda x: _derive(ctx, x, plan))
 
 
 # ---------------------------------------------------------------------------

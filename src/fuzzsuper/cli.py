@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 from typing import List, Optional, Sequence
@@ -711,16 +712,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_or.add_argument("--j1", help="superspin argument")
     p_or.add_argument("--j2", help="second superspin argument")
     p_or.add_argument("--mu", type=int, default=0, choices=(0, 1))
-    p_or.add_argument(
-        "--m", help="magnetic label, e.g. --m=-1/2 or --m -0.5 (default: highest weight)"
-    )
+    p_or.add_argument("--m", help="magnetic label, e.g. -1/2 or -0.5 (default: highest weight)")
     common(p_or, "--rho", "--out")
     return parser
 
 
+#: a signed value such as -5/2 or -1e-3: argparse reads only plain negative
+#: integers and decimals as values, and would take these for option strings
+_SIGNED_VALUE = re.compile(r"-\.?\d")
+
+
+def _attach_signed_values(argv: Sequence[str]) -> List[str]:
+    """Write '--flag -5/2' as '--flag=-5/2', so that the flag's own check reads it."""
+    out: List[str] = []
+    for tok in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _SIGNED_VALUE.match(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     handlers = {
         "verify": cmd_verify,
         "converge": cmd_converge,

@@ -1,4 +1,6 @@
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from fuzzsuper.calculus import (
     EXPECTED_BETTI_BODY,
     EXPECTED_BETTI_SUPER,
+    DerivationContext,
     SuperForm,
     body_cochain_map,
     body_context,
@@ -30,8 +33,10 @@ from fuzzsuper.calculus import (
 from fuzzsuper.calculus import _betti_report, _ladder_frame, _layout
 from fuzzsuper.graded import (
     GradedMatrix,
+    commutation_factor,
     entry_weights,
     graded_commutator,
+    perm_sign,
     random_graded_matrix,
 )
 from fuzzsuper.osp import OspBasis, build_osp_basis, jacobi_residual
@@ -487,6 +492,87 @@ def test_assembly_matches_kron_reference(kind, q, frame):
 def test_weight_needs_a_ladder_frame():
     with pytest.raises(ValueError):
         d_matrix(CTX, 0, weight=0)
+
+
+# ---------------------------------------------------------------- stacked plans
+
+
+def loop_apply(w, p, terms, act):
+    """The term list applied one term at a time: the reference for the stacked plans."""
+    ctx = w.ctx
+    out = {}
+    for target, source, op, twist, coef in terms:
+        f = w.vals[source]
+        if twist:
+            f = GradedMatrix(ctx.dims, f.mat * ctx.grade)
+        out[target] = out.get(target, 0) + coef * act(op, f).mat
+    return SuperForm(ctx, p, {t: GradedMatrix(ctx.dims, m) for t, m in out.items()})
+
+
+def permutation_wedge_terms(ctx, p, pp):
+    """The wedge terms as the full alternating sum over all (p + pp)! permutations."""
+    denom = math.factorial(p) * math.factorial(pp)
+    entries = []
+    for big in ctx.index_tuples(p + pp):
+        pars = tuple(ctx.label_parity(a) for a in big)
+        for sigma in itertools.permutations(range(p + pp)):
+            lc, ls = ctx.sort_signed(tuple(big[i] for i in sigma[:p]))
+            rc, rs = ctx.sort_signed(tuple(big[i] for i in sigma[p:]))
+            if lc is None or rc is None:
+                continue
+            sgn = perm_sign(sigma) * commutation_factor(sigma, pars) * ls * rs
+            entries.append((big, rc, lc, ctx.tuple_parity(lc), Fraction(sgn, denom)))
+    return ctx._collect(("permutation wedge", p, pp), entries)
+
+
+def plan_contexts(q):
+    return {
+        "super": super_context(q),
+        "body": body_context(q),
+        "ladder": _ladder_frame(super_context(q)),
+    }
+
+
+@pytest.mark.parametrize("kind", ["super", "body", "ladder"])
+def test_wedge_plan_sums_shuffles_like_all_permutations(kind):
+    ctx = plan_contexts(1)[kind]
+    for p, pp in itertools.product(range(4), range(4)):
+        if p + pp <= 5:
+            assert ctx.wedge_plan(p, pp) == permutation_wedge_terms(ctx, p, pp), (p, pp)
+
+
+def close(got, want, scale):
+    return (got - want).norm() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("kind", ["super", "body", "ladder"])
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_stacked_operators_match_the_term_loop(kind, q):
+    ctx = plan_contexts(q)[kind]
+    rng = np.random.default_rng(q)
+    forms = {
+        (p, parity): random_superform(ctx, p, rng, parity)
+        for p in range(4)
+        for parity in (0, 1, None)
+    }
+    for (p, _), w in forms.items():
+        want = loop_apply(w, p + 1, ctx.d_terms(p), ctx.derivation)
+        assert close(exterior_d(w), want, w.norm()), p
+        for a in ctx.labels:
+            want = loop_apply(w, p, ctx.lie_terms(a, p), ctx.derivation)
+            assert close(lie_derivative(a, w), want, w.norm()), (p, a)
+    for (p, par1), (pp, par2) in itertools.product(forms, forms):
+        if p + pp <= 3:
+            w1, w2 = forms[p, par1], forms[pp, par2]
+            want = loop_apply(w2, p + pp, ctx.wedge_plan(p, pp), lambda lc, f: w1.vals[lc] @ f)
+            assert close(wedge(w1, w2), want, w1.norm() * w2.norm()), (p, pp)
+
+
+def test_generators_must_have_their_labels_parity():
+    gens = list(CTX.generators)
+    gens[3] = gens[3] + gens[0]  # J_4 with an even part
+    with pytest.raises(ValueError):
+        DerivationContext("mixed", CTX.labels, CTX.parities, CTX.constants, gens, CTX.sphere)
 
 
 def test_report_json_shape():

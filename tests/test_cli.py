@@ -232,7 +232,7 @@ def test_oracle_harmonic(capsys):
     assert "scale" in out and "poly" in out
 
 
-@pytest.mark.parametrize("m_args", [["--m=-1/2"], ["--m", "-0.5"]])
+@pytest.mark.parametrize("m_args", [["--m=-1/2"], ["--m", "-0.5"], ["--m", "-1/2"]])
 def test_oracle_harmonic_negative_m(capsys, m_args):
     code, out = run(capsys, "oracle", "--op", "harmonic", "--j1", "1/2", "--mu", "0", *m_args)
     assert code == 0
@@ -290,6 +290,16 @@ def test_bad_radius_tolerance_and_level_list_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("rho", ["-5/2", "-1e-3"])
+@pytest.mark.parametrize("spaced", [False, True])
+def test_negative_radius_fails_the_positivity_check(capsys, rho, spaced):
+    # argparse alone takes a spaced value such as -5/2 for an option string
+    with pytest.raises(SystemExit) as exc:
+        main(ORACLE + (["--rho", rho] if spaced else [f"--rho={rho}"]))
+    assert exc.value.code == 2
+    assert f"argument --rho: must be positive, got {rho!r}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("rho", ["5/2", "2.5"])
