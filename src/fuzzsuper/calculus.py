@@ -4,7 +4,9 @@ Differential forms are graded-alternating multilinear maps from the five
 basis derivations (three on the body) into the matrix algebra.  A p-form
 is stored by its values on canonical index tuples: even labels strictly
 increasing, odd labels non-decreasing, so odd labels may repeat and the
-complex does not terminate at the top even degree.
+complex does not terminate at the top even degree.  The values are one
+read-only (S, n, n) array, SuperForm.stack, in index_tuples order; flattened,
+it is the vector that d_matrix and lie_matrix act on.
 
 Signs follow one commutation-factor convention throughout: permuting
 arguments costs the permutation sign times (-1) for every transposed pair
@@ -13,11 +15,10 @@ of odd slots, and moving an odd object past a form w costs (-1)^|w|, where
 and the wedge out once per degree as cached term lists; the part of a
 sign that depends on the value parity is a grade twist of the source
 value (even part minus odd part), so no operator splits a form by parity.
-The pointwise operators compile each term list once into a stacked plan
-(Plan) and apply it to all values of a form together: one batched product
-per derivation label, or one for the wedge, and one coefficient matrix that
-sums the products into the target values.  d_matrix and lie_matrix assemble
-the same terms into matrices on coefficient space.
+The pointwise operators apply each term list to a form's stack through its
+Plan: one batched product per derivation label, or one for the wedge, and
+one coefficient matrix that sums them into the result's stack.  d_matrix
+and lie_matrix assemble the same terms into matrices on coefficient space.
 
 The cohomology ranks are computed in the ladder frame of weight vectors
 (J_+/sqrt2, J_-/sqrt2, J_3, J_4, J_5), on the weight-0 block of d only:
@@ -58,15 +59,15 @@ Term = Tuple[IndexTuple, IndexTuple, Union[Label, IndexTuple], int, complex]
 
 
 class Plan(NamedTuple):
-    """A term list compiled for the stacked evaluation of _apply.
+    """A term list compiled for _apply, which runs it on a form's stack.
 
     The inputs are the distinct (op, twist, source) triples of the terms,
-    sorted by op.  Input k reads row rows[k] of the stack [X; tau X] of the
-    source values X, in index_tuples order, and their grade twists; twins[k]
-    is the row of the same value with the other twist.  ops[k] is its
-    derivation label, or for the wedge the position of its left tuple, and
-    groups holds each op with its run of inputs.  coefs is the (targets x
-    inputs) matrix that sums the inputs, acted on, into the target values.
+    sorted by op.  Input k reads row rows[k] of [X; tau X], the source
+    form's stack X over its grade twist; twins[k] is the row of the same
+    value with the other twist.  ops[k] is its derivation label, or for the
+    wedge the row of its left tuple in the left factor's stack, and groups
+    holds each op with its run of inputs.  coefs is the (targets x inputs)
+    matrix that sums the inputs, acted on, into the rows of the result.
     """
 
     rows: np.ndarray
@@ -95,11 +96,9 @@ class DerivationContext:
     d_matrix adds to the entry weights to keep one total weight.
 
     The pointwise operators read each term list through its Plan (plan),
-    compiled once and cached next to the term list: the values of a form
-    are stacked into one (S, n, n) array, twisted once, acted on by one
-    batched product per op and summed by one coefficient matrix.  Each
-    generator must be homogeneous of its label's parity, so that [E_a, X]
-    is E_a X - X E_a with X grade-twisted on the right when E_a is odd.
+    compiled once and cached next to the term list.  Each generator must be
+    homogeneous of its label's parity, so that [E_a, X] is E_a X - X E_a
+    with X grade-twisted on the right when E_a is odd.
     """
 
     def __init__(
@@ -129,6 +128,7 @@ class DerivationContext:
         #: in a frame of weight vectors: the doubled J_3 weights of the labels
         self.weights = None if weights is None else tuple(weights)
         self._tuples: Dict[int, Tuple[IndexTuple, ...]] = {}
+        self._positions: Dict[int, Dict[IndexTuple, int]] = {}
         self._sort_cache: Dict[IndexTuple, Tuple[Optional[IndexTuple], int]] = {}
         self._terms: Dict[tuple, Tuple[Term, ...]] = {}
         self._plans: Dict[tuple, Plan] = {}
@@ -154,6 +154,12 @@ class DerivationContext:
                         out.append(ev + od)
             self._tuples[p] = tuple(sorted(out))
         return self._tuples[p]
+
+    def positions(self, p: int) -> Dict[IndexTuple, int]:
+        """The row of each canonical p-tuple in the stack of a p-form."""
+        if p not in self._positions:
+            self._positions[p] = {t: i for i, t in enumerate(self.index_tuples(p))}
+        return self._positions[p]
 
     def sort_signed(self, t: IndexTuple) -> Tuple[Optional[IndexTuple], int]:
         """Canonical form and reordering sign; (None, 0) for a vanishing slot.
@@ -296,9 +302,8 @@ class DerivationContext:
         """
         if key in self._plans:
             return self._plans[key]
-        src = {t: i for i, t in enumerate(self.index_tuples(p_in))}
-        dst = {t: i for i, t in enumerate(self.index_tuples(p_out))}
-        pos = None if p_op is None else {t: i for i, t in enumerate(self.index_tuples(p_op))}
+        src, dst = self.positions(p_in), self.positions(p_out)
+        pos = None if p_op is None else self.positions(p_op)
         keyed = [
             (dst[target], (op if pos is None else pos[op], twist, src[source]), coef)
             for target, source, op, twist, coef in terms
@@ -388,18 +393,31 @@ def _ladder_frame(ctx: DerivationContext) -> DerivationContext:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class SuperForm:
-    """A p-form as a table of algebra values on canonical index tuples."""
+    """A p-form as one read-only (S, n, n) stack of values, in index_tuples order.
+
+    Built from S*n*n entries or from {canonical p-tuple: GradedMatrix}, missing
+    tuples zero, other keys or dims rejected; the values are copied and frozen.
+    """
 
     ctx: DerivationContext
     p: int
-    vals: Dict[IndexTuple, GradedMatrix]
+    stack: np.ndarray
 
     def __post_init__(self) -> None:
-        complete = {}
-        zero = GradedMatrix.zero(self.ctx.dims)
-        for t in self.ctx.index_tuples(self.p):
-            complete[t] = self.vals.get(t, zero)
-        object.__setattr__(self, "vals", complete)
+        ctx, n = self.ctx, self.ctx.n
+        pos = ctx.positions(self.p)
+        if isinstance(self.stack, Mapping):
+            out = np.zeros((len(pos), n, n), dtype=complex)
+            for t, v in self.stack.items():
+                if t not in pos:
+                    raise ValueError(f"{t!r} is not a canonical {self.p}-tuple of {ctx.name}")
+                if v.dims != ctx.dims:
+                    raise ValueError(f"value on {t!r} has dims {v.dims}, expected {ctx.dims}")
+                out[pos[t]] = v.mat
+        else:
+            out = np.array(np.reshape(self.stack, (len(pos), n, n)), dtype=complex)
+        out.setflags(write=False)
+        object.__setattr__(self, "stack", out)
 
     @classmethod
     def zero_form(cls, ctx: DerivationContext, p: int) -> "SuperForm":
@@ -411,9 +429,8 @@ class SuperForm:
         return cls(ctx, 0, {(): f})
 
     def value(self) -> GradedMatrix:
-        if self.p != 0:
-            raise ValueError("value() is for 0-forms")
-        return self.vals[()]
+        """The value of a 0-form."""
+        return self.evaluate(())
 
     def evaluate(self, t: Sequence[Label]) -> GradedMatrix:
         """Value on an arbitrary tuple of basis derivations."""
@@ -422,18 +439,18 @@ class SuperForm:
         canon, sign = self.ctx.sort_signed(tuple(t))
         if canon is None:
             return GradedMatrix.zero(self.ctx.dims)
-        return sign * self.vals[canon]
+        return GradedMatrix(self.ctx.dims, self.stack[self.ctx.positions(self.p)[canon]] * sign)
 
     def __add__(self, other: "SuperForm") -> "SuperForm":
         self._check(other)
-        return SuperForm(self.ctx, self.p, {t: self.vals[t] + other.vals[t] for t in self.vals})
+        return SuperForm(self.ctx, self.p, self.stack + other.stack)
 
     def __sub__(self, other: "SuperForm") -> "SuperForm":
         self._check(other)
-        return SuperForm(self.ctx, self.p, {t: self.vals[t] - other.vals[t] for t in self.vals})
+        return SuperForm(self.ctx, self.p, self.stack - other.stack)
 
     def __mul__(self, s: complex) -> "SuperForm":
-        return SuperForm(self.ctx, self.p, {t: s * v for t, v in self.vals.items()})
+        return SuperForm(self.ctx, self.p, self.stack * s)
 
     __rmul__ = __mul__
 
@@ -445,28 +462,28 @@ class SuperForm:
             raise ValueError("form mismatch")
 
     def norm(self) -> float:
-        return max((v.norm() for v in self.vals.values()), default=0.0)
+        """The largest Frobenius norm of a value."""
+        return float(max(map(np.linalg.norm, self.stack), default=0.0))
 
     # -- coefficients in the dual-basis expansion
 
-    def _coeff_scalar(self, t: IndexTuple) -> float:
-        odd_count = sum(1 for a in t if self.ctx.label_parity(a))
-        mult = 1
-        for _, grp in itertools.groupby(a for a in t if self.ctx.label_parity(a)):
-            mult *= math.factorial(len(list(grp)))
-        return (-1.0) ** (odd_count * (odd_count - 1) // 2) / mult
-
     def coefficients(self) -> Dict[IndexTuple, GradedMatrix]:
         """Coefficient table of the left-coefficient dual-basis expansion."""
-        return {t: self._coeff_scalar(t) * v for t, v in self.vals.items()}
+        ctx = self.ctx
+        return {t: _coeff_scalar(ctx, t) * self.evaluate(t) for t in ctx.index_tuples(self.p)}
 
     @classmethod
     def from_coefficients(
         cls, ctx: DerivationContext, p: int, coeffs: Mapping[IndexTuple, GradedMatrix]
     ) -> "SuperForm":
-        probe = cls.zero_form(ctx, p)
-        vals = {t: (1.0 / probe._coeff_scalar(t)) * v for t, v in coeffs.items()}
-        return cls(ctx, p, vals)
+        return cls(ctx, p, {t: (1.0 / _coeff_scalar(ctx, t)) * v for t, v in coeffs.items()})
+
+
+def _coeff_scalar(ctx: DerivationContext, t: IndexTuple) -> float:
+    """Coefficient over value on t: (-1)^(k(k-1)/2) / (odd multiplicities)! for k odd labels."""
+    odd = [a for a in t if ctx.label_parity(a)]
+    mult = math.prod(math.factorial(len(list(grp))) for _, grp in itertools.groupby(odd))
+    return (-1.0) ** (len(odd) * (len(odd) - 1) // 2) / mult
 
 
 def random_superform(
@@ -499,24 +516,14 @@ def maurer_cartan(ctx: DerivationContext) -> SuperForm:
 # the Cartan operations
 
 
-def _stack(w: SuperForm) -> np.ndarray:
-    """The values of w, in index_tuples order, as one (S, n, n) array."""
-    ctx = w.ctx
-    vals = [w.vals[t].mat for t in ctx.index_tuples(w.p)]
-    return np.array(vals, dtype=complex).reshape(-1, ctx.n, ctx.n)
-
-
 def _apply(w: SuperForm, p: int, plan: Plan, act: Callable[[np.ndarray], np.ndarray]) -> SuperForm:
-    """The p-form plan.coefs @ act(stack of w's values and their grade twists).
+    """The p-form whose stack is plan.coefs @ act([X; tau X]), X the stack of w.
 
     act returns the (inputs, n, n) stack of the plan's inputs, acted on.
     """
     ctx = w.ctx
-    x = _stack(w)
-    y = act(np.concatenate([x, x * ctx.grade]))
-    out = (plan.coefs @ y.reshape(len(y), ctx.n * ctx.n)).reshape(-1, ctx.n, ctx.n)
-    vals = {t: GradedMatrix(ctx.dims, m) for t, m in zip(ctx.index_tuples(p), out)}
-    return SuperForm(ctx, p, vals)
+    y = act(np.concatenate([w.stack, w.stack * ctx.grade]))
+    return SuperForm(ctx, p, plan.coefs @ y.reshape(len(y), ctx.n * ctx.n))
 
 
 def _derive(ctx: DerivationContext, x: np.ndarray, plan: Plan) -> np.ndarray:
@@ -545,8 +552,7 @@ def wedge(w1: SuperForm, w2: SuperForm) -> SuperForm:
         raise ValueError("forms live on different contexts")
     p, pp = w1.p, w2.p
     plan = ctx.plan(("wedge", p, pp), ctx.wedge_plan(p, pp), pp, p + pp, p)
-    left = _stack(w1)
-    return _apply(w2, p + pp, plan, lambda x: left[plan.ops] @ x[plan.rows])
+    return _apply(w2, p + pp, plan, lambda x: w1.stack[plan.ops] @ x[plan.rows])
 
 
 def lie_derivative(a: Label, w: SuperForm) -> SuperForm:
@@ -561,7 +567,12 @@ def interior(a: Label, w: SuperForm) -> SuperForm:
     ctx = w.ctx
     if w.p == 0:
         return SuperForm.zero_form(ctx, 0)
-    out = {t: w.evaluate((a,) + t) for t in ctx.index_tuples(w.p - 1)}
+    pos = ctx.positions(w.p)
+    out = np.zeros((len(ctx.index_tuples(w.p - 1)), ctx.n, ctx.n), dtype=complex)
+    for i, t in enumerate(ctx.index_tuples(w.p - 1)):
+        canon, sign = ctx.sort_signed((a,) + t)
+        if canon is not None:
+            out[i] = w.stack[pos[canon]] * sign
     return SuperForm(ctx, w.p - 1, out)
 
 
@@ -580,10 +591,6 @@ def exterior_d(w: SuperForm) -> SuperForm:
 
 # ---------------------------------------------------------------------------
 # d and L as matrices on coefficient space
-
-
-def _vec_index(ctx: DerivationContext, p: int) -> Dict[IndexTuple, int]:
-    return {t: i for i, t in enumerate(ctx.index_tuples(p))}
 
 
 def _layout(
@@ -643,20 +650,13 @@ def _assemble(
 
 
 def form_to_vec(w: SuperForm) -> np.ndarray:
-    ctx, p = w.ctx, w.p
-    n2 = ctx.n * ctx.n
-    out = np.zeros(n2 * len(ctx.index_tuples(p)), dtype=complex)
-    for i, t in enumerate(ctx.index_tuples(p)):
-        out[i * n2 : (i + 1) * n2] = w.vals[t].mat.reshape(-1)
-    return out
+    """The stack of w as one read-only vector, the layout of d_matrix."""
+    return w.stack.reshape(-1)
 
 
 def vec_to_form(ctx: DerivationContext, p: int, vec: np.ndarray) -> SuperForm:
-    n = ctx.n
-    vals = {}
-    for i, t in enumerate(ctx.index_tuples(p)):
-        vals[t] = GradedMatrix(ctx.dims, vec[i * n * n : (i + 1) * n * n].reshape(n, n))
-    return SuperForm(ctx, p, vals)
+    """The p-form whose stack is vec, copied, in the layout of d_matrix."""
+    return SuperForm(ctx, p, vec)
 
 
 def d_matrix(ctx: DerivationContext, p: int, weight: Optional[int] = None) -> np.ndarray:
@@ -698,11 +698,12 @@ def body_cochain_map(w: SuperForm, bctx: DerivationContext) -> SuperForm:
         raise ValueError("body_cochain_map goes from the super context to the body context")
     if ctx.sphere.q != bctx.sphere.q:
         raise ValueError("levels must agree")
-    vals = {}
-    for t in bctx.index_tuples(w.p):
-        mat = body_map_fuzzy(w.vals[t], ctx.sphere, bctx.sphere)
-        vals[t] = GradedMatrix(bctx.dims, mat)
-    return SuperForm(bctx, w.p, vals)
+    pos = ctx.positions(w.p)
+    values = [
+        body_map_fuzzy(GradedMatrix(ctx.dims, w.stack[pos[t]]), ctx.sphere, bctx.sphere)
+        for t in bctx.index_tuples(w.p)
+    ]
+    return SuperForm(bctx, w.p, values)
 
 
 def eta_forms(w: SuperForm, ctx_to: DerivationContext) -> SuperForm:
@@ -712,11 +713,11 @@ def eta_forms(w: SuperForm, ctx_to: DerivationContext) -> SuperForm:
         ctx_to.sphere, FuzzySuperSphere
     ):
         raise ValueError("eta_forms moves between super contexts")
-    vals = {}
-    for t, v in w.vals.items():
-        e = ctx.sphere.decompose(v)
-        vals[t] = ctx_to.sphere.reconstruct(eta(e, ctx_to.sphere.q))
-    return SuperForm(ctx_to, w.p, vals)
+    values = []
+    for v in w.stack:
+        e = ctx.sphere.decompose(GradedMatrix(ctx.dims, v))
+        values.append(ctx_to.sphere.reconstruct(eta(e, ctx_to.sphere.q)).mat)
+    return SuperForm(ctx_to, w.p, values)
 
 
 # ---------------------------------------------------------------------------
@@ -796,8 +797,7 @@ def center_d_matrix(ctx: DerivationContext, p: int) -> np.ndarray:
     substitution scalars of d_terms: the trivial-coefficient complex of the
     derivation algebra, independent of the level.
     """
-    src = _vec_index(ctx, p)
-    dst = _vec_index(ctx, p + 1)
+    src, dst = ctx.positions(p), ctx.positions(p + 1)
     out = np.zeros((len(dst), len(src)), dtype=complex)
     for target, source, label, _, coef in ctx.d_terms(p):
         if label == 0:

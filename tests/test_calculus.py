@@ -32,6 +32,7 @@ from fuzzsuper.calculus import (
 )
 from fuzzsuper.calculus import _betti_report, _ladder_frame, _layout
 from fuzzsuper.graded import (
+    GradedDims,
     GradedMatrix,
     commutation_factor,
     entry_weights,
@@ -98,6 +99,56 @@ def test_lambda_duality():
             v = lam.evaluate((b,))
             want = 1.0 if a == b else 0.0
             assert (v - CTX.unit * want).norm() < 1e-14
+
+
+# ---------------------------------------------------------------- storage
+
+
+def test_superform_rejects_foreign_keys_and_dims():
+    unit = GradedMatrix.identity(CTX.dims)
+    for key in [(2, 1), (9, 9), (1, 1), (1,), (1, 2, 3)]:
+        with pytest.raises(ValueError):
+            SuperForm(CTX, 2, {key: unit})
+    for dims in (BCTX.dims, GradedDims(CTX.n, 0)):
+        with pytest.raises(ValueError):
+            SuperForm(CTX, 2, {(1, 2): GradedMatrix.identity(dims)})
+
+
+def test_superform_stack_is_a_frozen_copy():
+    w = random_superform(CTX, 2, RNG)
+    with pytest.raises(ValueError):
+        w.stack[0, 0, 0] = 1.0
+    vec = np.array(form_to_vec(w))
+    vals = {t: w.evaluate(t) for t in CTX.index_tuples(2)}
+    forms = [vec_to_form(CTX, 2, vec), SuperForm(CTX, 2, vals)]
+    vec[:] = 0.0
+    vals[(1, 2)] = GradedMatrix.zero(CTX.dims)
+    for f in forms:
+        assert np.array_equal(f.stack, w.stack)
+
+
+@pytest.mark.parametrize(
+    "ctx, p",
+    [(CTX, p) for p in range(4)] + [(BCTX, p) for p in range(5)],
+    ids=[f"super-p{p}" for p in range(4)] + [f"body-p{p}" for p in range(5)],
+)
+def test_stack_layout(ctx, p):
+    shape = (len(ctx.index_tuples(p)), ctx.n, ctx.n)
+    zero = SuperForm.zero_form(ctx, p)
+    assert zero.stack.shape == shape and not zero.stack.any()
+    v = RNG.standard_normal(math.prod(shape)) + 1j * RNG.standard_normal(math.prod(shape))
+    assert np.array_equal(form_to_vec(vec_to_form(ctx, p, v)), v)
+
+
+def test_body_top_degree_is_empty():
+    bctx = body_context(2)
+    empty = (0, bctx.n, bctx.n)
+    top = [exterior_d(random_superform(bctx, 3, RNG))]
+    top.append(wedge(random_superform(bctx, 2, RNG), random_superform(bctx, 2, RNG)))
+    for w in top:
+        assert w.p == 4 and w.stack.shape == empty and w.norm() == 0.0
+    assert interior(1, top[0]).norm() == 0.0
+    assert d_matrix(bctx, 3).shape == (0, 9)
 
 
 # ---------------------------------------------------------------- d
@@ -209,7 +260,7 @@ def test_wedge_with_scalars_is_module_action():
     w = random_superform(CTX, 2, RNG)
     fw = wedge(SuperForm.from_scalar(CTX, f), w)
     for t in CTX.index_tuples(2):
-        assert (fw.vals[t] - f @ w.vals[t]).norm() < 1e-12
+        assert (fw.evaluate(t) - f @ w.evaluate(t)).norm() < 1e-12
 
 
 def test_leibniz_for_d():
@@ -502,7 +553,7 @@ def loop_apply(w, p, terms, act):
     ctx = w.ctx
     out = {}
     for target, source, op, twist, coef in terms:
-        f = w.vals[source]
+        f = w.evaluate(source)
         if twist:
             f = GradedMatrix(ctx.dims, f.mat * ctx.grade)
         out[target] = out.get(target, 0) + coef * act(op, f).mat
@@ -564,7 +615,7 @@ def test_stacked_operators_match_the_term_loop(kind, q):
     for (p, par1), (pp, par2) in itertools.product(forms, forms):
         if p + pp <= 3:
             w1, w2 = forms[p, par1], forms[pp, par2]
-            want = loop_apply(w2, p + pp, ctx.wedge_plan(p, pp), lambda lc, f: w1.vals[lc] @ f)
+            want = loop_apply(w2, p + pp, ctx.wedge_plan(p, pp), lambda lc, f: w1.evaluate(lc) @ f)
             assert close(wedge(w1, w2), want, w1.norm() * w2.norm()), (p, pp)
 
 
