@@ -462,8 +462,8 @@ class SuperForm:
             raise ValueError("form mismatch")
 
     def norm(self) -> float:
-        """The largest Frobenius norm of a value."""
-        return float(max(map(np.linalg.norm, self.stack), default=0.0))
+        """The largest Frobenius norm of a value; 0.0 for a form with no values."""
+        return float(np.linalg.norm(self.stack, axis=(1, 2)).max(initial=0.0))
 
     # -- coefficients in the dual-basis expansion
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -165,9 +166,10 @@ class _WeightTable:
 
     A harmonic of doubled weight m is nonzero only on the entries of weight
     m (graded.entry_weights).  For each m the table keeps those entries and
-    one column per label, labels sorted by descending l.  ``tops`` lists
-    (label, sign) for the top of each chain, where two_m is 2l, and
-    ``top(label)`` gives its matrix.  One sweep down from the top weight
+    one column per label, labels sorted by descending l.  ``chains`` lists
+    (labels, sign) per chain, its labels from the top weight 2l down, and
+    ``top(label)`` gives the matrix of a chain's top.  ``where`` is keyed by
+    those same label objects.  One sweep down from the top weight
     builds every chain: from its top matrix, gathered onto its entries, each
     step applies ad J_- between the entries (graded.restricted_adjoint) and
     divides by the ladder's sqrt(step).  The step then loses its components
@@ -177,44 +179,63 @@ class _WeightTable:
     later steps would amplify.
     """
 
-    def __init__(self, j3: np.ndarray, jm: GradedMatrix, pair: np.ndarray, tops: list, top) -> None:
+    def __init__(self, j3: np.ndarray, jm: GradedMatrix, pair: np.ndarray, chains: list, top) -> None:
         diff = entry_weights(j3)
-        tops = sorted(tops, key=lambda t: -t[0].two_m)
+        chains = sorted(chains, key=lambda ch: -ch[0][0].two_m)
         self.n = len(diff)
         self.entries: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self.cols: Dict[int, np.ndarray] = {}
         self.where: Dict[object, Tuple[int, int]] = {}
         for two_m in np.unique(diff)[::-1].tolist():
-            live = [t for t in tops if t[0].two_m >= abs(two_m) and (t[0].two_m - two_m) % 2 == 0]
+            live = [
+                ch for ch in chains
+                if ch[0][0].two_m >= abs(two_m) and (ch[0][0].two_m - two_m) % 2 == 0
+            ]
+            tops = [labels[0] for labels, _ in live]
             r, c = np.nonzero(diff == two_m)
             h = np.empty((len(r), len(live)), dtype=complex)
-            k0 = sum(la.two_m > two_m for la, _ in live)  # chains stepping down from two_m + 2
+            k0 = sum(la.two_m > two_m for la in tops)  # chains stepping down from two_m + 2
             if k0:
                 ad = restricted_adjoint(jm, (r, c), self.entries[two_m + 2])
-                step = [(la.two_m + two_m + 2) // 2 * ((la.two_m - two_m) // 2) for la, _ in live[:k0]]
+                step = [(la.two_m + two_m + 2) // 2 * ((la.two_m - two_m) // 2) for la in tops[:k0]]
                 h[:, :k0] = ad @ self.cols[two_m + 2][:, :k0] / np.sqrt(step)
             for k in range(k0, len(live)):
-                h[:, k] = top(live[k][0])[r, c]
+                h[:, k] = top(tops[k])[r, c]
             w, s = pair[r, c], np.array([sign for _, sign in live], dtype=float)
-            neg_l = np.array([-la.two_m for la, _ in live])
+            neg_l = np.array([-la.two_m for la in tops])
             for k, j in enumerate(np.searchsorted(neg_l, neg_l[:k0])):  # j columns of larger l
                 h[:, k] -= h[:, :j] @ (s[:j] * (h[:, :j].conj().T @ (w * h[:, k])))
             self.entries[two_m], self.cols[two_m] = (r, c), h
-            for k, (la, _) in enumerate(live):
-                self.where[dataclasses.replace(la, two_m=two_m)] = (two_m, k)
+            for k, (labels, _) in enumerate(live):
+                self.where[labels[(labels[0].two_m - two_m) // 2]] = (two_m, k)
+
+    def _locate(self, label) -> Tuple[int, int]:
+        if label not in self.where:
+            raise ValueError(f"label {label} does not exist at this level")
+        return self.where[label]
+
+    def column(self, label) -> np.ndarray:
+        """Y_label as a fresh n x n array: its stored column scattered onto its entries."""
+        two_m, k = self._locate(label)
+        out = np.zeros((self.n, self.n), dtype=complex)
+        out[self.entries[two_m]] = self.cols[two_m][:, k]
+        return out
 
     def combine(self, coeffs) -> np.ndarray:
         """sum_L coeffs[L] Y_L, one product per weight that occurs."""
         vecs: Dict[int, np.ndarray] = {}
         for label, c in coeffs.items():
-            if label not in self.where:
-                raise ValueError(f"label {label} does not exist at this level")
-            two_m, k = self.where[label]
+            two_m, k = self._locate(label)
             vecs.setdefault(two_m, np.zeros(self.cols[two_m].shape[1], dtype=complex))[k] += c
         out = np.zeros((self.n, self.n), dtype=complex)
         for two_m, v in vecs.items():
             out[self.entries[two_m]] = self.cols[two_m] @ v
         return out
+
+
+def _chains(labels, key) -> List[tuple]:
+    """Consecutive runs of labels with one key: the chains, each from its top down."""
+    return [tuple(run) for _, run in itertools.groupby(labels, key)]
 
 
 # ---------------------------------------------------------------------------
@@ -286,14 +307,17 @@ class FuzzySuperSphere:
             j3, j4, j5 = (self.rep.matrix(a).mat for a in (3, 4, 5))
             core = (j3 - 0.75 * np.eye(self.n)) @ j4 + jp @ j5
             mat = norm * (np.linalg.matrix_power(jp, k) @ core)
-        return GradedMatrix(self.dims, mat)
+        return GradedMatrix._adopt(self.dims, mat)
 
     @functools.cached_property
     def _table(self) -> _WeightTable:
         pair = np.ones((self.n, self.n))
         pair[: self.dims.even, : self.dims.even] = -1.0  # -str(f^+ g), entrywise
-        tops = [(la, la.sign) for la in self.labels() if la.two_m == la.two_l]
-        return _WeightTable(self.rep.j3.mat, self.rep.jm, pair, tops, self._top)
+        chains = [
+            (labels, labels[0].sign)
+            for labels in _chains(self._labels, lambda la: (la.two_j, la.mu))
+        ]
+        return _WeightTable(self.rep.j3.mat, self.rep.jm, pair, chains, self._top)
 
     def _top(self, label: HarmonicLabel) -> np.ndarray:
         top = self.highest_weight(label.two_j)
@@ -302,17 +326,27 @@ class FuzzySuperSphere:
         return top.mat
 
     def harmonic(self, label: HarmonicLabel) -> GradedMatrix:
-        return GradedMatrix(self.dims, self._table.combine({label: 1.0}))
+        return GradedMatrix._adopt(self.dims, self._table.column(label))
+
+    @functools.cached_property
+    def _labels(self) -> Tuple[HarmonicLabel, ...]:
+        return tuple(all_labels(self.q))
 
     def labels(self) -> List[HarmonicLabel]:
-        return all_labels(self.q)
+        return list(self._labels)
 
     # -- the coefficient isomorphism
 
     def decompose(self, f: GradedMatrix) -> FuzzyElement:
-        """Signed projection <Y_L|f> onto the pseudo-orthonormal basis."""
+        """Signed projection <Y_L|f> onto the pseudo-orthonormal basis.
+
+        One harmonic and one indefinite_inner per label, each O(n^2), so
+        O(n^4) in all.  It stays one inner product per label until ROADMAP
+        item 1 unpins that call count in perfbench; then item 2 replaces
+        the loop by one product per weight.
+        """
         coeffs: Dict[HarmonicLabel, complex] = {}
-        for label in self.labels():
+        for label in self._labels:
             c = label.sign * indefinite_inner(self.harmonic(label), f)
             if c != 0:
                 coeffs[label] = c
@@ -321,7 +355,7 @@ class FuzzySuperSphere:
     def reconstruct(self, e: FuzzyElement) -> GradedMatrix:
         if e.q != self.q:
             raise ValueError("level mismatch")
-        return GradedMatrix(self.dims, self._table.combine(e.coeffs))
+        return GradedMatrix._adopt(self.dims, self._table.combine(e.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -468,25 +502,30 @@ class FuzzySphere:
     @functools.cached_property
     def _table(self) -> _WeightTable:
         pair = np.full((self.n, self.n), 1.0 / self.n)  # hs_inner, entrywise
-        tops = [(la, 1) for la in self.labels() if la.two_m == la.two_j]
+        chains = [(labels, 1) for labels in _chains(self._labels, lambda la: la.two_j)]
         jm = GradedMatrix(GradedDims(self.n, 0), self.rep.jm)
         return _WeightTable(
-            self.rep.j3, jm, pair, tops, lambda la: self.highest_weight(la.two_j // 2)
+            self.rep.j3, jm, pair, chains, lambda la: self.highest_weight(la.two_j // 2)
         )
 
     def harmonic(self, label: SphereLabel) -> np.ndarray:
-        return self._table.combine({label: 1.0})
+        return self._table.column(label)
 
-    def labels(self) -> List[SphereLabel]:
-        return [
+    @functools.cached_property
+    def _labels(self) -> Tuple[SphereLabel, ...]:
+        return tuple(
             SphereLabel(2 * j, 2 * m)
             for j in range(self.q + 1)
             for m in range(j, -j - 1, -1)
-        ]
+        )
+
+    def labels(self) -> List[SphereLabel]:
+        return list(self._labels)
 
     def decompose(self, f: np.ndarray) -> Dict[SphereLabel, complex]:
+        """Orthonormal projection hs_inner(Y_L, f), one product per label."""
         out: Dict[SphereLabel, complex] = {}
-        for label in self.labels():
+        for label in self._labels:
             c = hs_inner(self.harmonic(label), f)
             if c != 0:
                 out[label] = c

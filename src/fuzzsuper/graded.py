@@ -11,8 +11,19 @@ Every parity-dependent kernel goes through one grade twist,
 tau(b) = b_even - b_odd = b * dims.twist, an elementwise product with a
 cached read-only array of +-1 (exact in floating point).  From it
 b_even = (b + tau(b)) / 2 and b_odd = (b - tau(b)) / 2, so no kernel builds
-a parity mask.  The inner products cost O(n^2); a graded commutator with a
-homogeneous left factor costs two matrix products.
+a parity mask.  The inner products cost O(n^2) and form no matrix product:
+hs_inner is one BLAS dot product (np.vdot), indefinite_inner two over row
+blocks, with the twisted even rows of its second argument as the one
+temporary.  A graded commutator with a homogeneous left factor costs two
+matrix products.
+
+Who copies and who freezes: the public GradedMatrix constructor copies the
+array it is given, because the caller may still hold and write it.  The
+results of the arithmetic operators, part, superadjoint and
+graded_commutator, and the fuzzy highest weights, harmonics and
+reconstructions, are fresh arrays; GradedMatrix._adopt freezes them in
+place without a copy.  Either way the entries of a GradedMatrix are
+read-only and shared with no other object.
 """
 
 from __future__ import annotations
@@ -67,7 +78,10 @@ class GradedDims:
 class GradedMatrix:
     """Complex square matrix with a Z2 block structure.
 
-    The entries array is defensively copied and frozen at construction.
+    The public constructor copies the entries array and freezes the copy.
+    _adopt freezes a fresh array without copying it; it is for arrays the
+    package has just computed and no one else holds, never for a view of
+    another matrix.
     """
 
     dims: GradedDims
@@ -84,12 +98,27 @@ class GradedMatrix:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _adopt(cls, dims: GradedDims, mat: np.ndarray) -> "GradedMatrix":
+        """Wrap a fresh complex (n, n) array that nothing else references.
+
+        The array is frozen in place, not copied.
+        """
+        n = dims.total
+        if mat.shape != (n, n) or mat.dtype != complex:
+            raise ValueError(f"expected a complex array of shape {(n, n)}, got {mat.dtype} {mat.shape}")
+        mat.setflags(write=False)
+        out = object.__new__(cls)
+        object.__setattr__(out, "dims", dims)
+        object.__setattr__(out, "mat", mat)
+        return out
+
+    @classmethod
     def zero(cls, dims: GradedDims) -> "GradedMatrix":
-        return cls(dims, np.zeros((dims.total, dims.total), dtype=complex))
+        return cls._adopt(dims, np.zeros((dims.total, dims.total), dtype=complex))
 
     @classmethod
     def identity(cls, dims: GradedDims) -> "GradedMatrix":
-        return cls(dims, np.eye(dims.total, dtype=complex))
+        return cls._adopt(dims, np.eye(dims.total, dtype=complex))
 
     # -- structure ----------------------------------------------------
 
@@ -99,7 +128,7 @@ class GradedMatrix:
 
     def part(self, parity: Parity) -> "GradedMatrix":
         sign = -1.0 if parity % 2 else 1.0
-        return GradedMatrix(self.dims, 0.5 * (self.mat + sign * self.mat * self.dims.twist))
+        return self._like(0.5 * (self.mat + sign * self.mat * self.dims.twist))
 
     def homogeneous_parity(self, tol: float = 1e-12) -> Optional[Parity]:
         """0 or 1 for (numerically) homogeneous matrices, None for mixed.
@@ -119,7 +148,8 @@ class GradedMatrix:
     # -- arithmetic ---------------------------------------------------
 
     def _like(self, mat: np.ndarray) -> "GradedMatrix":
-        return GradedMatrix(self.dims, mat)
+        # mat must be a fresh result, never a view of an operand
+        return GradedMatrix._adopt(self.dims, mat)
 
     def _check(self, other: "GradedMatrix") -> None:
         if self.dims != other.dims:
@@ -173,24 +203,26 @@ def superadjoint(m: GradedMatrix) -> GradedMatrix:
     ne = m.dims.even
     out = m.mat.conj().T.copy()
     out[:ne, ne:] *= -1
-    return GradedMatrix(m.dims, out)
+    return GradedMatrix._adopt(m.dims, out)
 
 
 def indefinite_inner(f: GradedMatrix, g: GradedMatrix) -> complex:
     """-supertrace(superadjoint(f) g); antilinear in f, <Id|Id> = 1.
 
     Indefinite in general: pseudo-orthonormal bases have diagonal +-1.
-    The supertrace reads only the diagonal of f^+ g.  Its entry i is the
-    column sum i of conj(f) * g, with the odd-row/even-column block negated
-    as in the superadjoint, so the cost is O(n^2) with no matrix product.
+    The supertrace reads only the diagonal of f^+ g, so the product is
+    sum conj(f) * g over all entries with the even-even block negated.  It
+    is taken as two BLAS dot products (np.vdot) over contiguous row blocks:
+    the odd rows, minus the even rows of g grade-twisted (even-even entries
+    +1, even-odd -1, both exact).  The cost is O(n^2); the one temporary is
+    the twisted even rows of g, about n^2/2 entries, and no matrix product
+    is formed.  Subtracting twice the even-even block from vdot(f, g)
+    instead would cancel.
     """
     f._check(g)
     ne = f.dims.even
-    prod = f.mat.conj()
-    prod *= g.mat
-    prod[ne:, :ne] *= -1
-    diag = prod.sum(axis=0)
-    return complex(diag[ne:].sum() - diag[:ne].sum())
+    a, b = f.mat, g.mat
+    return complex(np.vdot(a[ne:], b[ne:]) - np.vdot(a[:ne], b[:ne] * f.dims.twist[:ne]))
 
 
 def hs_inner(f: np.ndarray, g: np.ndarray) -> complex:
@@ -220,7 +252,7 @@ def graded_commutator(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
         out -= b.mat @ a_even
     if a_odd.any():
         out -= (b.mat * b.dims.twist) @ a_odd
-    return GradedMatrix(a.dims, out)
+    return GradedMatrix._adopt(a.dims, out)
 
 
 def restricted_adjoint(e: GradedMatrix, target, source) -> np.ndarray:

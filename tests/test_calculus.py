@@ -151,6 +151,15 @@ def test_body_top_degree_is_empty():
     assert d_matrix(bctx, 3).shape == (0, 9)
 
 
+def test_norm_is_the_largest_value_norm():
+    for ctx, p in ((CTX, 0), (CTX, 2), (body_context(2), 1)):
+        w = random_superform(ctx, p, RNG)
+        want = max(np.linalg.norm(v) for v in w.stack)  # per-value reference
+        assert abs(w.norm() - want) <= 1e-14 * want
+    empty = SuperForm.zero_form(body_context(2), 4)
+    assert empty.stack.size == 0 and type(empty.norm()) is float and empty.norm() == 0.0
+
+
 # ---------------------------------------------------------------- d
 
 

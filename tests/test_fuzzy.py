@@ -18,7 +18,14 @@ from fuzzsuper.fuzzy import (
     label_action,
     structure_constant_fuzzy,
 )
-from fuzzsuper.graded import hs_inner, indefinite_inner, numerical_rank, random_graded_matrix
+from fuzzsuper.graded import (
+    hs_inner,
+    indefinite_inner,
+    numerical_rank,
+    random_graded_matrix,
+    superadjoint,
+    supertrace,
+)
 from fuzzsuper.continuum import structure_constant_classical
 
 RNG = np.random.default_rng(21)
@@ -162,6 +169,28 @@ def test_harmonics_match_reference_ladder(q):
         assert np.abs(b.harmonic(la) - want).max() < 1e-10, la
 
 
+@pytest.mark.parametrize("q", [1, 2, 3, 8])
+def test_harmonic_is_the_one_hot_combination(q):
+    # the scattered column is byte for byte the one-hot product it replaced
+    for sphere in (FuzzySuperSphere(q), FuzzySphere(q)):
+        for la in sphere.labels():
+            y = sphere.harmonic(la)
+            assert getattr(y, "mat", y).tobytes() == sphere._table.combine({la: 1.0}).tobytes(), la
+
+
+def test_harmonics_and_reconstructions_are_frozen_and_unshared():
+    s, b = FuzzySuperSphere(3), FuzzySphere(3)
+    stored = [a for t in (s._table, b._table) for a in t.cols.values()]
+    e = random_element(3, n_terms=10)
+    mats = [s.harmonic(la).mat for la in s.labels()] + [s.reconstruct(e).mat]
+    for m in mats:
+        assert not m.flags.writeable
+    body = [b.harmonic(la) for la in b.labels()] + [b.reconstruct({SphereLabel(2, 0): 1.0})]
+    for m in mats + body:
+        assert not any(np.shares_memory(m, a) for a in stored)
+    assert not np.shares_memory(mats[0], s.harmonic(s.labels()[0]).mat)
+
+
 def test_unit_harmonic_is_identity():
     s = FuzzySuperSphere(3)
     y = s.harmonic(HarmonicLabel(0, 0, 0))
@@ -204,9 +233,37 @@ def test_matrix_round_trip(q):
     rng = np.random.default_rng(q)
     s, b = FuzzySuperSphere(q), FuzzySphere(q)
     f = random_graded_matrix(s.dims, rng)
-    assert (s.reconstruct(s.decompose(f)) - f).norm() <= 1e-12 * f.norm()
+    assert (s.reconstruct(s.decompose(f)) - f).norm() <= 1e-14 * f.norm()
     g = rng.normal(size=(b.n, b.n)) + 1j * rng.normal(size=(b.n, b.n))
-    assert np.linalg.norm(b.reconstruct(b.decompose(g)) - g) <= 1e-12 * np.linalg.norm(g)
+    assert np.linalg.norm(b.reconstruct(b.decompose(g)) - g) <= 1e-14 * np.linalg.norm(g)
+
+
+def test_decompose_matches_reference_loop():
+    q = 8
+    rng = np.random.default_rng(5)
+    s, b = FuzzySuperSphere(q), FuzzySphere(q)
+    f = random_graded_matrix(s.dims, rng)
+    e = s.decompose(f)
+    for la in s.labels():
+        want = la.sign * -supertrace(superadjoint(s.harmonic(la)) @ f)
+        assert abs(e.get(la) - want) <= 1e-13 * f.norm(), la
+    g = rng.normal(size=(b.n, b.n)) + 1j * rng.normal(size=(b.n, b.n))
+    got = b.decompose(g)
+    for la in b.labels():
+        want = np.trace(b.harmonic(la).conj().T @ g) / b.n  # the HS product
+        assert abs(got.get(la, 0j) - want) <= 1e-13 * np.linalg.norm(g), la
+
+
+def test_decompose_ignores_edits_of_the_label_list():
+    s, b = FuzzySuperSphere(2), FuzzySphere(2)
+    f = random_graded_matrix(s.dims, np.random.default_rng(6))
+    want, want_body = s.decompose(f).coeffs, b.decompose(f.mat[: b.n, : b.n])
+    for sphere in (s, b):
+        labels = sphere.labels()
+        labels.clear()
+        assert len(sphere.labels()) == sphere.n ** 2
+    assert s.decompose(f).coeffs == want
+    assert b.decompose(f.mat[: b.n, : b.n]) == want_body
 
 
 def test_psi_round_trip():

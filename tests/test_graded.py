@@ -168,6 +168,29 @@ def test_inner_products_match_trace_reference(dims):
             assert abs(indefinite_inner(f, g) - want) <= 1e-12 * f.norm() * g.norm()
             want = np.trace(f.mat.conj().T @ g.mat) / dims.total
             assert abs(hs_inner(f.mat, g.mat) - want) <= 1e-12 * f.norm() * g.norm()
+    # entries in Fortran order: the row blocks are not contiguous
+    f = GradedMatrix(dims, random_graded_matrix(dims, rng).mat.T)
+    want = -supertrace(superadjoint(f) @ g)
+    assert abs(indefinite_inner(f, g) - want) <= 1e-12 * f.norm() * g.norm()
+
+
+def test_results_are_frozen_and_share_no_operand_memory():
+    f, g = rand(), rand(ODD)
+    results = [
+        f + g, f - g, -f, f * 2.0, 3j * f, f / 3.0, f @ g,
+        f.part(EVEN), superadjoint(f), graded_commutator(g, f),
+        GradedMatrix.zero(DIMS), GradedMatrix.identity(DIMS),
+    ]
+    for r in results:
+        assert not r.mat.flags.writeable
+        assert not any(np.shares_memory(r.mat, x.mat) for x in (f, g))
+    # the public constructor copies what the caller still holds
+    a = np.eye(DIMS.total, dtype=complex)
+    m = GradedMatrix(DIMS, a)
+    assert a.flags.writeable and not np.shares_memory(a, m.mat) and not m.mat.flags.writeable
+    for bad in (np.zeros((DIMS.total, DIMS.total)), np.zeros((4, 4), dtype=complex)):
+        with pytest.raises(ValueError):
+            GradedMatrix._adopt(DIMS, bad)
 
 
 def test_twist_is_shared_and_read_only():
