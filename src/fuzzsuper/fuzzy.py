@@ -26,19 +26,19 @@ from .graded import (
     GradedMatrix,
     entry_weights,
     graded_commutator,
-    hs_inner,
     indefinite_inner,
     restricted_adjoint,
 )
 from .osp import Irrep, OspBasis, Sl2Irrep, build_irrep, build_osp_basis, build_sl2_irrep, label_parity
 
 
-def _dfact(n: int) -> int:
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
+def _binomial_diagonal(a: int, b: int, top: int, count: int, num: int, den: int) -> np.ndarray:
+    """sqrt(num C(r+a, a) C(top-r, b) / den) for r = 0..count-1.
+
+    Each square is one exact integer ratio, rounded once, so a top's
+    entries neither underflow nor overflow, however small its norm.
+    """
+    return np.sqrt([num * math.comb(r + a, a) * math.comb(top - r, b) / den for r in range(count)])
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +168,17 @@ class _WeightTable:
     m (graded.entry_weights).  For each m the table keeps those entries and
     one column per label, labels sorted by descending l.  ``chains`` lists
     (labels, sign) per chain, its labels from the top weight 2l down, and
-    ``top(label)`` gives the matrix of a chain's top.  ``where`` is keyed by
-    those same label objects.  One sweep down from the top weight
+    ``top(label)`` gives the matrix of a chain's top.  ``where`` gives the
+    column of each label at its weight label.two_m, keyed by those same
+    label objects.  One sweep down from the top weight
     builds every chain: from its top matrix, gathered onto its entries, each
     step applies ad J_- between the entries (graded.restricted_adjoint) and
     divides by the ladder's sqrt(step).  The step then loses its components
     along the columns of larger l at that weight, in the pairing given
     entrywise by ``pair`` and the label signs.  Those components vanish in
     exact arithmetic; in floating point they are the rounding noise that
-    later steps would amplify.
+    later steps would amplify.  ``project`` inverts ``combine`` with the same
+    pairing: one product per weight.
     """
 
     def __init__(self, j3: np.ndarray, jm: GradedMatrix, pair: np.ndarray, chains: list, top) -> None:
@@ -185,7 +187,10 @@ class _WeightTable:
         self.n = len(diff)
         self.entries: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self.cols: Dict[int, np.ndarray] = {}
-        self.where: Dict[object, Tuple[int, int]] = {}
+        self.labels: Dict[int, tuple] = {}  # the labels of each weight, in column order
+        self.pair: Dict[int, np.ndarray] = {}  # pair on the entries of each weight
+        self.signs: Dict[int, np.ndarray] = {}  # the label signs, in column order
+        self.where: Dict[object, int] = {}
         for two_m in np.unique(diff)[::-1].tolist():
             live = [
                 ch for ch in chains
@@ -206,13 +211,14 @@ class _WeightTable:
             for k, j in enumerate(np.searchsorted(neg_l, neg_l[:k0])):  # j columns of larger l
                 h[:, k] -= h[:, :j] @ (s[:j] * (h[:, :j].conj().T @ (w * h[:, k])))
             self.entries[two_m], self.cols[two_m] = (r, c), h
-            for k, (labels, _) in enumerate(live):
-                self.where[labels[(labels[0].two_m - two_m) // 2]] = (two_m, k)
+            self.labels[two_m] = tuple(labels[(labels[0].two_m - two_m) // 2] for labels, _ in live)
+            self.pair[two_m], self.signs[two_m] = w, s
+            self.where.update((label, k) for k, label in enumerate(self.labels[two_m]))
 
     def _locate(self, label) -> Tuple[int, int]:
         if label not in self.where:
             raise ValueError(f"label {label} does not exist at this level")
-        return self.where[label]
+        return label.two_m, self.where[label]
 
     def column(self, label) -> np.ndarray:
         """Y_label as a fresh n x n array: its stored column scattered onto its entries."""
@@ -221,12 +227,32 @@ class _WeightTable:
         out[self.entries[two_m]] = self.cols[two_m][:, k]
         return out
 
+    def project_weight(self, f: np.ndarray, two_m: int) -> np.ndarray:
+        """The coefficients of f on the labels of weight two_m, in column order.
+
+        sign_L <Y_L|f> for each label L, as one product: signs * cols^H (pair * f)
+        on the entries of that weight.
+        """
+        x = self.pair[two_m] * f[self.entries[two_m]]
+        return self.signs[two_m] * (self.cols[two_m].conj().T @ x)
+
+    def project(self, f: np.ndarray) -> Dict[object, complex]:
+        """The inverse of combine: the coefficient of every label, one product per weight."""
+        out: Dict[object, complex] = {}
+        for two_m, labels in self.labels.items():
+            out.update(zip(labels, self.project_weight(f, two_m).tolist()))
+        return out
+
     def combine(self, coeffs) -> np.ndarray:
         """sum_L coeffs[L] Y_L, one product per weight that occurs."""
         vecs: Dict[int, np.ndarray] = {}
         for label, c in coeffs.items():
             two_m, k = self._locate(label)
             vecs.setdefault(two_m, np.zeros(self.cols[two_m].shape[1], dtype=complex))[k] += c
+        return self.assemble(vecs)
+
+    def assemble(self, vecs: Dict[int, np.ndarray]) -> np.ndarray:
+        """The matrix with coefficient vector vecs[m] on the columns of each weight m."""
         out = np.zeros((self.n, self.n), dtype=complex)
         for two_m, v in vecs.items():
             out[self.entries[two_m]] = self.cols[two_m] @ v
@@ -284,30 +310,35 @@ class FuzzySuperSphere:
     # -- harmonics
 
     def highest_weight(self, two_j: int) -> GradedMatrix:
-        """The (j, l=j, m=j) harmonic, a polynomial in the generators."""
+        """The (j, l=j, m=j) harmonic, a polynomial in the generators.
+
+        For integer j it is N_j J_+^j; for j = k + 1/2 it is N_j J_+^k times
+        the odd core (J_3 - 3/4) J_4 + J_+ J_5.  The norm N_j makes
+        <Y|Y> = 1.  Either is nonzero only on the entries of weight j: one
+        diagonal in each block of the even top, one in each off-diagonal
+        block of the odd top.  Each squared entry there is a ratio of
+        binomials, so the top is written from those diagonals, every entry
+        from exact integers, and no power of J_+ is formed.
+        """
         q = self.q
         if two_j < 0 or two_j > 2 * q:
             raise ValueError(f"superspin 2j={two_j} out of range at level {q}")
-        jp = self.rep.matrix("+").mat
+        # first rows of the even l = (q-1)/2 block and the odd l = q/2 block
+        lo, hi = self.rep.index[(q - 1, q - 1)], self.rep.index[(q, q)]
+        out = np.zeros((self.n, self.n), dtype=complex)
         if two_j % 2 == 0:
             j = two_j // 2
-            norm = math.sqrt(
-                2**j * _dfact(2 * j - 1) * math.factorial(q - j)
-                / (math.factorial(j) * math.factorial(q + j))
-            )
-            mat = norm * np.linalg.matrix_power(jp, j)
+            den = math.comb(q + j, 2 * j)
+            for two_l, start in ((q - 1, lo), (q, hi)):
+                idx = start + np.arange(two_l + 1 - j)
+                out[idx, idx + j] = _binomial_diagonal(j, j, two_l, two_l + 1 - j, 1, den)
         else:
             k = (two_j - 1) // 2
-            norm = (1.0 / (q + 0.5)) * math.sqrt(
-                2 ** (k + 4)
-                * _dfact(2 * k + 1)
-                * math.factorial(q - k - 1)
-                / (math.factorial(k) * math.factorial(q + k + 1))
-            )
-            j3, j4, j5 = (self.rep.matrix(a).mat for a in (3, 4, 5))
-            core = (j3 - 0.75 * np.eye(self.n)) @ j4 + jp @ j5
-            mat = norm * (np.linalg.matrix_power(jp, k) @ core)
-        return GradedMatrix._adopt(self.dims, mat)
+            num, den = k + 1, (q - k) * math.comb(q + k + 1, 2 * k + 1)
+            idx = np.arange(q - k)
+            out[lo + idx, hi + k + 1 + idx] = _binomial_diagonal(k + 1, k, q - 1, q - k, num, den)
+            out[hi + idx, lo + k + idx] = -_binomial_diagonal(k, k + 1, q, q - k, num, den)
+        return GradedMatrix._adopt(self.dims, out)
 
     @functools.cached_property
     def _table(self) -> _WeightTable:
@@ -341,9 +372,11 @@ class FuzzySuperSphere:
         """Signed projection <Y_L|f> onto the pseudo-orthonormal basis.
 
         One harmonic and one indefinite_inner per label, each O(n^2), so
-        O(n^4) in all.  It stays one inner product per label until ROADMAP
-        item 1 unpins that call count in perfbench; then item 2 replaces
-        the loop by one product per weight.
+        O(n^4) in all.  The benchmark's span test pins that call count (49
+        inner products at q = 3), so the loop stays until that pin is
+        lifted (ROADMAP item 1); then this becomes the weight table's
+        ``project``, one product per weight, as FuzzySphere.decompose and
+        body_map_fuzzy already are.
         """
         coeffs: Dict[HarmonicLabel, complex] = {}
         for label in self._labels:
@@ -356,6 +389,23 @@ class FuzzySuperSphere:
         if e.q != self.q:
             raise ValueError("level mismatch")
         return GradedMatrix._adopt(self.dims, self._table.combine(e.coeffs))
+
+    @functools.cached_property
+    def _body_images(self) -> Dict[int, Tuple[np.ndarray, np.ndarray]]:
+        """body_label_image of the labels of each even weight, in column order.
+
+        A label has the parity of its 2m, so the even weights carry exactly
+        the even labels.  Per weight: the body table column of each image
+        and its weight.  A body table keeps the labels of a weight by
+        descending l from l = q, so the image (l, m) is its column q - l.
+        """
+        out = {}
+        for two_m, labels in self._table.labels.items():
+            if two_m % 2 == 0:
+                images = [body_label_image(label) for label in labels]
+                rows = np.array([self.q - target.two_j // 2 for target, _ in images])
+                out[two_m] = rows, np.array([w for _, w in images])
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -490,14 +540,18 @@ class FuzzySphere:
         return g @ f - f @ g
 
     def highest_weight(self, j: int) -> np.ndarray:
+        """The (j, m=j) harmonic N_j J_+^j, written from its one diagonal.
+
+        Its squared entries are (q+1) C(r+j, j) C(q-r, j) / C(q+j+1, 2j+1),
+        each from exact integers, so no power of J_+ is formed.
+        """
         q = self.q
         if j < 0 or j > q:
             raise ValueError(f"spin {j} out of range at level {q}")
-        norm = math.sqrt(
-            2**j * _dfact(2 * j + 1) * (q + 1) * math.factorial(q - j)
-            / (math.factorial(j) * math.factorial(q + j + 1))
-        )
-        return norm * np.linalg.matrix_power(self.rep.matrix("+"), j)
+        out = np.zeros((self.n, self.n), dtype=complex)
+        idx = np.arange(q + 1 - j)
+        out[idx, idx + j] = _binomial_diagonal(j, j, q, q + 1 - j, q + 1, math.comb(q + j + 1, 2 * j + 1))
+        return out
 
     @functools.cached_property
     def _table(self) -> _WeightTable:
@@ -523,13 +577,11 @@ class FuzzySphere:
         return list(self._labels)
 
     def decompose(self, f: np.ndarray) -> Dict[SphereLabel, complex]:
-        """Orthonormal projection hs_inner(Y_L, f), one product per label."""
-        out: Dict[SphereLabel, complex] = {}
-        for label in self._labels:
-            c = hs_inner(self.harmonic(label), f)
-            if c != 0:
-                out[label] = c
-        return out
+        """Orthonormal projection hs_inner(Y_L, f), one product per weight."""
+        f = np.asarray(f)
+        if f.shape != (self.n, self.n):
+            raise ValueError(f"need a {self.n} x {self.n} matrix, got shape {f.shape}")
+        return {label: c for label, c in self._table.project(f).items() if c != 0}
 
     def reconstruct(self, coeffs: Dict[SphereLabel, complex]) -> np.ndarray:
         return self._table.combine(coeffs)
@@ -568,13 +620,22 @@ def body_map_fuzzy(
 ) -> np.ndarray:
     """The noncommutative body projection End(V(q/2)) -> End(V_q/2, sl2).
 
-    Decompose, drop odd labels, rescale even ones, reassemble downstairs.
+    Project f onto the super harmonics of each even weight, one product per
+    weight (the odd weights carry only odd labels), rescale the even labels
+    by body_label_image and assemble their images on the body table.  This
+    is body_map_coeffs of sphere.decompose(f), without a loop over labels.
     Linear, rotation-equivariant and a cochain map, onto End(V_q/2) with
     kernel of dimension (2q+1)^2 - (q+1)^2; not an algebra homomorphism.
     """
     if sphere.q != body.q:
         raise ValueError("levels of the super and body spheres must agree")
-    return body.reconstruct(body_map_coeffs(sphere.decompose(f)))
+    if f.dims != sphere.dims:
+        raise ValueError(f"dimension mismatch: {f.dims} vs {sphere.dims}")
+    vecs: Dict[int, np.ndarray] = {}
+    for two_m, (rows, weights) in sphere._body_images.items():
+        vecs[two_m] = np.zeros(len(body._table.labels[two_m]), dtype=complex)
+        np.add.at(vecs[two_m], rows, weights * sphere._table.project_weight(f.mat, two_m))
+    return body._table.assemble(vecs)
 
 
 def body_map_matrix(sphere: FuzzySuperSphere, body: FuzzySphere) -> np.ndarray:

@@ -11,6 +11,7 @@ from fuzzsuper.fuzzy import (
     SphereLabel,
     all_labels,
     body_label_image,
+    body_map_coeffs,
     body_map_fuzzy,
     body_map_matrix,
     eta,
@@ -19,6 +20,7 @@ from fuzzsuper.fuzzy import (
     structure_constant_fuzzy,
 )
 from fuzzsuper.graded import (
+    GradedMatrix,
     hs_inner,
     indefinite_inner,
     numerical_rank,
@@ -54,6 +56,44 @@ def reference_body_chain(b, j):
         cur = b.adjoint_action("-", cur) / math.sqrt((j + m) * (j - m + 1))
         chain[m - 1] = cur
     return chain
+
+
+def _double_factorial(n):
+    return math.prod(range(n, 1, -2))
+
+
+def reference_super_top(s, two_j):
+    """A chain top as N_j J_+^j, or N_j J_+^k times the odd core, by matrix powers."""
+    q, jp = s.q, s.rep.matrix("+").mat
+    if two_j % 2 == 0:
+        j = two_j // 2
+        norm = math.sqrt(
+            2**j * _double_factorial(2 * j - 1) * math.factorial(q - j)
+            / (math.factorial(j) * math.factorial(q + j))
+        )
+        return norm * np.linalg.matrix_power(jp, j)
+    k = (two_j - 1) // 2
+    norm = (1.0 / (q + 0.5)) * math.sqrt(
+        2 ** (k + 4) * _double_factorial(2 * k + 1) * math.factorial(q - k - 1)
+        / (math.factorial(k) * math.factorial(q + k + 1))
+    )
+    j3, j4, j5 = (s.rep.matrix(a).mat for a in (3, 4, 5))
+    core = (j3 - 0.75 * np.eye(s.n)) @ j4 + jp @ j5
+    return norm * (np.linalg.matrix_power(jp, k) @ core)
+
+
+def reference_body_top(b, j):
+    q = b.q
+    norm = math.sqrt(
+        2**j * _double_factorial(2 * j + 1) * (q + 1) * math.factorial(q - j)
+        / (math.factorial(j) * math.factorial(q + j + 1))
+    )
+    return norm * np.linalg.matrix_power(b.rep.matrix("+"), j)
+
+
+def reference_body_map(f, s, b):
+    """The body map as the composition of decompose, the label map and reconstruct."""
+    return b.reconstruct(body_map_coeffs(s.decompose(f)))
 
 
 def reference_label_action(a, e):
@@ -191,6 +231,40 @@ def test_harmonics_and_reconstructions_are_frozen_and_unshared():
     assert not np.shares_memory(mats[0], s.harmonic(s.labels()[0]).mat)
 
 
+@pytest.mark.parametrize("q", [1, 2, 7, 24, 48])
+def test_tops_match_matrix_powers(q):
+    s, b = FuzzySuperSphere(q), FuzzySphere(q)
+    for two_j in range(2 * q + 1):
+        want = reference_super_top(s, two_j)
+        got = s.highest_weight(two_j).mat
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want), two_j
+    for j in range(q + 1):
+        want = reference_body_top(b, j)
+        assert np.linalg.norm(b.highest_weight(j) - want) <= 1e-14 * np.linalg.norm(want), j
+
+
+@pytest.mark.parametrize("q", [104, 128])
+def test_chain_tops_stay_unit_past_the_factorial_underflow(q):
+    # N_j^2 of the body top at j = q is 0.0 in floating point from q = 104 on
+    s, b = FuzzySuperSphere(q), FuzzySphere(q)
+    for label in s.labels():
+        if label.two_m == label.two_l:  # the top of the chain (j, mu)
+            y = GradedMatrix(s.dims, s._top(label))
+            assert np.isfinite(y.mat).all(), label
+            assert abs(indefinite_inner(y, y) - label.sign) <= 1e-13, label
+    for j in range(q + 1):
+        y = b.highest_weight(j)
+        assert np.isfinite(y).all(), j
+        assert abs(hs_inner(y, y) - 1.0) <= 1e-13, j
+
+
+def test_body_round_trip_at_q104():
+    b = FuzzySphere(104)
+    rng = np.random.default_rng(104)
+    g = rng.normal(size=(b.n, b.n)) + 1j * rng.normal(size=(b.n, b.n))
+    assert np.linalg.norm(b.reconstruct(b.decompose(g)) - g) <= 1e-14 * np.linalg.norm(g)
+
+
 def test_unit_harmonic_is_identity():
     s = FuzzySuperSphere(3)
     y = s.harmonic(HarmonicLabel(0, 0, 0))
@@ -252,6 +326,16 @@ def test_decompose_matches_reference_loop():
     for la in b.labels():
         want = np.trace(b.harmonic(la).conj().T @ g) / b.n  # the HS product
         assert abs(got.get(la, 0j) - want) <= 1e-13 * np.linalg.norm(g), la
+
+
+@pytest.mark.parametrize("q", [2, 8])
+def test_projection_matches_decompose(q):
+    s = FuzzySuperSphere(q)
+    f = random_graded_matrix(s.dims, np.random.default_rng(q))
+    want = s.decompose(f)
+    got = s._table.project(f.mat)
+    assert set(got) == set(s.labels())
+    assert FuzzyElement(q, got).max_abs_diff(want) <= 1e-14 * f.norm()
 
 
 def test_decompose_ignores_edits_of_the_label_list():
@@ -415,6 +499,25 @@ def test_body_kernel_dimension(q):
     rank = numerical_rank(mat)
     assert rank == (q + 1) ** 2
     assert mat.shape[1] - rank == (2 * q + 1) ** 2 - (q + 1) ** 2
+
+
+@pytest.mark.parametrize("q", range(1, 9))
+def test_body_map_matches_the_decompose_composition(q):
+    s, b = FuzzySuperSphere(q), FuzzySphere(q)
+    rng = np.random.default_rng(q)
+    inputs = list(s.coordinates()) + [random_graded_matrix(s.dims, rng) for _ in range(3)]
+    for f in inputs:
+        want = reference_body_map(f, s, b)
+        got = body_map_fuzzy(f, s, b)
+        assert np.linalg.norm(got - want) <= 1e-14 * f.norm()
+
+
+def test_body_map_and_body_decompose_reject_other_sizes():
+    s, b = FuzzySuperSphere(3), FuzzySphere(3)
+    with pytest.raises(ValueError):
+        body_map_fuzzy(FuzzySuperSphere(4).coordinates()[2], s, b)
+    with pytest.raises(ValueError):
+        b.decompose(np.eye(b.n + 1))
 
 
 def test_body_map_equivariance():
