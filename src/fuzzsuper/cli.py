@@ -67,8 +67,8 @@ from .fuzzy import (
     FuzzySuperSphere,
     HarmonicLabel,
     all_labels,
+    body_map_blocks,
     body_map_fuzzy,
-    body_map_matrix,
     fuzzy_product,
     structure_constant_fuzzy,
 )
@@ -228,8 +228,8 @@ def _suite_body(q: int, rho: float, tol: float, rng) -> List[CheckResult]:
             lhs = body_map_fuzzy(sphere.adjoint_action(a, f), sphere, body)
             rhs = body.adjoint_action(a, body_map_fuzzy(f, sphere, body))
             eq_worst = max(eq_worst, float(np.linalg.norm(lhs - rhs)))
-    mat = body_map_matrix(sphere, body)
-    kernel = mat.shape[1] - numerical_rank(mat)
+    blocks = body_map_blocks(sphere, body).values()
+    kernel = sum(block.shape[1] - numerical_rank(block) for block in blocks)
     expect = (2 * q + 1) ** 2 - (q + 1) ** 2
     return [
         CheckResult("body", "coordinates map across", q, worst, tol),

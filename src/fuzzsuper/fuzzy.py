@@ -7,7 +7,7 @@ End of the spin-q/2 sl2 irrep, is the target of the body map.  All
 normalizations are fixed once by the highest-weight matrices; everything
 else is generated by ladder steps, so orthonormality is a theorem here, not
 a fitting procedure.  Both spheres keep their harmonics in one weight table,
-built in one sweep; its one projection per step removes only rounding noise.
+built in one sweep; its one projection per weight removes only rounding noise.
 """
 
 from __future__ import annotations
@@ -173,11 +173,17 @@ class _WeightTable:
     label objects.  One sweep down from the top weight
     builds every chain: from its top matrix, gathered onto its entries, each
     step applies ad J_- between the entries (graded.restricted_adjoint) and
-    divides by the ladder's sqrt(step).  The step then loses its components
+    divides by the ladder's sqrt(step).  The steps then lose their components
     along the columns of larger l at that weight, in the pairing given
     entrywise by ``pair`` and the label signs.  Those components vanish in
     exact arithmetic; in floating point they are the rounding noise that
-    later steps would amplify.  ``project`` inverts ``combine`` with the same
+    later steps would amplify.  Only steps are projected (a top has l = m,
+    the least l at its weight), and only against steps of strictly larger l,
+    all in one product per weight: the signed Gram G of the steps, masked to
+    those pairs, then steps -= steps @ G.  G is read from the unprojected
+    steps, where a column-by-column sweep would read the already projected
+    ones; each such correction is O(eps) and meets an O(eps) overlap, so the
+    two differ by O(eps^2).  ``project`` inverts ``combine`` with the same
     pairing: one product per weight.
     """
 
@@ -198,18 +204,19 @@ class _WeightTable:
             ]
             tops = [labels[0] for labels, _ in live]
             r, c = np.nonzero(diff == two_m)
+            w, s = pair[r, c], np.array([sign for _, sign in live], dtype=float)
             h = np.empty((len(r), len(live)), dtype=complex)
             k0 = sum(la.two_m > two_m for la in tops)  # chains stepping down from two_m + 2
             if k0:
                 ad = restricted_adjoint(jm, (r, c), self.entries[two_m + 2])
-                step = [(la.two_m + two_m + 2) // 2 * ((la.two_m - two_m) // 2) for la in tops[:k0]]
-                h[:, :k0] = ad @ self.cols[two_m + 2][:, :k0] / np.sqrt(step)
+                two_l = np.array([la.two_m for la in tops[:k0]])
+                step = (two_l + two_m + 2) // 2 * ((two_l - two_m) // 2)
+                steps = ad @ self.cols[two_m + 2][:, :k0] / np.sqrt(step)
+                g = s[:k0, None] * (steps.conj().T @ (w[:, None] * steps))
+                g[two_l[:, None] <= two_l] = 0  # step i enters step k only if l_i > l_k
+                h[:, :k0] = steps - steps @ g
             for k in range(k0, len(live)):
                 h[:, k] = top(tops[k])[r, c]
-            w, s = pair[r, c], np.array([sign for _, sign in live], dtype=float)
-            neg_l = np.array([-la.two_m for la in tops])
-            for k, j in enumerate(np.searchsorted(neg_l, neg_l[:k0])):  # j columns of larger l
-                h[:, k] -= h[:, :j] @ (s[:j] * (h[:, :j].conj().T @ (w * h[:, k])))
             self.entries[two_m], self.cols[two_m] = (r, c), h
             self.labels[two_m] = tuple(labels[(labels[0].two_m - two_m) // 2] for labels, _ in live)
             self.pair[two_m], self.signs[two_m] = w, s
@@ -636,6 +643,26 @@ def body_map_fuzzy(
         vecs[two_m] = np.zeros(len(body._table.labels[two_m]), dtype=complex)
         np.add.at(vecs[two_m], rows, weights * sphere._table.project_weight(f.mat, two_m))
     return body._table.assemble(vecs)
+
+
+def body_map_blocks(sphere: FuzzySuperSphere, body: FuzzySphere) -> Dict[int, np.ndarray]:
+    """The body map one weight at a time, the blocks of body_map_matrix.
+
+    The map keeps the weight, so body_map_matrix is block diagonal over it.
+    The block of weight m takes the super labels of weight m to the body
+    labels of weight m, both in their table's column order.  An odd weight
+    has no body labels, so its block has no rows.  The blocks hold O(q^3)
+    entries in all, against O(q^4) for the dense matrix.
+    """
+    if sphere.q != body.q:
+        raise ValueError("levels of the super and body spheres must agree")
+    out = {}
+    for two_m, labels in sphere._table.labels.items():
+        out[two_m] = np.zeros((len(body._table.labels.get(two_m, ())), len(labels)))
+        if two_m in sphere._body_images:
+            rows, weights = sphere._body_images[two_m]
+            out[two_m][rows, np.arange(len(rows))] = weights
+    return out
 
 
 def body_map_matrix(sphere: FuzzySuperSphere, body: FuzzySphere) -> np.ndarray:

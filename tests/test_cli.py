@@ -90,6 +90,14 @@ def test_verify_unknown_suite_is_usage_error():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("q", [1, 4])
+def test_verify_body_counts_the_kernel_on_weight_blocks(capsys, q):
+    code, out = run(capsys, "verify", "--q", str(q), "--suite", "body", "--format", "json")
+    assert code == 0
+    rows = {row["name"]: row for row in json.loads(out)["results"]}
+    assert rows["kernel dimension"]["passed"] and rows["kernel dimension"]["residual"] == 0
+
+
 def test_verify_json_format(capsys):
     code, out = run(
         capsys, "verify", "--q", "1", "--suite", "casimir", "--format", "json"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from fuzzsuper.fuzzy import (
     SphereLabel,
     all_labels,
     body_label_image,
+    body_map_blocks,
     body_map_coeffs,
     body_map_fuzzy,
     body_map_matrix,
@@ -20,11 +22,13 @@ from fuzzsuper.fuzzy import (
     structure_constant_fuzzy,
 )
 from fuzzsuper.graded import (
+    GradedDims,
     GradedMatrix,
     hs_inner,
     indefinite_inner,
     numerical_rank,
     random_graded_matrix,
+    restricted_adjoint,
     superadjoint,
     supertrace,
 )
@@ -56,6 +60,44 @@ def reference_body_chain(b, j):
         cur = b.adjoint_action("-", cur) / math.sqrt((j + m) * (j - m + 1))
         chain[m - 1] = cur
     return chain
+
+
+def reference_sequential_cols(table, jm, top, two_l):
+    """The table's columns rebuilt by the per-column projection loop.
+
+    The same sweep as _WeightTable, on its entries, labels, pairing and
+    signs, but each step column is projected in turn against the columns of
+    larger l, already projected, one matrix-vector product at a time.
+    """
+    cols = {}
+    for two_m in sorted(table.labels, reverse=True):
+        labels, (r, c) = table.labels[two_m], table.entries[two_m]
+        h = np.empty((len(r), len(labels)), dtype=complex)
+        for k, la in enumerate(labels):
+            if two_l(la) == two_m:
+                h[:, k] = top(la)[r, c]
+                continue
+            above = dataclasses.replace(la, two_m=two_m + 2)
+            ad = restricted_adjoint(jm, (r, c), table.entries[two_m + 2])
+            step = ((two_l(la) + two_m + 2) // 2) * ((two_l(la) - two_m) // 2)
+            h[:, k] = ad @ cols[two_m + 2][:, table.where[above]] / math.sqrt(step)
+        w, s = table.pair[two_m], table.signs[two_m]
+        neg_l = np.array([-two_l(la) for la in labels])
+        k0 = sum(two_l(la) > two_m for la in labels)
+        for k, j in enumerate(np.searchsorted(neg_l, neg_l[:k0])):  # j columns of larger l
+            h[:, k] -= h[:, :j] @ (s[:j] * (h[:, :j].conj().T @ (w * h[:, k])))
+        cols[two_m] = h
+    return cols
+
+
+def table_gram_residual(table):
+    """max |signs cols^H (pair cols) - I| over the weights of a table."""
+    return max(
+        np.abs(
+            table.signs[m][:, None] * (h.conj().T @ (table.pair[m][:, None] * h)) - np.eye(h.shape[1])
+        ).max()
+        for m, h in table.cols.items()
+    )
 
 
 def _double_factorial(n):
@@ -256,6 +298,38 @@ def test_chain_tops_stay_unit_past_the_factorial_underflow(q):
         y = b.highest_weight(j)
         assert np.isfinite(y).all(), j
         assert abs(hs_inner(y, y) - 1.0) <= 1e-13, j
+
+
+@pytest.mark.parametrize("q", [2, 8, 16])
+def test_table_matches_the_per_column_projection(q):
+    # one masked projection per weight, its Gram read from the unprojected
+    # columns, against the loop that projected one step column at a time
+    s, b = FuzzySuperSphere(q), FuzzySphere(q)
+    body_jm = GradedMatrix(GradedDims(b.n, 0), b.rep.jm)
+    cases = [
+        (s._table, s.rep.jm, s._top, lambda la: la.two_l),
+        (b._table, body_jm, lambda la: b.highest_weight(la.two_j // 2), lambda la: la.two_j),
+    ]
+    for table, jm, top, two_l in cases:
+        want = reference_sequential_cols(table, jm, top, two_l)
+        for two_m, h in table.cols.items():
+            assert np.abs(h - want[two_m]).max() <= 1e-14, two_m
+
+
+@pytest.mark.parametrize("q", [32, 64])
+def test_table_columns_are_pseudo_orthonormal_per_weight(q):
+    for sphere in (FuzzySuperSphere(q), FuzzySphere(q)):
+        assert table_gram_residual(sphere._table) <= 1e-12
+
+
+@pytest.mark.parametrize("q", [104, 128])
+def test_super_table_round_trip_at_large_q(q):
+    # decompose is still one inner product per label, so O(n^4): the table alone
+    s = FuzzySuperSphere(q)
+    rng = np.random.default_rng(q)
+    f = rng.normal(size=(s.n, s.n)) + 1j * rng.normal(size=(s.n, s.n))
+    back = s._table.combine(s._table.project(f))
+    assert np.linalg.norm(back - f) <= 3e-14 * np.linalg.norm(f)
 
 
 def test_body_round_trip_at_q104():
@@ -499,6 +573,16 @@ def test_body_kernel_dimension(q):
     rank = numerical_rank(mat)
     assert rank == (q + 1) ** 2
     assert mat.shape[1] - rank == (2 * q + 1) ** 2 - (q + 1) ** 2
+    # the weight blocks are the dense matrix's rows and columns of each weight
+    rows = {la: i for i, la in enumerate(b.labels())}
+    cols = {la: i for i, la in enumerate(s.labels())}
+    blocks = body_map_blocks(s, b)
+    assert sorted(blocks) == sorted(s._table.labels)
+    for two_m, block in blocks.items():
+        r = [rows[la] for la in b._table.labels.get(two_m, ())]
+        c = [cols[la] for la in s._table.labels[two_m]]
+        assert np.array_equal(block, mat[np.ix_(r, c)]), two_m
+    assert sum(np.count_nonzero(block) for block in blocks.values()) == np.count_nonzero(mat)
 
 
 @pytest.mark.parametrize("q", range(1, 9))
