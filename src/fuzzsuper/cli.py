@@ -47,20 +47,19 @@ from .calculus import (
     wedge,
 )
 from .continuum import (
+    QQi,
     SuperPoly,
     berezin_radial_sum,
     classical_harmonic,
     cross_involution,
     format_superpoly,
     harmonic_sign,
-    inner_S,
     inner_S_exact,
     normal_form,
     parse_superpoly,
     sphere_relation,
     structure_constant_classical,
 )
-from .continuum import QQi
 from .fuzzy import (
     FuzzyElement,
     FuzzySphere,
@@ -303,18 +302,25 @@ def _suite_oracle(q: int, rho_frac: Fraction, tol: float, rng) -> List[CheckResu
         g = SuperPoly(*comps)
         if not berezin_radial_sum(rel * g, rho_frac).is_zero():
             ideal_worst = 1.0
-    gram_worst = 0.0
-    labels = [(la.two_j, la.mu, la.two_m) for la in all_labels(2) if la.two_j < 4]
+    # exact Gram for 2j <= 6: a zero core off the diagonal, the signature on
+    # it; the residual counts the entries that miss
+    gram_misses = 0
+    labels = [(la.two_j, la.mu, la.two_m) for la in all_labels(3)]
     harms = [(lab, classical_harmonic(*lab, rho_frac)) for lab in labels]
     for i, (la, ya) in enumerate(harms):
         for lb, yb in harms[i:]:
-            v = inner_S(ya, yb, rho_frac)
-            want = harmonic_sign(la[0], la[1]) if la == lb else 0.0
-            gram_worst = max(gram_worst, abs(v - want))
+            core, scale = inner_S_exact(ya, yb, rho_frac)
+            if la != lb:
+                exact = core.is_zero()
+            else:
+                rational = scale.exact()
+                want = QQi.of(harmonic_sign(la[0], la[1]))
+                exact = rational is not None and core * QQi.of(rational) == want
+            gram_misses += not exact
     return [
         CheckResult("oracle", "unit normalization", None, unit, 0.0),
         CheckResult("oracle", "ideal integrates to zero", None, ideal_worst, 0.0),
-        CheckResult("oracle", "classical gram", None, gram_worst, max(tol, 1e-12)),
+        CheckResult("oracle", "classical gram exact", None, float(gram_misses), 0.0),
     ]
 
 

@@ -11,10 +11,17 @@ is eliminated exactly, and Berezin-spherical integration reduces to closed
 rational sphere moments.  The inner products pair two polynomials without
 forming their product: a monomial pair contributes only when its exponents
 have equal parity, and only the even components of cross(f) * g are
-summed, in integer arithmetic over common denominators.  Irrational
-normalization prefactors are carried separately as a single surd per
-harmonic so that orthonormality and structure constants come out exact up
-to one final square root.
+summed.  Irrational normalization prefactors are carried separately as a
+single surd per harmonic so that orthonormality and structure constants
+come out exact up to one final square root.
+
+The kernels run in Python integers.  Each polynomial computes once, and
+keeps, its integer form: one common denominator over all four components
+and the integer numerators of every term.  Products, normal forms, vector
+fields, the Berezin pairing and the sphere average sum integers over
+products of such denominators (and powers of rho = P/R), and Fractions
+are formed only for the results: one per output coefficient, two per
+inner product.
 
 The generators of osp(1|2) act as first-order graded vector fields.  Each
 field is data: a table of terms, coefficient times x_a d/dx_b from one
@@ -29,10 +36,11 @@ independent ground truth the fuzzy constructions are tested against.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import re
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Tuple, Union
 
 Mono = Tuple[int, int, int]
 
@@ -84,7 +92,7 @@ class QQi:
         return QQi(self.re, -self.im)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.re or self.im)
 
     def __complex__(self) -> complex:
         return float(self.re) + 1j * float(self.im)
@@ -94,6 +102,9 @@ QQI_ZERO = QQi()
 QQI_ONE = QQi(Fraction(1), Fraction(0))
 QQI_I = QQi(Fraction(0), Fraction(1))
 QQI_HALF = QQi(Fraction(1, 2), Fraction(0))
+
+
+_F1 = Fraction(1)
 
 
 def _sq_root_exact(x: Fraction) -> Optional[Fraction]:
@@ -130,7 +141,24 @@ class Surd:
         return cls(Fraction(1), Fraction(1))
 
     def __mul__(self, other: "Surd") -> "Surd":
-        return Surd(self.coef * other.coef, self.rad * other.rad)
+        # in integers: the product radicand in lowest terms, one square test,
+        # one Fraction per field; the pair is canonical, so __post_init__
+        # has nothing left to check
+        a, b = self.rad, other.rad
+        rn, rd = a.numerator * b.numerator, a.denominator * b.denominator
+        g = math.gcd(rn, rd)
+        rn, rd = rn // g, rd // g
+        cn = self.coef.numerator * other.coef.numerator
+        cd = self.coef.denominator * other.coef.denominator
+        sn, sd = math.isqrt(rn), math.isqrt(rd)
+        if sn * sn == rn and sd * sd == rd:
+            coef, rad = Fraction(cn * sn, cd * sd), _F1
+        else:
+            coef, rad = Fraction(cn, cd), Fraction(rn, rd)
+        out = object.__new__(Surd)
+        object.__setattr__(out, "coef", coef)
+        object.__setattr__(out, "rad", rad)
+        return out
 
     def exact(self) -> Optional[Fraction]:
         """The value as a Fraction when the radicand is a perfect square."""
@@ -138,6 +166,9 @@ class Surd:
 
     def __float__(self) -> float:
         return float(self.coef) * math.sqrt(float(self.rad))
+
+
+_SURD_ONE = Surd.one()
 
 
 # ---------------------------------------------------------------------------
@@ -156,21 +187,139 @@ def _padd(a: Dict[Mono, QQi], b: Dict[Mono, QQi], bscale: QQi = QQI_ONE) -> Dict
 def _pscale(a: Dict[Mono, QQi], s: QQi) -> Dict[Mono, QQi]:
     return _clean({k: s * v for k, v in a.items()})
 
-def _pmul(a: Dict[Mono, QQi], b: Dict[Mono, QQi]) -> Dict[Mono, QQi]:
-    out: Dict[Mono, QQi] = {}
-    for (a1, a2, a3), va in a.items():
-        for (b1, b2, b3), vb in b.items():
-            k = (a1 + b1, a2 + b2, a3 + b3)
-            out[k] = out.get(k, QQI_ZERO) + va * vb
-    return _clean(out)
-
 def _pconj(a: Dict[Mono, QQi]) -> Dict[Mono, QQi]:
     return {k: v.conj() for k, v in a.items()}
 
 
+# ---------------------------------------------------------------------------
+# integer kernels
+#
+# A polynomial in integer form is one denominator den and, per component, a
+# tuple of terms (a, b, c, re, im): den times the coefficient of
+# x1^a x2^b x3^c is the Gaussian integer re + im*i.  The kernels below sum
+# such terms in Python integers into accumulators {mono: [re, im]} over a
+# known denominator, and _from_ints forms the Fractions once per result.
+
+Term = Tuple[int, int, int, int, int]
+Acc = Dict[Mono, List[int]]
+
+
+class IntForm(NamedTuple):
+    """A SuperPoly as integers over one denominator.
+
+    terms[k] lists the (a, b, c, re, im) of component k (0 = f0, 1 = f4,
+    2 = f5, 3 = f45) scaled by den; buckets[k] holds the same terms keyed
+    by the exponent parity (a & 1, b & 1, c & 1).
+    """
+
+    den: int
+    terms: Tuple[Tuple[Term, ...], ...]
+    buckets: Tuple[Dict[Mono, Tuple[Term, ...]], ...]
+
+
+def _int_form(comps: Tuple[Dict[Mono, QQi], ...]) -> IntForm:
+    den = math.lcm(*[x.denominator for comp in comps for v in comp.values() for x in (v.re, v.im)])
+    terms, buckets = [], []
+    for comp in comps:
+        rows = tuple(
+            (
+                a, b, c,
+                v.re.numerator * (den // v.re.denominator),
+                v.im.numerator * (den // v.im.denominator),
+            )
+            for (a, b, c), v in comp.items()
+        )
+        by_parity: Dict[Mono, list] = {}
+        for row in rows:
+            by_parity.setdefault((row[0] & 1, row[1] & 1, row[2] & 1), []).append(row)
+        terms.append(rows)
+        buckets.append({k: tuple(v) for k, v in by_parity.items()})
+    return IntForm(den, tuple(terms), tuple(buckets))
+
+
+def _from_ints(acc: Acc, den: int) -> Dict[Mono, QQi]:
+    """The accumulator over den as exact coefficients, exact zeros dropped."""
+    return {
+        k: QQi(Fraction(re, den), Fraction(im, den)) for k, (re, im) in acc.items() if re or im
+    }
+
+
+def _imul(acc: Acc, p: Tuple[Term, ...], q: Tuple[Term, ...], sign: int = 1, conj: bool = False) -> None:
+    """Add sign * p * q, or sign * conj(p) * q, into acc.
+
+    The denominator of acc is that of p times that of q.
+    """
+    for a1, b1, c1, pr, pi in p:
+        if sign < 0:
+            pr, pi = -pr, -pi
+        if conj:
+            pi = -pi
+        for a2, b2, c2, qr, qi in q:
+            key = (a1 + a2, b1 + b2, c1 + c2)
+            re, im = pr * qr - pi * qi, pr * qi + pi * qr
+            slot = acc.get(key)
+            if slot is None:
+                acc[key] = [re, im]
+            else:
+                slot[0] += re
+                slot[1] += im
+
+
+def _degree_sums(pairs) -> Dict[int, List[int]]:
+    """Unnormalized unit-sphere moments of sum_k sign_k conj(p_k) q_k, by degree.
+
+    pairs holds (p, q, sign) with p and q parity buckets of integer terms.
+    The products are never formed: a product monomial has a nonzero moment
+    only when all three exponents are even, so a monomial of p meets only
+    the monomials of q with the same exponent parity.  Each paired monomial
+    of degree n has the moment (a-1)!! (b-1)!! (c-1)!! / (n+1)!!; the
+    numerators are summed here and the caller divides by (n+1)!!.
+    """
+    acc: Acc = {}
+    for left, right, sign in pairs:
+        for parity, p_terms in left.items():
+            q_terms = right.get(parity)
+            if q_terms:
+                _imul(acc, p_terms, q_terms, sign, conj=True)
+    by_degree: Dict[int, List[int]] = {}
+    for (a, b, c), (re, im) in acc.items():
+        w = _dfact(a - 1) * _dfact(b - 1) * _dfact(c - 1)
+        slot = by_degree.setdefault(a + b + c, [0, 0])
+        slot[0] += w * re
+        slot[1] += w * im
+    return by_degree
+
+
+def _fold_moments(terms, rho: Fraction, den: int) -> QQi:
+    """The sum of c (re + i im) rho^k / ((n+1)!! den) as one QQi.
+
+    terms holds (k, c, n, re, im) with n even.  For rho = P/R every term is
+    brought over the one denominator den (N+1)!! P^-K0 R^K1, with N the
+    largest degree and K0 <= 0 <= K1 bounding the powers k, so the result
+    costs two Fractions.
+    """
+    if not terms:
+        return QQI_ZERO
+    p, r = rho.numerator, rho.denominator
+    top = max(t[2] for t in terms) + 1
+    k0 = min(0, min(t[0] for t in terms))
+    k1 = max(0, max(t[0] for t in terms))
+    num_re = num_im = 0
+    for k, c, n, re, im in terms:
+        w = c * math.prod(range(n + 3, top + 1, 2)) * p ** (k - k0) * r ** (k1 - k)
+        num_re += w * re
+        num_im += w * im
+    den *= _dfact(top) * p**-k0 * r**k1
+    return QQi(Fraction(num_re, den), Fraction(num_im, den))
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class SuperPoly:
-    """Element f0 + f4 theta4 + f5 theta5 + f45 theta4 theta5."""
+    """Element f0 + f4 theta4 + f5 theta5 + f45 theta4 theta5.
+
+    A value: the component tables are never changed after construction,
+    so the integer form (ints) is computed once and kept.
+    """
 
     c0: Dict[Mono, QQi] = dataclasses.field(default_factory=dict)
     c4: Dict[Mono, QQi] = dataclasses.field(default_factory=dict)
@@ -205,6 +354,11 @@ class SuperPoly:
 
     def components(self) -> Tuple[Dict[Mono, QQi], ...]:
         return (self.c0, self.c4, self.c5, self.c45)
+
+    @functools.cached_property
+    def ints(self) -> IntForm:
+        """The integer form, built on first use and kept on this instance."""
+        return _int_form(self.components())
 
     def is_zero(self) -> bool:
         return not (self.c0 or self.c4 or self.c5 or self.c45)
@@ -242,15 +396,20 @@ class SuperPoly:
 
     def __mul__(self, other: "SuperPoly") -> "SuperPoly":
         """Graded-commutative product; theta4 theta5 = -theta5 theta4."""
-        f0, f4, f5, f45 = self.components()
-        g0, g4, g5, g45 = other.components()
-        h0 = _pmul(f0, g0)
-        h4 = _padd(_pmul(f0, g4), _pmul(f4, g0))
-        h5 = _padd(_pmul(f0, g5), _pmul(f5, g0))
-        h45 = _padd(_pmul(f0, g45), _pmul(f45, g0))
-        h45 = _padd(h45, _pmul(f4, g5))
-        h45 = _padd(h45, _pmul(f5, g4), -QQI_ONE)
-        return SuperPoly(h0, h4, h5, h45)
+        f0, f4, f5, f45 = self.ints.terms
+        g0, g4, g5, g45 = other.ints.terms
+        h = ({}, {}, {}, {})
+        _imul(h[0], f0, g0)
+        _imul(h[1], f0, g4)
+        _imul(h[1], f4, g0)
+        _imul(h[2], f0, g5)
+        _imul(h[2], f5, g0)
+        _imul(h[3], f0, g45)
+        _imul(h[3], f45, g0)
+        _imul(h[3], f4, g5)
+        _imul(h[3], f5, g4, -1)
+        den = self.ints.den * other.ints.den
+        return SuperPoly(*(_from_ints(acc, den) for acc in h))
 
     def max_abs(self) -> float:
         worst = 0.0
@@ -288,39 +447,22 @@ def sphere_relation(rho: RhoLike) -> SuperPoly:
     )
 
 
-def _bosonic_radical_powers(t: int, rho: RhoLike) -> Dict[Mono, QQi]:
-    """(rho^2 - x1^2 - x2^2)^t as a polynomial table, by the trinomial theorem."""
-    rho2 = Fraction(rho) ** 2
-    out: Dict[Mono, QQi] = {}
-    for b in range(t + 1):
-        for c in range(t - b + 1):
-            n = (-1) ** (b + c) * math.comb(t, b) * math.comb(t - b, c)
-            out[(2 * b, 2 * c, 0)] = QQi(n * rho2 ** (t - b - c))
-    return _clean(out)
+def _radical_powers(t_max: int, rho: Fraction) -> List[Tuple[Term, ...]]:
+    """R^(2t) (rho^2 - x1^2 - x2^2)^t as integer terms, for t = 0..t_max.
 
-
-def _reduce_bosonic(p: Dict[Mono, QQi], rho: RhoLike) -> Tuple[Dict[Mono, QQi], Dict[Mono, QQi]]:
-    """Eliminate (x3)^2 from one component.
-
-    Returns (reduced, spill) where spill collects the -2 theta4 theta5 part
-    of the substitution, itself already bosonically reduced.  (x3)^c with
-    c = 2t + r expands to B^t x3^r - 2t B^(t-1) x3^r theta4 theta5 modulo
-    the relation, because theta4 theta5 squares to zero.
+    rho = P/R; by the trinomial theorem the term of x1^(2b) x2^(2c) is
+    (-1)^(b+c) C(t, b) C(t-b, c) P^(2(t-b-c)) R^(2(b+c)).
     """
-    reduced: Dict[Mono, QQi] = {}
-    spill: Dict[Mono, QQi] = {}
-    for (a, b, c), v in p.items():
-        t, r = divmod(c, 2)
-        if t == 0:
-            reduced[(a, b, c)] = reduced.get((a, b, c), QQI_ZERO) + v
-            continue
-        head = {(a, b, r): v}
-        for k, w in _pmul(head, _bosonic_radical_powers(t, rho)).items():
-            reduced[k] = reduced.get(k, QQI_ZERO) + w
-        tail = {(a, b, r): v * QQi(Fraction(-2 * t))}
-        for k, w in _pmul(tail, _bosonic_radical_powers(t - 1, rho)).items():
-            spill[k] = spill.get(k, QQI_ZERO) + w
-    return _clean(reduced), _clean(spill)
+    p2, r2 = rho.numerator**2, rho.denominator**2
+    return [
+        tuple(
+            (2 * b, 2 * c, 0, (-1) ** (b + c) * math.comb(t, b) * math.comb(t - b, c)
+             * p2 ** (t - b - c) * r2 ** (b + c), 0)
+            for b in range(t + 1)
+            for c in range(t - b + 1)
+        )
+        for t in range(t_max + 1)
+    ]
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -348,19 +490,39 @@ class SpherePolyClass:
         return worst
 
 
+def _normal_ints(den: int, terms, rho: Fraction) -> Tuple[int, Tuple[Acc, ...]]:
+    """normal_form on integer terms over den: the reduced terms over a new den.
+
+    (x3)^c with c = 2t + r expands to B^t x3^r - 2t B^(t-1) x3^r theta4 theta5
+    modulo the relation, with B = rho^2 - x1^2 - x2^2, because theta4 theta5
+    squares to zero.  So the c0 reduction spills into c45, and the other
+    components reduce purely bosonically since any further theta factors
+    die.  With rho = P/R every term is lifted to den * R^(2 t_max).
+    """
+    t_max = max((c // 2 for comp in terms for _, _, c, _, _ in comp), default=0)
+    radical = _radical_powers(t_max, rho)
+    r2 = rho.denominator**2
+    out = ({}, {}, {}, {})
+    for k, comp in enumerate(terms):
+        for a, b, c, re, im in comp:
+            t, r = divmod(c, 2)
+            lift = r2 ** (t_max - t)
+            _imul(out[k], ((a, b, r, lift * re, lift * im),), radical[t])
+            if k == 0 and t:
+                lift = -2 * t * r2 ** (t_max - t + 1)
+                _imul(out[3], ((a, b, r, lift * re, lift * im),), radical[t - 1])
+    return den * r2**t_max, out
+
+
 def normal_form(f: SuperPoly, rho: RhoLike) -> SpherePolyClass:
     """Unique representative with x3-degree <= 1 in each component.
 
-    The c0 reduction feeds the -2 theta4 theta5 part of the relation into
-    c45; the other components reduce purely bosonically since any further
-    theta factors die.
+    The relation is eliminated in integers over the cached integer form of
+    f, with one Fraction per output coefficient.
     """
     rho = Fraction(rho)
-    c0, spill = _reduce_bosonic(f.c0, rho)
-    c4, _ = _reduce_bosonic(f.c4, rho)
-    c5, _ = _reduce_bosonic(f.c5, rho)
-    c45, _ = _reduce_bosonic(_padd(f.c45, spill), rho)
-    return SpherePolyClass(poly=SuperPoly(c0, c4, c5, c45), rho=rho)
+    den, out = _normal_ints(f.ints.den, f.ints.terms, rho)
+    return SpherePolyClass(poly=SuperPoly(*(_from_ints(acc, den) for acc in out)), rho=rho)
 
 
 def class_mul(f: SpherePolyClass, g: SpherePolyClass) -> SpherePolyClass:
@@ -390,17 +552,6 @@ def sphere_moment(a: int, b: int, c: int) -> Fraction:
     return Fraction(_dfact(a - 1) * _dfact(b - 1) * _dfact(c - 1), _dfact(a + b + c + 1))
 
 
-def _moment_by_degree(p: Dict[Mono, QQi]) -> Dict[int, QQi]:
-    out: Dict[int, QQi] = {}
-    for (a, b, c), v in p.items():
-        m = sphere_moment(a, b, c)
-        if m == 0:
-            continue
-        n = a + b + c
-        out[n] = out.get(n, QQI_ZERO) + v * QQi(m)
-    return out
-
-
 def berezin_radial_sum(f: SuperPoly, rho: RhoLike) -> QQi:
     """Exact value of I(f)/(2 pi) on the radius-rho supersphere.
 
@@ -409,17 +560,10 @@ def berezin_radial_sum(f: SuperPoly, rho: RhoLike) -> QQi:
     where m_n collects the degree-n unit-sphere moments of a component.
     Anchors: I(1) = 2 pi / rho and I(theta4 theta5) = -2 pi rho, and the
     functional vanishes identically on the defining ideal, which pins it
-    among the candidate Berezin-integration conventions.
+    among the candidate Berezin-integration conventions.  It is the
+    pairing of 1 with f.
     """
-    rho = Fraction(rho)
-    if rho == 0:
-        raise ValueError("radius must be nonzero")
-    total = QQI_ZERO
-    for n, m in _moment_by_degree(f.c0).items():
-        total = total + QQi(Fraction(n + 1) * rho ** (n - 1)) * m
-    for n, m in _moment_by_degree(f.c45).items():
-        total = total - QQi(rho ** (n + 1)) * m
-    return total
+    return _berezin_pairing(SuperPoly.one(), f, Fraction(rho), 0)
 
 
 def berezin_sphere_integral(f: SuperPoly, rho: RhoLike) -> complex:
@@ -429,86 +573,33 @@ def berezin_sphere_integral(f: SuperPoly, rho: RhoLike) -> complex:
 PolyOrClass = Union[SuperPoly, SpherePolyClass]
 
 
-def _as_class_parts(f: PolyOrClass, rho: RhoLike) -> Tuple[SuperPoly, Surd]:
+def _as_class_parts(f: PolyOrClass, rho: Fraction) -> Tuple[SuperPoly, Surd]:
     if isinstance(f, SpherePolyClass):
-        if f.rho != Fraction(rho):
+        if f.rho != rho:
             raise ValueError("radius mismatch")
         return f.poly, f.scale
-    return f, Surd.one()
+    return f, _SURD_ONE
 
 
-def _parity_buckets(p: Dict[Mono, QQi]) -> Tuple[int, Dict[Mono, list]]:
-    """p as (den, buckets): den times every coefficient is a Gaussian integer.
+def _berezin_pairing(f: SuperPoly, g: SuperPoly, rho: Fraction, lift: int) -> QQi:
+    """rho^lift * berezin_radial_sum(cross_involution(f) * g, rho), never forming the product.
 
-    The terms (a, b, c, re, im) of den * p are bucketed by the exponent
-    parity (a & 1, b & 1, c & 1).
-    """
-    den = math.lcm(*[x.denominator for v in p.values() for x in (v.re, v.im)])
-    buckets: Dict[Mono, list] = {}
-    for (a, b, c), v in p.items():
-        term = (
-            a, b, c,
-            v.re.numerator * (den // v.re.denominator),
-            v.im.numerator * (den // v.im.denominator),
-        )
-        buckets.setdefault((a & 1, b & 1, c & 1), []).append(term)
-    return den, buckets
-
-
-def _paired_moments(pairs: List[Tuple[Dict[Mono, QQi], Dict[Mono, QQi], int]]) -> Dict[int, QQi]:
-    """Degree-n unit-sphere moments of sum_k sign_k conj(p_k) q_k.
-
-    The products are never formed: a product monomial has a nonzero moment
-    only when all three exponents are even, so a monomial of p meets only
-    the monomials of q with the same exponent parity.  Every paired
-    monomial then has the moment (a-1)!! (b-1)!! (c-1)!! / (n+1)!!, and the
-    sums stay in integers over the common denominators until one Fraction
-    per degree.  pairs holds (p, q, sign).
-    """
-    out: Dict[int, QQi] = {}
-    for p, q, sign in pairs:
-        if not p or not q:
-            continue
-        dp, left = _parity_buckets(p)
-        dq, right = _parity_buckets(q)
-        acc: Dict[Mono, list] = {}
-        for parity, p_terms in left.items():
-            q_terms = right.get(parity, ())
-            for a1, b1, c1, pr, pi in p_terms:
-                for a2, b2, c2, qr, qi in q_terms:
-                    slot = acc.setdefault((a1 + a2, b1 + b2, c1 + c2), [0, 0])
-                    slot[0] += pr * qr + pi * qi
-                    slot[1] += pr * qi - pi * qr
-        by_degree: Dict[int, list] = {}
-        for (a, b, c), (re, im) in acc.items():
-            w = _dfact(a - 1) * _dfact(b - 1) * _dfact(c - 1)
-            slot = by_degree.setdefault(a + b + c, [0, 0])
-            slot[0] += w * re
-            slot[1] += w * im
-        for n, (re, im) in by_degree.items():
-            den = sign * dp * dq * _dfact(n + 1)
-            out[n] = out.get(n, QQI_ZERO) + QQi(Fraction(re, den), Fraction(im, den))
-    return out
-
-
-def _berezin_pairing(f: SuperPoly, g: SuperPoly, rho: Fraction) -> QQi:
-    """berezin_radial_sum(cross_involution(f) * g, rho), never forming the product.
-
-    The even components of the product are f0* g0 and
-    f0* g45 + f45* g0 - f5* g5 - f4* g4 (the cross involution folded in).
+    The even components of the product are f0* g0 (the body) and
+    f0* g45 + f45* g0 - f5* g5 - f4* g4 (the top, with the cross involution
+    folded in).  Their moments are summed in integers per degree over the
+    cached integer forms of f and g, then folded with the weights (n+1) and
+    1/(n+1)!! and the powers of rho into one numerator over one denominator:
+    exactly two Fractions per call.
     """
     if rho == 0:
         raise ValueError("radius must be nonzero")
-    body = _paired_moments([(f.c0, g.c0, 1)])
-    top = _paired_moments(
-        [(f.c0, g.c45, 1), (f.c45, g.c0, 1), (f.c5, g.c5, -1), (f.c4, g.c4, -1)]
-    )
-    total = QQI_ZERO
-    for n, m in body.items():
-        total = total + QQi(Fraction(n + 1) * rho ** (n - 1)) * m
-    for n, m in top.items():
-        total = total - QQi(rho ** (n + 1)) * m
-    return total
+    fb, gb = f.ints.buckets, g.ints.buckets
+    body = _degree_sums(((fb[0], gb[0], 1),))
+    top = _degree_sums(((fb[0], gb[3], 1), (fb[3], gb[0], 1), (fb[2], gb[2], -1), (fb[1], gb[1], -1)))
+    # rho^lift times sum_n (n+1) body_n rho^(n-1) - top_n rho^(n+1)
+    terms = [(n - 1 + lift, n + 1, n, re, im) for n, (re, im) in body.items()]
+    terms += [(n + 1 + lift, -1, n, re, im) for n, (re, im) in top.items()]
+    return _fold_moments(terms, rho, f.ints.den * g.ints.den)
 
 
 def inner_S_exact(f: PolyOrClass, g: PolyOrClass, rho: RhoLike) -> Tuple[QQi, Surd]:
@@ -517,14 +608,14 @@ def inner_S_exact(f: PolyOrClass, g: PolyOrClass, rho: RhoLike) -> Tuple[QQi, Su
     The core is rho * berezin_radial_sum(cross_involution(f) * g, rho),
     computed as a bilinear pairing of the components of f and g: only
     monomial pairs of equal exponent parity contribute, and only the even
-    components of the product are summed.
+    components of the product are summed.  The sums run in integers over
+    the integer form cached on each polynomial, and the core is the only
+    pair of Fractions formed.
     """
     rho = Fraction(rho)
     fp, fs = _as_class_parts(f, rho)
     gp, gs = _as_class_parts(g, rho)
-    core = _berezin_pairing(fp, gp, rho)
-    # rho is real: scale the two parts, no Gaussian product
-    return QQi(rho * core.re, rho * core.im), fs * gs
+    return _berezin_pairing(fp, gp, rho, 1), fs * gs
 
 
 def inner_S(f: PolyOrClass, g: PolyOrClass, rho: RhoLike) -> complex:
@@ -540,6 +631,8 @@ def inner_S(f: PolyOrClass, g: PolyOrClass, rho: RhoLike) -> complex:
 # the components are 0 = f0, 1 = f4, 2 = f5, 3 = f45 and an axis of -1
 # leaves that factor out.  The rotation part of an even field acts alike
 # on all four components, so it is listed once and spread by _rotation.
+# _integer_field compiles each field once, at import, over the least
+# denominator of its coefficients.
 
 _ONE, _HALF = QQI_ONE, QQI_HALF
 _I, _IHALF = QQI_I, QQI_HALF * QQI_I
@@ -549,7 +642,23 @@ def _rotation(*terms: Tuple[int, int, QQi]) -> tuple:
     return tuple((c, c, mul, diff, coef) for c in range(4) for mul, diff, coef in terms)
 
 
-_FIELDS: Dict[Union[int, str], tuple] = {
+def _integer_field(terms: tuple) -> Tuple[int, tuple]:
+    """(lift, rows): rows (dst, src, shift, diff, real, c) with integer c.
+
+    lift is the least common denominator of the coefficients, and c is
+    lift times the real or the imaginary part of a coefficient (every
+    coefficient is real or purely imaginary, as real says).
+    """
+    lift = math.lcm(*(x.denominator for *_, coef in terms for x in (coef.re, coef.im)))
+    rows = []
+    for dst, src, mul, diff, coef in terms:
+        shift = tuple((axis == mul) - (axis == diff) for axis in range(3))
+        real = coef.im == 0
+        rows.append((dst, src, shift, diff, real, int((coef.re if real else coef.im) * lift)))
+    return lift, tuple(rows)
+
+
+_FIELD_TERMS: Dict[Union[int, str], tuple] = {
     # L_i = -i eps_ijk x^j d/dx^k plus the spinor mixing of (theta4, theta5)
     1: _rotation((1, 2, -_I), (2, 1, _I)) + ((1, 2, -1, -1, _HALF), (2, 1, -1, -1, _HALF)),
     2: _rotation((2, 0, -_I), (0, 2, _I)) + ((1, 2, -1, -1, -_IHALF), (2, 1, -1, -1, _IHALF)),
@@ -571,71 +680,79 @@ _FIELDS: Dict[Union[int, str], tuple] = {
         (3, 2, -1, 0, -_HALF), (3, 2, -1, 1, _IHALF), (3, 1, -1, 2, -_HALF),
     ),
 }
+_FIELDS = {label: _integer_field(terms) for label, terms in _FIELD_TERMS.items()}
 
 
-def vector_field_action(a: Union[int, str], f: SuperPoly) -> SuperPoly:
-    """First-order graded derivation J_a acting on a superpolynomial.
+def _apply_field(a: Union[int, str], den: int, terms) -> Tuple[int, Tuple[Acc, ...]]:
+    """vector_field_action on integer terms over den: the image over a new den.
 
-    Labels 1..5 or the ladder aliases '+', '-' for J_1 +- i J_2.  Every
-    field is one entry of the term table _FIELDS, applied in one pass over
-    its terms: the even fields rotate each component and mix (theta4,
-    theta5) as a spinor, the odd fields exchange bosonic and Grassmann
-    data.  All of them annihilate the relation polynomial, so they descend
-    to the quotient.  Every coefficient is real or purely imaginary, so a
-    term scales the two Fraction parts of each value directly, and the
-    results accumulate in [re, im] slots.
+    A field with half-integer coefficients doubles the denominator, so that
+    every term coefficient is an integer.
     """
     try:
-        terms = _FIELDS[a]
+        lift, table = _FIELDS[a]
     except KeyError:
         raise ValueError(f"unknown basis label {a!r}") from None
-    comps = f.components()
-    out: Tuple[Dict[Mono, list], ...] = ({}, {}, {}, {})
-    for dst, src, mul, diff, coef in terms:
-        shift = [0, 0, 0]
-        if mul >= 0:
-            shift[mul] += 1
-        if diff >= 0:
-            shift[diff] -= 1
-        da, db, dc = shift
-        real = coef.im == 0
-        c = coef.re if real else coef.im
-        if c.denominator == 1:
-            c = c.numerator
+    out = ({}, {}, {}, {})
+    for dst, src, (da, db, dc), diff, real, c in table:
         acc = out[dst]
-        for mono, v in comps[src].items():
-            k = c if diff < 0 else c * mono[diff]
+        for row in terms[src]:
+            k = c if diff < 0 else c * row[diff]
             if not k:
                 continue
-            re, im = (k * v.re, k * v.im) if real else (-k * v.im, k * v.re)
-            key = (mono[0] + da, mono[1] + db, mono[2] + dc)
+            a0, b0, c0, vr, vi = row
+            re, im = (k * vr, k * vi) if real else (-k * vi, k * vr)
+            key = (a0 + da, b0 + db, c0 + dc)
             slot = acc.get(key)
             if slot is None:
                 acc[key] = [re, im]
             else:
                 slot[0] += re
                 slot[1] += im
-    return SuperPoly(*({k: QQi(re, im) for k, (re, im) in acc.items()} for acc in out))
+    return den * lift, out
+
+
+def _acc_terms(acc: Acc) -> Tuple[Term, ...]:
+    return tuple((a, b, c, re, im) for (a, b, c), (re, im) in acc.items() if re or im)
+
+
+def vector_field_action(a: Union[int, str], f: SuperPoly) -> SuperPoly:
+    """First-order graded derivation J_a acting on a superpolynomial.
+
+    Labels 1..5 or the ladder aliases '+', '-' for J_1 +- i J_2.  Every
+    field is one entry of the term table _FIELD_TERMS, compiled to integer
+    coefficients in _FIELDS and applied in one pass over its terms: the even fields rotate each component and mix (theta4,
+    theta5) as a spinor, the odd fields exchange bosonic and Grassmann
+    data.  All of them annihilate the relation polynomial, so they descend
+    to the quotient.  Every coefficient is real or purely imaginary, so a
+    term scales the two integer parts of each term of the integer form
+    directly; the results accumulate in [re, im] slots and become Fractions
+    once.
+    """
+    den, out = _apply_field(a, f.ints.den, f.ints.terms)
+    return SuperPoly(*(_from_ints(acc, den) for acc in out))
 
 
 # ---------------------------------------------------------------------------
 # classical harmonics
 
 
-def _x_plus_power(k: int) -> Dict[Mono, QQi]:
-    """(x1 + i x2)^k by the binomial theorem."""
-    out: Dict[Mono, QQi] = {}
+def _x_plus_terms(k: int, x3: int) -> Tuple[Term, ...]:
+    """x3^x3 (x1 + i x2)^k as integer terms, by the binomial theorem."""
+    out = []
     for r in range(k + 1):
         n = math.comb(k, r) * (-1) ** (r // 2)
-        out[(k - r, r, 0)] = QQi(Fraction(0), Fraction(n)) if r % 2 else QQi(Fraction(n))
-    return out
+        out.append((k - r, r, x3, 0, n) if r % 2 else (k - r, r, x3, n, 0))
+    return tuple(out)
 
 
 def classical_harmonic(two_j: int, mu: int, two_m: int, rho: RhoLike) -> SpherePolyClass:
     """Superspherical harmonic Y_(j, l, m, mu) with l = j - mu/2.
 
-    Built from the highest-weight polynomial and exact ladder steps; the
-    accumulated normalization stays in the surd scale.
+    Built from the highest-weight polynomial and exact ladder steps, all in
+    integer terms over one denominator, then reduced to normal form; the
+    Fractions are formed once, for the result.  The accumulated
+    normalization stays in the surd scale.
     """
     rho = Fraction(rho)
     if two_j < 0 or mu not in (0, 1):
@@ -648,31 +765,32 @@ def classical_harmonic(two_j: int, mu: int, two_m: int, rho: RhoLike) -> SphereP
 
     if two_j % 2 == 0:
         j = two_j // 2
-        poly = SuperPoly(c0=_x_plus_power(j))
+        terms = (_x_plus_terms(j, 0), (), (), ())
         scale = Surd(
             Fraction(1, 2**j * math.factorial(j)) / rho**j, Fraction(math.factorial(2 * j))
         )
     else:
         # x3 (x1 + i x2)^k theta4 + (x1 + i x2)^(k+1) theta5
         k = (two_j - 1) // 2
-        poly = SuperPoly(
-            c4={(a, b, 1): v for (a, b, _), v in _x_plus_power(k).items()},
-            c5=_x_plus_power(k + 1),
-        )
+        terms = ((), _x_plus_terms(k, 1), _x_plus_terms(k + 1, 0), ())
         scale = Surd(
             Fraction(1, 2**k * math.factorial(k)) / rho ** (k + 2), Fraction(math.factorial(two_j))
         )
 
+    den = 1
     if mu == 1:
-        poly = vector_field_action(5, poly)
+        den, out = _apply_field(5, den, terms)
+        terms = tuple(_acc_terms(acc) for acc in out)
         scale = scale * Surd(Fraction(1), Fraction(4, two_j))
     for two_m_cur in range(two_l, two_m, -2):
-        poly = vector_field_action("-", poly)
+        den, out = _apply_field("-", den, terms)
+        terms = tuple(_acc_terms(acc) for acc in out)
         step = ((two_l + two_m_cur) // 2) * ((two_l - two_m_cur + 2) // 2)
         scale = scale * Surd(Fraction(1), Fraction(1, step))
 
-    out = normal_form(poly, rho)
-    return SpherePolyClass(poly=out.poly, rho=rho, scale=scale)
+    den, out = _normal_ints(den, terms, rho)
+    poly = SuperPoly(*(_from_ints(acc, den) for acc in out))
+    return SpherePolyClass(poly=poly, rho=rho, scale=scale)
 
 
 def harmonic_sign(two_j: int, mu: int) -> int:
@@ -716,14 +834,17 @@ def sphere_harmonic(j: int, m: int, rho: RhoLike) -> SpherePolyClass:
 
 
 def inner_sphere_exact(f: PolyOrClass, g: PolyOrClass, rho: RhoLike) -> Tuple[QQi, Surd]:
-    """Sphere average (1/4pi) of conj(f) g on the radius-rho sphere."""
+    """Sphere average (1/4pi) of conj(f) g on the radius-rho sphere.
+
+    The body moments of the pairing kernel, sum_n rho^n m_n(f0* g0), in one
+    numerator over one denominator.
+    """
     rho = Fraction(rho)
     fp, fs = _as_class_parts(f, rho)
     gp, gs = _as_class_parts(g, rho)
-    total = QQI_ZERO
-    for n, m in _paired_moments([(fp.c0, gp.c0, 1)]).items():
-        total = total + QQi(rho**n) * m
-    return total, fs * gs
+    body = _degree_sums(((fp.ints.buckets[0], gp.ints.buckets[0], 1),))
+    terms = [(n, 1, n, re, im) for n, (re, im) in body.items()]
+    return _fold_moments(terms, rho, fp.ints.den * gp.ints.den), fs * gs
 
 def inner_sphere(f: PolyOrClass, g: PolyOrClass, rho: RhoLike) -> complex:
     core, s = inner_sphere_exact(f, g, rho)
@@ -734,7 +855,7 @@ def body_map_classical(f: PolyOrClass, rho: RhoLike) -> SpherePolyClass:
     """Set the odd coordinates to zero and reduce mod the bosonic relation."""
     rho = Fraction(rho)
     fp, fs = _as_class_parts(f, rho)
-    body, _ = _reduce_bosonic(fp.c0, rho)
+    body = normal_form(SuperPoly(c0=fp.c0), rho).poly.c0
     return SpherePolyClass(poly=SuperPoly(c0=body), rho=rho, scale=fs)
 
 

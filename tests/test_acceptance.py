@@ -33,10 +33,13 @@ from fuzzsuper.continuum import (
     QQi,
     SuperPoly,
     berezin_radial_sum,
+    body_map_classical,
     classical_harmonic,
     cross_involution,
     harmonic_sign,
     inner_S_exact,
+    inner_sphere_exact,
+    sphere_harmonic,
     sphere_relation,
     structure_constant_classical,
 )
@@ -92,26 +95,21 @@ def test_c02_harmonics_orthonormality():
     print(f"fuzzy gram worst residual (q<=4): {worst_fuzzy:.3e}")
     assert worst_fuzzy <= 1e-9
 
-    worst_classical = 0.0
+    # the classical Gram is exact: zero cores off the diagonal, the
+    # signature on it (matching surds multiply to a rational)
     rho = Fraction(1)
-    labels = []
-    for two_j in range(0, 5):
-        for mu in (0, 1):
-            if mu == 1 and two_j == 0:
-                continue
-            two_l = two_j - mu
-            labels.extend(
-                (two_j, mu, two_m) for two_m in range(two_l, -two_l - 1, -2)
-            )
+    labels = [(la.two_j, la.mu, la.two_m) for la in all_labels(4)]
+    assert max(la[0] for la in labels) == 8
     harms = [(lab, classical_harmonic(*lab, rho)) for lab in labels]
     for i, (la, ya) in enumerate(harms):
         for lb, yb in harms[i:]:
             core, scale = inner_S_exact(ya, yb, rho)
-            got = complex(core) * float(scale)
-            want = float(harmonic_sign(la[0], la[1])) if la == lb else 0.0
-            worst_classical = max(worst_classical, abs(got - want))
-    print(f"classical gram worst residual (two_j<=4): {worst_classical:.3e}")
-    assert worst_classical <= 1e-12
+            if la != lb:
+                assert core.is_zero(), (la, lb)
+            else:
+                assert scale.exact() is not None, la
+                assert core * QQi.of(scale.exact()) == QQi.of(harmonic_sign(la[0], la[1])), la
+    print(f"classical gram exact (two_j<=8): {len(labels)} harmonics")
     _budget(t0, 10.0, "C02 orthonormality")
 
 
@@ -299,6 +297,35 @@ def test_c09_body_map():
     lab, w = body_label_image(HarmonicLabel(3, 1, 0))
     assert lab.two_j == 2 and abs(w + 1 / math.sqrt(3)) < 1e-12
     assert body_label_image(HarmonicLabel(1, 0, 1)) is None
+
+    # the label images against the classical body map of the oracle: the
+    # coefficient of body(Y_(j,mu,m)) on the round-sphere Y_(l,m) is
+    # exactly (-1)^mu / sqrt(2l+1) and the image has no other component;
+    # odd labels map to exactly zero
+    worst_weight = 0.0
+    for rho in (Fraction(1), Fraction(7, 3)):
+        for label in all_labels(3):
+            body = body_map_classical(classical_harmonic(label.two_j, label.mu, label.two_m, rho), rho)
+            image = body_label_image(label)
+            if image is None:
+                assert body.poly.is_zero(), label
+                continue
+            target, w = image
+            assert (target.two_j, target.two_m) == (label.two_l, label.two_m)
+            core, scale = inner_sphere_exact(
+                sphere_harmonic(label.two_l // 2, label.two_m // 2, rho), body, rho
+            )
+            # core * scale = coef * sqrt(rad): its sign and its exact square
+            assert core.im == 0
+            coef = core.re * scale.coef
+            assert (coef < 0) == (label.mu == 1), label
+            assert coef * coef * scale.rad == Fraction(1, label.two_l + 1), label
+            # and nothing else: |body|^2 is that coefficient squared
+            norm2, norm_scale = inner_sphere_exact(body, body, rho)
+            assert norm2 * QQi.of(norm_scale.exact()) == QQi.of(Fraction(1, label.two_l + 1))
+            worst_weight = max(worst_weight, abs(w - float(coef) * math.sqrt(float(scale.rad))))
+    print(f"label weights against the oracle (two_j<=6): {worst_weight:.3e}")
+    assert worst_weight <= 2.3e-16
 
     worst_coord = 0.0
     for q in (1, 2, 3):

@@ -98,6 +98,15 @@ def test_verify_body_counts_the_kernel_on_weight_blocks(capsys, q):
     assert rows["kernel dimension"]["passed"] and rows["kernel dimension"]["residual"] == 0
 
 
+@pytest.mark.parametrize("rho", ["1", "7/3"])
+def test_verify_oracle_checks_the_gram_exactly(capsys, rho):
+    code, out = run(capsys, "verify", "--q", "1", "--suite", "oracle", "--rho", rho, "--format", "json")
+    assert code == 0
+    rows = {row["name"]: row for row in json.loads(out)["results"]}
+    gram = rows["classical gram exact"]
+    assert gram["passed"] and gram["residual"] == 0 and gram["tol"] == 0
+
+
 def test_verify_json_format(capsys):
     code, out = run(
         capsys, "verify", "--q", "1", "--suite", "casimir", "--format", "json"

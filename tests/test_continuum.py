@@ -28,9 +28,6 @@ from fuzzsuper.continuum import (
     sphere_relation,
     structure_constant_classical,
     vector_field_action,
-    _moment_by_degree,
-    _pconj,
-    _pmul,
 )
 
 X1, X2, X3 = (SuperPoly.variable(v) for v in ("x1", "x2", "x3"))
@@ -209,10 +206,152 @@ def test_inner_products_equal_the_formed_product(rho):
         for g in polys:
             want = QQi(rho) * berezin_radial_sum(cross_involution(f) * g, rho)
             assert inner_S_exact(f, g, rho)[0] == want
+            body = SuperPoly(c0=cross_involution(f).c0) * SuperPoly(c0=g.c0)
             sphere = QQi(Fraction(0))
-            for n, m in _moment_by_degree(_pmul(_pconj(f.c0), g.c0)).items():
-                sphere = sphere + QQi(rho**n) * m
+            for (a, b, c), v in body.c0.items():
+                sphere = sphere + QQi(rho ** (a + b + c) * sphere_moment(a, b, c)) * v
             assert inner_sphere_exact(f, g, rho)[0] == sphere
+
+
+# ------------------------------------------- integer kernels, Fraction refs
+# The Fraction formulas the integer kernels replaced: products term by term
+# in QQi, moments one Fraction per degree and component pair, and the
+# bosonic reduction through those products.  The kernels must give the same
+# Fractions, not merely close ones.
+
+
+def ref_pmul(a, b):
+    out = {}
+    for (a1, a2, a3), va in a.items():
+        for (b1, b2, b3), vb in b.items():
+            k = (a1 + b1, a2 + b2, a3 + b3)
+            out[k] = out.get(k, QQi()) + va * vb
+    return {k: v for k, v in out.items() if not v.is_zero()}
+
+
+def ref_superpoly_mul(f, g):
+    f0, f4, f5, f45 = f.components()
+    g0, g4, g5, g45 = g.components()
+    h45 = ref_padd(ref_pmul(f0, g45), ref_pmul(f45, g0))
+    h45 = ref_padd(h45, ref_pmul(f4, g5))
+    h45 = ref_padd(h45, ref_pmul(f5, g4), -QQI_ONE)
+    return (
+        ref_pmul(f0, g0),
+        ref_padd(ref_pmul(f0, g4), ref_pmul(f4, g0)),
+        ref_padd(ref_pmul(f0, g5), ref_pmul(f5, g0)),
+        h45,
+    )
+
+
+def ref_moment_by_degree(p):
+    out = {}
+    for (a, b, c), v in p.items():
+        m = sphere_moment(a, b, c)
+        if m == 0:
+            continue
+        n = a + b + c
+        out[n] = out.get(n, QQi()) + v * QQi(m)
+    return out
+
+
+def ref_paired_moments(pairs):
+    """Degree-n moments of sum_k sign_k conj(p_k) q_k, one QQi per degree and pair."""
+    out = {}
+    for p, q, sign in pairs:
+        for n, m in ref_moment_by_degree(ref_pmul({k: v.conj() for k, v in p.items()}, q)).items():
+            out[n] = out.get(n, QQi()) + QQi.of(sign) * m
+    return out
+
+
+def ref_berezin_radial_sum(f, rho):
+    total = QQi()
+    for n, m in ref_moment_by_degree(f.c0).items():
+        total = total + QQi(Fraction(n + 1) * rho ** (n - 1)) * m
+    for n, m in ref_moment_by_degree(f.c45).items():
+        total = total - QQi(rho ** (n + 1)) * m
+    return total
+
+
+def ref_inner_S_core(f, g, rho):
+    body = ref_paired_moments([(f.c0, g.c0, 1)])
+    top = ref_paired_moments([(f.c0, g.c45, 1), (f.c45, g.c0, 1), (f.c5, g.c5, -1), (f.c4, g.c4, -1)])
+    total = QQi()
+    for n, m in body.items():
+        total = total + QQi(Fraction(n + 1) * rho ** (n - 1)) * m
+    for n, m in top.items():
+        total = total - QQi(rho ** (n + 1)) * m
+    return QQi(rho * total.re, rho * total.im)
+
+
+def ref_inner_sphere_core(f, g, rho):
+    total = QQi()
+    for n, m in ref_paired_moments([(f.c0, g.c0, 1)]).items():
+        total = total + QQi(rho**n) * m
+    return total
+
+
+def ref_reduce_bosonic(p, rho):
+    def radical_powers(t):
+        out = {}
+        for b in range(t + 1):
+            for c in range(t - b + 1):
+                n = (-1) ** (b + c) * math.comb(t, b) * math.comb(t - b, c)
+                out[(2 * b, 2 * c, 0)] = QQi(n * rho ** (2 * (t - b - c)))
+        return out
+
+    reduced, spill = {}, {}
+    for (a, b, c), v in p.items():
+        t, r = divmod(c, 2)
+        if t == 0:
+            reduced = ref_padd(reduced, {(a, b, c): v})
+            continue
+        reduced = ref_padd(reduced, ref_pmul({(a, b, r): v}, radical_powers(t)))
+        tail = {(a, b, r): v * QQi(Fraction(-2 * t))}
+        spill = ref_padd(spill, ref_pmul(tail, radical_powers(t - 1)))
+    return reduced, spill
+
+
+def ref_normal_form(f, rho):
+    c0, spill = ref_reduce_bosonic(f.c0, rho)
+    c4, _ = ref_reduce_bosonic(f.c4, rho)
+    c5, _ = ref_reduce_bosonic(f.c5, rho)
+    c45, _ = ref_reduce_bosonic(ref_padd(f.c45, spill), rho)
+    return (c0, c4, c5, c45)
+
+
+def kernel_inputs(rho):
+    """Mixed denominators, empty components, zero, a pure theta4 theta5 term, harmonics."""
+    rng = np.random.default_rng(21)
+    polys = [rand_poly(rng, deg=4) for _ in range(5)]
+    polys.append(SuperPoly(c0=rand_poly(rng, deg=3).c0, c45=rand_poly(rng, deg=3).c45))
+    polys.append(SuperPoly(c4=rand_poly(rng, deg=3).c4))
+    polys.append(SuperPoly.zero())
+    polys.append((T4 * T5).scale(QQi(Fraction(-3, 7), Fraction(2, 5))))
+    polys.append(parse_superpoly("(1/6+5/9i) * x3^5 + 2/11 * x1^2 x3^4 t4 t5 + 3/8 * x2 x3^3 t5"))
+    for label in ((3, 1, 0), (4, 0, -2), (5, 1, 2)):
+        polys.append(classical_harmonic(*label, rho).poly)
+    return polys
+
+
+@pytest.mark.parametrize("rho", [Fraction(1), Fraction(5, 2), Fraction(7, 3)])
+def test_integer_kernels_equal_fraction_references(rho):
+    polys = kernel_inputs(rho)
+    for f in polys:
+        assert berezin_radial_sum(f, rho) == ref_berezin_radial_sum(f, rho)
+        assert normal_form(f, rho).poly.components() == ref_normal_form(f, rho)
+        for g in polys:
+            assert inner_S_exact(f, g, rho)[0] == ref_inner_S_core(f, g, rho)
+            assert inner_sphere_exact(f, g, rho)[0] == ref_inner_sphere_core(f, g, rho)
+            assert (f * g).components() == ref_superpoly_mul(f, g)
+
+
+def test_integer_form_is_cached_on_the_instance():
+    f = parse_superpoly("1/3 * x1 + (2/5-i) * x3^2 t4 + 1/7 * t4 t5")
+    form = f.ints
+    assert f.ints is form
+    assert form.den == 105
+    assert form.terms[1] == ((0, 0, 2, 42, -105),)
+    assert SuperPoly.zero().ints.den == 1
 
 
 # ---------------------------------------------------------------- fields
@@ -417,9 +556,9 @@ def all_harmonic_labels(max_two_j):
                 yield two_j, mu, two_m
 
 
-@pytest.mark.parametrize("rho", [Fraction(1), Fraction(5, 2)])
+@pytest.mark.parametrize("rho", [Fraction(1), Fraction(5, 2), Fraction(7, 3)])
 def test_classical_gram_exact(rho):
-    labels = list(all_harmonic_labels(6))
+    labels = list(all_harmonic_labels(8))
     harms = [(lab, classical_harmonic(*lab, rho)) for lab in labels]
     for i, (la, ya) in enumerate(harms):
         for lb, yb in harms[i:]:
