@@ -15,6 +15,9 @@ of odd slots, and moving an odd object past a form w costs (-1)^|w|, where
 and the wedge out once per degree as cached term lists; the part of a
 sign that depends on the value parity is a grade twist of the source
 value (even part minus odd part), so no operator splits a form by parity.
+Each list is compiled in one pass over the canonical tuples: a bracket
+substitution inserts the one new label into the canonical remainder by
+bisection, and each term is added straight into the merged list.
 The pointwise operators apply each term list to a form's stack through its
 Plan: one batched product per derivation label, or one for the wedge, and
 one coefficient matrix that sums them into the result's stack.  d_matrix
@@ -28,6 +31,7 @@ weight, so every subcomplex of nonzero weight is acyclic.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import itertools
 import math
@@ -42,10 +46,8 @@ from .graded import (
     GradedDims,
     GradedMatrix,
     RankDecision,
-    commutation_factor,
     entry_weights,
     graded_commutator,
-    perm_sign,
     rank_decision,
     random_graded_matrix,
     restricted_adjoint,
@@ -93,7 +95,16 @@ class DerivationContext:
     osp(1|2) derivations on the graded algebra and their three even
     companions on the body.  In a frame of weight vectors (_ladder_frame)
     the context also knows the doubled J_3 weight of each label, which
-    d_matrix adds to the entry weights to keep one total weight.
+    d_matrix adds to the entry weights to keep one total weight.  A label
+    outside labels is rejected with a ValueError (check_label).
+
+    Each list is compiled in one pass, terms merged per (target, source, op,
+    twist) in the order they are first met.  The structure constants are
+    read once into a table of the nonzero brackets (a, b) -> ((c, c^C_ab),
+    ...).  A substitution puts c into a tuple with one slot taken out, which
+    is still canonical, so its canonical form and sign come from moving c
+    alone to its place (_insert) rather than from sorting.  The slot parity
+    sums are prefix sums, formed once per tuple.
 
     The pointwise operators read each term list through its Plan (plan),
     compiled once and cached next to the term list.  Each generator must be
@@ -119,6 +130,12 @@ class DerivationContext:
         self.sphere = sphere
         self.dims: GradedDims = generators[0].dims
         self.n = self.dims.total
+        self._parity = dict(zip(self.labels, self.parities))
+        #: (a, b) -> ((c, c^C_ab), ...): the nonzero brackets, c ascending
+        self._brackets: Dict[Tuple[Label, Label], Tuple[Tuple[Label, complex], ...]] = {}
+        for a, b, c in np.argwhere(np.transpose(constants, (1, 2, 0)) != 0).tolist():
+            entry = (c + 1, complex(constants[c, a, b]))
+            self._brackets[a + 1, b + 1] = self._brackets.get((a + 1, b + 1), ()) + (entry,)
         for a, g in zip(self.labels, self.generators):
             if g.part(1 - self.label_parity(a)).mat.any():
                 raise ValueError(f"generator {a} is not homogeneous of its label's parity")
@@ -136,8 +153,14 @@ class DerivationContext:
 
     # -- labels and tuples
 
+    def check_label(self, a: Label) -> None:
+        """Reject a label that is not one of labels, naming it."""
+        if a not in self._parity:
+            raise ValueError(f"unknown label {a!r} of {self.name}")
+
     def label_parity(self, a: Label) -> int:
-        return self.parities[a - 1]
+        self.check_label(a)
+        return self._parity[a]
 
     def tuple_parity(self, t: IndexTuple) -> int:
         return sum(self.label_parity(a) for a in t) % 2
@@ -195,37 +218,18 @@ class DerivationContext:
 
     def derivation(self, a: Label, f: GradedMatrix) -> GradedMatrix:
         """D_a f = [E_a, f]; label 0, as in the term lists, is the identity."""
-        return graded_commutator(self.generators[a - 1], f) if a else f
+        if a == 0:
+            return f
+        self.check_label(a)
+        return graded_commutator(self.generators[a - 1], f)
 
     # -- term lists
 
-    def _collect(self, key: tuple, entries: Iterable[Term]) -> Tuple[Term, ...]:
-        """Cache the entries, merged per (target, source, op, twist).
-
-        A twisted entry takes the sign (-1)^|source tuple| here, the tuple
-        part of the (-1)^|w| that its twist stands for.
-        """
-        acc: Dict[tuple, complex] = {}
-        for target, source, op, twist, coef in entries:
-            if twist and self.tuple_parity(source):
-                coef = -coef
-            k = (target, source, op, twist)
-            acc[k] = acc.get(k, 0) + coef
+    def _keep(self, key: tuple, acc: Dict[tuple, complex]) -> Tuple[Term, ...]:
+        """Cache the merged terms of acc, in insertion order, dropping zero sums."""
         terms = tuple(k + (complex(c),) for k, c in acc.items() if c != 0)
         self._terms[key] = terms
         return terms
-
-    def _substitutions(
-        self, target: IndexTuple, t: IndexTuple, slot: int, a: Label, b: Label, sign: int, twist=0
-    ) -> Iterable[Term]:
-        """sign * sum_C c^C_ab times the value on t with C in place of t[slot]."""
-        for c in self.labels:
-            coef = self.constants[c - 1, a - 1, b - 1]
-            if coef == 0:
-                continue
-            canon, s = self.sort_signed(t[:slot] + (c,) + t[slot + 1 :])
-            if canon is not None:
-                yield (target, canon, 0, twist, sign * s * coef)
 
     def d_terms(self, p: int) -> Tuple[Term, ...]:
         """Terms of d: Omega^p -> Omega^(p+1).
@@ -237,17 +241,30 @@ class DerivationContext:
         key = ("d", p)
         if key in self._terms:
             return self._terms[key]
-        entries = []
+        par, brackets, insert = self._parity, self._brackets, self._insert
+        acc: Dict[tuple, complex] = {}
         for big in self.index_tuples(p + 1):
-            pars = [self.label_parity(b) for b in big]
+            pars = [par[b] for b in big]
+            before = list(itertools.accumulate(pars, initial=0))  # odd slots before each
             for l in range(p + 1):
-                sign = (-1) ** (l + pars[l] * sum(pars[:l]))
-                entries.append((big, big[:l] + big[l + 1 :], big[l], pars[l], sign))
+                source = big[:l] + big[l + 1 :]
+                sign = -1 if (l + pars[l] * before[l]) % 2 else 1
+                if pars[l] and (before[-1] - 1) % 2:  # the twist's (-1)^|source|
+                    sign = -sign
+                k = (big, source, big[l], pars[l])
+                acc[k] = acc.get(k, 0) + sign
                 for lp in range(l + 1, p + 1):
-                    sub_sign = (-1) ** (lp + pars[lp] * sum(pars[l + 1 : lp]))
-                    rest = big[:lp] + big[lp + 1 :]
-                    entries += self._substitutions(big, rest, l, big[l], big[lp], sub_sign)
-        return self._collect(key, entries)
+                    subs = brackets.get((big[l], big[lp]))
+                    if subs is None:
+                        continue
+                    sign = -1 if (lp + pars[lp] * (before[lp] - before[l + 1])) % 2 else 1
+                    rest = source[: lp - 1] + source[lp:]
+                    for c, coef in subs:
+                        canon, s = insert(rest, l, c)
+                        if s:
+                            k = (big, canon, 0, 0)
+                            acc[k] = acc.get(k, 0) + sign * s * coef
+        return self._keep(key, acc)
 
     def lie_terms(self, a: Label, p: int) -> Tuple[Term, ...]:
         """Terms of L_a on Omega^p.
@@ -259,13 +276,27 @@ class DerivationContext:
         if key in self._terms:
             return self._terms[key]
         par_a = self.label_parity(a)
-        entries = []
+        par, brackets, insert = self._parity, self._brackets, self._insert
+        acc: Dict[tuple, complex] = {}
         for t in self.index_tuples(p):
-            entries.append((t, t, a, 0, 1))
+            acc[(t, t, a, 0)] = 1
+            odd = sum(par[b] for b in t) % 2
+            before = 0  # parity of the slots before b
             for slot, b in enumerate(t):
-                sign = -((-1) ** (par_a * self.tuple_parity(t[:slot])))
-                entries += self._substitutions(t, t, slot, a, b, sign, par_a)
-        return self._collect(key, entries)
+                subs = brackets.get((a, b))
+                if subs is not None:
+                    sign = 1 if par_a and before else -1
+                    rest = t[:slot] + t[slot + 1 :]
+                    for c, coef in subs:
+                        canon, s = insert(rest, slot, c)
+                        if s:
+                            value = sign * s * coef
+                            if par_a and (odd + par[b] + par[c]) % 2:  # (-1)^|canon|
+                                value = -value
+                            k = (t, canon, 0, par_a)
+                            acc[k] = acc.get(k, 0) + value
+                before ^= par[b]
+        return self._keep(key, acc)
 
     def wedge_plan(self, p: int, pp: int) -> Tuple[Term, ...]:
         """Terms of (p-form) wedge (pp-form).
@@ -281,16 +312,52 @@ class DerivationContext:
         key = ("wedge", p, pp)
         if key in self._terms:
             return self._terms[key]
-        entries = []
+        par = self._parity
+        slots = range(p + pp)
+        acc: Dict[tuple, complex] = {}
         for big in self.index_tuples(p + pp):
-            pars = tuple(self.label_parity(a) for a in big)
-            for left in itertools.combinations(range(p + pp), p):
-                sigma = left + tuple(i for i in range(p + pp) if i not in left)
+            pars = [par[a] for a in big]
+            odd_before = list(itertools.accumulate(pars, initial=0))
+            for left in itertools.combinations(slots, p):
+                # slot i, the j-th of I, moves past the i - j slots of the rest
+                # before it, odd_before[i] - odd_left of them odd; each flips
+                # the sign unless both are odd
+                flips = odd_left = 0
+                for j, i in enumerate(left):
+                    flips += i - j
+                    if pars[i]:
+                        flips -= odd_before[i] - odd_left
+                        odd_left += 1
+                twist = odd_left % 2
+                if twist and (odd_before[-1] - odd_left) % 2:  # (-1)^|right tuple|
+                    flips += 1
                 lc = tuple(big[i] for i in left)
-                rc = tuple(big[i] for i in sigma[p:])
-                sgn = perm_sign(sigma) * commutation_factor(sigma, pars)
-                entries.append((big, rc, lc, self.tuple_parity(lc), sgn))
-        return self._collect(key, entries)
+                rc = tuple(big[i] for i in slots if i not in left)
+                k = (big, rc, lc, twist)
+                acc[k] = acc.get(k, 0) + (-1 if flips % 2 else 1)
+        return self._keep(key, acc)
+
+    def _insert(self, rest: IndexTuple, slot: int, c: Label) -> Tuple[IndexTuple, int]:
+        """sort_signed of rest with c put in at slot, rest canonical: c moves alone.
+
+        c passes the labels of rest[:slot] greater than it or those of
+        rest[slot:] less than it, and each flips the sign unless both are
+        odd; a repeated even label gives (None, 0).
+        """
+        par = self._parity
+        at = bisect.bisect_right(rest, c, 0, slot)
+        if at < slot:
+            passed = rest[at:slot]
+        else:
+            at = bisect.bisect_left(rest, c, slot)
+            passed = rest[slot:at]
+        if par[c]:
+            flips = len(passed) - sum(map(par.__getitem__, passed))  # the even ones
+        elif c in rest:
+            return None, 0
+        else:
+            flips = len(passed)
+        return rest[:at] + (c,) + rest[at:], -1 if flips % 2 else 1
 
     def plan(
         self, key: tuple, terms: Sequence[Term], p_in: int, p_out: int, p_op: Optional[int] = None
@@ -298,27 +365,29 @@ class DerivationContext:
         """The Plan of the term list cached under key, compiled on first use.
 
         terms map p_in-forms to p_out-forms; for the wedge, p_op is the
-        degree of the left factor, whose tuples the ops are.
+        degree of the left factor, whose tuples the ops are.  Each input is
+        keyed by one integer, (op * 2 + twist) * len(source tuples) + source,
+        so that sorting the keys sorts the (op, twist, source) triples.
         """
         if key in self._plans:
             return self._plans[key]
         src, dst = self.positions(p_in), self.positions(p_out)
         pos = None if p_op is None else self.positions(p_op)
-        keyed = [
-            (dst[target], (op if pos is None else pos[op], twist, src[source]), coef)
-            for target, source, op, twist, coef in terms
-        ]
-        inputs = sorted({k for _, k, _ in keyed})
-        column = {k: j for j, k in enumerate(inputs)}
+        size = len(src)
+        ops = [t[2] for t in terms] if pos is None else [pos[t[2]] for t in terms]
+        keys = np.array(ops, dtype=np.intp) * 2 + np.array([t[3] for t in terms], dtype=np.intp)
+        keys = keys * size + np.array([src[t[1]] for t in terms], dtype=np.intp)
+        inputs, column = np.unique(keys, return_inverse=True)
         coefs = np.zeros((len(dst), len(inputs)), dtype=complex)
-        for row, k, coef in keyed:
-            coefs[row, column[k]] += coef
-        ops, twists, sources = np.array(inputs, dtype=np.intp).reshape(-1, 3).T
+        targets = np.array([dst[t[0]] for t in terms], dtype=np.intp)
+        np.add.at(coefs, (targets, column), np.array([t[4] for t in terms], dtype=complex))
+        ops, rows = np.divmod(inputs, 2 * size)
+        twists, sources = np.divmod(rows, size)
         labels, starts = np.unique(ops, return_index=True)
         stops = [*starts[1:], len(ops)]
         plan = Plan(
-            rows=twists * len(src) + sources,
-            twins=(1 - twists) * len(src) + sources,
+            rows=rows,
+            twins=(1 - twists) * size + sources,
             ops=ops,
             groups=tuple((int(a), slice(int(i), int(j))) for a, i, j in zip(labels, starts, stops)),
             coefs=coefs,
@@ -366,8 +435,8 @@ def _ladder_frame(ctx: DerivationContext) -> DerivationContext:
 
     The label change U is unitary on labels 1 and 2 and the identity on the
     rest, so the frame's d has the singular values of ctx's.  Rounding residue
-    in the transformed constants is snapped to exact zero: _substitutions
-    skips only zero constants, and a residue would couple different weights.
+    in the transformed constants is snapped to exact zero: the bracket table
+    keeps every nonzero constant, and a residue would couple different weights.
     """
     k = len(ctx.labels)
     u = np.eye(k, dtype=complex)
@@ -502,8 +571,7 @@ def random_superform(
 
 def lambda_form(ctx: DerivationContext, a: Label) -> SuperForm:
     """Dual 1-form: unit on derivation a, zero on the others."""
-    if a not in ctx.labels:
-        raise ValueError(f"unknown label {a!r}")
+    ctx.check_label(a)
     return SuperForm(ctx, 1, {(a,): ctx.unit})
 
 
@@ -565,6 +633,7 @@ def lie_derivative(a: Label, w: SuperForm) -> SuperForm:
 def interior(a: Label, w: SuperForm) -> SuperForm:
     """iota_a: plug derivation a into the first slot; zero on 0-forms."""
     ctx = w.ctx
+    ctx.check_label(a)
     if w.p == 0:
         return SuperForm.zero_form(ctx, 0)
     pos = ctx.positions(w.p)

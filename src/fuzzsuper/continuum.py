@@ -411,13 +411,6 @@ class SuperPoly:
         den = self.ints.den * other.ints.den
         return SuperPoly(*(_from_ints(acc, den) for acc in h))
 
-    def max_abs(self) -> float:
-        worst = 0.0
-        for comp in self.components():
-            for v in comp.values():
-                worst = max(worst, abs(complex(v)))
-        return worst
-
 
 def cross_involution(f: SuperPoly) -> SuperPoly:
     """f -> f0* - f5* theta4 + f4* theta5 + f45* theta4 theta5."""
@@ -481,13 +474,6 @@ class SpherePolyClass:
     def float_components(self) -> Tuple[Dict[Mono, complex], ...]:
         s = float(self.scale)
         return tuple({k: complex(v) * s for k, v in comp.items()} for comp in self.poly.components())
-
-    def max_abs_diff(self, other: "SpherePolyClass") -> float:
-        worst = 0.0
-        for mine, theirs in zip(self.float_components(), other.float_components()):
-            for k in set(mine) | set(theirs):
-                worst = max(worst, abs(mine.get(k, 0j) - theirs.get(k, 0j)))
-        return worst
 
 
 def _normal_ints(den: int, terms, rho: Fraction) -> Tuple[int, Tuple[Acc, ...]]:

@@ -9,6 +9,7 @@ from fuzzsuper.calculus import (
     EXPECTED_BETTI_BODY,
     EXPECTED_BETTI_SUPER,
     DerivationContext,
+    Plan,
     SuperForm,
     body_cochain_map,
     body_context,
@@ -582,7 +583,7 @@ def permutation_wedge_terms(ctx, p, pp):
                 continue
             sgn = perm_sign(sigma) * commutation_factor(sigma, pars) * ls * rs
             entries.append((big, rc, lc, ctx.tuple_parity(lc), Fraction(sgn, denom)))
-    return ctx._collect(("permutation wedge", p, pp), entries)
+    return reference_collect(ctx, entries)
 
 
 def plan_contexts(q):
@@ -590,10 +591,11 @@ def plan_contexts(q):
         "super": super_context(q),
         "body": body_context(q),
         "ladder": _ladder_frame(super_context(q)),
+        "body-ladder": _ladder_frame(body_context(q)),
     }
 
 
-@pytest.mark.parametrize("kind", ["super", "body", "ladder"])
+@pytest.mark.parametrize("kind", ["super", "body", "ladder", "body-ladder"])
 def test_wedge_plan_sums_shuffles_like_all_permutations(kind):
     ctx = plan_contexts(1)[kind]
     for p, pp in itertools.product(range(4), range(4)):
@@ -605,7 +607,7 @@ def close(got, want, scale):
     return (got - want).norm() <= 1e-13 * scale
 
 
-@pytest.mark.parametrize("kind", ["super", "body", "ladder"])
+@pytest.mark.parametrize("kind", ["super", "body", "ladder", "body-ladder"])
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_stacked_operators_match_the_term_loop(kind, q):
     ctx = plan_contexts(q)[kind]
@@ -626,6 +628,151 @@ def test_stacked_operators_match_the_term_loop(kind, q):
             w1, w2 = forms[p, par1], forms[pp, par2]
             want = loop_apply(w2, p + pp, ctx.wedge_plan(p, pp), lambda lc, f: w1.evaluate(lc) @ f)
             assert close(wedge(w1, w2), want, w1.norm() * w2.norm()), (p, pp)
+
+
+# ---------------------------------------------------------------- reference term lists
+
+
+def reference_collect(ctx, entries):
+    """Entries merged per (target, source, op, twist) in first-seen order, zero sums dropped.
+
+    A twisted entry takes the sign (-1)^|source tuple| here, the tuple part
+    of the (-1)^|w| that its twist stands for.
+    """
+    acc = {}
+    for target, source, op, twist, coef in entries:
+        if twist and ctx.tuple_parity(source):
+            coef = -coef
+        k = (target, source, op, twist)
+        acc[k] = acc.get(k, 0) + coef
+    return tuple(k + (complex(c),) for k, c in acc.items() if c != 0)
+
+
+def reference_substitutions(ctx, target, t, slot, a, b, sign, twist=0):
+    """sign * sum_C c^C_ab times the value on t with C in place of t[slot], sorted by bubbles."""
+    for c in ctx.labels:
+        coef = ctx.constants[c - 1, a - 1, b - 1]
+        if coef == 0:
+            continue
+        canon, s = ctx.sort_signed(t[:slot] + (c,) + t[slot + 1 :])
+        if canon is not None:
+            yield (target, canon, 0, twist, sign * s * coef)
+
+
+def reference_d_terms(ctx, p):
+    """d_terms as a list of entries, each substitution bubble-sorted, then merged."""
+    entries = []
+    for big in ctx.index_tuples(p + 1):
+        pars = [ctx.label_parity(b) for b in big]
+        for l in range(p + 1):
+            sign = (-1) ** (l + pars[l] * sum(pars[:l]))
+            entries.append((big, big[:l] + big[l + 1 :], big[l], pars[l], sign))
+            for lp in range(l + 1, p + 1):
+                sub_sign = (-1) ** (lp + pars[lp] * sum(pars[l + 1 : lp]))
+                rest = big[:lp] + big[lp + 1 :]
+                entries += reference_substitutions(ctx, big, rest, l, big[l], big[lp], sub_sign)
+    return reference_collect(ctx, entries)
+
+
+def reference_lie_terms(ctx, a, p):
+    """lie_terms as a list of entries, each substitution bubble-sorted, then merged."""
+    par_a = ctx.label_parity(a)
+    entries = []
+    for t in ctx.index_tuples(p):
+        entries.append((t, t, a, 0, 1))
+        for slot, b in enumerate(t):
+            sign = -((-1) ** (par_a * ctx.tuple_parity(t[:slot])))
+            entries += reference_substitutions(ctx, t, t, slot, a, b, sign, par_a)
+    return reference_collect(ctx, entries)
+
+
+def reference_plan(ctx, terms, p_in, p_out, p_op=None):
+    """The Plan of terms compiled one term at a time through dicts."""
+    src, dst = ctx.positions(p_in), ctx.positions(p_out)
+    pos = None if p_op is None else ctx.positions(p_op)
+    keyed = [
+        (dst[target], (op if pos is None else pos[op], twist, src[source]), coef)
+        for target, source, op, twist, coef in terms
+    ]
+    inputs = sorted({k for _, k, _ in keyed})
+    column = {k: j for j, k in enumerate(inputs)}
+    coefs = np.zeros((len(dst), len(inputs)), dtype=complex)
+    for row, k, coef in keyed:
+        coefs[row, column[k]] += coef
+    ops, twists, sources = np.array(inputs, dtype=np.intp).reshape(-1, 3).T
+    labels, starts = np.unique(ops, return_index=True)
+    stops = [*starts[1:], len(ops)]
+    return Plan(
+        rows=twists * len(src) + sources,
+        twins=(1 - twists) * len(src) + sources,
+        ops=ops,
+        groups=tuple((int(a), slice(int(i), int(j))) for a, i, j in zip(labels, starts, stops)),
+        coefs=coefs,
+    )
+
+
+TERM_CASES = {"super": 5, "body": 3, "ladder": 5, "body-ladder": 3}
+
+
+@pytest.mark.parametrize("kind", TERM_CASES)
+def test_term_lists_equal_the_reference_builders(kind):
+    # same terms, same order, same coefficients, on a cold context
+    ctx, p_max = plan_contexts(1)[kind], TERM_CASES[kind]
+    for p in range(p_max + 1):
+        assert ctx.d_terms(p) == reference_d_terms(ctx, p), p
+        for a in ctx.labels:
+            assert ctx.lie_terms(a, p) == reference_lie_terms(ctx, a, p), (p, a)
+
+
+@pytest.mark.parametrize("kind", TERM_CASES)
+def test_plans_equal_the_loop_compiled_reference(kind):
+    ctx, p_max = plan_contexts(1)[kind], TERM_CASES[kind]
+    cases = [(("d", p), ctx.d_terms(p), p, p + 1, None) for p in range(p_max + 1)]
+    cases += [
+        (("lie", a, p), ctx.lie_terms(a, p), p, p, None)
+        for p in range(p_max + 1)
+        for a in ctx.labels
+    ]
+    cases += [
+        (("wedge", p, pp), ctx.wedge_plan(p, pp), pp, p + pp, p)
+        for p, pp in itertools.product(range(p_max + 1), repeat=2)
+        if p + pp <= p_max + 1
+    ]
+    for key, terms, p_in, p_out, p_op in cases:
+        got = ctx.plan(key, terms, p_in, p_out, p_op)
+        want = reference_plan(ctx, terms, p_in, p_out, p_op)
+        for field in ("rows", "twins", "ops"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (key, field)
+        assert got.groups == want.groups, key
+        assert got.coefs.shape == want.coefs.shape and np.array_equal(got.coefs, want.coefs), key
+
+
+def test_unknown_labels_are_rejected():
+    w = random_superform(CTX, 2, RNG)
+    for a in (0, -1, 6):
+        calls = [
+            lambda: lie_derivative(a, w),
+            lambda: lie_matrix(CTX, a, 1),
+            lambda: interior(a, w),
+            lambda: interior(a, SuperForm.zero_form(CTX, 0)),
+            lambda: lambda_form(CTX, a),
+        ]
+        if a:
+            calls.append(lambda: CTX.derivation(a, CTX.unit))
+        for call in calls:
+            with pytest.raises(ValueError, match=f"unknown label {a}"):
+                call()
+    assert CTX.derivation(0, CTX.unit) is CTX.unit  # label 0 is the identity
+    wb = random_superform(BCTX, 1, RNG)
+    for call in (
+        lambda: lie_derivative(4, wb),
+        lambda: lie_matrix(BCTX, 4, 1),
+        lambda: interior(4, wb),
+        lambda: BCTX.derivation(4, BCTX.unit),
+    ):
+        with pytest.raises(ValueError, match="unknown label 4"):
+            call()
 
 
 def test_generators_must_have_their_labels_parity():

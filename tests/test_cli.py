@@ -206,6 +206,27 @@ def test_cohomology_json(capsys):
     assert doc["body"]["betti"] == [1, 0, 0, 1]
 
 
+def test_cohomology_csv_matches_json(capsys):
+    argv = ("cohomology", "--q", "2", "--pmax", "5")
+    code, out = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "complex,p,dim,betti,rank,sv_gap"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [r[0] for r in rows] == ["super"] * 6 + ["body"] * 4 + ["center"] * 6
+    assert all(len(r) == 6 for r in rows)
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    for tag, key in (("super", "super"), ("body", "body"), ("center", "center_crosscheck")):
+        mine = [r for r in rows if r[0] == tag]
+        assert [int(r[1]) for r in mine] == list(range(len(mine)))
+        assert [int(r[3]) for r in mine] == doc[key]["betti"], tag
+        assert [int(r[2]) for r in mine] == doc[key]["dims"], tag
+        assert [int(r[4]) for r in mine] == doc[key]["ranks"], tag
+        assert [float(r[5]) for r in mine] == doc[key]["sv_gaps"], tag
+
+
 def test_oracle_normal_form(capsys):
     code, out = run(capsys, "oracle", "--op", "normal-form", "--expr", "x3^2", "--rho", "1")
     assert code == 0
