@@ -26,7 +26,10 @@ and lie_matrix assemble the same terms into matrices on coefficient space.
 The cohomology ranks are computed in the ladder frame of weight vectors
 (J_+/sqrt2, J_-/sqrt2, J_3, J_4, J_5), on the weight-0 block of d only:
 there L_3 = d iota_3 + iota_3 d acts on each form component by its total
-weight, so every subcomplex of nonzero weight is acyclic.
+weight, so every subcomplex of nonzero weight is acyclic.  The frame's
+structure constants and generators are exactly real, so its d matrices,
+and those of the center cross-check in the same frame, are assembled and
+ranked in float64.
 """
 
 from __future__ import annotations
@@ -93,10 +96,12 @@ class DerivationContext:
     the coefficient, while the value part is the grade twist (even part
     minus odd part) of the source value.  Two flavors exist: the five
     osp(1|2) derivations on the graded algebra and their three even
-    companions on the body.  In a frame of weight vectors (_ladder_frame)
-    the context also knows the doubled J_3 weight of each label, which
-    d_matrix adds to the entry weights to keep one total weight.  A label
-    outside labels is rejected with a ValueError (check_label).
+    companions on the body.  In a frame of weight vectors (_ladder_frame,
+    cached as ladder) the context also knows the doubled J_3 weight of each
+    label, which d_matrix adds to the entry weights to keep one total
+    weight.  The ladder frame has exactly real constants and generators;
+    such a context is flagged real, and its d matrices are float64.  A
+    label outside labels is rejected with a ValueError (check_label).
 
     Each list is compiled in one pass, terms merged per (target, source, op,
     twist) in the order they are first met.  The structure constants are
@@ -144,12 +149,30 @@ class DerivationContext:
         self.grade = self.dims.twist
         #: in a frame of weight vectors: the doubled J_3 weights of the labels
         self.weights = None if weights is None else tuple(weights)
+        #: constants and generators have exactly zero imaginary part, so
+        #: d_matrix and center_d_matrix are assembled in float64
+        self.real = not np.imag(constants).any() and not any(
+            np.imag(g.mat).any() for g in self.generators
+        )
+        self._ladder: Optional[DerivationContext] = None
         self._tuples: Dict[int, Tuple[IndexTuple, ...]] = {}
         self._positions: Dict[int, Dict[IndexTuple, int]] = {}
         self._sort_cache: Dict[IndexTuple, Tuple[Optional[IndexTuple], int]] = {}
         self._terms: Dict[tuple, Tuple[Term, ...]] = {}
         self._plans: Dict[tuple, Plan] = {}
         self._blocks: Dict[tuple, np.ndarray] = {}  # of _assemble, shared by its calls
+
+    @property
+    def ladder(self) -> "DerivationContext":
+        """This context in its frame of weight vectors (_ladder_frame), built once.
+
+        A context that already has weights is its own frame.
+        """
+        if self.weights is not None:
+            return self
+        if self._ladder is None:
+            self._ladder = _ladder_frame(self)
+        return self._ladder
 
     # -- labels and tuples
 
@@ -437,7 +460,11 @@ def _ladder_frame(ctx: DerivationContext) -> DerivationContext:
     rest, so the frame's d has the singular values of ctx's.  Rounding residue
     in the transformed constants is snapped to exact zero: the bracket table
     keeps every nonzero constant, and a residue would couple different weights.
+    ctx must not be a frame already: its labels 1 and 2 would be mixed again
+    but keep their weights.  Use ctx.ladder, which returns such a frame itself.
     """
+    if ctx.weights is not None:
+        raise ValueError(f"{ctx.name} is a frame of weight vectors already")
     k = len(ctx.labels)
     u = np.eye(k, dtype=complex)
     u[:2, :2] = np.array([[1, 1j], [1, -1j]]) / math.sqrt(2)
@@ -698,11 +725,14 @@ def _assemble(
     A term adds its coefficient times a block: graded.restricted_adjoint of
     E_a between the kept entries (see _layout), or the identity for label 0,
     with columns scaled by the grade signs if twisted.  With a weight, only
-    the rows and columns of that total weight are kept.
+    the rows and columns of that total weight are kept.  On a real context
+    the blocks and coefficients are the real parts, exactly, and the matrix
+    is float64.
     """
     dst, n_rows = _layout(ctx, p_out, weight)
     src, n_cols = _layout(ctx, p_in, weight)
-    out = np.zeros((n_rows, n_cols), dtype=complex)
+    real = ctx.real
+    out = np.zeros((n_rows, n_cols), dtype=float if real else complex)
     blocks = ctx._blocks
     for target, source, label, twist, coef in terms:
         (row, rkey, rent), (col, ckey, cent) = dst[target], src[source]
@@ -710,11 +740,13 @@ def _assemble(
         if key not in blocks:
             if label:
                 block = restricted_adjoint(ctx.generators[label - 1], rent, cent)
+                if real:
+                    block = block.real.copy()
             else:
                 block = np.eye(cent[0].size)
             blocks[key] = block * ctx.grade[cent] if twist else block
         h, w = blocks[key].shape
-        out[row : row + h, col : col + w] += coef * blocks[key]
+        out[row : row + h, col : col + w] += (coef.real if real else coef) * blocks[key]
     return out
 
 
@@ -842,7 +874,7 @@ def _betti_report(
 def cohomology_dims(ctx: DerivationContext, p_max: int, tol: float = 1e-8) -> CohomologyReport:
     """Betti numbers of the derivation complex for p = 0..p_max.
 
-    Computed on the weight-0 subcomplex of the ladder frame (_ladder_frame).
+    Computed on the weight-0 subcomplex of the ladder frame (ctx.ladder).
     There L_3 acts on each form component by its total weight, the entry's
     weight minus its labels' weights, and L_3 = d iota_3 + iota_3 d commutes
     with d.  So each subcomplex of nonzero weight w is acyclic (iota_3 / w is
@@ -850,9 +882,10 @@ def cohomology_dims(ctx: DerivationContext, p_max: int, tol: float = 1e-8) -> Co
     dims are the weight-0 dimensions, and betti_p = dims[p] - rank d_p -
     rank d_(p-1), each rank backed by a singular-value gap decision; the
     frame change is unitary, so each block's spectrum is part of the full
-    one.
+    one.  The frame is real, so the blocks are assembled and ranked in
+    float64.
     """
-    frame = _ladder_frame(ctx)
+    frame = ctx.ladder
     dims = tuple(_layout(frame, p, 0)[1] for p in range(p_max + 1))
     return _betti_report(
         f"{ctx.name} [weight 0]", dims, lambda p: d_matrix(frame, p, weight=0), tol
@@ -864,13 +897,15 @@ def center_d_matrix(ctx: DerivationContext, p: int) -> np.ndarray:
 
     The derivation terms vanish on the center, leaving the label-0 bracket
     substitution scalars of d_terms: the trivial-coefficient complex of the
-    derivation algebra, independent of the level.
+    derivation algebra, independent of the level.  On a real context, such
+    as the ladder frame, the matrix is float64.
     """
     src, dst = ctx.positions(p), ctx.positions(p + 1)
-    out = np.zeros((len(dst), len(src)), dtype=complex)
+    real = ctx.real
+    out = np.zeros((len(dst), len(src)), dtype=float if real else complex)
     for target, source, label, _, coef in ctx.d_terms(p):
         if label == 0:
-            out[dst[target], src[source]] += coef
+            out[dst[target], src[source]] += coef.real if real else coef
     return out
 
 
@@ -880,10 +915,15 @@ def center_cohomology_dims(
     """Betti numbers of the center-valued subcomplex, as a cross-check.
 
     Only the unit-multiple block of the algebra can carry cohomology, so
-    these must agree with the full computation.
+    these must agree with the full computation.  Computed in the ladder
+    frame (ctx.ladder), reusing the d_terms that cohomology_dims compiled
+    there; the frame change is unitary on the canonical tuples, so the
+    spectrum is that of the original frame's center complex.  The frame is
+    real, so the matrices are float64.
     """
-    dims = tuple(len(ctx.index_tuples(p)) for p in range(p_max + 1))
-    return _betti_report(f"{ctx.name} [center]", dims, lambda p: center_d_matrix(ctx, p), tol)
+    frame = ctx.ladder
+    dims = tuple(len(frame.index_tuples(p)) for p in range(p_max + 1))
+    return _betti_report(f"{ctx.name} [center]", dims, lambda p: center_d_matrix(frame, p), tol)
 
 
 EXPECTED_BETTI_SUPER = (1, 0, 0, 1, 0, 0)

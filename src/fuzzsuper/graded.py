@@ -15,7 +15,8 @@ a parity mask.  The inner products cost O(n^2) and form no matrix product:
 hs_inner is one BLAS dot product (np.vdot), indefinite_inner two over row
 blocks, with the twisted even rows of its second argument as the one
 temporary.  A graded commutator with a homogeneous left factor costs two
-matrix products.
+matrix products.  rank_decision keeps real input real, so the real d
+matrices of the cohomology take LAPACK's real SVD.
 
 Who copies and who freezes: the public GradedMatrix constructor copies the
 array it is given, because the caller may still hold and write it.  The
@@ -368,11 +369,14 @@ def rank_decision(m: np.ndarray, tol: float = 1e-8) -> RankDecision:
     m's nonzero pattern (see _nonzero_blocks); row and column permutations
     keep singular values, so the union of the block spectra is the spectrum
     of m.  Rows and columns outside every block contribute only zeros, so
-    the union is padded with exact zeros to min(m.shape) values.
+    the union is padded with exact zeros to min(m.shape) values.  A real
+    floating m stays real (float64, so LAPACK takes the real SVD); any other
+    m is cast to complex.  tol must be positive and finite.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    m = np.asarray(m, dtype=complex)
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    m = np.asarray(m)
+    m = m.astype(float if np.issubdtype(m.dtype, np.floating) else complex, copy=False)
     if m.size == 0:
         return RankDecision(rank=0, gap=math.inf, tol=tol)
     s = np.zeros(min(m.shape))

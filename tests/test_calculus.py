@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -32,6 +33,7 @@ from fuzzsuper.calculus import (
     wedge,
 )
 from fuzzsuper.calculus import _betti_report, _ladder_frame, _layout
+from fuzzsuper.cli import main as cli_main
 from fuzzsuper.graded import (
     GradedDims,
     GradedMatrix,
@@ -40,6 +42,8 @@ from fuzzsuper.graded import (
     graded_commutator,
     perm_sign,
     random_graded_matrix,
+    rank_decision,
+    restricted_adjoint,
 )
 from fuzzsuper.osp import OspBasis, build_osp_basis, jacobi_residual
 
@@ -553,6 +557,146 @@ def test_assembly_matches_kron_reference(kind, q, frame):
 def test_weight_needs_a_ladder_frame():
     with pytest.raises(ValueError):
         d_matrix(CTX, 0, weight=0)
+
+
+# ---------------------------------------------------------------- the real ladder frame
+
+
+def reference_assemble(ctx, terms, p_out, p_in, weight=None):
+    """The terms assembled in complex arithmetic, one block and one add per term.
+
+    Every block and coefficient stays complex whether or not the context is
+    real, and no block is shared with the context's cache.
+    """
+    dst, n_rows = _layout(ctx, p_out, weight)
+    src, n_cols = _layout(ctx, p_in, weight)
+    out = np.zeros((n_rows, n_cols), dtype=complex)
+    for target, source, label, twist, coef in terms:
+        (row, _, rent), (col, _, cent) = dst[target], src[source]
+        if label:
+            block = restricted_adjoint(ctx.generators[label - 1], rent, cent)
+        else:
+            block = np.eye(cent[0].size)
+        if twist:
+            block = block * ctx.grade[cent]
+        h, w = block.shape
+        out[row : row + h, col : col + w] += coef * block
+    return out
+
+
+def same_gap(got, want, rel=1e-12):
+    """Gaps within rel relative; two infinite gaps count as equal."""
+    return got == want or abs(got - want) <= rel * abs(want)
+
+
+def same_decision(got, want):
+    return got.rank == want.rank and same_gap(got.gap, want.gap)
+
+
+@pytest.mark.parametrize("kind", CONTEXTS)
+def test_ladder_frame_is_cached_and_real(kind):
+    ctx = CONTEXTS[kind][0](1)
+    frame = ctx.ladder
+    assert frame is ctx.ladder and frame.ladder is frame
+    assert frame.real and not ctx.real
+    assert frame.weights is not None and ctx.weights is None
+    with pytest.raises(ValueError):
+        _ladder_frame(frame)
+    # the original frame keeps the complex path
+    assert d_matrix(ctx, 1).dtype == np.complex128
+    assert lie_matrix(ctx, 1, 1).dtype == np.complex128
+    assert center_d_matrix(ctx, 1).dtype == np.complex128
+    assert lie_matrix(frame, 1, 1).dtype == np.float64
+
+
+@pytest.mark.parametrize("kind", CONTEXTS)
+def test_cohomology_on_a_frame_equals_the_original(kind):
+    make, p_max = CONTEXTS[kind]
+    ctx, frame = make(2), _ladder_frame(make(2))
+    assert cohomology_dims(frame, p_max).to_json() == cohomology_dims(ctx, p_max).to_json()
+    center = center_cohomology_dims(frame, p_max).to_json()
+    assert center == center_cohomology_dims(ctx, p_max).to_json()
+
+
+REAL_CASES = [(k, q) for k in CONTEXTS for q in (1, 2, 3, 4)]
+
+
+@pytest.mark.parametrize("kind, q", REAL_CASES, ids=[f"{k}-q{q}" for k, q in REAL_CASES])
+def test_weight_zero_d_is_the_real_part_of_the_complex_reference(kind, q):
+    make, p_max = CONTEXTS[kind]
+    frame = make(q).ladder
+    for p in range(p_max + 1):
+        got = d_matrix(frame, p, weight=0)
+        want = reference_assemble(frame, frame.d_terms(p), p + 1, p, weight=0)
+        assert got.dtype == np.float64, p
+        assert not want.imag.any(), p
+        assert np.array_equal(got, want.real), p
+        assert same_decision(rank_decision(got), rank_decision(want)), p
+
+
+@pytest.mark.parametrize("kind, q", REAL_CASES, ids=[f"{k}-q{q}" for k, q in REAL_CASES])
+def test_center_on_the_frame_matches_the_original_frame(kind, q):
+    make, p_max = CONTEXTS[kind]
+    ctx = make(q)
+    for p in range(p_max + 1):
+        got, want = center_d_matrix(ctx.ladder, p), center_d_matrix(ctx, p)
+        assert got.dtype == np.float64 and want.dtype == np.complex128, p
+        assert got.shape == want.shape, p
+        assert same_decision(rank_decision(got), rank_decision(want)), p
+
+
+def test_float_path_needs_exactly_zero_imaginary_parts():
+    frame = super_context(1).ladder
+    c = frame.constants.copy()
+    c[tuple(np.argwhere(c != 0)[0])] += 1e-300j
+    gens = [g.mat.copy() for g in frame.generators]
+    gens[2][0, 0] += 1e-300j
+    perturbed = [
+        DerivationContext(
+            frame.name, frame.labels, frame.parities, constants, generators, frame.sphere,
+            frame.weights,
+        )
+        for constants, generators in (
+            (c, frame.generators),
+            (frame.constants, [GradedMatrix(frame.dims, g) for g in gens]),
+        )
+    ]
+    want = d_matrix(frame, 1, weight=0)
+    for ctx in perturbed:
+        assert not ctx.real
+        got = d_matrix(ctx, 1, weight=0)
+        assert got.dtype == np.complex128
+        assert np.array_equal(got.real, want)
+    assert center_d_matrix(perturbed[0], 1).dtype == np.complex128
+
+
+def test_cohomology_json_matches_the_complex_reference(tmp_path):
+    path = tmp_path / "cohomology.json"
+    argv = ["cohomology", "--q", "3", "--pmax", "5", "--format", "json", "--out", str(path)]
+    assert cli_main(argv) == 0
+    doc = json.loads(path.read_text())
+    assert doc["ok"] is True
+    tol = doc["meta"]["tol"]
+
+    def weight_zero(ctx, p_max):
+        frame = _ladder_frame(ctx)
+        dims = tuple(_layout(frame, p, 0)[1] for p in range(p_max + 1))
+        d_of = lambda p: reference_assemble(frame, frame.d_terms(p), p + 1, p, weight=0)
+        return _betti_report(ctx.name, dims, d_of, tol)
+
+    ctx = super_context(3)
+    dims = tuple(len(ctx.index_tuples(p)) for p in range(6))
+    want = {
+        "super": weight_zero(ctx, 5),
+        "body": weight_zero(body_context(3), 3),
+        "center_crosscheck": _betti_report(ctx.name, dims, lambda p: center_d_matrix(ctx, p), tol),
+    }
+    for key, rep in want.items():
+        got = doc[key]
+        assert got["dims"] == list(rep.dims), key
+        assert got["ranks"] == [dec.rank for dec in rep.decisions], key
+        assert got["betti"] == list(rep.betti), key
+        assert all(same_gap(g, dec.gap) for g, dec in zip(got["sv_gaps"], rep.decisions)), key
 
 
 # ---------------------------------------------------------------- stacked plans

@@ -285,6 +285,37 @@ def test_rank_decision_zero_and_empty():
     assert d.rank == 0 and d.gap == math.inf
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_rank_decision_rejects_a_tol_outside_zero_to_inf(tol):
+    with pytest.raises(ValueError):
+        rank_decision(np.eye(3), tol)
+
+
+def test_rank_decision_keeps_real_input_real(monkeypatch):
+    seen = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        seen.append(a.dtype)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    m = np.random.default_rng(5).standard_normal((6, 4))
+    decisions = {}
+    for kind, x in (
+        ("float64", m),
+        ("float32", m.astype(np.float32)),
+        ("int", np.rint(4 * m).astype(int)),
+        ("complex", m.astype(complex)),
+    ):
+        seen.clear()
+        decisions[kind] = rank_decision(x)
+        want = np.complex128 if kind in ("int", "complex") else np.float64
+        assert seen and all(dt == want for dt in seen), kind
+    real, cplx = decisions["float64"], decisions["complex"]
+    assert real.rank == cplx.rank and abs(real.gap - cplx.gap) <= 1e-12
+
+
 def reference_decision(m, tol=1e-8):
     """rank and gap from one whole-matrix SVD, with rank_decision's cut."""
     s = np.linalg.svd(np.asarray(m, dtype=complex), compute_uv=False)
