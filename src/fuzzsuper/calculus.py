@@ -161,6 +161,7 @@ class DerivationContext:
         self._terms: Dict[tuple, Tuple[Term, ...]] = {}
         self._plans: Dict[tuple, Plan] = {}
         self._blocks: Dict[tuple, np.ndarray] = {}  # of _assemble, shared by its calls
+        self._layouts: Dict[tuple, tuple] = {}  # of _layout, per (p, weight)
 
     @property
     def ladder(self) -> "DerivationContext":
@@ -697,10 +698,13 @@ def _layout(
     Maps each tuple to (offset, key, kept entries), the entries as row-major
     (rows, cols) index arrays for graded.restricted_adjoint.  Without a weight
     all are kept (key None); with a doubled total weight, only those whose
-    entry weight minus the tuple's label weight (key) equals it.
+    entry weight minus the tuple's label weight (key) equals it.  Cached on
+    ctx per (p, weight), with read-only index arrays.
     """
     if weight is not None and ctx.weights is None:
         raise ValueError("a weight needs a frame of weight vectors")
+    if (p, weight) in ctx._layouts:
+        return ctx._layouts[p, weight]
     two_m = entry_weights(ctx.generators[2].mat)
     out, offset, kept = {}, 0, {}
     for t in ctx.index_tuples(p):
@@ -708,9 +712,12 @@ def _layout(
         if key not in kept:
             keep = np.ones(two_m.shape, dtype=bool) if key is None else two_m == weight + key
             kept[key] = np.nonzero(keep)
+            for index in kept[key]:
+                index.setflags(write=False)
         out[t] = (offset, key, kept[key])
         offset += kept[key][0].size
-    return out, offset
+    ctx._layouts[p, weight] = out, offset
+    return ctx._layouts[p, weight]
 
 
 def _assemble(
@@ -778,10 +785,12 @@ def invariant_one_forms(ctx: DerivationContext, tol: float = 1e-8) -> RankDecisi
     """Rank decision for the joint kernel of all L_a on 1-forms.
 
     The kernel dimension is dim Omega^1 minus the rank; the invariant
-    Maurer-Cartan form spans it when the kernel is one-dimensional.
+    Maurer-Cartan form spans it when the kernel is one-dimensional.  The
+    L_a are stacked in float64 in the real ladder frame, whose change is
+    unitary, so the rank and gap are those of ctx; rank_decision splits the
+    stack into its weight blocks.
     """
-    stacked = np.vstack([lie_matrix(ctx, a, 1) for a in ctx.labels])
-    return rank_decision(stacked, tol)
+    return rank_decision(np.vstack([lie_matrix(ctx.ladder, a, 1) for a in ctx.labels]), tol)
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,14 @@ summed.  Irrational normalization prefactors are carried separately as a
 single surd per harmonic so that orthonormality and structure constants
 come out exact up to one final square root.
 
-The kernels run in Python integers.  Each polynomial computes once, and
-keeps, its integer form: one common denominator over all four components
-and the integer numerators of every term.  Products, normal forms, vector
-fields, the Berezin pairing and the sphere average sum integers over
-products of such denominators (and powers of rho = P/R), and Fractions
-are formed only for the results: one per output coefficient, two per
-inner product.
+The kernels run in Python integers.  Each polynomial keeps its integer
+form, one common denominator over all four components and the integer
+numerators of every term, from the kernel that made it, or computes it once
+from its coefficients.  Products, normal forms, vector fields, the Berezin
+pairing and the sphere average sum integers over products of such
+denominators (and powers of rho = P/R), and Fractions are formed only for
+the results: one per output coefficient, two per inner product.  A radius
+must be positive (_radius).
 
 The generators of osp(1|2) act as first-order graded vector fields.  Each
 field is data: a table of terms, coefficient times x_a d/dx_b from one
@@ -107,11 +108,12 @@ QQI_HALF = QQi(Fraction(1, 2), Fraction(0))
 _F1 = Fraction(1)
 
 
-def _sq_root_exact(x: Fraction) -> Optional[Fraction]:
-    pn, pd = math.isqrt(x.numerator), math.isqrt(x.denominator)
-    if pn * pn == x.numerator and pd * pd == x.denominator:
-        return Fraction(pn, pd)
-    return None
+def _radius(rho: RhoLike) -> Fraction:
+    """rho as a positive Fraction; a Fraction is passed through as it is."""
+    rho = rho if isinstance(rho, Fraction) else Fraction(rho)
+    if rho.numerator <= 0:
+        raise ValueError(f"radius must be positive, got {rho}")
+    return rho
 
 
 @dataclasses.dataclass(frozen=True)
@@ -131,10 +133,11 @@ class Surd:
         if self.rad == 0 and self.coef != 0:
             object.__setattr__(self, "coef", Fraction(0))
             object.__setattr__(self, "rad", Fraction(1))
-        root = _sq_root_exact(self.rad)
-        if root is not None:
-            object.__setattr__(self, "coef", self.coef * root)
-            object.__setattr__(self, "rad", Fraction(1))
+        rn, rd = self.rad.numerator, self.rad.denominator
+        sn, sd = math.isqrt(rn), math.isqrt(rd)
+        if sn * sn == rn and sd * sd == rd:
+            object.__setattr__(self, "coef", self.coef * Fraction(sn, sd))
+            object.__setattr__(self, "rad", _F1)
 
     @classmethod
     def one(cls) -> "Surd":
@@ -178,10 +181,10 @@ _SURD_ONE = Surd.one()
 def _clean(d: Dict[Mono, QQi]) -> Dict[Mono, QQi]:
     return {k: v for k, v in d.items() if not v.is_zero()}
 
-def _padd(a: Dict[Mono, QQi], b: Dict[Mono, QQi], bscale: QQi = QQI_ONE) -> Dict[Mono, QQi]:
+def _padd(a: Dict[Mono, QQi], b: Dict[Mono, QQi]) -> Dict[Mono, QQi]:
     out = dict(a)
     for k, v in b.items():
-        out[k] = out.get(k, QQI_ZERO) + bscale * v
+        out[k] = out.get(k, QQI_ZERO) + v
     return _clean(out)
 
 def _pscale(a: Dict[Mono, QQi], s: QQi) -> Dict[Mono, QQi]:
@@ -198,7 +201,7 @@ def _pconj(a: Dict[Mono, QQi]) -> Dict[Mono, QQi]:
 # tuple of terms (a, b, c, re, im): den times the coefficient of
 # x1^a x2^b x3^c is the Gaussian integer re + im*i.  The kernels below sum
 # such terms in Python integers into accumulators {mono: [re, im]} over a
-# known denominator, and _from_ints forms the Fractions once per result.
+# known denominator, and _kept forms the Fractions once per result.
 
 Term = Tuple[int, int, int, int, int]
 Acc = Dict[Mono, List[int]]
@@ -217,31 +220,43 @@ class IntForm(NamedTuple):
     buckets: Tuple[Dict[Mono, Tuple[Term, ...]], ...]
 
 
-def _int_form(comps: Tuple[Dict[Mono, QQi], ...]) -> IntForm:
-    den = math.lcm(*[x.denominator for comp in comps for v in comp.values() for x in (v.re, v.im)])
-    terms, buckets = [], []
-    for comp in comps:
-        rows = tuple(
-            (
-                a, b, c,
-                v.re.numerator * (den // v.re.denominator),
-                v.im.numerator * (den // v.im.denominator),
-            )
-            for (a, b, c), v in comp.items()
-        )
+def _form(den: int, terms) -> IntForm:
+    buckets = []
+    for rows in terms:
         by_parity: Dict[Mono, list] = {}
         for row in rows:
             by_parity.setdefault((row[0] & 1, row[1] & 1, row[2] & 1), []).append(row)
-        terms.append(rows)
         buckets.append({k: tuple(v) for k, v in by_parity.items()})
     return IntForm(den, tuple(terms), tuple(buckets))
 
 
-def _from_ints(acc: Acc, den: int) -> Dict[Mono, QQi]:
-    """The accumulator over den as exact coefficients, exact zeros dropped."""
-    return {
-        k: QQi(Fraction(re, den), Fraction(im, den)) for k, (re, im) in acc.items() if re or im
-    }
+def _int_form(comps: Tuple[Dict[Mono, QQi], ...]) -> IntForm:
+    den = math.lcm(*[x.denominator for comp in comps for v in comp.values() for x in (v.re, v.im)])
+    return _form(den, [
+        tuple(
+            (a, b, c, v.re.numerator * (den // v.re.denominator), v.im.numerator * (den // v.im.denominator))
+            for (a, b, c), v in comp.items()
+        )
+        for comp in comps
+    ])
+
+
+def _kept(den: int, accs: Tuple[Acc, ...]) -> "SuperPoly":
+    """The polynomial of the accumulators over den, which it keeps as its ints.
+
+    Over den divided by the gcd of den and every numerator, the terms are
+    exactly what _int_form computes from the coefficients, in the same order.
+    """
+    terms = [_acc_terms(acc) for acc in accs]
+    g = math.gcd(den, *(x for rows in terms for row in rows for x in row[3:]))
+    if g > 1:
+        den //= g
+        terms = [tuple((a, b, c, re // g, im // g) for a, b, c, re, im in rows) for rows in terms]
+    poly = SuperPoly(*(
+        {(a, b, c): QQi(Fraction(re, den), Fraction(im, den)) for a, b, c, re, im in rows} for rows in terms
+    ))
+    poly.__dict__["ints"] = _form(den, terms)
+    return poly
 
 
 def _imul(acc: Acc, p: Tuple[Term, ...], q: Tuple[Term, ...], sign: int = 1, conj: bool = False) -> None:
@@ -265,29 +280,42 @@ def _imul(acc: Acc, p: Tuple[Term, ...], q: Tuple[Term, ...], sign: int = 1, con
                 slot[1] += im
 
 
-def _degree_sums(pairs) -> Dict[int, List[int]]:
-    """Unnormalized unit-sphere moments of sum_k sign_k conj(p_k) q_k, by degree.
+#: (f component, g component, sign, part) of the even components of
+#: cross(f) * g: part 0 is the body f0* g0, part 1 the top
+#: f0* g45 + f45* g0 - f5* g5 - f4* g4
+_EVEN_PAIRS = ((0, 0, 1, 0), (0, 3, 1, 1), (3, 0, 1, 1), (2, 2, -1, 1), (1, 1, -1, 1))
 
-    pairs holds (p, q, sign) with p and q parity buckets of integer terms.
-    The products are never formed: a product monomial has a nonzero moment
-    only when all three exponents are even, so a monomial of p meets only
-    the monomials of q with the same exponent parity.  Each paired monomial
-    of degree n has the moment (a-1)!! (b-1)!! (c-1)!! / (n+1)!!; the
-    numerators are summed here and the caller divides by (n+1)!!.
+
+def _moment_sums(f: "SuperPoly", g: "SuperPoly", pairs) -> Tuple[list, list]:
+    """Unnormalized unit-sphere moments of the body and the top of cross(f) * g, by degree.
+
+    pairs lists the bucket pairs to sum (_EVEN_PAIRS, or its first entry
+    for the body alone).  The products are never formed: a product monomial
+    has a nonzero moment only when all three exponents are even, so a
+    monomial of f meets only the monomials of g with the same exponent
+    parity.  Each paired monomial of degree n has the moment
+    (a-1)!! (b-1)!! (c-1)!! / (n+1)!!; the numerators are summed here into
+    (n, re, im) per part, zero sums dropped, and the caller divides by (n+1)!!.
     """
-    acc: Acc = {}
-    for left, right, sign in pairs:
-        for parity, p_terms in left.items():
+    fb, gb = f.ints.buckets, g.ints.buckets
+    accs = ({}, {})
+    for i, j, sign, part in pairs:
+        right = gb[j]
+        for parity, p_terms in fb[i].items():
             q_terms = right.get(parity)
             if q_terms:
-                _imul(acc, p_terms, q_terms, sign, conj=True)
-    by_degree: Dict[int, List[int]] = {}
-    for (a, b, c), (re, im) in acc.items():
-        w = _dfact(a - 1) * _dfact(b - 1) * _dfact(c - 1)
-        slot = by_degree.setdefault(a + b + c, [0, 0])
-        slot[0] += w * re
-        slot[1] += w * im
-    return by_degree
+                _imul(accs[part], p_terms, q_terms, sign, conj=True)
+    sums = ([], [])
+    for acc, out in zip(accs, sums):
+        if acc:
+            by_degree: Dict[int, List[int]] = {}
+            for (a, b, c), (re, im) in acc.items():
+                w = _dfact(a - 1) * _dfact(b - 1) * _dfact(c - 1)
+                slot = by_degree.setdefault(a + b + c, [0, 0])
+                slot[0] += w * re
+                slot[1] += w * im
+            out += [(n, re, im) for n, (re, im) in by_degree.items() if re or im]
+    return sums
 
 
 def _fold_moments(terms, rho: Fraction, den: int) -> QQi:
@@ -318,7 +346,8 @@ class SuperPoly:
     """Element f0 + f4 theta4 + f5 theta5 + f45 theta4 theta5.
 
     A value: the component tables are never changed after construction,
-    so the integer form (ints) is computed once and kept.
+    so the integer form (ints) is kept from the kernel that made it
+    (_kept), or computed once from the coefficients.
     """
 
     c0: Dict[Mono, QQi] = dataclasses.field(default_factory=dict)
@@ -342,22 +371,16 @@ class SuperPoly:
 
     @classmethod
     def variable(cls, name: str) -> "SuperPoly":
-        if name in ("x1", "x2", "x3"):
-            axis = int(name[1]) - 1
-            mono = tuple(1 if i == axis else 0 for i in range(3))
-            return cls(c0={mono: QQI_ONE})
-        if name == "t4":
-            return cls(c4={(0, 0, 0): QQI_ONE})
-        if name == "t5":
-            return cls(c5={(0, 0, 0): QQI_ONE})
-        raise ValueError(f"unknown variable {name!r}")
+        if name not in ("x1", "x2", "x3", "t4", "t5"):
+            raise ValueError(f"unknown variable {name!r}")
+        return parse_superpoly(name)
 
     def components(self) -> Tuple[Dict[Mono, QQi], ...]:
         return (self.c0, self.c4, self.c5, self.c45)
 
     @functools.cached_property
     def ints(self) -> IntForm:
-        """The integer form, built on first use and kept on this instance."""
+        """The integer form, kept from a kernel or built on first use."""
         return _int_form(self.components())
 
     def is_zero(self) -> bool:
@@ -408,8 +431,7 @@ class SuperPoly:
         _imul(h[3], f45, g0)
         _imul(h[3], f4, g5)
         _imul(h[3], f5, g4, -1)
-        den = self.ints.den * other.ints.den
-        return SuperPoly(*(_from_ints(acc, den) for acc in h))
+        return _kept(self.ints.den * other.ints.den, h)
 
 
 def cross_involution(f: SuperPoly) -> SuperPoly:
@@ -428,7 +450,7 @@ def cross_involution(f: SuperPoly) -> SuperPoly:
 
 def sphere_relation(rho: RhoLike) -> SuperPoly:
     """The generator P = x1^2 + x2^2 + x3^2 + 2 theta4 theta5 - rho^2."""
-    rho2 = QQi(Fraction(rho) ** 2)
+    rho2 = QQi(_radius(rho) ** 2)
     return SuperPoly(
         c0={
             (2, 0, 0): QQI_ONE,
@@ -503,12 +525,11 @@ def _normal_ints(den: int, terms, rho: Fraction) -> Tuple[int, Tuple[Acc, ...]]:
 def normal_form(f: SuperPoly, rho: RhoLike) -> SpherePolyClass:
     """Unique representative with x3-degree <= 1 in each component.
 
-    The relation is eliminated in integers over the cached integer form of
-    f, with one Fraction per output coefficient.
+    The relation is eliminated in integers over the integer form of f, with
+    one Fraction per output coefficient.
     """
-    rho = Fraction(rho)
-    den, out = _normal_ints(f.ints.den, f.ints.terms, rho)
-    return SpherePolyClass(poly=SuperPoly(*(_from_ints(acc, den) for acc in out)), rho=rho)
+    rho = _radius(rho)
+    return SpherePolyClass(poly=_kept(*_normal_ints(f.ints.den, f.ints.terms, rho)), rho=rho)
 
 
 def class_mul(f: SpherePolyClass, g: SpherePolyClass) -> SpherePolyClass:
@@ -549,7 +570,7 @@ def berezin_radial_sum(f: SuperPoly, rho: RhoLike) -> QQi:
     among the candidate Berezin-integration conventions.  It is the
     pairing of 1 with f.
     """
-    return _berezin_pairing(SuperPoly.one(), f, Fraction(rho), 0)
+    return _berezin_pairing(SuperPoly.one(), f, _radius(rho), 0)
 
 
 def berezin_sphere_integral(f: SuperPoly, rho: RhoLike) -> complex:
@@ -561,7 +582,8 @@ PolyOrClass = Union[SuperPoly, SpherePolyClass]
 
 def _as_class_parts(f: PolyOrClass, rho: Fraction) -> Tuple[SuperPoly, Surd]:
     if isinstance(f, SpherePolyClass):
-        if f.rho != rho:
+        # both in lowest terms, so equal exactly when the integers are
+        if f.rho.numerator != rho.numerator or f.rho.denominator != rho.denominator:
             raise ValueError("radius mismatch")
         return f.poly, f.scale
     return f, _SURD_ONE
@@ -573,18 +595,15 @@ def _berezin_pairing(f: SuperPoly, g: SuperPoly, rho: Fraction, lift: int) -> QQ
     The even components of the product are f0* g0 (the body) and
     f0* g45 + f45* g0 - f5* g5 - f4* g4 (the top, with the cross involution
     folded in).  Their moments are summed in integers per degree over the
-    cached integer forms of f and g, then folded with the weights (n+1) and
-    1/(n+1)!! and the powers of rho into one numerator over one denominator:
-    exactly two Fractions per call.
+    integer forms of f and g, in one pass (_moment_sums), then folded with
+    the weights (n+1) and 1/(n+1)!! and the powers of rho into one numerator
+    over one denominator: at most two Fractions per call.  rho must be a
+    positive Fraction (_radius).
     """
-    if rho == 0:
-        raise ValueError("radius must be nonzero")
-    fb, gb = f.ints.buckets, g.ints.buckets
-    body = _degree_sums(((fb[0], gb[0], 1),))
-    top = _degree_sums(((fb[0], gb[3], 1), (fb[3], gb[0], 1), (fb[2], gb[2], -1), (fb[1], gb[1], -1)))
     # rho^lift times sum_n (n+1) body_n rho^(n-1) - top_n rho^(n+1)
-    terms = [(n - 1 + lift, n + 1, n, re, im) for n, (re, im) in body.items()]
-    terms += [(n + 1 + lift, -1, n, re, im) for n, (re, im) in top.items()]
+    body, top = _moment_sums(f, g, _EVEN_PAIRS)
+    terms = [(n - 1 + lift, n + 1, n, re, im) for n, re, im in body]
+    terms += [(n + 1 + lift, -1, n, re, im) for n, re, im in top]
     return _fold_moments(terms, rho, f.ints.den * g.ints.den)
 
 
@@ -595,10 +614,11 @@ def inner_S_exact(f: PolyOrClass, g: PolyOrClass, rho: RhoLike) -> Tuple[QQi, Su
     computed as a bilinear pairing of the components of f and g: only
     monomial pairs of equal exponent parity contribute, and only the even
     components of the product are summed.  The sums run in integers over
-    the integer form cached on each polynomial, and the core is the only
-    pair of Fractions formed.
+    the integer form of each polynomial, and the core is the only pair of
+    Fractions formed.  rho is converted once, and a class's radius is
+    compared with it as two integers.
     """
-    rho = Fraction(rho)
+    rho = _radius(rho)
     fp, fs = _as_class_parts(f, rho)
     gp, gs = _as_class_parts(g, rho)
     return _berezin_pairing(fp, gp, rho, 1), fs * gs
@@ -715,8 +735,7 @@ def vector_field_action(a: Union[int, str], f: SuperPoly) -> SuperPoly:
     directly; the results accumulate in [re, im] slots and become Fractions
     once.
     """
-    den, out = _apply_field(a, f.ints.den, f.ints.terms)
-    return SuperPoly(*(_from_ints(acc, den) for acc in out))
+    return _kept(*_apply_field(a, f.ints.den, f.ints.terms))
 
 
 # ---------------------------------------------------------------------------
@@ -740,7 +759,7 @@ def classical_harmonic(two_j: int, mu: int, two_m: int, rho: RhoLike) -> SphereP
     Fractions are formed once, for the result.  The accumulated
     normalization stays in the surd scale.
     """
-    rho = Fraction(rho)
+    rho = _radius(rho)
     if two_j < 0 or mu not in (0, 1):
         raise ValueError("bad harmonic label")
     if mu == 1 and two_j < 1:
@@ -749,34 +768,24 @@ def classical_harmonic(two_j: int, mu: int, two_m: int, rho: RhoLike) -> SphereP
     if abs(two_m) > two_l or (two_m - two_l) % 2:
         raise ValueError("bad magnetic label")
 
+    k = two_j // 2
     if two_j % 2 == 0:
-        j = two_j // 2
-        terms = (_x_plus_terms(j, 0), (), (), ())
-        scale = Surd(
-            Fraction(1, 2**j * math.factorial(j)) / rho**j, Fraction(math.factorial(2 * j))
-        )
+        terms, power = (_x_plus_terms(k, 0), (), (), ()), k
     else:
         # x3 (x1 + i x2)^k theta4 + (x1 + i x2)^(k+1) theta5
-        k = (two_j - 1) // 2
-        terms = ((), _x_plus_terms(k, 1), _x_plus_terms(k + 1, 0), ())
-        scale = Surd(
-            Fraction(1, 2**k * math.factorial(k)) / rho ** (k + 2), Fraction(math.factorial(two_j))
-        )
+        terms, power = ((), _x_plus_terms(k, 1), _x_plus_terms(k + 1, 0), ()), k + 2
+    scale = Surd(Fraction(1, 2**k * math.factorial(k)) / rho**power, Fraction(math.factorial(two_j)))
 
+    # (field, radicand of its normalization): J_5 for mu = 1, then the J_- steps
+    steps = [(5, Fraction(4, two_j))] if mu else []
+    steps += [("-", Fraction(1, (two_l + t) // 2 * ((two_l - t + 2) // 2))) for t in range(two_l, two_m, -2)]
     den = 1
-    if mu == 1:
-        den, out = _apply_field(5, den, terms)
+    for field, rad in steps:
+        den, out = _apply_field(field, den, terms)
         terms = tuple(_acc_terms(acc) for acc in out)
-        scale = scale * Surd(Fraction(1), Fraction(4, two_j))
-    for two_m_cur in range(two_l, two_m, -2):
-        den, out = _apply_field("-", den, terms)
-        terms = tuple(_acc_terms(acc) for acc in out)
-        step = ((two_l + two_m_cur) // 2) * ((two_l - two_m_cur + 2) // 2)
-        scale = scale * Surd(Fraction(1), Fraction(1, step))
+        scale = scale * Surd(_F1, rad)
 
-    den, out = _normal_ints(den, terms, rho)
-    poly = SuperPoly(*(_from_ints(acc, den) for acc in out))
-    return SpherePolyClass(poly=poly, rho=rho, scale=scale)
+    return SpherePolyClass(poly=_kept(*_normal_ints(den, terms, rho)), rho=rho, scale=scale)
 
 
 def harmonic_sign(two_j: int, mu: int) -> int:
@@ -825,11 +834,11 @@ def inner_sphere_exact(f: PolyOrClass, g: PolyOrClass, rho: RhoLike) -> Tuple[QQ
     The body moments of the pairing kernel, sum_n rho^n m_n(f0* g0), in one
     numerator over one denominator.
     """
-    rho = Fraction(rho)
+    rho = _radius(rho)
     fp, fs = _as_class_parts(f, rho)
     gp, gs = _as_class_parts(g, rho)
-    body = _degree_sums(((fp.ints.buckets[0], gp.ints.buckets[0], 1),))
-    terms = [(n, 1, n, re, im) for n, (re, im) in body.items()]
+    body = _moment_sums(fp, gp, _EVEN_PAIRS[:1])[0]
+    terms = [(n, 1, n, re, im) for n, re, im in body]
     return _fold_moments(terms, rho, fp.ints.den * gp.ints.den), fs * gs
 
 def inner_sphere(f: PolyOrClass, g: PolyOrClass, rho: RhoLike) -> complex:
@@ -839,7 +848,7 @@ def inner_sphere(f: PolyOrClass, g: PolyOrClass, rho: RhoLike) -> complex:
 
 def body_map_classical(f: PolyOrClass, rho: RhoLike) -> SpherePolyClass:
     """Set the odd coordinates to zero and reduce mod the bosonic relation."""
-    rho = Fraction(rho)
+    rho = _radius(rho)
     fp, fs = _as_class_parts(f, rho)
     body = normal_form(SuperPoly(c0=fp.c0), rho).poly.c0
     return SpherePolyClass(poly=SuperPoly(c0=body), rho=rho, scale=fs)

@@ -278,9 +278,11 @@ def _chains(labels, key) -> List[tuple]:
 class FuzzySuperSphere:
     """Level-q truncation: End(V(q/2)) with its harmonic basis.
 
-    The weight table of all (2q+1)^2 harmonics is built on the first call
-    that needs it, so working with the highest-weight harmonics alone at
-    large q never pays for the basis.
+    The irrep, like the weight table of all (2q+1)^2 harmonics, is built on
+    the first call that needs it, so working with the highest-weight
+    harmonics alone at large q pays for neither.  Its layout follows from q:
+    the even block l = (q-1)/2 of size q, then the odd block l = q/2, so
+    dims = (q | q+1) and the blocks start at 0 and q.
     """
 
     def __init__(self, q: int, rho: float = 1.0):
@@ -290,9 +292,15 @@ class FuzzySuperSphere:
             raise ValueError("radius must be positive")
         self.q = int(q)
         self.rho = float(rho)
-        self.rep: Irrep = build_irrep(self.q, ODD)
-        self.basis: OspBasis = build_osp_basis()
-        self.dims: GradedDims = self.rep.dims
+        self.dims = GradedDims(even=self.q, odd=self.q + 1)
+
+    @functools.cached_property
+    def rep(self) -> Irrep:
+        return build_irrep(self.q, ODD)
+
+    @functools.cached_property
+    def basis(self) -> OspBasis:
+        return build_osp_basis()
 
     @property
     def n(self) -> int:
@@ -331,7 +339,7 @@ class FuzzySuperSphere:
         if two_j < 0 or two_j > 2 * q:
             raise ValueError(f"superspin 2j={two_j} out of range at level {q}")
         # first rows of the even l = (q-1)/2 block and the odd l = q/2 block
-        lo, hi = self.rep.index[(q - 1, q - 1)], self.rep.index[(q, q)]
+        lo, hi = 0, q
         out = np.zeros((self.n, self.n), dtype=complex)
         if two_j % 2 == 0:
             j = two_j // 2

@@ -336,6 +336,22 @@ def test_invariant_one_form_space_is_a_line():
     assert not dec.inconclusive
 
 
+def reference_invariant_one_forms(ctx, tol=1e-8):
+    """The L_a of the original frame, complex, stacked into one rank decision."""
+    return rank_decision(np.vstack([lie_matrix(ctx, a, 1) for a in ctx.labels]), tol)
+
+
+@pytest.mark.parametrize("kind", ["super", "body"])
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_invariant_one_forms_in_the_ladder_frame_match_the_original(kind, q):
+    ctx = (super_context if kind == "super" else body_context)(q)
+    got, want = invariant_one_forms(ctx), reference_invariant_one_forms(ctx)
+    assert got.rank == want.rank
+    assert abs(got.gap - want.gap) <= 1e-12 * abs(want.gap)
+    stacked = np.vstack([lie_matrix(ctx.ladder, a, 1) for a in ctx.labels])
+    assert stacked.dtype == np.float64
+
+
 # ---------------------------------------------------------------- matrices
 
 
@@ -557,6 +573,19 @@ def test_assembly_matches_kron_reference(kind, q, frame):
 def test_weight_needs_a_ladder_frame():
     with pytest.raises(ValueError):
         d_matrix(CTX, 0, weight=0)
+
+
+@pytest.mark.parametrize("weight", [None, 0, 2])
+def test_layout_is_cached_on_the_context_and_read_only(weight):
+    frame = super_context(2).ladder
+    for p in range(3):
+        layout = _layout(frame, p, weight)
+        assert _layout(frame, p, weight) is layout
+        for _, _, entries in layout[0].values():
+            assert all(not index.flags.writeable for index in entries)
+            with pytest.raises(ValueError):
+                entries[0][0] = 0
+    assert _layout(frame, 1, weight) is not _layout(super_context(2).ladder, 1, weight)
 
 
 # ---------------------------------------------------------------- the real ladder frame

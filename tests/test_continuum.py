@@ -17,6 +17,7 @@ from fuzzsuper.continuum import (
     cross_involution,
     format_superpoly,
     harmonic_sign,
+    SpherePolyClass,
     inner_S,
     inner_S_exact,
     inner_sphere,
@@ -29,6 +30,7 @@ from fuzzsuper.continuum import (
     structure_constant_classical,
     vector_field_action,
 )
+from fuzzsuper.continuum import _dfact, _fold_moments, _imul, _int_form, _radius
 
 X1, X2, X3 = (SuperPoly.variable(v) for v in ("x1", "x2", "x3"))
 T4, T5 = SuperPoly.variable("t4"), SuperPoly.variable("t5")
@@ -352,6 +354,126 @@ def test_integer_form_is_cached_on_the_instance():
     assert form.den == 105
     assert form.terms[1] == ((0, 0, 2, 42, -105),)
     assert SuperPoly.zero().ints.den == 1
+
+
+# ------------------------------------------- kept integer forms, two-pass refs
+# A kernel's result keeps the accumulators it was made from as its integer
+# form; that form must be the one _int_form recomputes from the Fractions,
+# term and bucket order included.  The one-pass pairing must give the
+# Fractions of the two-pass one it replaced: one accumulator per call of
+# ref_degree_sums, over forms recomputed from the Fractions.
+
+RHOS = [Fraction(1), Fraction(5, 2), Fraction(7, 3)]
+
+
+def form_key(form):
+    return form.den, form.terms, [list(bucket.items()) for bucket in form.buckets]
+
+
+@pytest.mark.parametrize("rho", RHOS)
+def test_kept_integer_forms_equal_the_recomputed_ones(rho):
+    polys = kernel_inputs(rho)
+    made = [f * g for f in polys for g in polys[::3]]
+    made += [normal_form(f, rho).poly for f in polys]
+    made += [vector_field_action(a, f) for a in (1, 2, 3, 4, 5, "+", "-") for f in polys]
+    made += [classical_harmonic(*label, rho).poly for label in all_harmonic_labels(6)]
+    for f in made:
+        assert "ints" in vars(f)  # kept from its kernel, not built on first use
+        assert form_key(f.ints) == form_key(_int_form(f.components()))
+    assert SuperPoly.zero().ints == (ONE * SuperPoly.zero()).ints == (1, ((),) * 4, ({},) * 4)
+
+
+def ref_degree_sums(pairs):
+    """Degree-n moment numerators of sum_k sign_k conj(p_k) q_k, one accumulator."""
+    acc = {}
+    for left, right, sign in pairs:
+        for parity, p_terms in left.items():
+            q_terms = right.get(parity)
+            if q_terms:
+                _imul(acc, p_terms, q_terms, sign, conj=True)
+    by_degree = {}
+    for (a, b, c), (re, im) in acc.items():
+        w = _dfact(a - 1) * _dfact(b - 1) * _dfact(c - 1)
+        slot = by_degree.setdefault(a + b + c, [0, 0])
+        slot[0] += w * re
+        slot[1] += w * im
+    return by_degree
+
+
+def ref_pairing(f, g, rho, lift):
+    """rho^lift * berezin_radial_sum(cross_involution(f) * g, rho), body and top apart."""
+    ff, gf = _int_form(f.components()), _int_form(g.components())
+    fb, gb = ff.buckets, gf.buckets
+    body = ref_degree_sums(((fb[0], gb[0], 1),))
+    top = ref_degree_sums(((fb[0], gb[3], 1), (fb[3], gb[0], 1), (fb[2], gb[2], -1), (fb[1], gb[1], -1)))
+    terms = [(n - 1 + lift, n + 1, n, re, im) for n, (re, im) in body.items()]
+    terms += [(n + 1 + lift, -1, n, re, im) for n, (re, im) in top.items()]
+    return _fold_moments(terms, rho, ff.den * gf.den)
+
+
+def ref_sphere_pairing(f, g, rho):
+    ff, gf = _int_form(f.components()), _int_form(g.components())
+    body = ref_degree_sums(((ff.buckets[0], gf.buckets[0], 1),))
+    terms = [(n, 1, n, re, im) for n, (re, im) in body.items()]
+    return _fold_moments(terms, rho, ff.den * gf.den)
+
+
+@pytest.mark.parametrize("rho", RHOS)
+def test_one_pass_pairing_equals_the_two_pass_reference(rho):
+    harms = [classical_harmonic(*label, rho) for label in all_harmonic_labels(4)]
+    polys = kernel_inputs(rho) + [h.poly for h in harms]
+    for f in polys:
+        assert berezin_radial_sum(f, rho) == ref_pairing(ONE, f, rho, 0)
+        for g in polys:
+            assert inner_S_exact(f, g, rho)[0] == ref_pairing(f, g, rho, 1)
+            assert inner_sphere_exact(f, g, rho)[0] == ref_sphere_pairing(f, g, rho)
+    for ya in harms:
+        for yb in harms:
+            for inner, ref in ((inner_S_exact, lambda f, g: ref_pairing(f, g, rho, 1)),
+                               (inner_sphere_exact, lambda f, g: ref_sphere_pairing(f, g, rho))):
+                core, scale = inner(ya, yb, rho)
+                assert core == ref(ya.poly, yb.poly)
+                assert (scale.coef, scale.rad) == ((ya.scale * yb.scale).coef, (ya.scale * yb.scale).rad)
+
+
+# ---------------------------------------------------------------- radius
+
+
+@pytest.mark.parametrize("rho", [0, -1, Fraction(-5, 2)])
+def test_non_positive_radius_is_rejected(rho):
+    calls = [
+        lambda: classical_harmonic(2, 0, 2, rho),
+        lambda: sphere_harmonic(1, 0, rho),
+        lambda: structure_constant_classical(1, 1, rho),
+        lambda: normal_form(X3 * X3, rho),
+        lambda: sphere_relation(rho),
+        lambda: berezin_radial_sum(ONE, rho),
+        lambda: berezin_sphere_integral(ONE, rho),
+        lambda: inner_S_exact(X3, X3, rho),
+        lambda: inner_S(X3, X3, rho),
+        lambda: inner_sphere_exact(X3, X3, rho),
+        lambda: inner_sphere(X3, X3, rho),
+        lambda: body_map_classical(X3, rho),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="radius must be positive"):
+            call()
+
+
+def test_radius_is_a_positive_fraction():
+    rho = Fraction(5, 2)
+    assert _radius(rho) is rho
+    assert _radius(3) == 3 and type(_radius(3)) is Fraction
+    assert _radius("7/3") == Fraction(7, 3)
+
+
+def test_class_of_another_radius_is_rejected():
+    y = classical_harmonic(2, 0, 2, Fraction(5, 2))
+    assert inner_S_exact(y, y, Fraction(5, 2))[0] == inner_S_exact(y, y, Fraction(10, 4))[0]
+    with pytest.raises(ValueError, match="radius mismatch"):
+        inner_S_exact(y, y, 1)
+    with pytest.raises(ValueError, match="radius mismatch"):
+        inner_sphere_exact(SpherePolyClass(y.poly, Fraction(7, 3)), y, Fraction(7, 3))
 
 
 # ---------------------------------------------------------------- fields

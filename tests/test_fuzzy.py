@@ -22,6 +22,7 @@ from fuzzsuper.fuzzy import (
     structure_constant_fuzzy,
 )
 from fuzzsuper.graded import (
+    ODD,
     GradedDims,
     GradedMatrix,
     hs_inner,
@@ -32,7 +33,10 @@ from fuzzsuper.graded import (
     superadjoint,
     supertrace,
 )
+import fuzzsuper.fuzzy as fuzzy_module
+from fuzzsuper.calculus import super_context
 from fuzzsuper.continuum import structure_constant_classical
+from fuzzsuper.osp import build_irrep, build_osp_basis
 
 RNG = np.random.default_rng(21)
 
@@ -538,6 +542,46 @@ def test_structure_constants_converge_monotonically():
         if max(deltas) < tol_vacuous:
             continue  # exact at every level (identity factor)
         assert deltas[2] < deltas[1] < deltas[0], (two_j1, two_j2, deltas)
+
+
+# ---------------------------------------------------------------- the lazy irrep
+
+
+@pytest.mark.parametrize("q", range(1, 13))
+def test_dims_and_block_starts_follow_from_q(q):
+    s, rep = FuzzySuperSphere(q), build_irrep(q, ODD)
+    assert s.dims == rep.dims and s.n == rep.dims.total
+    # highest_weight writes the even l = (q-1)/2 block from row 0, the odd l = q/2 from row q
+    assert rep.index[(q - 1, q - 1)] == 0 and rep.index[(q, q)] == q
+    s.highest_weight(2 * q)
+    assert "rep" not in vars(s)
+
+
+def test_structure_constant_builds_no_irrep(monkeypatch):
+    built = []
+    real = fuzzy_module.build_irrep
+    monkeypatch.setattr(fuzzy_module, "build_irrep", lambda *args: built.append(args) or real(*args))
+    c = structure_constant_fuzzy(60, 1, 2).c
+    assert built == []
+    s = FuzzySuperSphere(60)
+    assert s.rep is s.rep and built == [(60, ODD)]
+    assert structure_constant_fuzzy(60, 1, 2, s).c == c
+
+
+def test_lazy_irrep_serves_generators_table_and_contexts():
+    q = 3
+    s, rep = FuzzySuperSphere(q), build_irrep(q, ODD)
+    for a in (1, 2, 3, 4, 5, "+", "-"):
+        assert np.array_equal(s.generator(a).mat, rep.matrix(a).mat), a
+    assert s.casimir_residual() < 1e-12
+    fresh = FuzzySuperSphere(q)
+    f = random_graded_matrix(fresh.dims, RNG)
+    assert (fresh.reconstruct(fresh.decompose(f)) - f).norm() < 1e-12 * f.norm()
+    ctx = super_context(2)
+    assert ctx.dims == FuzzySuperSphere(2).dims
+    assert ctx.sphere.basis.parities == build_osp_basis().parities
+    for a, g in zip(ctx.labels, ctx.generators):
+        assert np.array_equal(g.mat, build_irrep(2, ODD).matrix(a).mat), a
 
 
 # ---------------------------------------------------------------- body
