@@ -12,10 +12,12 @@ built in one sweep; its one projection per weight removes only rounding noise.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import functools
 import itertools
 import math
+import numbers
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -41,17 +43,36 @@ def _binomial_diagonal(a: int, b: int, top: int, count: int, num: int, den: int)
     return np.sqrt([num * math.comb(r + a, a) * math.comb(top - r, b) / den for r in range(count)])
 
 
+def _level(q) -> int:
+    """q as an int, if it is a positive integer (a numpy int or an integral float too)."""
+    if not isinstance(q, numbers.Real) or not math.isfinite(q) or q != int(q) or q < 1:
+        raise ValueError(f"level q must be a positive integer, got {q!r}")
+    return int(q)
+
+
+def _radius(rho) -> float:
+    """rho as a float, if it is a finite positive number."""
+    if not isinstance(rho, numbers.Real) or not 0 < rho < math.inf:
+        raise ValueError(f"radius must be finite and positive, got {rho!r}")
+    return float(rho)
+
+
 # ---------------------------------------------------------------------------
 # harmonic labels
 
 
-@dataclasses.dataclass(frozen=True, order=True)
+@dataclasses.dataclass(frozen=True, order=True, slots=True)
 class HarmonicLabel:
-    """(j, l, m, mu) with l = j - mu/2, stored in doubled integers."""
+    """(j, l, m, mu) with l = j - mu/2, stored in doubled integers.
+
+    The hash is computed once, in __post_init__ (so dataclasses.replace
+    rehashes): labels key every table and coefficient dict.
+    """
 
     two_j: int
     mu: int
     two_m: int
+    _hash: int = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.two_j < 0:
@@ -63,6 +84,10 @@ class HarmonicLabel:
         two_l = self.two_j - self.mu
         if abs(self.two_m) > two_l or (two_l - self.two_m) % 2:
             raise ValueError("magnetic label out of range")
+        object.__setattr__(self, "_hash", hash((self.two_j, self.mu, self.two_m)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def two_l(self) -> int:
@@ -165,83 +190,100 @@ class _WeightTable:
     """The harmonic basis of a sphere, stored on the entries of each weight.
 
     A harmonic of doubled weight m is nonzero only on the entries of weight
-    m (graded.entry_weights).  For each m the table keeps those entries and
-    one column per label, labels sorted by descending l.  ``chains`` lists
+    m (graded.entry_weights).  For each m the table keeps those entries as
+    ``flat`` indices r*n + c, and one row per label in ``rows``, labels
+    sorted by descending l: a C-contiguous labels x entries array, so a
+    harmonic is one contiguous row scattered onto the flat entries.
+    ``cols`` holds the transposed views of ``rows``, one column per label,
+    and ``where`` gives the row (column) of each label at its weight
+    label.two_m, keyed by those same label objects.  ``chains`` lists
     (labels, sign) per chain, its labels from the top weight 2l down, and
-    ``top(label)`` gives the matrix of a chain's top.  ``where`` gives the
-    column of each label at its weight label.two_m, keyed by those same
-    label objects.  One sweep down from the top weight
-    builds every chain: from its top matrix, gathered onto its entries, each
-    step applies ad J_- between the entries (graded.restricted_adjoint) and
-    divides by the ladder's sqrt(step).  The steps then lose their components
-    along the columns of larger l at that weight, in the pairing given
-    entrywise by ``pair`` and the label signs.  Those components vanish in
-    exact arithmetic; in floating point they are the rounding noise that
-    later steps would amplify.  Only steps are projected (a top has l = m,
-    the least l at its weight), and only against steps of strictly larger l,
-    all in one product per weight: the signed Gram G of the steps, masked to
+    ``top(label)`` gives the matrix of a chain's top.  One sweep down from
+    the top weight builds every chain: from its top matrix, gathered onto
+    its entries, each step applies ad J_- between the entries
+    (graded.restricted_adjoint) and divides by the ladder's sqrt(step).  The
+    chains live at a weight are those whose top is at least |m| and of m's
+    parity: a prefix of that parity's chains sorted by descending top,
+    found by bisection.  The steps then lose their components along the
+    columns of larger l at that weight, in the pairing given entrywise by
+    ``pair`` and the label signs.  Those components vanish in exact
+    arithmetic; in floating point they are the rounding noise that later
+    steps would amplify.  Only steps are projected (a top has l = m, the
+    least l at its weight), and only against steps of strictly larger l, all
+    in one product per weight: the signed Gram G of the steps, masked to
     those pairs, then steps -= steps @ G.  G is read from the unprojected
     steps, where a column-by-column sweep would read the already projected
     ones; each such correction is O(eps) and meets an O(eps) overlap, so the
-    two differ by O(eps^2).  ``project`` inverts ``combine`` with the same
-    pairing: one product per weight.
+    two differ by O(eps^2).  The sweep computes in entries x labels layout
+    and keeps the weight m + 2 it steps from, its entries and columns, until
+    weight m is built; the table stores only the rows.  ``project`` inverts
+    ``combine`` with the same pairing: one product per weight.
     """
 
     def __init__(self, j3: np.ndarray, jm: GradedMatrix, pair: np.ndarray, chains: list, top) -> None:
         diff = entry_weights(j3)
         chains = sorted(chains, key=lambda ch: -ch[0][0].two_m)
-        self.n = len(diff)
-        self.entries: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        self.cols: Dict[int, np.ndarray] = {}
+        # each parity's chains by descending top weight, and those tops negated for bisect
+        by_parity = {p: [ch for ch in chains if ch[0][0].two_m % 2 == p] for p in (0, 1)}
+        neg_tops = {p: [-ch[0][0].two_m for ch in live] for p, live in by_parity.items()}
+        self.n = n = len(diff)
+        self.flat: Dict[int, np.ndarray] = {}  # r * n + c for the entries of each weight
+        self.rows: Dict[int, np.ndarray] = {}  # labels x entries, C-contiguous
+        self.cols: Dict[int, np.ndarray] = {}  # the transposed views of rows
         self.labels: Dict[int, tuple] = {}  # the labels of each weight, in column order
         self.pair: Dict[int, np.ndarray] = {}  # pair on the entries of each weight
         self.signs: Dict[int, np.ndarray] = {}  # the label signs, in column order
         self.where: Dict[object, int] = {}
+        above: Dict[int, tuple] = {}  # per parity, the entries (r, c) and columns of the last weight built
         for two_m in np.unique(diff)[::-1].tolist():
-            live = [
-                ch for ch in chains
-                if ch[0][0].two_m >= abs(two_m) and (ch[0][0].two_m - two_m) % 2 == 0
-            ]
+            p = two_m % 2
+            live = by_parity[p][: bisect.bisect_right(neg_tops[p], -abs(two_m))]
             tops = [labels[0] for labels, _ in live]
             r, c = np.nonzero(diff == two_m)
             w, s = pair[r, c], np.array([sign for _, sign in live], dtype=float)
             h = np.empty((len(r), len(live)), dtype=complex)
-            k0 = sum(la.two_m > two_m for la in tops)  # chains stepping down from two_m + 2
+            # the chains stepping down from two_m + 2: tops above two_m
+            k0 = bisect.bisect_left(neg_tops[p], -two_m, 0, len(live))
             if k0:
-                ad = restricted_adjoint(jm, (r, c), self.entries[two_m + 2])
+                entries, cols = above[p]
+                ad = restricted_adjoint(jm, (r, c), entries)
                 two_l = np.array([la.two_m for la in tops[:k0]])
                 step = (two_l + two_m + 2) // 2 * ((two_l - two_m) // 2)
-                steps = ad @ self.cols[two_m + 2][:, :k0] / np.sqrt(step)
+                steps = ad @ cols[:, :k0] / np.sqrt(step)
                 g = s[:k0, None] * (steps.conj().T @ (w[:, None] * steps))
                 g[two_l[:, None] <= two_l] = 0  # step i enters step k only if l_i > l_k
                 h[:, :k0] = steps - steps @ g
             for k in range(k0, len(live)):
                 h[:, k] = top(tops[k])[r, c]
-            self.entries[two_m], self.cols[two_m] = (r, c), h
+            above[p] = (r, c), h
+            self.flat[two_m] = r * n + c
+            self.rows[two_m] = np.ascontiguousarray(h.T)
+            self.cols[two_m] = self.rows[two_m].T
             self.labels[two_m] = tuple(labels[(labels[0].two_m - two_m) // 2] for labels, _ in live)
             self.pair[two_m], self.signs[two_m] = w, s
             self.where.update((label, k) for k, label in enumerate(self.labels[two_m]))
 
     def _locate(self, label) -> Tuple[int, int]:
-        if label not in self.where:
-            raise ValueError(f"label {label} does not exist at this level")
-        return label.two_m, self.where[label]
+        try:
+            return label.two_m, self.where[label]
+        except KeyError:
+            raise ValueError(f"label {label} does not exist at this level") from None
 
     def column(self, label) -> np.ndarray:
-        """Y_label as a fresh n x n array: its stored column scattered onto its entries."""
+        """Y_label as a fresh n x n array: its stored row scattered onto its flat entries."""
         two_m, k = self._locate(label)
         out = np.zeros((self.n, self.n), dtype=complex)
-        out[self.entries[two_m]] = self.cols[two_m][:, k]
+        out.reshape(-1)[self.flat[two_m]] = self.rows[two_m][k]
         return out
 
     def project_weight(self, f: np.ndarray, two_m: int) -> np.ndarray:
         """The coefficients of f on the labels of weight two_m, in column order.
 
-        sign_L <Y_L|f> for each label L, as one product: signs * cols^H (pair * f)
+        sign_L <Y_L|f> for each label L, as one product: signs * conj(rows) (pair * f)
         on the entries of that weight.
         """
-        x = self.pair[two_m] * f[self.entries[two_m]]
-        return self.signs[two_m] * (self.cols[two_m].conj().T @ x)
+        x = self.pair[two_m] * np.take(f, self.flat[two_m])
+        return self.signs[two_m] * (self.rows[two_m].conj() @ x)
 
     def project(self, f: np.ndarray) -> Dict[object, complex]:
         """The inverse of combine: the coefficient of every label, one product per weight."""
@@ -262,7 +304,7 @@ class _WeightTable:
         """The matrix with coefficient vector vecs[m] on the columns of each weight m."""
         out = np.zeros((self.n, self.n), dtype=complex)
         for two_m, v in vecs.items():
-            out[self.entries[two_m]] = self.cols[two_m] @ v
+            out.reshape(-1)[self.flat[two_m]] = self.cols[two_m] @ v
         return out
 
 
@@ -286,12 +328,8 @@ class FuzzySuperSphere:
     """
 
     def __init__(self, q: int, rho: float = 1.0):
-        if q < 1:
-            raise ValueError("level q must be a positive integer")
-        if rho <= 0:
-            raise ValueError("radius must be positive")
-        self.q = int(q)
-        self.rho = float(rho)
+        self.q = _level(q)
+        self.rho = _radius(rho)
         self.dims = GradedDims(even=self.q, odd=self.q + 1)
 
     @functools.cached_property
@@ -387,9 +425,12 @@ class FuzzySuperSphere:
         """Signed projection <Y_L|f> onto the pseudo-orthonormal basis.
 
         One harmonic and one indefinite_inner per label, each O(n^2), so
-        O(n^4) in all.  The benchmark's span test pins that call count (49
-        inner products at q = 3), so the loop stays until that pin is
-        lifted (ROADMAP item 1); then this becomes the weight table's
+        O(n^4) in all, and nothing else per label: the harmonic is one row
+        of the weight table scattered onto a zero matrix, the label's hash
+        is cached, and f is grade-twisted once, on the first inner product,
+        then read from its cache.  The benchmark's span test pins that call
+        count (49 inner products at q = 3), so the loop stays until that pin
+        is lifted (ROADMAP item 1); then this becomes the weight table's
         ``project``, one product per weight, as FuzzySphere.decompose and
         body_map_fuzzy already are.
         """
@@ -513,28 +554,29 @@ def structure_constant_fuzzy(
 # the bosonic companion sphere
 
 
-@dataclasses.dataclass(frozen=True, order=True)
+@dataclasses.dataclass(frozen=True, order=True, slots=True)
 class SphereLabel:
-    """(j, m) in doubled integers, for the bosonic harmonic basis."""
+    """(j, m) in doubled integers, for the bosonic harmonic basis; its hash computed once."""
 
     two_j: int
     two_m: int
+    _hash: int = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.two_j < 0 or abs(self.two_m) > self.two_j or (self.two_j - self.two_m) % 2:
             raise ValueError("bad spherical label")
+        object.__setattr__(self, "_hash", hash((self.two_j, self.two_m)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 class FuzzySphere:
     """End of the spin-q/2 sl2 irrep with orthonormal matrix harmonics."""
 
     def __init__(self, q: int, rho: float = 1.0):
-        if q < 1:
-            raise ValueError("level q must be a positive integer")
-        if rho <= 0:
-            raise ValueError("radius must be positive")
-        self.q = int(q)
-        self.rho = float(rho)
+        self.q = _level(q)
+        self.rho = _radius(rho)
         self.rep: Sl2Irrep = build_sl2_irrep(self.q)
 
     @property

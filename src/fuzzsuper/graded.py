@@ -13,10 +13,12 @@ cached read-only array of +-1 (exact in floating point).  From it
 b_even = (b + tau(b)) / 2 and b_odd = (b - tau(b)) / 2, so no kernel builds
 a parity mask.  The inner products cost O(n^2) and form no matrix product:
 hs_inner is one BLAS dot product (np.vdot), indefinite_inner two over row
-blocks, with the twisted even rows of its second argument as the one
-temporary.  A graded commutator with a homogeneous left factor costs two
-matrix products.  rank_decision keeps real input real, so the real d
-matrices of the cohomology take LAPACK's real SVD.
+blocks.  The twisted even rows that indefinite_inner reads from its second
+argument are formed once per matrix and cached on it, read-only, so a loop
+that pairs many matrices with one right operand forms no temporary.  A
+graded commutator with a homogeneous left factor costs two matrix
+products.  rank_decision keeps real input real, so the real d matrices of
+the cohomology take LAPACK's real SVD.
 
 Who copies and who freezes: the public GradedMatrix constructor copies the
 array it is given, because the caller may still hold and write it.  The
@@ -24,7 +26,8 @@ results of the arithmetic operators, part, superadjoint and
 graded_commutator, and the fuzzy highest weights, harmonics and
 reconstructions, are fresh arrays; GradedMatrix._adopt freezes them in
 place without a copy.  Either way the entries of a GradedMatrix are
-read-only and shared with no other object.
+read-only and shared with no other object.  So is its cached
+twisted_even_rows, which stays valid because the entries cannot change.
 """
 
 from __future__ import annotations
@@ -127,6 +130,18 @@ class GradedMatrix:
     def n(self) -> int:
         return self.dims.total
 
+    @functools.cached_property
+    def twisted_even_rows(self) -> np.ndarray:
+        """The even rows of the entries, grade-twisted: the right operand of indefinite_inner.
+
+        Formed on first use and cached, read-only; the entries are frozen, so
+        the cache stays valid.  It holds about n^2/2 entries.
+        """
+        ne = self.dims.even
+        out = self.mat[:ne] * self.dims.twist[:ne]
+        out.setflags(write=False)
+        return out
+
     def part(self, parity: Parity) -> "GradedMatrix":
         sign = -1.0 if parity % 2 else 1.0
         return self._like(0.5 * (self.mat + sign * self.mat * self.dims.twist))
@@ -214,16 +229,16 @@ def indefinite_inner(f: GradedMatrix, g: GradedMatrix) -> complex:
     The supertrace reads only the diagonal of f^+ g, so the product is
     sum conj(f) * g over all entries with the even-even block negated.  It
     is taken as two BLAS dot products (np.vdot) over contiguous row blocks:
-    the odd rows, minus the even rows of g grade-twisted (even-even entries
-    +1, even-odd -1, both exact).  The cost is O(n^2); the one temporary is
-    the twisted even rows of g, about n^2/2 entries, and no matrix product
-    is formed.  Subtracting twice the even-even block from vdot(f, g)
-    instead would cancel.
+    the odd rows, minus g.twisted_even_rows (even-even entries +1, even-odd
+    -1, both exact).  The cost is O(n^2) and no matrix product is formed.
+    The twisted rows are g's cached attribute, formed on the first call
+    with that g, so pairing many f with one g twists it once.  Subtracting
+    twice the even-even block from vdot(f, g) instead would cancel.
     """
-    f._check(g)
+    if f.dims is not g.dims:
+        f._check(g)
     ne = f.dims.even
-    a, b = f.mat, g.mat
-    return complex(np.vdot(a[ne:], b[ne:]) - np.vdot(a[:ne], b[:ne] * f.dims.twist[:ne]))
+    return complex(np.vdot(f.mat[ne:], g.mat[ne:]) - np.vdot(f.mat[:ne], g.twisted_even_rows))
 
 
 def hs_inner(f: np.ndarray, g: np.ndarray) -> complex:

@@ -84,7 +84,7 @@ def test_c01_harmonic_label_counts():
 def test_c02_harmonics_orthonormality():
     t0 = time.perf_counter()
     worst_fuzzy = 0.0
-    for q in range(1, 5):
+    for q in range(1, 9):
         s = FuzzySuperSphere(q)
         mats = [(la, s.harmonic(la)) for la in s.labels()]
         for i, (la, ya) in enumerate(mats):
@@ -92,8 +92,8 @@ def test_c02_harmonics_orthonormality():
                 got = indefinite_inner(ya, yb)
                 want = la.sign if la == lb else 0.0
                 worst_fuzzy = max(worst_fuzzy, abs(got - want))
-    print(f"fuzzy gram worst residual (q<=4): {worst_fuzzy:.3e}")
-    assert worst_fuzzy <= 1e-9
+    print(f"fuzzy gram worst residual (q<=8): {worst_fuzzy:.3e}")
+    assert worst_fuzzy <= 1e-13
 
     # the classical Gram is exact: zero cores off the diagonal, the
     # signature on it (matching surds multiply to a rational)

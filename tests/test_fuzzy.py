@@ -34,7 +34,7 @@ from fuzzsuper.graded import (
     supertrace,
 )
 import fuzzsuper.fuzzy as fuzzy_module
-from fuzzsuper.calculus import super_context
+from fuzzsuper.calculus import body_context, super_context
 from fuzzsuper.continuum import structure_constant_classical
 from fuzzsuper.osp import build_irrep, build_osp_basis
 
@@ -75,14 +75,14 @@ def reference_sequential_cols(table, jm, top, two_l):
     """
     cols = {}
     for two_m in sorted(table.labels, reverse=True):
-        labels, (r, c) = table.labels[two_m], table.entries[two_m]
+        labels, (r, c) = table.labels[two_m], divmod(table.flat[two_m], table.n)
         h = np.empty((len(r), len(labels)), dtype=complex)
         for k, la in enumerate(labels):
             if two_l(la) == two_m:
                 h[:, k] = top(la)[r, c]
                 continue
             above = dataclasses.replace(la, two_m=two_m + 2)
-            ad = restricted_adjoint(jm, (r, c), table.entries[two_m + 2])
+            ad = restricted_adjoint(jm, (r, c), divmod(table.flat[two_m + 2], table.n))
             step = ((two_l(la) + two_m + 2) // 2) * ((two_l(la) - two_m) // 2)
             h[:, k] = ad @ cols[two_m + 2][:, table.where[above]] / math.sqrt(step)
         w, s = table.pair[two_m], table.signs[two_m]
@@ -215,6 +215,20 @@ def test_label_validation():
     assert la.two_l == 2 and la.parity == 0 and la.sign == -1
 
 
+def test_labels_built_apart_hash_alike_and_replace_rehashes():
+    for la, twin, other in (
+        (HarmonicLabel(3, 1, 2), HarmonicLabel(3, 1, 2), HarmonicLabel(3, 1, 0)),
+        (SphereLabel(4, -2), SphereLabel(4, -2), SphereLabel(4, 0)),
+    ):
+        assert la is not twin and la == twin and hash(la) == hash(twin)
+        moved = dataclasses.replace(la, two_m=0)
+        assert moved == other and hash(moved) == hash(other)
+        assert {la: 1}[twin] == 1 and other not in {la: 1}
+        assert hash(la) == hash(dataclasses.astuple(la)[:-1])  # the tuple hash of the fields
+    assert repr(HarmonicLabel(1, 0, -1)) == "HarmonicLabel(two_j=1, mu=0, two_m=-1)"
+    assert sorted([HarmonicLabel(2, 0, 0), HarmonicLabel(1, 0, 1)])[0] == HarmonicLabel(1, 0, 1)
+
+
 def test_element_json_round_trip():
     e = random_element(2)
     back = FuzzyElement.from_json(e.to_json())
@@ -262,6 +276,31 @@ def test_harmonic_is_the_one_hot_combination(q):
         for la in sphere.labels():
             y = sphere.harmonic(la)
             assert getattr(y, "mat", y).tobytes() == sphere._table.combine({la: 1.0}).tobytes(), la
+
+
+def reference_column(table, label):
+    """The 2-D scatter of a stored column onto its (rows, cols) entries."""
+    two_m = label.two_m
+    out = np.zeros((table.n, table.n), dtype=complex)
+    out[divmod(table.flat[two_m], table.n)] = table.cols[two_m][:, table.where[label]]
+    return out
+
+
+@pytest.mark.parametrize("q", range(1, 9))
+def test_harmonic_is_the_two_dimensional_scatter(q):
+    for sphere in (FuzzySuperSphere(q), FuzzySphere(q)):
+        for la in sphere.labels():
+            y = sphere.harmonic(la)
+            assert np.array_equal(getattr(y, "mat", y), reference_column(sphere._table, la)), la
+
+
+def test_table_rows_are_contiguous_and_cols_their_views():
+    for sphere in (FuzzySuperSphere(3), FuzzySphere(3)):
+        table = sphere._table
+        for two_m, rows in table.rows.items():
+            cols = table.cols[two_m]
+            assert rows.flags.c_contiguous and np.shares_memory(cols, rows) and np.array_equal(cols, rows.T)
+            assert rows.shape == (len(table.labels[two_m]), len(table.flat[two_m]))
 
 
 def test_harmonics_and_reconstructions_are_frozen_and_unshared():
@@ -353,6 +392,20 @@ def test_harmonic_parity_matches_label():
     s = FuzzySuperSphere(2)
     for la in s.labels():
         assert s.harmonic(la).homogeneous_parity() == la.parity
+
+
+@pytest.mark.parametrize("make", [FuzzySuperSphere, FuzzySphere, super_context, body_context])
+def test_spheres_reject_a_non_integral_level_and_a_bad_radius(make):
+    for q in (2.7, 0, -1, 0.5, math.nan, math.inf, "2"):
+        with pytest.raises(ValueError, match="level q must be a positive integer"):
+            make(q)
+    for rho in (0, -1.0, math.nan, math.inf, -math.inf, "1"):
+        with pytest.raises(ValueError, match="radius must be finite and positive"):
+            make(2, rho)
+    for q in (np.int64(2), np.int32(2), 2.0):
+        made = make(q)
+        sphere = getattr(made, "sphere", made)
+        assert sphere.q == 2 and type(sphere.q) is int
 
 
 @pytest.mark.parametrize("q,rho", [(1, 1.0), (3, 1.0), (2, 2.5), (6, 1.0)])

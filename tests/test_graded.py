@@ -174,6 +174,47 @@ def test_inner_products_match_trace_reference(dims):
     assert abs(indefinite_inner(f, g) - want) <= 1e-12 * f.norm() * g.norm()
 
 
+def reference_indefinite_inner(f, g):
+    """The formula that twisted the even rows of g on every call."""
+    ne = f.dims.even
+    a, b = f.mat, g.mat
+    return complex(np.vdot(a[ne:], b[ne:]) - np.vdot(a[:ne], b[:ne] * f.dims.twist[:ne]))
+
+
+@pytest.mark.parametrize("dims", REFERENCE_DIMS, ids=lambda d: f"{d.even}-{d.odd}")
+def test_indefinite_inner_equals_the_uncached_formula(dims):
+    # the cached twisted rows give the bits of the per-call twist, also for
+    # equal dims that are distinct objects, and on a second call with the cache
+    rng = np.random.default_rng(34)
+    twin = GradedDims(dims.even, dims.odd)
+    assert twin == dims and twin is not dims
+    for pf in (EVEN, ODD, None):
+        for pg in (EVEN, ODD, None):
+            f = random_graded_matrix(dims, rng, parity=pf)
+            for g in (random_graded_matrix(dims, rng, parity=pg), random_graded_matrix(twin, rng, parity=pg)):
+                want = reference_indefinite_inner(f, g)
+                for _ in range(2):
+                    got = indefinite_inner(f, g)
+                    assert np.array_equal(got, want), (pf, pg)
+
+
+def test_indefinite_inner_rejects_other_dims_either_way():
+    f, g = rand(), random_graded_matrix(GradedDims(2, 3), RNG)
+    for a, b in ((f, g), (g, f)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            indefinite_inner(a, b)
+
+
+def test_twisted_even_rows_are_cached_and_read_only():
+    g = rand()
+    rows = g.twisted_even_rows
+    assert rows is g.twisted_even_rows
+    assert np.array_equal(rows, g.mat[: DIMS.even] * DIMS.twist[: DIMS.even])
+    assert not rows.flags.writeable and not np.shares_memory(rows, g.mat)
+    with pytest.raises(ValueError):
+        rows[0, 0] = 0.0
+
+
 def test_results_are_frozen_and_share_no_operand_memory():
     f, g = rand(), rand(ODD)
     results = [
