@@ -72,7 +72,7 @@ from .fuzzy import (
     structure_constant_fuzzy,
 )
 from .graded import (
-    hs_inner,
+    entry_weights,
     indefinite_inner,
     numerical_rank,
     random_graded_matrix,
@@ -145,28 +145,52 @@ def _suite_algebra(q: int, rho: float, tol: float, rng) -> List[CheckResult]:
     return out
 
 
+def _weight_gram(labels, harmonic, weights: np.ndarray, pair: np.ndarray, sign):
+    """Check a harmonic basis one weight at a time; (worst off-weight entry, worst Gram residual).
+
+    Harmonics of different weights pair to zero when each is exactly zero
+    off the entries of its weight, which is checked.  The harmonics of one
+    weight then give one signed Gram sign_a sum conj(Y_a) pair Y_b over
+    those entries, whose distance from the identity is the residual.  Only
+    one weight's harmonics are held at a time.
+    """
+    by_weight = {}
+    for la in labels:
+        by_weight.setdefault(la.two_m, []).append(la)
+    off = worst = 0.0
+    for two_m, group in by_weight.items():
+        on = weights == two_m
+        w = pair[on]
+        cols = np.empty((len(w), len(group)), dtype=complex)
+        for k, la in enumerate(group):
+            y = harmonic(la)
+            off = max(off, float(np.abs(np.where(on, 0.0, y)).max()))
+            cols[:, k] = y[on]
+        s = np.array([sign(la) for la in group], dtype=float)
+        gram = s[:, None] * (cols.conj().T @ (w[:, None] * cols))
+        worst = max(worst, float(np.abs(gram - np.eye(len(group))).max()))
+    return off, worst
+
+
 def _suite_harmonics(q: int, rho: float, tol: float, rng) -> List[CheckResult]:
     sphere = FuzzySuperSphere(q, rho)
     labels = sphere.labels()
     count_ok = 0.0 if len(labels) == (2 * q + 1) ** 2 else 1.0
-    worst = 0.0
-    mats = [(la, sphere.harmonic(la)) for la in labels]
-    for i, (la, ya) in enumerate(mats):
-        for lb, yb in mats[i:]:
-            v = indefinite_inner(ya, yb)
-            want = la.sign if la == lb else 0.0
-            worst = max(worst, abs(v - want))
+    pair = np.ones((sphere.n, sphere.n))
+    pair[: sphere.dims.even, : sphere.dims.even] = -1.0  # indefinite_inner, entrywise
+    off, worst = _weight_gram(
+        labels, lambda la: sphere.harmonic(la).mat, entry_weights(sphere.rep.j3.mat), pair, lambda la: la.sign
+    )
     body = FuzzySphere(q, rho)
-    bworst = 0.0
-    bmats = [(lb, body.harmonic(lb)) for lb in body.labels()]
-    for i, (la, ya) in enumerate(bmats):
-        for lb, yb in bmats[i:]:
-            v = hs_inner(ya, yb)
-            want = 1.0 if la == lb else 0.0
-            bworst = max(bworst, abs(v - want))
+    boff, bworst = _weight_gram(
+        body.labels(), body.harmonic, entry_weights(body.rep.j3), np.full((body.n, body.n), 1.0 / body.n),
+        lambda la: 1,
+    )
     return [
         CheckResult("harmonics", "label count", q, count_ok, 0.0),
+        CheckResult("harmonics", "graded weight support", q, off, 0.0),
         CheckResult("harmonics", "graded gram", q, worst, tol),
+        CheckResult("harmonics", "body weight support", q, boff, 0.0),
         CheckResult("harmonics", "body gram", q, bworst, tol),
     ]
 

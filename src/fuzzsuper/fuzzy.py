@@ -8,6 +8,11 @@ normalizations are fixed once by the highest-weight matrices; everything
 else is generated by ladder steps, so orthonormality is a theorem here, not
 a fitting procedure.  Both spheres keep their harmonics in one weight table,
 built in one sweep; its one projection per weight removes only rounding noise.
+The sweep forms no dense operator per weight: it buckets the matrix entries
+by weight once, scatters each J_- step block from the one nonzero J_- has
+per row and column, and reads every chain top from one matrix of all the
+highest weights (the supersphere's mu = 1 tops from one graded commutator of
+that matrix with J_5).
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from .graded import (
     entry_weights,
     graded_commutator,
     indefinite_inner,
-    restricted_adjoint,
 )
 from .osp import Irrep, OspBasis, Sl2Irrep, build_irrep, build_osp_basis, build_sl2_irrep, label_parity
 
@@ -130,12 +134,16 @@ def all_labels(q: int) -> List[HarmonicLabel]:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class FuzzyElement:
-    """Coefficient vector over harmonic labels at a fixed level."""
+    """Coefficient vector over harmonic labels at a fixed level.
+
+    The level is checked like a sphere's (a positive integer, kept as an int).
+    """
 
     q: int
     coeffs: Dict[HarmonicLabel, complex]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "q", _level(self.q))
         for label in self.coeffs:
             if label.two_j > 2 * self.q:
                 raise ValueError(f"label {label} does not exist at level {self.q}")
@@ -179,11 +187,28 @@ class FuzzyElement:
             HarmonicLabel(int(tj), int(mu), int(tm)): complex(re, im)
             for tj, mu, tm, re, im in data["coeffs"]
         }
-        return cls(int(data["q"]), coeffs)
+        return cls(data["q"], coeffs)
 
 
 # ---------------------------------------------------------------------------
 # harmonics stored by weight
+
+
+def _ladder_partners(jm: GradedMatrix, weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """up[r] and dn[c]: the column of the nonzero in row r of J_-, the row of the one in column c.
+
+    -1 where a row or column has none.  A ValueError unless J_- has at most
+    one nonzero per row and per column, each on an entry of weights -2.
+    """
+    nz = jm.mat != 0
+    if (nz.sum(axis=1) > 1).any() or (nz.sum(axis=0) > 1).any():
+        raise ValueError("the lowering operator has two nonzeros in a row or a column")
+    if (weights[nz] != -2).any():
+        raise ValueError("the lowering operator must lower the weight by one")
+    return (
+        np.where(nz.any(axis=1), nz.argmax(axis=1), -1),
+        np.where(nz.any(axis=0), nz.argmax(axis=0), -1),
+    )
 
 
 class _WeightTable:
@@ -196,14 +221,28 @@ class _WeightTable:
     harmonic is one contiguous row scattered onto the flat entries.
     ``cols`` holds the transposed views of ``rows``, one column per label,
     and ``where`` gives the row (column) of each label at its weight
-    label.two_m, keyed by those same label objects.  ``chains`` lists
-    (labels, sign) per chain, its labels from the top weight 2l down, and
-    ``top(label)`` gives the matrix of a chain's top.  One sweep down from
-    the top weight builds every chain: from its top matrix, gathered onto
-    its entries, each step applies ad J_- between the entries
-    (graded.restricted_adjoint) and divides by the ladder's sqrt(step).  The
-    chains live at a weight are those whose top is at least |m| and of m's
-    parity: a prefix of that parity's chains sorted by descending top,
+    label.two_m, keyed by those same label objects.
+
+    The entries are bucketed by weight once: one stable argsort of the
+    flattened weights lists each weight's flat indices in row-major order,
+    and a position map gives each entry's place in its bucket.  ``chains``
+    lists (labels, sign, source, scale) per chain, its labels from the top
+    weight 2l down; the chain's top is scale * source on the entries of
+    weight 2l, so one source matrix serves every top whose weights differ.
+    One sweep down from the top weight builds every chain: from its top,
+    gathered onto its entries, each step applies ad J_- between the entries
+    and divides by the ladder's sqrt(step).  J_- has at most one nonzero
+    per row and per column (checked, with its weight -2: a ValueError
+    otherwise), so a target entry (r, c) reads at most the source entries
+    (up(r), c) and (r, dn(c)), where J_-[r, up(r)] and J_-[dn(c), c] are the
+    nonzeros.  Those coefficients, with the grade twist of
+    graded.restricted_adjoint, are scattered into a zero block, and the step
+    is that block times the source columns: the product restricted_adjoint
+    would give, bit for bit, without its broadcast over all target x source
+    pairs.
+
+    The chains live at a weight are those whose top is at least |m| and of
+    m's parity: a prefix of that parity's chains sorted by descending top,
     found by bisection.  The steps then lose their components along the
     columns of larger l at that weight, in the pairing given entrywise by
     ``pair`` and the label signs.  Those components vanish in exact
@@ -215,18 +254,28 @@ class _WeightTable:
     steps, where a column-by-column sweep would read the already projected
     ones; each such correction is O(eps) and meets an O(eps) overlap, so the
     two differ by O(eps^2).  The sweep computes in entries x labels layout
-    and keeps the weight m + 2 it steps from, its entries and columns, until
-    weight m is built; the table stores only the rows.  ``project`` inverts
+    and keeps the columns of the weight m + 2 it steps from until weight m
+    is built; the table stores only the rows.  ``project`` inverts
     ``combine`` with the same pairing: one product per weight.
     """
 
-    def __init__(self, j3: np.ndarray, jm: GradedMatrix, pair: np.ndarray, chains: list, top) -> None:
+    def __init__(self, j3: np.ndarray, jm: GradedMatrix, pair: np.ndarray, chains: list) -> None:
+        self.n = n = len(j3)
         diff = entry_weights(j3)
+        up, dn = _ladder_partners(jm, diff)
+        e, tw = jm.mat, jm.dims.twist
+        diff = diff.reshape(-1)
         chains = sorted(chains, key=lambda ch: -ch[0][0].two_m)
         # each parity's chains by descending top weight, and those tops negated for bisect
         by_parity = {p: [ch for ch in chains if ch[0][0].two_m % 2 == p] for p in (0, 1)}
         neg_tops = {p: [-ch[0][0].two_m for ch in live] for p, live in by_parity.items()}
-        self.n = n = len(diff)
+        # the entries by descending weight, row-major within a weight, and each one's place there
+        order = np.argsort(-diff, kind="stable")
+        weights, starts = np.unique(-diff[order], return_index=True)
+        bounds = np.append(starts, n * n)
+        place = np.empty(n * n, dtype=np.intp)
+        place[order] = np.arange(n * n) - np.repeat(starts, np.diff(bounds))
+        pair = pair.reshape(-1)
         self.flat: Dict[int, np.ndarray] = {}  # r * n + c for the entries of each weight
         self.rows: Dict[int, np.ndarray] = {}  # labels x entries, C-contiguous
         self.cols: Dict[int, np.ndarray] = {}  # the transposed views of rows
@@ -234,32 +283,41 @@ class _WeightTable:
         self.pair: Dict[int, np.ndarray] = {}  # pair on the entries of each weight
         self.signs: Dict[int, np.ndarray] = {}  # the label signs, in column order
         self.where: Dict[object, int] = {}
-        above: Dict[int, tuple] = {}  # per parity, the entries (r, c) and columns of the last weight built
-        for two_m in np.unique(diff)[::-1].tolist():
+        above: Dict[int, np.ndarray] = {}  # per parity, the columns of the last weight built
+        for i, two_m in enumerate((-weights).tolist()):
             p = two_m % 2
             live = by_parity[p][: bisect.bisect_right(neg_tops[p], -abs(two_m))]
-            tops = [labels[0] for labels, _ in live]
-            r, c = np.nonzero(diff == two_m)
-            w, s = pair[r, c], np.array([sign for _, sign in live], dtype=float)
-            h = np.empty((len(r), len(live)), dtype=complex)
+            flat = order[bounds[i]:bounds[i + 1]]
+            r, c = np.divmod(flat, n)
+            w, s = pair[flat], np.array([ch[1] for ch in live], dtype=float)
+            h = np.empty((len(flat), len(live)), dtype=complex)
             # the chains stepping down from two_m + 2: tops above two_m
             k0 = bisect.bisect_left(neg_tops[p], -two_m, 0, len(live))
             if k0:
-                entries, cols = above[p]
-                ad = restricted_adjoint(jm, (r, c), entries)
-                two_l = np.array([la.two_m for la in tops[:k0]])
+                cols = above[p]
+                # ad J_- from the entries of two_m + 2: e[r, up(r)] at (up(r), c) and
+                # -e[dn(c), c] at (r, dn(c)), twisted where e[dn(c), c] is odd
+                ad = np.zeros((len(flat), len(cols)), dtype=complex)
+                at, = np.nonzero(up[r] >= 0)
+                ra, ca = r[at], c[at]
+                ad[at, place[up[ra] * n + ca]] = e[ra, up[ra]]
+                at, = np.nonzero(dn[c] >= 0)
+                ra, ca, da = r[at], c[at], dn[c[at]]
+                ad[at, place[ra * n + da]] = -(e[da, ca] * np.where(tw[da, ca] < 0, tw[ra, da], 1.0))
+                two_l = np.array([ch[0][0].two_m for ch in live[:k0]])
                 step = (two_l + two_m + 2) // 2 * ((two_l - two_m) // 2)
                 steps = ad @ cols[:, :k0] / np.sqrt(step)
                 g = s[:k0, None] * (steps.conj().T @ (w[:, None] * steps))
                 g[two_l[:, None] <= two_l] = 0  # step i enters step k only if l_i > l_k
                 h[:, :k0] = steps - steps @ g
             for k in range(k0, len(live)):
-                h[:, k] = top(tops[k])[r, c]
-            above[p] = (r, c), h
-            self.flat[two_m] = r * n + c
+                _, _, source, scale = live[k]
+                h[:, k] = source.reshape(-1)[flat] * scale
+            above[p] = h
+            self.flat[two_m] = flat
             self.rows[two_m] = np.ascontiguousarray(h.T)
             self.cols[two_m] = self.rows[two_m].T
-            self.labels[two_m] = tuple(labels[(labels[0].two_m - two_m) // 2] for labels, _ in live)
+            self.labels[two_m] = tuple(ch[0][(ch[0][0].two_m - two_m) // 2] for ch in live)
             self.pair[two_m], self.signs[two_m] = w, s
             self.where.update((label, k) for k, label in enumerate(self.labels[two_m]))
 
@@ -279,11 +337,12 @@ class _WeightTable:
     def project_weight(self, f: np.ndarray, two_m: int) -> np.ndarray:
         """The coefficients of f on the labels of weight two_m, in column order.
 
-        sign_L <Y_L|f> for each label L, as one product: signs * conj(rows) (pair * f)
-        on the entries of that weight.
+        sign_L <Y_L|f> for each label L, as one product on the entries of that
+        weight: signs * conj(rows conj(pair * f)), which conjugates the entries
+        vector instead of copying the labels x entries block.
         """
         x = self.pair[two_m] * np.take(f, self.flat[two_m])
-        return self.signs[two_m] * (self.rows[two_m].conj() @ x)
+        return self.signs[two_m] * (self.rows[two_m] @ x.conj()).conj()
 
     def project(self, f: np.ndarray) -> Dict[object, complex]:
         """The inverse of combine: the coefficient of every label, one product per weight."""
@@ -373,12 +432,17 @@ class FuzzySuperSphere:
         binomials, so the top is written from those diagonals, every entry
         from exact integers, and no power of J_+ is formed.
         """
+        if two_j < 0 or two_j > 2 * self.q:
+            raise ValueError(f"superspin 2j={two_j} out of range at level {self.q}")
+        out = np.zeros((self.n, self.n), dtype=complex)
+        self._write_highest_weight(out, two_j)
+        return GradedMatrix._adopt(self.dims, out)
+
+    def _write_highest_weight(self, out: np.ndarray, two_j: int) -> None:
+        """Write the (j, l=j, m=j) harmonic onto its entries of out, all of weight 2j."""
         q = self.q
-        if two_j < 0 or two_j > 2 * q:
-            raise ValueError(f"superspin 2j={two_j} out of range at level {q}")
         # first rows of the even l = (q-1)/2 block and the odd l = q/2 block
         lo, hi = 0, q
-        out = np.zeros((self.n, self.n), dtype=complex)
         if two_j % 2 == 0:
             j = two_j // 2
             den = math.comb(q + j, 2 * j)
@@ -391,23 +455,30 @@ class FuzzySuperSphere:
             idx = np.arange(q - k)
             out[lo + idx, hi + k + 1 + idx] = _binomial_diagonal(k + 1, k, q - 1, q - k, num, den)
             out[hi + idx, lo + k + idx] = -_binomial_diagonal(k, k + 1, q, q - k, num, den)
-        return GradedMatrix._adopt(self.dims, out)
 
     @functools.cached_property
     def _table(self) -> _WeightTable:
+        """The weight table, its chain tops read from two matrices.
+
+        Every highest weight is written into one matrix: the top of chain
+        (j, mu = 0) on the entries of weight 2j, so no two overlap.  Its one
+        graded commutator with J_5 holds every (j, mu = 1) top, up to the
+        factor 2/sqrt(2j), on the entries of weight 2j - 1.  J_5 has one
+        nonzero per row and per column, so each entry of that commutator is
+        a single product, bitwise the entry of [J_5, Y_(j, hw)] alone.
+        """
         pair = np.ones((self.n, self.n))
         pair[: self.dims.even, : self.dims.even] = -1.0  # -str(f^+ g), entrywise
-        chains = [
-            (labels, labels[0].sign)
-            for labels in _chains(self._labels, lambda la: (la.two_j, la.mu))
-        ]
-        return _WeightTable(self.rep.j3.mat, self.rep.jm, pair, chains, self._top)
-
-    def _top(self, label: HarmonicLabel) -> np.ndarray:
-        top = self.highest_weight(label.two_j)
-        if label.mu == 1:
-            top = (2.0 / math.sqrt(label.two_j)) * self.adjoint_action(5, top)
-        return top.mat
+        tops = np.zeros((self.n, self.n), dtype=complex)
+        for two_j in range(2 * self.q + 1):
+            self._write_highest_weight(tops, two_j)
+        mu1_tops = self.adjoint_action(5, GradedMatrix._adopt(self.dims, tops)).mat
+        chains = []
+        for labels in _chains(self._labels, lambda la: (la.two_j, la.mu)):
+            top = labels[0]
+            source, scale = (mu1_tops, 2.0 / math.sqrt(top.two_j)) if top.mu else (tops, 1.0)
+            chains.append((labels, top.sign, source, scale))
+        return _WeightTable(self.rep.j3.mat, self.rep.jm, pair, chains)
 
     def harmonic(self, label: HarmonicLabel) -> GradedMatrix:
         return GradedMatrix._adopt(self.dims, self._table.column(label))
@@ -500,8 +571,7 @@ def eta(e: FuzzyElement, q_to: int) -> FuzzyElement:
     Labels shared by both levels carry over unchanged; raising the level
     embeds, lowering truncates.  Compositions collapse as expected.
     """
-    if q_to < 1:
-        raise ValueError("level q must be a positive integer")
+    q_to = _level(q_to)
     coeffs = {k: v for k, v in e.coeffs.items() if k.two_j <= 2 * q_to}
     return FuzzyElement(q_to, coeffs)
 
@@ -602,22 +672,28 @@ class FuzzySphere:
         Its squared entries are (q+1) C(r+j, j) C(q-r, j) / C(q+j+1, 2j+1),
         each from exact integers, so no power of J_+ is formed.
         """
-        q = self.q
-        if j < 0 or j > q:
-            raise ValueError(f"spin {j} out of range at level {q}")
+        if j < 0 or j > self.q:
+            raise ValueError(f"spin {j} out of range at level {self.q}")
         out = np.zeros((self.n, self.n), dtype=complex)
+        self._write_highest_weight(out, j)
+        return out
+
+    def _write_highest_weight(self, out: np.ndarray, j: int) -> None:
+        """Write the (j, m=j) harmonic onto its entries of out, all of weight j."""
+        q = self.q
         idx = np.arange(q + 1 - j)
         out[idx, idx + j] = _binomial_diagonal(j, j, q, q + 1 - j, q + 1, math.comb(q + j + 1, 2 * j + 1))
-        return out
 
     @functools.cached_property
     def _table(self) -> _WeightTable:
+        """The weight table, every chain top read from one matrix of all highest weights."""
         pair = np.full((self.n, self.n), 1.0 / self.n)  # hs_inner, entrywise
-        chains = [(labels, 1) for labels in _chains(self._labels, lambda la: la.two_j)]
+        tops = np.zeros((self.n, self.n), dtype=complex)
+        for j in range(self.q + 1):
+            self._write_highest_weight(tops, j)
+        chains = [(labels, 1, tops, 1.0) for labels in _chains(self._labels, lambda la: la.two_j)]
         jm = GradedMatrix(GradedDims(self.n, 0), self.rep.jm)
-        return _WeightTable(
-            self.rep.j3, jm, pair, chains, lambda la: self.highest_weight(la.two_j // 2)
-        )
+        return _WeightTable(self.rep.j3, jm, pair, chains)
 
     def harmonic(self, label: SphereLabel) -> np.ndarray:
         return self._table.column(label)

@@ -1,5 +1,7 @@
+import bisect
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from fuzzsuper.fuzzy import (
 from fuzzsuper.graded import (
     ODD,
     GradedDims,
+    entry_weights,
     GradedMatrix,
     hs_inner,
     indefinite_inner,
@@ -34,6 +37,7 @@ from fuzzsuper.graded import (
     supertrace,
 )
 import fuzzsuper.fuzzy as fuzzy_module
+import fuzzsuper.graded as graded_module
 from fuzzsuper.calculus import body_context, super_context
 from fuzzsuper.continuum import structure_constant_classical
 from fuzzsuper.osp import build_irrep, build_osp_basis
@@ -92,6 +96,71 @@ def reference_sequential_cols(table, jm, top, two_l):
             h[:, k] -= h[:, :j] @ (s[:j] * (h[:, :j].conj().T @ (w * h[:, k])))
         cols[two_m] = h
     return cols
+
+
+def reference_chain_top(s, label):
+    """A super chain top as a dense matrix: the highest weight, and for mu = 1 one commutator with J_5."""
+    top = s.highest_weight(label.two_j)
+    if label.mu == 1:
+        top = (2.0 / math.sqrt(label.two_j)) * s.adjoint_action(5, top)
+    return top.mat
+
+
+def reference_weight_table(j3, jm, pair, chains, top):
+    """The weight-table sweep on dense operators: the reference for _WeightTable.
+
+    One np.nonzero over all entries per weight, each step block from
+    graded.restricted_adjoint (a broadcast over all target x source pairs),
+    and each chain top read from its own dense matrix top(label).  Returns
+    the table's flat, rows, labels, pair, signs and where.
+    """
+    diff = entry_weights(j3)
+    chains = sorted(chains, key=lambda ch: -ch[0][0].two_m)
+    by_parity = {p: [ch for ch in chains if ch[0][0].two_m % 2 == p] for p in (0, 1)}
+    neg_tops = {p: [-ch[0][0].two_m for ch in live] for p, live in by_parity.items()}
+    n = len(diff)
+    out = types.SimpleNamespace(flat={}, rows={}, labels={}, pair={}, signs={}, where={})
+    above = {}
+    for two_m in np.unique(diff)[::-1].tolist():
+        p = two_m % 2
+        live = by_parity[p][: bisect.bisect_right(neg_tops[p], -abs(two_m))]
+        tops = [labels[0] for labels, _ in live]
+        r, c = np.nonzero(diff == two_m)
+        w, s = pair[r, c], np.array([sign for _, sign in live], dtype=float)
+        h = np.empty((len(r), len(live)), dtype=complex)
+        k0 = bisect.bisect_left(neg_tops[p], -two_m, 0, len(live))
+        if k0:
+            entries, cols = above[p]
+            ad = restricted_adjoint(jm, (r, c), entries)
+            two_l = np.array([la.two_m for la in tops[:k0]])
+            step = (two_l + two_m + 2) // 2 * ((two_l - two_m) // 2)
+            steps = ad @ cols[:, :k0] / np.sqrt(step)
+            g = s[:k0, None] * (steps.conj().T @ (w[:, None] * steps))
+            g[two_l[:, None] <= two_l] = 0
+            h[:, :k0] = steps - steps @ g
+        for k in range(k0, len(live)):
+            h[:, k] = top(tops[k])[r, c]
+        above[p] = (r, c), h
+        out.flat[two_m] = r * n + c
+        out.rows[two_m] = np.ascontiguousarray(h.T)
+        out.labels[two_m] = tuple(labels[(labels[0].two_m - two_m) // 2] for labels, _ in live)
+        out.pair[two_m], out.signs[two_m] = w, s
+        out.where.update((label, k) for k, label in enumerate(out.labels[two_m]))
+    return out
+
+
+def reference_super_table(s):
+    pair = np.ones((s.n, s.n))
+    pair[: s.dims.even, : s.dims.even] = -1.0
+    chains = [(labels, labels[0].sign) for labels in fuzzy_module._chains(s.labels(), lambda la: (la.two_j, la.mu))]
+    return reference_weight_table(s.rep.j3.mat, s.rep.jm, pair, chains, lambda la: reference_chain_top(s, la))
+
+
+def reference_body_table(b):
+    pair = np.full((b.n, b.n), 1.0 / b.n)
+    chains = [(labels, 1) for labels in fuzzy_module._chains(b.labels(), lambda la: la.two_j)]
+    jm = GradedMatrix(GradedDims(b.n, 0), b.rep.jm)
+    return reference_weight_table(b.rep.j3, jm, pair, chains, lambda la: b.highest_weight(la.two_j // 2))
 
 
 def table_gram_residual(table):
@@ -236,6 +305,19 @@ def test_element_json_round_trip():
     assert e.max_abs_diff(back) < 1e-15
 
 
+def test_elements_reject_a_bad_level():
+    e = random_element(2)
+    for q in (2.5, 0, -3, math.nan, "2"):
+        with pytest.raises(ValueError, match="level q must be a positive integer"):
+            FuzzyElement(q, {})
+        with pytest.raises(ValueError, match="level q must be a positive integer"):
+            eta(e, q)
+    with pytest.raises(ValueError, match="level q must be a positive integer"):
+        FuzzyElement.from_json(dict(e.to_json(), q=2.5))  # not truncated to 2
+    for q in (np.int64(3), 3.0):
+        assert type(FuzzyElement(q, {}).q) is int and type(eta(e, q).q) is int
+
+
 # ---------------------------------------------------------------- harmonics
 
 
@@ -334,7 +416,7 @@ def test_chain_tops_stay_unit_past_the_factorial_underflow(q):
     s, b = FuzzySuperSphere(q), FuzzySphere(q)
     for label in s.labels():
         if label.two_m == label.two_l:  # the top of the chain (j, mu)
-            y = GradedMatrix(s.dims, s._top(label))
+            y = GradedMatrix(s.dims, reference_chain_top(s, label))
             assert np.isfinite(y.mat).all(), label
             assert abs(indefinite_inner(y, y) - label.sign) <= 1e-13, label
     for j in range(q + 1):
@@ -350,13 +432,63 @@ def test_table_matches_the_per_column_projection(q):
     s, b = FuzzySuperSphere(q), FuzzySphere(q)
     body_jm = GradedMatrix(GradedDims(b.n, 0), b.rep.jm)
     cases = [
-        (s._table, s.rep.jm, s._top, lambda la: la.two_l),
+        (s._table, s.rep.jm, lambda la: reference_chain_top(s, la), lambda la: la.two_l),
         (b._table, body_jm, lambda la: b.highest_weight(la.two_j // 2), lambda la: la.two_j),
     ]
     for table, jm, top, two_l in cases:
         want = reference_sequential_cols(table, jm, top, two_l)
         for two_m, h in table.cols.items():
             assert np.abs(h - want[two_m]).max() <= 1e-14, two_m
+
+
+@pytest.mark.parametrize("q", [*range(1, 13), 24, 32])
+def test_table_matches_the_dense_reference_sweep(q):
+    # entry buckets, scattered J_- blocks and one-commutator tops: bit for bit the dense sweep
+    s, b = FuzzySuperSphere(q), FuzzySphere(q)
+    for table, want in ((s._table, reference_super_table(s)), (b._table, reference_body_table(b))):
+        assert list(table.rows) == list(want.rows)
+        for two_m in want.rows:
+            for name in ("rows", "flat", "pair", "signs"):
+                assert np.array_equal(getattr(table, name)[two_m], getattr(want, name)[two_m]), (name, two_m)
+        assert table.labels == want.labels
+        assert table.where == want.where
+
+
+def test_a_table_build_takes_one_commutator_and_no_dense_adjoint(monkeypatch):
+    s, b = FuzzySuperSphere(5), FuzzySphere(5)
+    s.rep  # the irrep is built first, outside the count
+    calls = {"graded_commutator": 0, "restricted_adjoint": 0}
+
+    def spy(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(fuzzy_module, "graded_commutator", spy("graded_commutator", fuzzy_module.graded_commutator))
+    for module in (graded_module, fuzzy_module):
+        monkeypatch.setattr(module, "restricted_adjoint", spy("restricted_adjoint", restricted_adjoint), raising=False)
+    s._table
+    assert calls == {"graded_commutator": 1, "restricted_adjoint": 0}
+    b._table
+    assert calls == {"graded_commutator": 1, "restricted_adjoint": 0}
+
+
+def test_weight_table_rejects_a_lowering_operator_off_the_ladder():
+    b = FuzzySphere(3)
+    pair = np.full((b.n, b.n), 1.0 / b.n)
+    chains = [(labels, 1, b.highest_weight(0), 1.0) for labels in fuzzy_module._chains(b.labels(), lambda la: la.two_j)]
+    two_in_a_row, two_in_a_column = b.rep.jm.copy(), b.rep.jm.copy()
+    two_in_a_row[1, 2] = 1.0  # row 1 holds J_-[1, 0] already
+    two_in_a_column[2, 0] = 1.0  # column 0 holds J_-[1, 0] already
+    for bad, match in (
+        (two_in_a_row, "two nonzeros in a row or a column"),
+        (two_in_a_column, "two nonzeros in a row or a column"),
+        (b.rep.jp, "lower the weight by one"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            fuzzy_module._WeightTable(b.rep.j3, GradedMatrix(GradedDims(b.n, 0), bad), pair, chains)
 
 
 @pytest.mark.parametrize("q", [32, 64])
