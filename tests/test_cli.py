@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import fuzzsuper
+from fuzzsuper import cli
 from fuzzsuper.cli import main
 from fuzzsuper.continuum import classical_harmonic, format_superpoly
 
@@ -28,6 +29,23 @@ def test_verify_reports_seed(capsys):
     code, out = run(capsys, "verify", "--q", "1", "--suite", "harmonics", "--seed", "9")
     assert code == 0
     assert "seed=9" in out
+
+
+@pytest.mark.parametrize(
+    "spoil,failing",
+    [
+        (lambda y: y + 1e-20 * y.identity(y.dims), "graded weight support"),  # leaks onto weight 0
+        (lambda y: 1.001 * y, "graded gram"),
+    ],
+)
+def test_harmonics_suite_fails_a_spoiled_basis(capsys, monkeypatch, spoil, failing):
+    harmonic = cli.FuzzySuperSphere.harmonic
+    monkeypatch.setattr(cli.FuzzySuperSphere, "harmonic", lambda self, la: spoil(harmonic(self, la)))
+    code, out = run(capsys, "verify", "--q", "3", "--suite", "harmonics")
+    assert code == 1
+    assert [line.split(":")[1].split(" q=")[0].strip() for line in out.splitlines() if line.startswith("FAIL")] == [
+        failing
+    ]
 
 
 ORACLE_INPUTS_SCRIPT = """

@@ -26,8 +26,8 @@ from fuzzsuper.fuzzy import (
 from fuzzsuper.graded import (
     ODD,
     GradedDims,
-    entry_weights,
     GradedMatrix,
+    entry_weights,
     hs_inner,
     indefinite_inner,
     numerical_rank,
