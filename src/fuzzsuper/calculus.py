@@ -786,11 +786,25 @@ def invariant_one_forms(ctx: DerivationContext, tol: float = 1e-8) -> RankDecisi
 
     The kernel dimension is dim Omega^1 minus the rank; the invariant
     Maurer-Cartan form spans it when the kernel is one-dimensional.  The
-    L_a are stacked in float64 in the real ladder frame, whose change is
-    unitary, so the rank and gap are those of ctx; rank_decision splits the
-    stack into its weight blocks.
+    L_a are built once each, in float64 in the real ladder frame, whose
+    change is unitary, so the rank and gap are those of ctx.  L_a takes a
+    1-form entry of total weight w (the entry weight minus its label's
+    weight) to total weight w + weight(a).  So the stack of all L_a is
+    block diagonal over w: the block of w gathers, from every L_a, the rows
+    of weight w + weight(a) and the columns of weight w.  rank_decision
+    gets those blocks, one per total weight, and the stack is never formed.
     """
-    return rank_decision(np.vstack([lie_matrix(ctx.ladder, a, 1) for a in ctx.labels]), tol)
+    frame = ctx.ladder
+    two_m = entry_weights(frame.generators[2].mat).reshape(-1)
+    # in the order of _layout: each label's entries row-major, labels in turn
+    total = np.concatenate([two_m - frame.weights[a - 1] for (a,) in frame.index_tuples(1)])
+    weights = np.unique(total)
+    pieces = {w: [] for w in weights}
+    for a in frame.labels:
+        lie = lie_matrix(frame, a, 1)
+        for w in weights:
+            pieces[w].append(lie[np.ix_(total == w + frame.weights[a - 1], total == w)])
+    return rank_decision([np.concatenate(pieces[w]) for w in weights], tol)
 
 
 # ---------------------------------------------------------------------------

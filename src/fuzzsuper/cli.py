@@ -212,7 +212,7 @@ def _suite_products(q: int, rho: float, tol: float, rng) -> List[CheckResult]:
         for two_j2 in range(two_j1, 2 * q + 1):
             if two_j1 + two_j2 > 2 * q or two_j1 + two_j2 > 6:
                 continue
-            sc = structure_constant_fuzzy(q, two_j1, two_j2, sphere)
+            sc = structure_constant_fuzzy(q, two_j1, two_j2)
             worst = max(worst, sc.residual)
     out.append(CheckResult("products", "highest-weight proportionality", q, worst, tol))
     # dual route: same constant through the full coefficient product
@@ -221,7 +221,7 @@ def _suite_products(q: int, rho: float, tol: float, rng) -> List[CheckResult]:
     e2 = FuzzyElement(q, {HarmonicLabel(two_j2, 0, two_j2): 1.0})
     prod = fuzzy_product(e1, e2, sphere)
     via_coeffs = prod.get(HarmonicLabel(two_j1 + two_j2, 0, two_j1 + two_j2))
-    direct = structure_constant_fuzzy(q, two_j1, two_j2, sphere).c
+    direct = structure_constant_fuzzy(q, two_j1, two_j2).c
     out.append(
         CheckResult(
             "products",

@@ -593,9 +593,7 @@ class StructureConstant:
     residual: float
 
 
-def structure_constant_fuzzy(
-    q: int, two_j1: int, two_j2: int, sphere: Optional[FuzzySuperSphere] = None
-) -> StructureConstant:
+def structure_constant_fuzzy(q: int, two_j1: int, two_j2: int) -> StructureConstant:
     """c with Y_(j1,hw) Y_(j2,hw) = c Y_(j1+j2,hw) at level q.
 
     The product of two highest-weight harmonics is exactly proportional
@@ -607,10 +605,7 @@ def structure_constant_fuzzy(
         raise ValueError(
             f"superspin {(two_j1 + two_j2) / 2} exceeds the level-{q} cutoff"
         )
-    if sphere is None:
-        sphere = FuzzySuperSphere(q)
-    elif sphere.q != q:
-        raise ValueError(f"sphere is at level {sphere.q}, not {q}")
+    sphere = FuzzySuperSphere(q)
     y1 = sphere.highest_weight(two_j1)
     y2 = sphere.highest_weight(two_j2)
     y12 = sphere.highest_weight(two_j1 + two_j2)
@@ -772,13 +767,14 @@ def body_map_fuzzy(
 
 
 def body_map_blocks(sphere: FuzzySuperSphere, body: FuzzySphere) -> Dict[int, np.ndarray]:
-    """The body map one weight at a time, the blocks of body_map_matrix.
+    """The body map one weight at a time, the blocks of its matrix.
 
-    The map keeps the weight, so body_map_matrix is block diagonal over it.
-    The block of weight m takes the super labels of weight m to the body
-    labels of weight m, both in their table's column order.  An odd weight
-    has no body labels, so its block has no rows.  The blocks hold O(q^3)
-    entries in all, against O(q^4) for the dense matrix.
+    The map keeps the weight, so its matrix from super coefficients to body
+    coefficients is block diagonal over it.  The block of weight m takes the
+    super labels of weight m to the body labels of weight m, both in their
+    table's column order.  An odd weight has no body labels, so its block
+    has no rows.  The blocks hold O(q^3) entries in all, against O(q^4) for
+    the dense matrix.
     """
     if sphere.q != body.q:
         raise ValueError("levels of the super and body spheres must agree")
@@ -788,18 +784,4 @@ def body_map_blocks(sphere: FuzzySuperSphere, body: FuzzySphere) -> Dict[int, np
         if two_m in sphere._body_images:
             rows, weights = sphere._body_images[two_m]
             out[two_m][rows, np.arange(len(rows))] = weights
-    return out
-
-
-def body_map_matrix(sphere: FuzzySuperSphere, body: FuzzySphere) -> np.ndarray:
-    """The body map as a matrix from super coefficients to body coefficients."""
-    rows = {label: i for i, label in enumerate(body.labels())}
-    cols = sphere.labels()
-    out = np.zeros((len(rows), len(cols)))
-    for jcol, label in enumerate(cols):
-        image = body_label_image(label)
-        if image is None:
-            continue
-        target, w = image
-        out[rows[target], jcol] = w
     return out

@@ -3,9 +3,10 @@
 A graded vector space is laid out with all even basis vectors first, then
 all odd ones, so a matrix splits into four blocks addressed through the
 dimension split alone.  Everything here is immutable and pure, in dense
-double precision.  Graded matrices at desk scale stay below ~100x100; the
-assembled d matrices that reach rank_decision have thousands of rows but
-are sparse, so their singular values are taken block by block.
+double precision.  Graded matrices at desk scale stay below ~100x100.  The
+matrices that reach rank_decision have thousands of rows; a caller whose
+matrix is block diagonal knows the blocks from its layout and passes them
+as a list, and each matrix or block takes one SVD as given.
 
 Every parity-dependent kernel goes through one grade twist,
 tau(b) = b_even - b_odd = b * dims.twist, an elementwise product with a
@@ -35,7 +36,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -341,62 +342,35 @@ class RankDecision:
         return self.gap < 10.0 * self.tol
 
 
-def _nonzero_blocks(m: np.ndarray) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Row and column indices of the independent blocks of m.
-
-    A block is a connected component of the bipartite graph that joins row
-    r to column c wherever m[r, c] != 0.  Rows and columns without any
-    nonzero entry belong to no block.  Components are found by vectorised
-    label propagation: every edge hooks the larger of its two root labels
-    onto the smaller one, then pointer jumping flattens each tree to its
-    root, until both ends of every edge carry the same label.
-    """
-    n_rows = m.shape[0]
-    rows, cols = np.nonzero(m)
-    if rows.size == 0:
-        return []
-    u, v = rows, cols + n_rows
-    label = np.arange(n_rows + m.shape[1])
-    while True:
-        lu, lv = label[u], label[v]
-        if np.array_equal(lu, lv):
-            break
-        low = np.minimum(lu, lv)
-        np.minimum.at(label, lu, low)
-        np.minimum.at(label, lv, low)
-        while True:
-            jumped = label[label]
-            if np.array_equal(jumped, label):
-                break
-            label = jumped
-    blocks = []
-    for idx in (np.unique(rows), np.unique(cols) + n_rows):
-        order = np.argsort(label[idx], kind="stable")
-        _, starts = np.unique(label[idx][order], return_index=True)
-        blocks.append(np.split(idx[order], starts[1:]))
-    return [(r, c - n_rows) for r, c in zip(*blocks)]
-
-
-def rank_decision(m: np.ndarray, tol: float = 1e-8) -> RankDecision:
+def rank_decision(
+    m: Union[np.ndarray, Sequence[np.ndarray]], tol: float = 1e-8
+) -> RankDecision:
     """Numerical rank of m: singular values above tol * max(s_max, 1).
 
-    The spectrum is computed block by block over the independent blocks of
-    m's nonzero pattern (see _nonzero_blocks); row and column permutations
-    keep singular values, so the union of the block spectra is the spectrum
-    of m.  Rows and columns outside every block contribute only zeros, so
-    the union is padded with exact zeros to min(m.shape) values.  A real
-    floating m stays real (float64, so LAPACK takes the real SVD); any other
-    m is cast to complex.  tol must be positive and finite.
+    m is a matrix, or the list of diagonal blocks of a block-diagonal
+    matrix, which the caller knows from its layout.  Each matrix or block
+    takes one values-only SVD as given; the union of the block spectra is
+    the spectrum of the whole, padded with exact zeros to min(total rows,
+    total columns) values.  A real floating block stays real (float64, so
+    LAPACK takes the real SVD); any other block is cast to complex.  tol
+    must be positive and finite.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    m = np.asarray(m)
-    m = m.astype(float if np.issubdtype(m.dtype, np.floating) else complex, copy=False)
-    if m.size == 0:
+    blocks = [np.asarray(b) for b in ([m] if isinstance(m, np.ndarray) else m)]
+    if any(b.ndim != 2 for b in blocks):
+        raise ValueError("rank_decision takes a matrix or a list of matrices")
+    size = min(sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks))
+    if size == 0:
         return RankDecision(rank=0, gap=math.inf, tol=tol)
-    s = np.zeros(min(m.shape))
+    s = np.zeros(size)
     spectra = [
-        np.linalg.svd(m[np.ix_(r, c)], compute_uv=False) for r, c in _nonzero_blocks(m)
+        np.linalg.svd(
+            b.astype(float if np.issubdtype(b.dtype, np.floating) else complex, copy=False),
+            compute_uv=False,
+        )
+        for b in blocks
+        if b.size
     ]
     if spectra:
         values = np.concatenate(spectra)

@@ -46,6 +46,8 @@ from fuzzsuper.graded import (
     restricted_adjoint,
 )
 from fuzzsuper.osp import OspBasis, build_osp_basis, jacobi_residual
+import fuzzsuper.calculus as calculus_module
+from test_graded import nonzero_blocks  # the pattern-block reference
 
 CTX = super_context(1)
 BCTX = body_context(1)
@@ -350,6 +352,68 @@ def test_invariant_one_forms_in_the_ladder_frame_match_the_original(kind, q):
     assert abs(got.gap - want.gap) <= 1e-12 * abs(want.gap)
     stacked = np.vstack([lie_matrix(ctx.ladder, a, 1) for a in ctx.labels])
     assert stacked.dtype == np.float64
+
+
+def captured_blocks(monkeypatch, ctx):
+    """The blocks invariant_one_forms hands to rank_decision."""
+    seen = []
+    real = calculus_module.rank_decision
+    monkeypatch.setattr(
+        calculus_module, "rank_decision", lambda m, tol=1e-8: seen.append(m) or real(m, tol)
+    )
+    invariant_one_forms(ctx)
+    monkeypatch.setattr(calculus_module, "rank_decision", real)
+    assert len(seen) == 1 and isinstance(seen[0], list)
+    return seen[0]
+
+
+@pytest.mark.parametrize("kind", ["super", "body"])
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_invariant_one_forms_blocks_are_the_weight_unions_of_the_pattern(monkeypatch, kind, q):
+    ctx = (super_context if kind == "super" else body_context)(q)
+    frame = ctx.ladder
+    blocks = captured_blocks(monkeypatch, ctx)
+    stack = np.vstack([lie_matrix(frame, a, 1) for a in frame.labels])
+    # the column weight that each stack row answers to: its total weight minus weight(a)
+    total = total_weights(frame, 1)
+    row_weight = np.concatenate([total - frame.weights[a - 1] for a in frame.labels])
+    weights = np.unique(total)
+    # super: total weights -2q-2 .. 2q+2 in steps of 1; body: in steps of 2
+    assert len(blocks) == len(weights) == (4 * q + 5 if kind == "super" else 2 * q + 3)
+    components = nonzero_blocks(stack)
+    for r, c in components:
+        assert np.unique(total[c]).size == 1 and np.array_equal(np.unique(row_weight[r]), total[c[:1]])
+    for w, block in zip(weights, blocks):
+        mine = [(r, c) for r, c in components if total[c[0]] == w]
+        rows = np.sort(np.concatenate([r for r, _ in mine]))
+        cols = np.sort(np.concatenate([c for _, c in mine]))
+        assert block.shape == (np.sum(row_weight == w), np.sum(total == w)), w
+        kept = np.ix_(block.any(axis=1), block.any(axis=0))
+        assert np.array_equal(block[kept], stack[np.ix_(rows, cols)]), w
+    assert sum(np.count_nonzero(b) for b in blocks) == np.count_nonzero(stack)
+
+
+def recording_rows(join, rows):
+    """join (np.vstack or np.concatenate), noting the row count of each matrix it forms."""
+    def spy(arrays, *args, **kwargs):
+        out = join(arrays, *args, **kwargs)
+        if out.ndim == 2:
+            rows.append(out.shape[0])
+        return out
+    return spy
+
+
+def test_invariant_one_forms_stacks_no_whole_lie_matrix(monkeypatch):
+    # one L_a on 1-forms is dim x dim; nothing stacked may reach dim rows
+    ctx = super_context(4)
+    dim = len(ctx.index_tuples(1)) * ctx.n**2
+    rows = []
+    for name in ("vstack", "concatenate"):
+        monkeypatch.setattr(np, name, recording_rows(getattr(np, name), rows))
+    dec = invariant_one_forms(ctx)
+    monkeypatch.undo()
+    assert dec.rank == dim - 1
+    assert rows and max(rows) < dim
 
 
 # ---------------------------------------------------------------- matrices
@@ -661,6 +725,16 @@ def test_weight_zero_d_is_the_real_part_of_the_complex_reference(kind, q):
         assert not want.imag.any(), p
         assert np.array_equal(got, want.real), p
         assert same_decision(rank_decision(got), rank_decision(want)), p
+
+
+@pytest.mark.parametrize("kind", CONTEXTS)
+@pytest.mark.parametrize("q", range(1, 7))
+def test_weight_zero_d_is_one_pattern_block_or_empty(kind, q):
+    # cohomology_dims hands each weight-0 d matrix to rank_decision whole
+    make, p_max = CONTEXTS[kind]
+    frame = make(q).ladder
+    for p in range(p_max + 1):
+        assert len(nonzero_blocks(d_matrix(frame, p, weight=0))) <= 1, p
 
 
 @pytest.mark.parametrize("kind, q", REAL_CASES, ids=[f"{k}-q{q}" for k, q in REAL_CASES])

@@ -17,7 +17,6 @@ from fuzzsuper.fuzzy import (
     body_map_blocks,
     body_map_coeffs,
     body_map_fuzzy,
-    body_map_matrix,
     eta,
     fuzzy_product,
     label_action,
@@ -699,15 +698,9 @@ def test_structure_constant_cutoff_guard():
         structure_constant_fuzzy(2, 3, 2)
 
 
-def test_structure_constant_rejects_sphere_at_other_level():
-    with pytest.raises(ValueError):
-        structure_constant_fuzzy(3, 1, 1, FuzzySuperSphere(2))
-
-
 def test_structure_constant_residual_small():
-    s = FuzzySuperSphere(3)
     for two_j1, two_j2 in ((0, 2), (1, 1), (1, 2), (2, 2), (3, 3)):
-        sc = structure_constant_fuzzy(3, two_j1, two_j2, s)
+        sc = structure_constant_fuzzy(3, two_j1, two_j2)
         assert sc.residual < 1e-12
 
 
@@ -750,7 +743,7 @@ def test_structure_constant_builds_no_irrep(monkeypatch):
     assert built == []
     s = FuzzySuperSphere(60)
     assert s.rep is s.rep and built == [(60, ODD)]
-    assert structure_constant_fuzzy(60, 1, 2, s).c == c
+    assert structure_constant_fuzzy(60, 1, 2).c == c and built == [(60, ODD)]
 
 
 def test_lazy_irrep_serves_generators_table_and_contexts():
@@ -793,11 +786,29 @@ def test_body_map_on_coordinates():
         assert np.linalg.norm(body_map_fuzzy(sup[k], s, b)) < 1e-12
 
 
+def reference_body_map_matrix(sphere, body):
+    """The body map as one dense matrix from super coefficients to body coefficients.
+
+    O(q^4) entries, almost all zero; body_map_blocks holds the same map by
+    weight, and this is its reference.
+    """
+    rows = {label: i for i, label in enumerate(body.labels())}
+    cols = sphere.labels()
+    out = np.zeros((len(rows), len(cols)))
+    for jcol, label in enumerate(cols):
+        image = body_label_image(label)
+        if image is None:
+            continue
+        target, w = image
+        out[rows[target], jcol] = w
+    return out
+
+
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
 def test_body_kernel_dimension(q):
     s = FuzzySuperSphere(q)
     b = FuzzySphere(q)
-    mat = body_map_matrix(s, b)
+    mat = reference_body_map_matrix(s, b)
     assert mat.shape == ((q + 1) ** 2, (2 * q + 1) ** 2)
     rank = numerical_rank(mat)
     assert rank == (q + 1) ** 2

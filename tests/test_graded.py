@@ -371,6 +371,44 @@ def reference_decision(m, tol=1e-8):
     return rank, gap
 
 
+def nonzero_blocks(m):
+    """Row and column indices of the independent blocks of m's nonzero pattern.
+
+    A block is a connected component of the bipartite graph that joins row
+    r to column c wherever m[r, c] != 0.  Rows and columns without any
+    nonzero entry belong to no block.  Components are found by vectorised
+    label propagation: every edge hooks the larger of its two root labels
+    onto the smaller one, then pointer jumping flattens each tree to its
+    root, until both ends of every edge carry the same label.  The library
+    does not search for blocks; its callers pass the blocks they know, and
+    the tests check those against this search.
+    """
+    n_rows = m.shape[0]
+    rows, cols = np.nonzero(m)
+    if rows.size == 0:
+        return []
+    u, v = rows, cols + n_rows
+    label = np.arange(n_rows + m.shape[1])
+    while True:
+        lu, lv = label[u], label[v]
+        if np.array_equal(lu, lv):
+            break
+        low = np.minimum(lu, lv)
+        np.minimum.at(label, lu, low)
+        np.minimum.at(label, lv, low)
+        while True:
+            jumped = label[label]
+            if np.array_equal(jumped, label):
+                break
+            label = jumped
+    blocks = []
+    for idx in (np.unique(rows), np.unique(cols) + n_rows):
+        order = np.argsort(label[idx], kind="stable")
+        _, starts = np.unique(label[idx][order], return_index=True)
+        blocks.append(np.split(idx[order], starts[1:]))
+    return [(r, c - n_rows) for r, c in zip(*blocks)]
+
+
 def crandn(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
@@ -388,20 +426,53 @@ def shuffled(rng, m):
     return m[rng.permutation(m.shape[0])][:, rng.permutation(m.shape[1])]
 
 
+def pattern_blocks(m):
+    """m's pattern blocks as matrices, with its zero rows and columns as 0-wide blocks."""
+    found = nonzero_blocks(m)
+    used_rows = sum(r.size for r, _ in found)
+    used_cols = sum(c.size for _, c in found)
+    blocks = [m[np.ix_(r, c)] for r, c in found]
+    return blocks + [np.zeros((m.shape[0] - used_rows, 0)), np.zeros((0, m.shape[1] - used_cols))]
+
+
 def assert_matches_reference(m, tol=1e-8):
+    """rank_decision of m, and of its pattern blocks, against one SVD of m."""
     d = rank_decision(m, tol)
     rank, gap = reference_decision(m, tol)
     assert d.rank == rank
     assert abs(d.gap - gap) <= 1e-12
+    assert_blocks_match_reference(pattern_blocks(m), tol)
     return d
+
+
+def assert_blocks_match_reference(blocks, tol=1e-8):
+    """rank_decision of a block list against one SVD of their block-diagonal matrix."""
+    d = rank_decision(blocks, tol)
+    rank, gap = reference_decision(block_diagonal(blocks), tol)
+    assert d.rank == rank
+    assert abs(d.gap - gap) <= 1e-12
+    return d
+
+
+def test_nonzero_blocks_reference():
+    m = np.zeros((5, 6))
+    m[0, 1] = m[3, 1] = m[3, 4] = 1.0  # rows 0, 3 and columns 1, 4 are one block
+    m[2, 5] = 1.0
+    assert [(r.tolist(), c.tolist()) for r, c in nonzero_blocks(m)] == [
+        ([0, 3], [1, 4]),
+        ([2], [5]),
+    ]
+    assert nonzero_blocks(np.zeros((3, 2))) == []
 
 
 def test_rank_decision_permuted_blocks():
     rng = np.random.default_rng(11)
     # three blocks of unequal shapes; the middle one has rank 2 of 6
     low_rank = crandn(rng, (9, 2)) @ crandn(rng, (2, 6))
-    m = block_diagonal([crandn(rng, (5, 3)), low_rank, crandn(rng, (4, 7))])
-    m = shuffled(rng, m)
+    parts = [crandn(rng, (5, 3)), low_rank, crandn(rng, (4, 7))]
+    assert assert_blocks_match_reference(parts).rank == 3 + 2 + 4
+    m = shuffled(rng, block_diagonal(parts))
+    assert len(nonzero_blocks(m)) == 3
     d = assert_matches_reference(m)
     assert d.rank == 3 + 2 + 4
 
@@ -414,12 +485,16 @@ def test_rank_decision_zero_padding():
     m[np.ix_([2, 7], [5])] = crandn(rng, (2, 1))
     d = assert_matches_reference(shuffled(rng, m))
     assert d.rank == 3
+    # the zero rows and columns as 0-wide blocks of the list
+    parts = [crandn(rng, (3, 2)), crandn(rng, (2, 1)), np.zeros((3, 0)), np.zeros((0, 3))]
+    assert assert_blocks_match_reference(parts).rank == 3
     # the kept rank equals min(m, n): the padding stays out of the spectrum
     m = np.zeros((7, 3), dtype=complex)
     m[np.ix_([0, 5], [1, 2])] = crandn(rng, (2, 2))
     m[3, 0] = 2.0
     d = assert_matches_reference(m)
     assert d.rank == 3
+    assert assert_blocks_match_reference([crandn(rng, (2, 2)), np.full((5, 1), 2.0)]).rank == 3
 
 
 def test_rank_decision_single_dense_block():
@@ -435,10 +510,64 @@ def test_rank_decision_tall_and_wide():
     for shape in ((40, 6), (6, 40)):
         parts = [crandn(rng, (shape[0] // 2, shape[1] // 2)) for _ in range(2)]
         parts[1][:, 0] = 0.0
+        assert_blocks_match_reference(parts)
+        assert_blocks_match_reference([b.T for b in parts])
+        assert_blocks_match_reference([np.abs(b) for b in parts])
         m = shuffled(rng, block_diagonal(parts))
         assert_matches_reference(m)
         assert_matches_reference(m.T)
         assert_matches_reference(np.abs(m))
+
+
+def test_rank_decision_empty_and_zero_width_blocks():
+    rng = np.random.default_rng(15)
+    a, b = crandn(rng, (4, 3)), crandn(rng, (2, 5)) * 1e-9
+    for parts in (
+        [a, np.zeros((0, 0)), b],
+        [np.zeros((0, 4)), a, b],
+        [a, np.zeros((3, 0)), b, np.zeros((0, 2))],
+    ):
+        d = assert_blocks_match_reference(parts)
+        assert d.rank == 3
+    # a list that holds no entries at all decides rank 0 with no cut
+    for parts in ([], [np.zeros((0, 0))], [np.zeros((0, 4)), np.zeros((3, 0))]):
+        d = rank_decision(parts)
+        assert d.rank == 0 and d.gap == math.inf
+    # zero-width blocks still count their rows or columns into the padding
+    d = rank_decision([np.eye(2), np.zeros((0, 3))])
+    assert d.rank == 2 and d.gap == 1.0
+    d = rank_decision([np.eye(2), np.zeros((3, 0)), np.zeros((0, 3))])
+    assert d.rank == 2 and d.gap == 1.0
+
+
+def test_rank_decision_mixed_real_and_complex_blocks(monkeypatch):
+    rng = np.random.default_rng(16)
+    real = rng.standard_normal((5, 3))
+    cplx = crandn(rng, (3, 4))
+    ints = np.rint(4 * rng.standard_normal((2, 2))).astype(int)
+    low = rng.standard_normal((6, 1)) @ rng.standard_normal((1, 4))
+    parts = [real, cplx, ints, low]
+    seen = []
+    svd = np.linalg.svd
+
+    def spy(x, *args, **kwargs):
+        seen.append(x.dtype)
+        return svd(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    d = rank_decision(parts)
+    # each block keeps its own dtype rule: real floats stay real
+    assert seen == [np.float64, np.complex128, np.complex128, np.float64]
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    assert d == assert_blocks_match_reference(parts)
+    assert d.rank == 3 + 3 + 2 + 1
+
+
+def test_rank_decision_rejects_a_list_of_non_matrices():
+    with pytest.raises(ValueError):
+        rank_decision([np.eye(2), np.ones(3)])
+    with pytest.raises(ValueError):
+        rank_decision(np.ones(3))
 
 
 def test_numerical_rank():
