@@ -18,10 +18,13 @@ value (even part minus odd part), so no operator splits a form by parity.
 Each list is compiled in one pass over the canonical tuples: a bracket
 substitution inserts the one new label into the canonical remainder by
 bisection, and each term is added straight into the merged list.
-The pointwise operators apply each term list to a form's stack through its
-Plan: one batched product per derivation label, or one for the wedge, and
-one coefficient matrix that sums them into the result's stack.  d_matrix
-and lie_matrix assemble the same terms into matrices on coefficient space.
+The same insertion (_insert) places an interior product's label and, folded
+over a tuple, gives sort_signed: one reordering rule.  The pointwise
+operators apply each term list to a form's stack through its Plan: one
+gather of its inputs, the twisted ones times the grade signs, one batched
+product per derivation label, or one for the wedge, and one coefficient
+matrix that sums them into the result's stack.  d_matrix and lie_matrix
+assemble the same terms into matrices on coefficient space.
 
 The cohomology ranks are computed in the ladder frame of weight vectors
 (J_+/sqrt2, J_-/sqrt2, J_3, J_4, J_5), on the weight-0 block of d only:
@@ -67,16 +70,16 @@ class Plan(NamedTuple):
     """A term list compiled for _apply, which runs it on a form's stack.
 
     The inputs are the distinct (op, twist, source) triples of the terms,
-    sorted by op.  Input k reads row rows[k] of [X; tau X], the source
-    form's stack X over its grade twist; twins[k] is the row of the same
-    value with the other twist.  ops[k] is its derivation label, or for the
-    wedge the row of its left tuple in the left factor's stack, and groups
-    holds each op with its run of inputs.  coefs is the (targets x inputs)
-    matrix that sums the inputs, acted on, into the rows of the result.
+    sorted by op.  Input k is row sources[k] of the source form's stack,
+    multiplied by the grade signs (its grade twist) where twisted[k].
+    ops[k] is its derivation label, or for the wedge the row of its left
+    tuple in the left factor's stack, and groups holds each op with its run
+    of inputs.  coefs is the (targets x inputs) matrix that sums the inputs,
+    acted on, into the rows of the result.
     """
 
-    rows: np.ndarray
-    twins: np.ndarray
+    sources: np.ndarray
+    twisted: np.ndarray
     ops: np.ndarray
     groups: Tuple[Tuple[int, slice], ...]
     coefs: np.ndarray
@@ -86,8 +89,8 @@ class DerivationContext:
     """A matrix algebra together with its distinguished basis derivations.
 
     Carries the structure constants of the derivation algebra and caches
-    canonical index tuples, sorting signs, and the term lists of d
-    (d_terms), L_a (lie_terms) and the wedge (wedge_plan).  A term
+    canonical index tuples and the term lists of d (d_terms), L_a
+    (lie_terms) and the wedge (wedge_plan).  A term
     (target, source, op, twist, coefficient) adds coefficient times op
     applied to the source value into the target value; op is a derivation
     label, 0 for none, or for the wedge the left factor's tuple.  These
@@ -108,8 +111,8 @@ class DerivationContext:
     read once into a table of the nonzero brackets (a, b) -> ((c, c^C_ab),
     ...).  A substitution puts c into a tuple with one slot taken out, which
     is still canonical, so its canonical form and sign come from moving c
-    alone to its place (_insert) rather than from sorting.  The slot parity
-    sums are prefix sums, formed once per tuple.
+    alone to its place (_insert), as in interior and sort_signed.  The slot
+    parity sums are prefix sums, formed once per tuple.
 
     The pointwise operators read each term list through its Plan (plan),
     compiled once and cached next to the term list.  Each generator must be
@@ -157,7 +160,6 @@ class DerivationContext:
         self._ladder: Optional[DerivationContext] = None
         self._tuples: Dict[int, Tuple[IndexTuple, ...]] = {}
         self._positions: Dict[int, Dict[IndexTuple, int]] = {}
-        self._sort_cache: Dict[IndexTuple, Tuple[Optional[IndexTuple], int]] = {}
         self._terms: Dict[tuple, Tuple[Term, ...]] = {}
         self._plans: Dict[tuple, Plan] = {}
         self._blocks: Dict[tuple, np.ndarray] = {}  # of _assemble, shared by its calls
@@ -211,32 +213,18 @@ class DerivationContext:
     def sort_signed(self, t: IndexTuple) -> Tuple[Optional[IndexTuple], int]:
         """Canonical form and reordering sign; (None, 0) for a vanishing slot.
 
-        Each adjacent transposition contributes the permutation sign, and
-        one more sign when both entries are odd; a repeated even label
-        kills the form value.
+        Each label of t is inserted (_insert) into the canonical tuple of the
+        labels before it; every label is checked (check_label).
         """
-        try:
-            return self._sort_cache[t]
-        except KeyError:
-            pass
-        arr = list(t)
-        sign = 1
-        for i in range(1, len(arr)):
-            j = i
-            while j > 0 and arr[j - 1] > arr[j]:
-                # two odd slots commute at no cost
-                if not (self.label_parity(arr[j - 1]) and self.label_parity(arr[j])):
-                    sign = -sign
-                arr[j - 1], arr[j] = arr[j], arr[j - 1]
-                j -= 1
-        for i in range(1, len(arr)):
-            if arr[i - 1] == arr[i] and self.label_parity(arr[i]) == EVEN:
-                result = (None, 0)
-                self._sort_cache[t] = result
-                return result
-        result = (tuple(arr), sign)
-        self._sort_cache[t] = result
-        return result
+        for a in t:
+            self.check_label(a)
+        canon, sign = (), 1
+        for a in t:
+            canon, s = self._insert(canon, len(canon), a)
+            if not s:
+                return None, 0
+            sign *= s
+        return canon, sign
 
     # -- the derivations
 
@@ -362,11 +350,11 @@ class DerivationContext:
         return self._keep(key, acc)
 
     def _insert(self, rest: IndexTuple, slot: int, c: Label) -> Tuple[IndexTuple, int]:
-        """sort_signed of rest with c put in at slot, rest canonical: c moves alone.
+        """Canonical form and sign of canonical rest with c put in at slot: c moves alone.
 
         c passes the labels of rest[:slot] greater than it or those of
         rest[slot:] less than it, and each flips the sign unless both are
-        odd; a repeated even label gives (None, 0).
+        odd; an even c already in rest gives (None, 0).
         """
         par = self._parity
         at = bisect.bisect_right(rest, c, 0, slot)
@@ -410,8 +398,8 @@ class DerivationContext:
         labels, starts = np.unique(ops, return_index=True)
         stops = [*starts[1:], len(ops)]
         plan = Plan(
-            rows=rows,
-            twins=(1 - twists) * size + sources,
+            sources=sources,
+            twisted=twists.astype(bool),
             ops=ops,
             groups=tuple((int(a), slice(int(i), int(j))) for a, i, j in zip(labels, starts, stops)),
             coefs=coefs,
@@ -420,9 +408,9 @@ class DerivationContext:
         return plan
 
 
-def super_context(q: int, rho: float = 1.0) -> DerivationContext:
+def super_context(q: int) -> DerivationContext:
     """All five osp(1|2) derivations acting on End(V(q/2))."""
-    sphere = FuzzySuperSphere(q, rho)
+    sphere = FuzzySuperSphere(q)
     basis = build_osp_basis()
     return DerivationContext(
         name=f"supersphere(q={q})",
@@ -434,9 +422,9 @@ def super_context(q: int, rho: float = 1.0) -> DerivationContext:
     )
 
 
-def body_context(q: int, rho: float = 1.0) -> DerivationContext:
+def body_context(q: int) -> DerivationContext:
     """The three rotation derivations on the bosonic companion algebra."""
-    sphere = FuzzySphere(q, rho)
+    sphere = FuzzySphere(q)
     basis = build_osp_basis()
     dims = GradedDims(sphere.n, 0)
     gens = tuple(GradedMatrix(dims, sphere.rep.matrix(a)) for a in (1, 2, 3))
@@ -613,30 +601,34 @@ def maurer_cartan(ctx: DerivationContext) -> SuperForm:
 
 
 def _apply(w: SuperForm, p: int, plan: Plan, act: Callable[[np.ndarray], np.ndarray]) -> SuperForm:
-    """The p-form whose stack is plan.coefs @ act([X; tau X]), X the stack of w.
+    """The p-form whose stack is plan.coefs @ act(x), x the plan's inputs.
 
-    act returns the (inputs, n, n) stack of the plan's inputs, acted on.
+    x gathers the rows plan.sources of the stack of w and multiplies the
+    twisted ones by the grade signs; act returns the (inputs, n, n) stack
+    of the inputs, acted on.
     """
     ctx = w.ctx
-    y = act(np.concatenate([w.stack, w.stack * ctx.grade]))
+    x = w.stack[plan.sources]
+    x[plan.twisted] *= ctx.grade
+    y = act(x)
     return SuperForm(ctx, p, plan.coefs @ y.reshape(len(y), ctx.n * ctx.n))
 
 
 def _derive(ctx: DerivationContext, x: np.ndarray, plan: Plan) -> np.ndarray:
-    """The inputs of a derivation plan acted on: E_a X - X' E_a per label a.
+    """The inputs x of a derivation plan acted on: E_a X - X' E_a per label a.
 
-    X is the label's run of inputs, gathered from the stack x, and X' is X
-    with the other twist (plan.twins) when E_a is odd, else X; label 0 is
-    the identity.
+    X is the label's run of inputs and X' is X with the other twist (X
+    times the +-1 grade signs, exactly) when E_a is odd, else X; label 0
+    is the identity.
     """
-    y = np.empty((len(plan.rows), ctx.n, ctx.n), dtype=complex)
+    y = np.empty_like(x)
     for a, run in plan.groups:
-        f = x[plan.rows[run]]
+        f = x[run]
         if a == 0:
             y[run] = f
             continue
         e = ctx.generators[a - 1].mat
-        right = x[plan.twins[run]] if ctx.label_parity(a) else f
+        right = f * ctx.grade if ctx.label_parity(a) else f
         y[run] = e @ f - right @ e
     return y
 
@@ -648,7 +640,7 @@ def wedge(w1: SuperForm, w2: SuperForm) -> SuperForm:
         raise ValueError("forms live on different contexts")
     p, pp = w1.p, w2.p
     plan = ctx.plan(("wedge", p, pp), ctx.wedge_plan(p, pp), pp, p + pp, p)
-    return _apply(w2, p + pp, plan, lambda x: w1.stack[plan.ops] @ x[plan.rows])
+    return _apply(w2, p + pp, plan, lambda x: w1.stack[plan.ops] @ x)
 
 
 def lie_derivative(a: Label, w: SuperForm) -> SuperForm:
@@ -667,8 +659,8 @@ def interior(a: Label, w: SuperForm) -> SuperForm:
     pos = ctx.positions(w.p)
     out = np.zeros((len(ctx.index_tuples(w.p - 1)), ctx.n, ctx.n), dtype=complex)
     for i, t in enumerate(ctx.index_tuples(w.p - 1)):
-        canon, sign = ctx.sort_signed((a,) + t)
-        if canon is not None:
+        canon, sign = ctx._insert(t, 0, a)
+        if sign:
             out[i] = w.stack[pos[canon]] * sign
     return SuperForm(ctx, w.p - 1, out)
 

@@ -35,7 +35,7 @@ from .graded import (
     graded_commutator,
     indefinite_inner,
 )
-from .osp import Irrep, OspBasis, Sl2Irrep, build_irrep, build_osp_basis, build_sl2_irrep, label_parity
+from .osp import Irrep, Sl2Irrep, build_irrep, build_sl2_irrep, label_parity
 
 
 def _binomial_diagonal(a: int, b: int, top: int, count: int, num: int, den: int) -> np.ndarray:
@@ -47,9 +47,14 @@ def _binomial_diagonal(a: int, b: int, top: int, count: int, num: int, den: int)
     return np.sqrt([num * math.comb(r + a, a) * math.comb(top - r, b) / den for r in range(count)])
 
 
+def _integral(x) -> bool:
+    """Whether x is an integral number: an int, a numpy int or an integral float."""
+    return isinstance(x, numbers.Real) and math.isfinite(x) and x == int(x)
+
+
 def _level(q) -> int:
     """q as an int, if it is a positive integer (a numpy int or an integral float too)."""
-    if not isinstance(q, numbers.Real) or not math.isfinite(q) or q != int(q) or q < 1:
+    if not _integral(q) or q < 1:
         raise ValueError(f"level q must be a positive integer, got {q!r}")
     return int(q)
 
@@ -183,10 +188,13 @@ class FuzzyElement:
 
     @classmethod
     def from_json(cls, data: dict) -> "FuzzyElement":
-        coeffs = {
-            HarmonicLabel(int(tj), int(mu), int(tm)): complex(re, im)
-            for tj, mu, tm, re, im in data["coeffs"]
-        }
+        """The element of to_json; a label entry that is not an integral number is a ValueError."""
+        coeffs = {}
+        for tj, mu, tm, re, im in data["coeffs"]:
+            for x in (tj, mu, tm):
+                if not _integral(x):
+                    raise ValueError(f"label entries must be integers, got {x!r}")
+            coeffs[HarmonicLabel(int(tj), int(mu), int(tm))] = complex(re, im)
         return cls(data["q"], coeffs)
 
 
@@ -394,10 +402,6 @@ class FuzzySuperSphere:
     @functools.cached_property
     def rep(self) -> Irrep:
         return build_irrep(self.q, ODD)
-
-    @functools.cached_property
-    def basis(self) -> OspBasis:
-        return build_osp_basis()
 
     @property
     def n(self) -> int:

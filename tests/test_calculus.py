@@ -90,6 +90,43 @@ def test_sort_signed():
     assert CTX.sort_signed((4, 4)) == ((4, 4), 1)  # repeated odd is fine
 
 
+def reference_sort_signed(ctx, t):
+    """Canonical form and reordering sign of t by bubble sort: the reference for sort_signed.
+
+    Each adjacent transposition contributes the permutation sign, and one
+    more sign when both entries are odd; a repeated even label kills the
+    form value, (None, 0).
+    """
+    arr = list(t)
+    sign = 1
+    for i in range(1, len(arr)):
+        j = i
+        while j > 0 and arr[j - 1] > arr[j]:
+            # two odd slots commute at no cost
+            if not (ctx.label_parity(arr[j - 1]) and ctx.label_parity(arr[j])):
+                sign = -sign
+            arr[j - 1], arr[j] = arr[j], arr[j - 1]
+            j -= 1
+    for i in range(1, len(arr)):
+        if arr[i - 1] == arr[i] and not ctx.label_parity(arr[i]):
+            return None, 0
+    return tuple(arr), sign
+
+
+@pytest.mark.parametrize("kind", ["super", "body", "ladder", "body-ladder"])
+def test_sort_signed_equals_the_bubble_sort(kind):
+    # every tuple of length <= 4 over labels 1..5, repeats included; on the
+    # body, a tuple with label 4 or 5 names an unknown label
+    ctx = plan_contexts(1)[kind]
+    for k in range(5):
+        for t in itertools.product(range(1, 6), repeat=k):
+            if set(t) <= set(ctx.labels):
+                assert ctx.sort_signed(t) == reference_sort_signed(ctx, t), t
+            else:
+                with pytest.raises(ValueError, match="unknown label"):
+                    ctx.sort_signed(t)
+
+
 def test_evaluate_respects_antisymmetry():
     w = random_superform(CTX, 2, RNG)
     for a, b in itertools.product(CTX.labels, CTX.labels):
@@ -824,8 +861,8 @@ def permutation_wedge_terms(ctx, p, pp):
     for big in ctx.index_tuples(p + pp):
         pars = tuple(ctx.label_parity(a) for a in big)
         for sigma in itertools.permutations(range(p + pp)):
-            lc, ls = ctx.sort_signed(tuple(big[i] for i in sigma[:p]))
-            rc, rs = ctx.sort_signed(tuple(big[i] for i in sigma[p:]))
+            lc, ls = reference_sort_signed(ctx, tuple(big[i] for i in sigma[:p]))
+            rc, rs = reference_sort_signed(ctx, tuple(big[i] for i in sigma[p:]))
             if lc is None or rc is None:
                 continue
             sgn = perm_sign(sigma) * commutation_factor(sigma, pars) * ls * rs
@@ -877,6 +914,29 @@ def test_stacked_operators_match_the_term_loop(kind, q):
             assert close(wedge(w1, w2), want, w1.norm() * w2.norm()), (p, pp)
 
 
+def reference_interior(a, w):
+    """The stack of iota_a w, value by value through reference_sort_signed."""
+    ctx = w.ctx
+    pos = ctx.positions(w.p)
+    out = np.zeros((len(ctx.index_tuples(w.p - 1)), ctx.n, ctx.n), dtype=complex)
+    for i, t in enumerate(ctx.index_tuples(w.p - 1)):
+        canon, sign = reference_sort_signed(ctx, (a,) + t)
+        if canon is not None:
+            out[i] = w.stack[pos[canon]] * sign
+    return out
+
+
+@pytest.mark.parametrize("kind", ["super", "body", "ladder", "body-ladder"])
+@pytest.mark.parametrize("q", [1, 2])
+def test_interior_equals_the_bubble_sorted_gather(kind, q):
+    ctx = plan_contexts(q)[kind]
+    rng = np.random.default_rng(q)
+    for p in range(1, 5):
+        w = random_superform(ctx, p, rng)
+        for a in ctx.labels:
+            assert np.array_equal(interior(a, w).stack, reference_interior(a, w)), (p, a)
+
+
 # ---------------------------------------------------------------- reference term lists
 
 
@@ -901,7 +961,7 @@ def reference_substitutions(ctx, target, t, slot, a, b, sign, twist=0):
         coef = ctx.constants[c - 1, a - 1, b - 1]
         if coef == 0:
             continue
-        canon, s = ctx.sort_signed(t[:slot] + (c,) + t[slot + 1 :])
+        canon, s = reference_sort_signed(ctx, t[:slot] + (c,) + t[slot + 1 :])
         if canon is not None:
             yield (target, canon, 0, twist, sign * s * coef)
 
@@ -950,8 +1010,8 @@ def reference_plan(ctx, terms, p_in, p_out, p_op=None):
     labels, starts = np.unique(ops, return_index=True)
     stops = [*starts[1:], len(ops)]
     return Plan(
-        rows=twists * len(src) + sources,
-        twins=(1 - twists) * len(src) + sources,
+        sources=sources,
+        twisted=twists == 1,
         ops=ops,
         groups=tuple((int(a), slice(int(i), int(j))) for a, i, j in zip(labels, starts, stops)),
         coefs=coefs,
@@ -988,7 +1048,7 @@ def test_plans_equal_the_loop_compiled_reference(kind):
     for key, terms, p_in, p_out, p_op in cases:
         got = ctx.plan(key, terms, p_in, p_out, p_op)
         want = reference_plan(ctx, terms, p_in, p_out, p_op)
-        for field in ("rows", "twins", "ops"):
+        for field in ("sources", "twisted", "ops"):
             a, b = getattr(got, field), getattr(want, field)
             assert a.dtype == b.dtype and np.array_equal(a, b), (key, field)
         assert got.groups == want.groups, key
@@ -1003,6 +1063,9 @@ def test_unknown_labels_are_rejected():
             lambda: lie_matrix(CTX, a, 1),
             lambda: interior(a, w),
             lambda: interior(a, SuperForm.zero_form(CTX, 0)),
+            lambda: w.evaluate((1, a)),
+            lambda: CTX.sort_signed((a,)),
+            lambda: CTX.sort_signed((2, 2, a)),  # a later slot, past a repeated even label
             lambda: lambda_form(CTX, a),
         ]
         if a:
@@ -1016,6 +1079,7 @@ def test_unknown_labels_are_rejected():
         lambda: lie_derivative(4, wb),
         lambda: lie_matrix(BCTX, 4, 1),
         lambda: interior(4, wb),
+        lambda: BCTX.sort_signed((2, 1, 4)),
         lambda: BCTX.derivation(4, BCTX.unit),
     ):
         with pytest.raises(ValueError, match="unknown label 4"):

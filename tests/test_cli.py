@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -46,6 +47,18 @@ def test_harmonics_suite_fails_a_spoiled_basis(capsys, monkeypatch, spoil, faili
     assert [line.split(":")[1].split(" q=")[0].strip() for line in out.splitlines() if line.startswith("FAIL")] == [
         failing
     ]
+
+
+def test_maurer_cartan_suite_fails_an_inconclusive_rank(capsys, monkeypatch):
+    # the right rank, but a gap below 10 tol backs no dimension
+    real = cli.invariant_one_forms
+    monkeypatch.setattr(cli, "invariant_one_forms", lambda ctx: dataclasses.replace(real(ctx), gap=1e-9))
+    code, out = run(capsys, "verify", "--q", "2", "--suite", "maurer-cartan", "--format", "json")
+    assert code == 1
+    rows = {r["name"]: r for r in json.loads(out)["results"]}
+    assert [name for name, r in rows.items() if not r["passed"]] == ["invariant space dimension"]
+    assert rows["invariant space dimension"]["residual"] == 1
+    assert rows["invariant space dimension"]["info"] == "inconclusive rank, gap 1.0e-09"
 
 
 ORACLE_INPUTS_SCRIPT = """
@@ -329,8 +342,6 @@ ORACLE = ["oracle", "--op", "integral", "--expr", "1"]
         ["verify", "--q", "1", "--suite", "casimir", "--rho", "-1"],
         ["verify", "--q", "1", "--suite", "casimir", "--rho", "1/0"],
         ["verify", "--q", "1", "--suite", "casimir", "--rho", "1e-400"],
-        ["cohomology", "--rho", "1e400"],
-        ["cohomology", "--rho", "0"],
         CONVERGE + ["--rho", "0"],
         ORACLE + ["--rho=-5/2"],
         ["cohomology", "--tol", "0"],
@@ -346,6 +357,14 @@ def test_bad_radius_tolerance_and_level_list_are_usage_errors(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_cohomology_takes_no_radius(capsys):
+    # the derivation complex does not depend on rho, so cohomology does not read it
+    with pytest.raises(SystemExit) as exc:
+        main(["cohomology", "--rho", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --rho 2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("rho", ["-5/2", "-1e-3"])

@@ -317,6 +317,21 @@ def test_elements_reject_a_bad_level():
         assert type(FuzzyElement(q, {}).q) is int and type(eta(e, q).q) is int
 
 
+@pytest.mark.parametrize("slot", [0, 1, 2])
+@pytest.mark.parametrize("bad", [2.5, 0.9, "2", None, math.nan, math.inf])
+def test_element_json_rejects_a_non_integral_label_entry(slot, bad):
+    # not truncated: [2.5, 0, 2.9] would otherwise load as the label (2, 0, 2)
+    entry = [2, 0, 2, 1.0, 0.0]
+    entry[slot] = bad
+    with pytest.raises(ValueError, match="label entries must be integers"):
+        FuzzyElement.from_json({"q": 2, "coeffs": [entry]})
+
+
+def test_element_json_takes_integral_label_entries():
+    data = {"q": 2, "coeffs": [[2.0, np.int64(0), -2, 1.0, 0.5]]}
+    assert FuzzyElement.from_json(data).coeffs == {HarmonicLabel(2, 0, -2): 1 + 0.5j}
+
+
 # ---------------------------------------------------------------- harmonics
 
 
@@ -530,9 +545,14 @@ def test_spheres_reject_a_non_integral_level_and_a_bad_radius(make):
     for q in (2.7, 0, -1, 0.5, math.nan, math.inf, "2"):
         with pytest.raises(ValueError, match="level q must be a positive integer"):
             make(q)
-    for rho in (0, -1.0, math.nan, math.inf, -math.inf, "1"):
-        with pytest.raises(ValueError, match="radius must be finite and positive"):
-            make(2, rho)
+    if make in (super_context, body_context):
+        # no derivation reads a radius, so a context takes none
+        with pytest.raises(TypeError):
+            make(2, 2.5)
+    else:
+        for rho in (0, -1.0, math.nan, math.inf, -math.inf, "1"):
+            with pytest.raises(ValueError, match="radius must be finite and positive"):
+                make(2, rho)
     for q in (np.int64(2), np.int32(2), 2.0):
         made = make(q)
         sphere = getattr(made, "sphere", made)
@@ -757,7 +777,7 @@ def test_lazy_irrep_serves_generators_table_and_contexts():
     assert (fresh.reconstruct(fresh.decompose(f)) - f).norm() < 1e-12 * f.norm()
     ctx = super_context(2)
     assert ctx.dims == FuzzySuperSphere(2).dims
-    assert ctx.sphere.basis.parities == build_osp_basis().parities
+    assert ctx.parities == build_osp_basis().parities
     for a, g in zip(ctx.labels, ctx.generators):
         assert np.array_equal(g.mat, build_irrep(2, ODD).matrix(a).mat), a
 
