@@ -342,6 +342,8 @@ ORACLE = ["oracle", "--op", "integral", "--expr", "1"]
         ["verify", "--q", "1", "--suite", "casimir", "--rho", "-1"],
         ["verify", "--q", "1", "--suite", "casimir", "--rho", "1/0"],
         ["verify", "--q", "1", "--suite", "casimir", "--rho", "1e-400"],
+        CONVERGE + ["--rho", "1e400"],
+        ORACLE + ["--rho", "0"],
         CONVERGE + ["--rho", "0"],
         ORACLE + ["--rho=-5/2"],
         ["cohomology", "--tol", "0"],
