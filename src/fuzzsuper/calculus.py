@@ -688,10 +688,11 @@ def _layout(
     """Where each canonical p-tuple's value sits in a stacked vector, and its length.
 
     Maps each tuple to (offset, key, kept entries), the entries as row-major
-    (rows, cols) index arrays for graded.restricted_adjoint.  Without a weight
-    all are kept (key None); with a doubled total weight, only those whose
-    entry weight minus the tuple's label weight (key) equals it.  Cached on
-    ctx per (p, weight), with read-only index arrays.
+    (rows, cols) index arrays, the order graded.restricted_adjoint needs of
+    its sources.  Without a weight all are kept (key None); with a doubled
+    total weight, only those whose entry weight minus the tuple's label
+    weight (key) equals it.  Cached on ctx per (p, weight), with read-only
+    index arrays.
     """
     if weight is not None and ctx.weights is None:
         raise ValueError("a weight needs a frame of weight vectors")
@@ -723,10 +724,10 @@ def _assemble(
 
     A term adds its coefficient times a block: graded.restricted_adjoint of
     E_a between the kept entries (see _layout), or the identity for label 0,
-    with columns scaled by the grade signs if twisted.  With a weight, only
-    the rows and columns of that total weight are kept.  On a real context
-    the blocks and coefficients are the real parts, exactly, and the matrix
-    is float64.
+    with columns scaled by the grade signs if twisted, each block scattered
+    from the nonzeros of E_a once per context.  With a weight, only the rows
+    and columns of that total weight are kept.  On a real context the blocks
+    and coefficients are the real parts, exactly, and the matrix is float64.
     """
     dst, n_rows = _layout(ctx, p_out, weight)
     src, n_cols = _layout(ctx, p_in, weight)
@@ -749,9 +750,15 @@ def _assemble(
     return out
 
 
-def form_to_vec(w: SuperForm) -> np.ndarray:
-    """The stack of w as one read-only vector, the layout of d_matrix."""
-    return w.stack.reshape(-1)
+def form_to_vec(w: SuperForm, weight: Optional[int] = None) -> np.ndarray:
+    """The stack of w as one read-only vector, in the layout of d_matrix(ctx, p, weight).
+
+    With a weight, a fresh vector of w's values on the entries of that total weight.
+    """
+    if weight is None:
+        return w.stack.reshape(-1)
+    pos, layout = w.ctx.positions(w.p), _layout(w.ctx, w.p, weight)[0]
+    return np.concatenate([w.stack[pos[t]][entries] for t, (_, _, entries) in layout.items()])
 
 
 def vec_to_form(ctx: DerivationContext, p: int, vec: np.ndarray) -> SuperForm:

@@ -43,7 +43,6 @@ from .calculus import (
     maurer_cartan,
     random_superform,
     super_context,
-    vec_to_form,
     wedge,
 )
 from .continuum import (
@@ -284,9 +283,15 @@ def _suite_calculus(q: int, rho: float, tol: float, rng) -> List[CheckResult]:
     ww = wedge(w1, w2)
     leib = (exterior_d(ww) - (wedge(exterior_d(w1), w2) - wedge(w1, exterior_d(w2)))).norm()
     out.append(CheckResult("calculus", "wedge leibniz", q, leib, tol))
-    w = random_superform(ctx, 1, rng)
-    r = (vec_to_form(ctx, 2, d_matrix(ctx, 1) @ form_to_vec(w)) - exterior_d(w)).norm()
-    out.append(CheckResult("calculus", "matrix assembly", q, r, tol))
+    # d keeps the total weight: its ladder-frame blocks on 1-forms, one per weight, against exterior_d
+    frame = ctx.ladder
+    w = random_superform(frame, 1, rng)
+    dw, miss = exterior_d(w), 0.0
+    entry = np.unique(entry_weights(frame.generators[2].mat))
+    for weight in np.unique(entry[:, None] - frame.weights).tolist():  # entry weight minus label weight
+        residual = d_matrix(frame, 1, weight=weight) @ form_to_vec(w, weight) - form_to_vec(dw, weight)
+        miss = math.hypot(miss, float(np.linalg.norm(residual)))
+    out.append(CheckResult("calculus", "matrix assembly", q, miss, tol))
     return out
 
 
@@ -351,6 +356,9 @@ def _suite_oracle(q: int, rho_frac: Fraction, tol: float, rng) -> List[CheckResu
     ]
 
 
+#: the suites whose checks read --rho; the others give the same residuals at any radius
+RADIUS_SUITES = frozenset({"casimir", "body", "oracle"})
+
 SUITES = {
     "algebra": _suite_algebra,
     "harmonics": _suite_harmonics,
@@ -383,7 +391,7 @@ def _render_checks(results: List[CheckResult], meta: dict, fmt: str) -> str:
             )
         return "\n".join(lines)
     width = max((len(f"{r.suite}: {r.name}") for r in results), default=20)
-    lines = [f"# seed={meta.get('seed')} rho={meta.get('rho')} version={meta.get('version')}"]
+    lines = ["# " + " ".join(f"{key}={meta[key]}" for key in ("seed", "rho", "version") if key in meta)]
     for r in results:
         tag = "PASS" if r.passed else "FAIL"
         qtxt = f" q={r.q}" if r.q is not None else ""
@@ -455,15 +463,10 @@ def cmd_verify(args, parser) -> int:
         for name in names:
             # the exact oracle keeps rho a Fraction; the spheres take it as a float
             results.extend(SUITES[name](q, args.rho, args.tol, rng))
-    meta = {
-        "command": "verify",
-        "version": __version__,
-        "seed": args.seed,
-        "rho": str(args.rho),
-        "tol": args.tol,
-        "q": qs,
-        "suites": names,
-    }
+    meta = {"command": "verify", "version": __version__, "seed": args.seed}
+    if RADIUS_SUITES.intersection(names):
+        meta["rho"] = str(args.rho)
+    meta.update(tol=args.tol, q=qs, suites=names)
     _emit(_render_checks(results, meta, args.format), args.out)
     return 0 if all(r.passed for r in results) else 1
 

@@ -9,10 +9,10 @@ else is generated by ladder steps, so orthonormality is a theorem here, not
 a fitting procedure.  Both spheres keep their harmonics in one weight table,
 built in one sweep; its one projection per weight removes only rounding noise.
 The sweep forms no dense operator per weight: it buckets the matrix entries
-by weight once, scatters each J_- step block from the one nonzero J_- has
-per row and column, and reads every chain top from one matrix of all the
-highest weights (the supersphere's mu = 1 tops from one graded commutator of
-that matrix with J_5).
+by weight once, takes each J_- step block from graded.restricted_adjoint,
+which scatters it from the nonzeros of J_-, and reads every chain top from
+one matrix of all the highest weights (the supersphere's mu = 1 tops from
+one graded commutator of that matrix with J_5).
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .graded import (
     entry_weights,
     graded_commutator,
     indefinite_inner,
+    restricted_adjoint,
 )
 from .osp import Irrep, Sl2Irrep, build_irrep, build_sl2_irrep, label_parity
 
@@ -202,23 +203,6 @@ class FuzzyElement:
 # harmonics stored by weight
 
 
-def _ladder_partners(jm: GradedMatrix, weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """up[r] and dn[c]: the column of the nonzero in row r of J_-, the row of the one in column c.
-
-    -1 where a row or column has none.  A ValueError unless J_- has at most
-    one nonzero per row and per column, each on an entry of weights -2.
-    """
-    nz = jm.mat != 0
-    if (nz.sum(axis=1) > 1).any() or (nz.sum(axis=0) > 1).any():
-        raise ValueError("the lowering operator has two nonzeros in a row or a column")
-    if (weights[nz] != -2).any():
-        raise ValueError("the lowering operator must lower the weight by one")
-    return (
-        np.where(nz.any(axis=1), nz.argmax(axis=1), -1),
-        np.where(nz.any(axis=0), nz.argmax(axis=0), -1),
-    )
-
-
 class _WeightTable:
     """The harmonic basis of a sphere, stored on the entries of each weight.
 
@@ -231,23 +215,15 @@ class _WeightTable:
     and ``where`` gives the row (column) of each label at its weight
     label.two_m, keyed by those same label objects.
 
-    The entries are bucketed by weight once: one stable argsort of the
-    flattened weights lists each weight's flat indices in row-major order,
-    and a position map gives each entry's place in its bucket.  ``chains``
-    lists (labels, sign, source, scale) per chain, its labels from the top
-    weight 2l down; the chain's top is scale * source on the entries of
-    weight 2l, so one source matrix serves every top whose weights differ.
-    One sweep down from the top weight builds every chain: from its top,
-    gathered onto its entries, each step applies ad J_- between the entries
-    and divides by the ladder's sqrt(step).  J_- has at most one nonzero
-    per row and per column (checked, with its weight -2: a ValueError
-    otherwise), so a target entry (r, c) reads at most the source entries
-    (up(r), c) and (r, dn(c)), where J_-[r, up(r)] and J_-[dn(c), c] are the
-    nonzeros.  Those coefficients, with the grade twist of
-    graded.restricted_adjoint, are scattered into a zero block, and the step
-    is that block times the source columns: the product restricted_adjoint
-    would give, bit for bit, without its broadcast over all target x source
-    pairs.
+    The entries are bucketed by weight once, row-major within a weight (one
+    stable argsort).  ``chains`` lists (labels, sign, source, scale) per
+    chain, its labels from the top weight 2l down; the chain's top is
+    scale * source on the entries of weight 2l, so one source matrix serves
+    every top whose weights differ.  One sweep down from the top weight
+    builds every chain: each step is the block graded.restricted_adjoint
+    gives for J_- from the bucket of weight m + 2 to that of m, times the
+    columns there, over the ladder's sqrt(step).  Every nonzero of J_- must
+    sit on an entry of weight -2 (a ValueError otherwise).
 
     The chains live at a weight are those whose top is at least |m| and of
     m's parity: a prefix of that parity's chains sorted by descending top,
@@ -270,19 +246,17 @@ class _WeightTable:
     def __init__(self, j3: np.ndarray, jm: GradedMatrix, pair: np.ndarray, chains: list) -> None:
         self.n = n = len(j3)
         diff = entry_weights(j3)
-        up, dn = _ladder_partners(jm, diff)
-        e, tw = jm.mat, jm.dims.twist
+        if (diff[jm.mat != 0] != -2).any():
+            raise ValueError("the lowering operator must lower the weight by one")
         diff = diff.reshape(-1)
         chains = sorted(chains, key=lambda ch: -ch[0][0].two_m)
         # each parity's chains by descending top weight, and those tops negated for bisect
         by_parity = {p: [ch for ch in chains if ch[0][0].two_m % 2 == p] for p in (0, 1)}
         neg_tops = {p: [-ch[0][0].two_m for ch in live] for p, live in by_parity.items()}
-        # the entries by descending weight, row-major within a weight, and each one's place there
+        # the entries by descending weight, row-major within a weight
         order = np.argsort(-diff, kind="stable")
         weights, starts = np.unique(-diff[order], return_index=True)
         bounds = np.append(starts, n * n)
-        place = np.empty(n * n, dtype=np.intp)
-        place[order] = np.arange(n * n) - np.repeat(starts, np.diff(bounds))
         pair = pair.reshape(-1)
         self.flat: Dict[int, np.ndarray] = {}  # r * n + c for the entries of each weight
         self.rows: Dict[int, np.ndarray] = {}  # labels x entries, C-contiguous
@@ -296,25 +270,15 @@ class _WeightTable:
             p = two_m % 2
             live = by_parity[p][: bisect.bisect_right(neg_tops[p], -abs(two_m))]
             flat = order[bounds[i]:bounds[i + 1]]
-            r, c = np.divmod(flat, n)
             w, s = pair[flat], np.array([ch[1] for ch in live], dtype=float)
             h = np.empty((len(flat), len(live)), dtype=complex)
             # the chains stepping down from two_m + 2: tops above two_m
             k0 = bisect.bisect_left(neg_tops[p], -two_m, 0, len(live))
             if k0:
-                cols = above[p]
-                # ad J_- from the entries of two_m + 2: e[r, up(r)] at (up(r), c) and
-                # -e[dn(c), c] at (r, dn(c)), twisted where e[dn(c), c] is odd
-                ad = np.zeros((len(flat), len(cols)), dtype=complex)
-                at, = np.nonzero(up[r] >= 0)
-                ra, ca = r[at], c[at]
-                ad[at, place[up[ra] * n + ca]] = e[ra, up[ra]]
-                at, = np.nonzero(dn[c] >= 0)
-                ra, ca, da = r[at], c[at], dn[c[at]]
-                ad[at, place[ra * n + da]] = -(e[da, ca] * np.where(tw[da, ca] < 0, tw[ra, da], 1.0))
+                ad = restricted_adjoint(jm, np.divmod(flat, n), np.divmod(self.flat[two_m + 2], n))
                 two_l = np.array([ch[0][0].two_m for ch in live[:k0]])
                 step = (two_l + two_m + 2) // 2 * ((two_l - two_m) // 2)
-                steps = ad @ cols[:, :k0] / np.sqrt(step)
+                steps = ad @ above[p][:, :k0] / np.sqrt(step)
                 g = s[:k0, None] * (steps.conj().T @ (w[:, None] * steps))
                 g[two_l[:, None] <= two_l] = 0  # step i enters step k only if l_i > l_k
                 h[:, :k0] = steps - steps @ g

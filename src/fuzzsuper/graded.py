@@ -27,8 +27,11 @@ results of the arithmetic operators, part, superadjoint and
 graded_commutator, and the fuzzy highest weights, harmonics and
 reconstructions, are fresh arrays; GradedMatrix._adopt freezes them in
 place without a copy.  Either way the entries of a GradedMatrix are
-read-only and shared with no other object.  So is its cached
-twisted_even_rows, which stays valid because the entries cannot change.
+read-only and shared with no other object.  So are its cached
+twisted_even_rows and adjoint_stencil, which stay valid because the entries
+cannot change.  restricted_adjoint scatters [e, .] between two sets of
+entries from that stencil of e, its nonzeros by row and by column, and is
+the one place that knows how the commutator acts entry by entry.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -141,6 +144,56 @@ class GradedMatrix:
         ne = self.dims.even
         out = self.mat[:ne] * self.dims.twist[:ne]
         out.setflags(write=False)
+        return out
+
+    @functools.cached_property
+    def adjoint_stencil(self) -> Tuple[np.ndarray, ...]:
+        """The nonzeros by row and by column, as restricted_adjoint reads them; cached, read-only.
+
+        (rows_at, cols_at, rows_val, cols_val, half).  Slot s of target entry
+        (r, c) reads the flat source index rows_at[r, s] + cols_at[c, s] with
+        the coefficient rows_val[r, s] + cols_val[c + half[r], s], half[r]
+        being n for an odd r and 0 for an even one.  The slots are, in order:
+
+        - the off-diagonal nonzeros e[r, k] of row r: source k*n + c,
+          coefficient e[r, k];
+        - the off-diagonal nonzeros e[k, c] of column c: source r*n + k,
+          coefficient -e[k, c], times tau(r, k) where e[k, c] is odd;
+        - the diagonal: source r*n + c, coefficient e[r, r] - e[c, c].
+
+        A row or column with fewer nonzeros points its spare slots at n^2 or
+        beyond, past every entry.  The side of a coefficient that a slot does
+        not use is -0, and x + (-0) is x bit for bit.
+        """
+        n, ne, m = self.n, self.dims.even, self.mat
+        off = m != 0
+        np.fill_diagonal(off, False)
+        i, j = np.nonzero(off)  # row-major
+        jc, ic = np.nonzero(off.T)  # column-major: e[ic, jc]
+        # each nonzero's place among those of its row, and among those of its column
+        sl = np.arange(i.size) - np.searchsorted(i, i)
+        sc = np.arange(jc.size) - np.searchsorted(jc, jc)
+        wl = int(sl.max(initial=-1)) + 1
+        width = wl + int(sc.max(initial=-1)) + 2
+        sc += wl
+        index = np.arange(n)[:, None]
+        rows_at = np.repeat(index * n, width, axis=1)
+        rows_at[:, :wl] = n * n
+        rows_at[i, sl] = j * n
+        cols_at = np.repeat(index, width, axis=1)
+        cols_at[:, wl:-1] = n * n
+        cols_at[jc, sc] = ic
+        rows_val = np.full((n, width), complex(-0.0, -0.0))
+        rows_val[i, sl] = m[i, j]
+        rows_val[:, -1] = m.diagonal()
+        cols_val = np.full((2, n, width), complex(-0.0, -0.0))  # for an even and an odd target row
+        tau = np.where(ic < ne, 1.0, -1.0)  # tau(r, ic) for an even r
+        cols_val[:, jc, sc] = -(m[ic, jc] * np.where(self.dims.twist[ic, jc] < 0, (tau, -tau), 1.0))
+        cols_val[:, :, -1] = -m.diagonal()
+        cols_val = cols_val.reshape(2 * n, width)
+        out = (rows_at, cols_at, rows_val, cols_val, np.where(index[:, 0] < ne, 0, n))
+        for a in out:
+            a.setflags(write=False)
         return out
 
     def part(self, parity: Parity) -> "GradedMatrix":
@@ -275,15 +328,24 @@ def graded_commutator(a: GradedMatrix, b: GradedMatrix) -> GradedMatrix:
 def restricted_adjoint(e: GradedMatrix, target, source) -> np.ndarray:
     """[e, .] from the source entries of a matrix to the target entries, as a block.
 
-    Entries are (rows, cols) index arrays, as np.nonzero gives them.  Element
-    (i, k) is e[r, r'] d(c, c') - d(r, r') e[c', c] for target entry (r, c)
-    and source entry (r', c'), the second term grade-twisted on the source
-    entry where e[c', c] is odd: the rule of graded_commutator.
+    Entries are (rows, cols) index arrays, the sources in row-major order
+    (as np.nonzero gives them), the targets in any.  For every f zero off
+    the sources, block @ f[source] = [e, f][target]: target (r, c) reads
+    source (k, c) with e[r, k], and source (r, k) with -e[k, c], twisted by
+    tau(r, k) where e[k, c] is odd, as graded_commutator twists it; where
+    both land, e[r, r] - e[c, c].  The block is scattered from the nonzeros
+    of e (e.adjoint_stencil), each source found by bisection on the flat
+    source indices.
     """
-    (r, c), (rs, cs) = (x[:, None] for x in target), (x[None, :] for x in source)
-    tw = e.dims.twist
-    right = (r == rs) * e.mat[cs, c] * np.where(tw[cs, c] < 0, tw[rs, cs], 1.0)
-    return e.mat[r, rs] * (c == cs) - right
+    (r, c), (rs, cs) = target, source
+    out = np.zeros((r.size, rs.size), dtype=complex)
+    if out.size:
+        rows_at, cols_at, rows_val, cols_val, half = e.adjoint_stencil
+        at, flat = rows_at[r] + cols_at[c], rs * e.n + cs
+        pos = np.searchsorted(flat, at)
+        hit = flat.take(pos, mode="clip") == at
+        out[hit.nonzero()[0], pos[hit]] = (rows_val[r] + cols_val[c + half[r]])[hit]
+    return out
 
 
 def entry_weights(j3: np.ndarray) -> np.ndarray:

@@ -47,7 +47,7 @@ from fuzzsuper.graded import (
 )
 from fuzzsuper.osp import OspBasis, build_osp_basis, jacobi_residual
 import fuzzsuper.calculus as calculus_module
-from test_graded import nonzero_blocks  # the pattern-block reference
+from test_graded import nonzero_blocks, reference_restricted_adjoint  # the pattern-block and broadcast references
 
 CTX = super_context(1)
 BCTX = body_context(1)
@@ -692,6 +692,25 @@ def test_layout_is_cached_on_the_context_and_read_only(weight):
 # ---------------------------------------------------------------- the real ladder frame
 
 
+@pytest.mark.parametrize("kind", CONTEXTS)
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+def test_restricted_adjoint_matches_the_reference_on_every_generator(kind, q):
+    # every generator of both frames, between every pair of entry sets _layout keeps
+    ctx = CONTEXTS[kind][0](q)
+    for frame in (ctx, ctx.ladder):
+        weights = [None] if frame.weights is None else [None, *range(-2 * q - 4, 2 * q + 5)]
+        sets = {}
+        for p in range(3):
+            for weight in weights:
+                for _, _, entries in _layout(frame, p, weight)[0].values():
+                    sets[entries[0].tobytes() + entries[1].tobytes()] = entries
+        for e in frame.generators:
+            for target in sets.values():
+                for source in sets.values():
+                    want = reference_restricted_adjoint(e, target, source)
+                    assert np.array_equal(restricted_adjoint(e, target, source), want)
+
+
 def reference_assemble(ctx, terms, p_out, p_in, weight=None):
     """The terms assembled in complex arithmetic, one block and one add per term.
 
@@ -704,7 +723,7 @@ def reference_assemble(ctx, terms, p_out, p_in, weight=None):
     for target, source, label, twist, coef in terms:
         (row, _, rent), (col, _, cent) = dst[target], src[source]
         if label:
-            block = restricted_adjoint(ctx.generators[label - 1], rent, cent)
+            block = reference_restricted_adjoint(ctx.generators[label - 1], rent, cent)
         else:
             block = np.eye(cent[0].size)
         if twist:

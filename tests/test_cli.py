@@ -61,6 +61,36 @@ def test_maurer_cartan_suite_fails_an_inconclusive_rank(capsys, monkeypatch):
     assert rows["invariant space dimension"]["info"] == "inconclusive rank, gap 1.0e-09"
 
 
+def test_calculus_suite_fails_a_perturbed_d_matrix(capsys, monkeypatch):
+    # the matrix-assembly row compares every weight block of d on 1-forms with exterior_d
+    real = cli.d_matrix
+    monkeypatch.setattr(cli, "d_matrix", lambda ctx, p, weight=None: 1.001 * real(ctx, p, weight=weight))
+    code, out = run(capsys, "verify", "--q", "2", "--suite", "calculus", "--format", "json")
+    assert code == 1
+    rows = {r["name"]: r for r in json.loads(out)["results"]}
+    assert [name for name, r in rows.items() if not r["passed"]] == ["matrix assembly"]
+    assert rows["matrix assembly"]["residual"] > 1e-4
+
+
+@pytest.mark.parametrize("suite", list(cli.SUITES))
+def test_verify_meta_records_the_radius_only_for_suites_that_read_it(capsys, suite):
+    reports = {}
+    for rho in ("1", "7/3"):
+        code, out = run(capsys, "verify", "--q", "1", "--suite", suite, "--rho", rho, "--format", "json")
+        assert code == 0
+        reports[rho] = json.loads(out)
+    residuals = {rho: [r["residual"] for r in doc["results"]] for rho, doc in reports.items()}
+    if suite in cli.RADIUS_SUITES:
+        assert reports["7/3"]["meta"]["rho"] == "7/3"
+        # the exact oracle passes with zero residuals at every radius; the matrix suites move with it
+        assert suite == "oracle" or residuals["1"] != residuals["7/3"]
+    else:
+        assert "rho" not in reports["7/3"]["meta"]
+        assert residuals["1"] == residuals["7/3"]
+        code, out = run(capsys, "verify", "--q", "1", "--suite", suite, "--rho", "7/3")
+        assert out.splitlines()[0] == f"# seed=0 version={fuzzsuper.__version__}"
+
+
 ORACLE_INPUTS_SCRIPT = """
 import json
 from fuzzsuper import cli

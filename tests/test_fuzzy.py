@@ -36,10 +36,11 @@ from fuzzsuper.graded import (
     supertrace,
 )
 import fuzzsuper.fuzzy as fuzzy_module
-import fuzzsuper.graded as graded_module
 from fuzzsuper.calculus import body_context, super_context
 from fuzzsuper.continuum import structure_constant_classical
 from fuzzsuper.osp import build_irrep, build_osp_basis
+import test_graded
+from test_graded import reference_restricted_adjoint  # the broadcast reference of the stencil
 
 RNG = np.random.default_rng(21)
 
@@ -85,7 +86,7 @@ def reference_sequential_cols(table, jm, top, two_l):
                 h[:, k] = top(la)[r, c]
                 continue
             above = dataclasses.replace(la, two_m=two_m + 2)
-            ad = restricted_adjoint(jm, (r, c), divmod(table.flat[two_m + 2], table.n))
+            ad = reference_restricted_adjoint(jm, (r, c), divmod(table.flat[two_m + 2], table.n))
             step = ((two_l(la) + two_m + 2) // 2) * ((two_l(la) - two_m) // 2)
             h[:, k] = ad @ cols[two_m + 2][:, table.where[above]] / math.sqrt(step)
         w, s = table.pair[two_m], table.signs[two_m]
@@ -109,8 +110,8 @@ def reference_weight_table(j3, jm, pair, chains, top):
     """The weight-table sweep on dense operators: the reference for _WeightTable.
 
     One np.nonzero over all entries per weight, each step block from
-    graded.restricted_adjoint (a broadcast over all target x source pairs),
-    and each chain top read from its own dense matrix top(label).  Returns
+    reference_restricted_adjoint (a broadcast over all target x source
+    pairs), and each chain top read from its own dense matrix top(label).  Returns
     the table's flat, rows, labels, pair, signs and where.
     """
     diff = entry_weights(j3)
@@ -130,7 +131,7 @@ def reference_weight_table(j3, jm, pair, chains, top):
         k0 = bisect.bisect_left(neg_tops[p], -two_m, 0, len(live))
         if k0:
             entries, cols = above[p]
-            ad = restricted_adjoint(jm, (r, c), entries)
+            ad = reference_restricted_adjoint(jm, (r, c), entries)
             two_l = np.array([la.two_m for la in tops[:k0]])
             step = (two_l + two_m + 2) // 2 * ((two_l - two_m) // 2)
             steps = ad @ cols[:, :k0] / np.sqrt(step)
@@ -471,7 +472,7 @@ def test_table_matches_the_dense_reference_sweep(q):
 def test_a_table_build_takes_one_commutator_and_no_dense_adjoint(monkeypatch):
     s, b = FuzzySuperSphere(5), FuzzySphere(5)
     s.rep  # the irrep is built first, outside the count
-    calls = {"graded_commutator": 0, "restricted_adjoint": 0}
+    calls = {"graded_commutator": 0, "restricted_adjoint": 0, "reference": 0}
 
     def spy(name, fn):
         def wrapped(*args):
@@ -481,27 +482,26 @@ def test_a_table_build_takes_one_commutator_and_no_dense_adjoint(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(fuzzy_module, "graded_commutator", spy("graded_commutator", fuzzy_module.graded_commutator))
-    for module in (graded_module, fuzzy_module):
-        monkeypatch.setattr(module, "restricted_adjoint", spy("restricted_adjoint", restricted_adjoint), raising=False)
+    monkeypatch.setattr(fuzzy_module, "restricted_adjoint", spy("restricted_adjoint", restricted_adjoint))
+    # the broadcast over target x source pairs exists only as the tests' reference
+    monkeypatch.setattr(test_graded, "reference_restricted_adjoint", spy("reference", reference_restricted_adjoint))
+    # one stencil per weight that takes steps, all but the top weight of each parity: 4q - 1 super, 2q body
     s._table
-    assert calls == {"graded_commutator": 1, "restricted_adjoint": 0}
+    assert calls == {"graded_commutator": 1, "restricted_adjoint": 4 * 5 - 1, "reference": 0}
     b._table
-    assert calls == {"graded_commutator": 1, "restricted_adjoint": 0}
+    assert calls == {"graded_commutator": 1, "restricted_adjoint": 4 * 5 - 1 + 2 * 5, "reference": 0}
 
 
 def test_weight_table_rejects_a_lowering_operator_off_the_ladder():
+    # a second nonzero in a row or a column of J_- sits off weight -2, as does every nonzero of J_+
     b = FuzzySphere(3)
     pair = np.full((b.n, b.n), 1.0 / b.n)
     chains = [(labels, 1, b.highest_weight(0), 1.0) for labels in fuzzy_module._chains(b.labels(), lambda la: la.two_j)]
     two_in_a_row, two_in_a_column = b.rep.jm.copy(), b.rep.jm.copy()
     two_in_a_row[1, 2] = 1.0  # row 1 holds J_-[1, 0] already
     two_in_a_column[2, 0] = 1.0  # column 0 holds J_-[1, 0] already
-    for bad, match in (
-        (two_in_a_row, "two nonzeros in a row or a column"),
-        (two_in_a_column, "two nonzeros in a row or a column"),
-        (b.rep.jp, "lower the weight by one"),
-    ):
-        with pytest.raises(ValueError, match=match):
+    for bad in (two_in_a_row, two_in_a_column, b.rep.jp):
+        with pytest.raises(ValueError, match="lower the weight by one"):
             fuzzy_module._WeightTable(b.rep.j3, GradedMatrix(GradedDims(b.n, 0), bad), pair, chains)
 
 

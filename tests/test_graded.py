@@ -136,6 +136,63 @@ def test_graded_commutator_matches_reference(dims):
             assert err <= 1e-12 * a.norm() * b.norm(), (pa, pb)
 
 
+def reference_restricted_adjoint(e, target, source):
+    """restricted_adjoint as a broadcast over all target x source pairs: the reference of the stencil.
+
+    Element (i, k) is e[r, r'] d(c, c') - d(r, r') e[c', c] for target entry
+    (r, c) and source entry (r', c'), the second term grade-twisted on the
+    source entry where e[c', c] is odd: the rule of graded_commutator.
+    """
+    (r, c), (rs, cs) = (x[:, None] for x in target), (x[None, :] for x in source)
+    tw = e.dims.twist
+    right = (r == rs) * e.mat[cs, c] * np.where(tw[cs, c] < 0, tw[rs, cs], 1.0)
+    return e.mat[r, rs] * (c == cs) - right
+
+
+@pytest.mark.parametrize("dims", REFERENCE_DIMS, ids=lambda d: f"{d.even}-{d.odd}")
+def test_restricted_adjoint_matches_the_broadcast_reference(dims):
+    # dense even, odd and mixed e, a sparse one and zero, on random entry subsets
+    rng = np.random.default_rng(35)
+    n = dims.total
+    sparse = random_graded_matrix(dims, rng).mat * (rng.random((n, n)) < 0.3)
+    sparse[0, 0] = 0.0  # a diagonal with zeros and, for n > 1, nonzeros
+    es = [random_graded_matrix(dims, rng, parity=pe) for pe in (EVEN, ODD, None)]
+    es += [GradedMatrix(dims, sparse), GradedMatrix.zero(dims)]
+    for e in es:
+        for density in (0.2, 0.5, 1.0):
+            target = np.nonzero(rng.random((n, n)) < density)
+            source = np.nonzero(rng.random((n, n)) < density)
+            want = reference_restricted_adjoint(e, target, source)
+            assert np.array_equal(restricted_adjoint(e, target, source), want)
+            # the targets in any order: the rows follow them
+            shuffle = rng.permutation(target[0].size)
+            got = restricted_adjoint(e, tuple(x[shuffle] for x in target), source)
+            assert np.array_equal(got, want[shuffle])
+
+
+def test_restricted_adjoint_on_empty_entry_sets():
+    e = random_graded_matrix(DIMS, RNG)
+    n = DIMS.total
+    every, none = np.nonzero(np.ones((n, n), dtype=bool)), np.nonzero(np.zeros((n, n), dtype=bool))
+    for target, source, shape in ((none, every, (0, n * n)), (every, none, (n * n, 0)), (none, none, (0, 0))):
+        got = restricted_adjoint(e, target, source)
+        assert got.shape == shape and got.dtype == complex
+        assert np.array_equal(got, reference_restricted_adjoint(e, target, source))
+
+
+def test_adjoint_stencil_is_cached_and_read_only():
+    # slots: the most nonzeros off the diagonal in a row, in a column, and one for the diagonal
+    n, big = DIMS.total, max(DIMS.even, DIMS.odd)
+    for e, width in ((rand(ODD), 2 * big + 1), (rand(EVEN), 2 * (big - 1) + 1)):
+        stencil = e.adjoint_stencil
+        assert e.adjoint_stencil is stencil
+        rows_at, cols_at, rows_val, cols_val, half = stencil
+        assert rows_at.shape == cols_at.shape == rows_val.shape == (n, width)
+        assert cols_val.shape == (2 * n, width) and half.shape == (n,)
+        for a in stencil:
+            assert not a.flags.writeable
+
+
 @pytest.mark.parametrize("dims", REFERENCE_DIMS, ids=lambda d: f"{d.even}-{d.odd}")
 def test_restricted_adjoint_is_a_block_of_the_commutator(dims):
     rng = np.random.default_rng(34)
