@@ -11,10 +11,10 @@ it is the vector that d_matrix and lie_matrix act on.
 Signs follow one commutation-factor convention throughout: permuting
 arguments costs the permutation sign times (-1) for every transposed pair
 of odd slots, and moving an odd object past a form w costs (-1)^|w|, where
-|w| is the value parity plus the tuple parity.  The context writes d, L_a
-and the wedge out once per degree as cached term lists; the part of a
-sign that depends on the value parity is a grade twist of the source
-value (even part minus odd part), so no operator splits a form by parity.
+|w| is the value parity plus the tuple parity.  d, L_a and the wedge are
+written out once per degree as cached term lists; the part of a sign that
+depends on the value parity is a grade twist of the source value (even
+part minus odd part), so no operator splits a form by parity.
 Each list is compiled in one pass over the canonical tuples: a bracket
 substitution inserts the one new label into the canonical remainder by
 bisection, and each term is added straight into the merged list.
@@ -25,6 +25,17 @@ gather of its inputs, the twisted ones times the grade signs, one batched
 product per derivation label, or one for the wedge, and one coefficient
 matrix that sums them into the result's stack.  d_matrix and lie_matrix
 assemble the same terms into matrices on coefficient space.
+
+The canonical tuples, their positions, the bracket table, the term lists
+and their Plans follow from the labels, parities and structure constants
+alone, not from the level.  They are compiled once per derivation algebra,
+into one record (_Algebra) that every context with the same constants
+shares: every level q, and every ladder frame, whose snapped constants are
+the same bytes at every q.  The first context of an algebra makes its
+record, and each list is compiled when first asked for.  What depends on
+the matrix algebra stays per context: the generators, the sphere, the
+ladder frame, and the layouts and blocks that d_matrix and lie_matrix are
+assembled from.
 
 The cohomology ranks are computed in the ladder frame of weight vectors
 (J_+/sqrt2, J_-/sqrt2, J_3, J_4, J_5), on the weight-0 block of d only:
@@ -85,12 +96,55 @@ class Plan(NamedTuple):
     coefs: np.ndarray
 
 
+@dataclasses.dataclass(eq=False)
+class _Algebra:
+    """The caches of one derivation algebra, shared by all of its contexts.
+
+    Everything here follows from the labels, their parities and the
+    structure constants alone, not from the matrix algebra the derivations
+    act on: the bracket table, built with the record, and, compiled as
+    contexts first ask for them, the canonical tuples and their positions
+    per degree, the term lists (keyed ("d", p), ("lie", a, p) and ("wedge",
+    p, pp)) and their Plans, whose arrays are read-only.
+    """
+
+    #: (a, b) -> ((c, c^C_ab), ...): the nonzero brackets, c ascending
+    brackets: Dict[Tuple[Label, Label], Tuple[Tuple[Label, complex], ...]]
+    tuples: Dict[int, Tuple[IndexTuple, ...]] = dataclasses.field(default_factory=dict)
+    positions: Dict[int, Dict[IndexTuple, int]] = dataclasses.field(default_factory=dict)
+    terms: Dict[tuple, Tuple[Term, ...]] = dataclasses.field(default_factory=dict)
+    plans: Dict[tuple, Plan] = dataclasses.field(default_factory=dict)
+
+
+#: the _Algebra of each derivation algebra met in this process, keyed by
+#: content: labels, parities and the constants' dtype, shape and bytes
+_ALGEBRAS: Dict[tuple, _Algebra] = {}
+
+
+def _algebra(
+    labels: Tuple[Label, ...], parities: Tuple[int, ...], constants: np.ndarray
+) -> _Algebra:
+    """The shared record of the derivation algebra with these constants, made on first use."""
+    key = (labels, parities, constants.dtype.str, constants.shape, constants.tobytes())
+    if key not in _ALGEBRAS:
+        brackets: Dict[Tuple[Label, Label], Tuple[Tuple[Label, complex], ...]] = {}
+        for a, b, c in np.argwhere(np.transpose(constants, (1, 2, 0)) != 0).tolist():
+            entry = (c + 1, complex(constants[c, a, b]))
+            brackets[a + 1, b + 1] = brackets.get((a + 1, b + 1), ()) + (entry,)
+        _ALGEBRAS[key] = _Algebra(brackets)
+    return _ALGEBRAS[key]
+
+
 class DerivationContext:
     """A matrix algebra together with its distinguished basis derivations.
 
-    Carries the structure constants of the derivation algebra and caches
-    canonical index tuples and the term lists of d (d_terms), L_a
-    (lie_terms) and the wedge (wedge_plan).  A term
+    Carries the structure constants of the derivation algebra and serves
+    the canonical index tuples and the term lists of d (d_terms), L_a
+    (lie_terms) and the wedge (wedge_plan).  These and their Plans depend
+    on the algebra alone, so they are cached in the record (_Algebra) that
+    every context with the same labels, parities and constants shares; the
+    context itself caches only what depends on its generators: its ladder
+    frame and the layouts and blocks of the assembled matrices.  A term
     (target, source, op, twist, coefficient) adds coefficient times op
     applied to the source value into the target value; op is a derivation
     label, 0 for none, or for the wedge the left factor's tuple.  These
@@ -115,7 +169,8 @@ class DerivationContext:
     parity sums are prefix sums, formed once per tuple.
 
     The pointwise operators read each term list through its Plan (plan),
-    compiled once and cached next to the term list.  Each generator must be
+    compiled once and cached next to the term list, with read-only arrays:
+    every context of the algebra reads the same Plan.  Each generator must be
     homogeneous of its label's parity, so that [E_a, X] is E_a X - X E_a
     with X grade-twisted on the right when E_a is odd.
     """
@@ -139,14 +194,10 @@ class DerivationContext:
         self.dims: GradedDims = generators[0].dims
         self.n = self.dims.total
         self._parity = dict(zip(self.labels, self.parities))
-        #: (a, b) -> ((c, c^C_ab), ...): the nonzero brackets, c ascending
-        self._brackets: Dict[Tuple[Label, Label], Tuple[Tuple[Label, complex], ...]] = {}
-        for a, b, c in np.argwhere(np.transpose(constants, (1, 2, 0)) != 0).tolist():
-            entry = (c + 1, complex(constants[c, a, b]))
-            self._brackets[a + 1, b + 1] = self._brackets.get((a + 1, b + 1), ()) + (entry,)
         for a, g in zip(self.labels, self.generators):
             if g.part(1 - self.label_parity(a)).mat.any():
                 raise ValueError(f"generator {a} is not homogeneous of its label's parity")
+        self._algebra = _algebra(self.labels, self.parities, constants)
         self.unit = GradedMatrix.identity(self.dims)
         #: +1 on even matrix entries, -1 on odd ones: the grade twist
         self.grade = self.dims.twist
@@ -158,10 +209,6 @@ class DerivationContext:
             np.imag(g.mat).any() for g in self.generators
         )
         self._ladder: Optional[DerivationContext] = None
-        self._tuples: Dict[int, Tuple[IndexTuple, ...]] = {}
-        self._positions: Dict[int, Dict[IndexTuple, int]] = {}
-        self._terms: Dict[tuple, Tuple[Term, ...]] = {}
-        self._plans: Dict[tuple, Plan] = {}
         self._blocks: Dict[tuple, np.ndarray] = {}  # of _assemble, shared by its calls
         self._layouts: Dict[tuple, tuple] = {}  # of _layout, per (p, weight)
 
@@ -193,7 +240,8 @@ class DerivationContext:
 
     def index_tuples(self, p: int) -> Tuple[IndexTuple, ...]:
         """Canonical tuples: strictly increasing evens then repeatable odds."""
-        if p not in self._tuples:
+        tuples = self._algebra.tuples
+        if p not in tuples:
             evens = [a for a in self.labels if self.label_parity(a) == EVEN]
             odds = [a for a in self.labels if self.label_parity(a) == ODD]
             out = []
@@ -201,14 +249,15 @@ class DerivationContext:
                 for ev in itertools.combinations(evens, k):
                     for od in itertools.combinations_with_replacement(odds, p - k):
                         out.append(ev + od)
-            self._tuples[p] = tuple(sorted(out))
-        return self._tuples[p]
+            tuples[p] = tuple(sorted(out))
+        return tuples[p]
 
     def positions(self, p: int) -> Dict[IndexTuple, int]:
         """The row of each canonical p-tuple in the stack of a p-form."""
-        if p not in self._positions:
-            self._positions[p] = {t: i for i, t in enumerate(self.index_tuples(p))}
-        return self._positions[p]
+        positions = self._algebra.positions
+        if p not in positions:
+            positions[p] = {t: i for i, t in enumerate(self.index_tuples(p))}
+        return positions[p]
 
     def sort_signed(self, t: IndexTuple) -> Tuple[Optional[IndexTuple], int]:
         """Canonical form and reordering sign; (None, 0) for a vanishing slot.
@@ -240,7 +289,7 @@ class DerivationContext:
     def _keep(self, key: tuple, acc: Dict[tuple, complex]) -> Tuple[Term, ...]:
         """Cache the merged terms of acc, in insertion order, dropping zero sums."""
         terms = tuple(k + (complex(c),) for k, c in acc.items() if c != 0)
-        self._terms[key] = terms
+        self._algebra.terms[key] = terms
         return terms
 
     def d_terms(self, p: int) -> Tuple[Term, ...]:
@@ -251,9 +300,9 @@ class DerivationContext:
         the bracket [D_l, D_l'] substituted into slot l for each l < l'.
         """
         key = ("d", p)
-        if key in self._terms:
-            return self._terms[key]
-        par, brackets, insert = self._parity, self._brackets, self._insert
+        if key in self._algebra.terms:
+            return self._algebra.terms[key]
+        par, brackets, insert = self._parity, self._algebra.brackets, self._insert
         acc: Dict[tuple, complex] = {}
         for big in self.index_tuples(p + 1):
             pars = [par[b] for b in big]
@@ -285,10 +334,10 @@ class DerivationContext:
         twisted when D_a is odd and signed by the slots before b.
         """
         key = ("lie", a, p)
-        if key in self._terms:
-            return self._terms[key]
+        if key in self._algebra.terms:
+            return self._algebra.terms[key]
         par_a = self.label_parity(a)
-        par, brackets, insert = self._parity, self._brackets, self._insert
+        par, brackets, insert = self._parity, self._algebra.brackets, self._insert
         acc: Dict[tuple, complex] = {}
         for t in self.index_tuples(p):
             acc[(t, t, a, 0)] = 1
@@ -322,8 +371,8 @@ class DerivationContext:
         the left tuple is odd.
         """
         key = ("wedge", p, pp)
-        if key in self._terms:
-            return self._terms[key]
+        if key in self._algebra.terms:
+            return self._algebra.terms[key]
         par = self._parity
         slots = range(p + pp)
         acc: Dict[tuple, complex] = {}
@@ -381,8 +430,9 @@ class DerivationContext:
         keyed by one integer, (op * 2 + twist) * len(source tuples) + source,
         so that sorting the keys sorts the (op, twist, source) triples.
         """
-        if key in self._plans:
-            return self._plans[key]
+        plans = self._algebra.plans
+        if key in plans:
+            return plans[key]
         src, dst = self.positions(p_in), self.positions(p_out)
         pos = None if p_op is None else self.positions(p_op)
         size = len(src)
@@ -404,7 +454,9 @@ class DerivationContext:
             groups=tuple((int(a), slice(int(i), int(j))) for a, i, j in zip(labels, starts, stops)),
             coefs=coefs,
         )
-        self._plans[key] = plan
+        for array in (plan.sources, plan.twisted, plan.ops, plan.coefs):
+            array.setflags(write=False)
+        plans[key] = plan
         return plan
 
 
@@ -724,10 +776,13 @@ def _assemble(
 
     A term adds its coefficient times a block: graded.restricted_adjoint of
     E_a between the kept entries (see _layout), or the identity for label 0,
-    with columns scaled by the grade signs if twisted, each block scattered
-    from the nonzeros of E_a once per context.  With a weight, only the rows
-    and columns of that total weight are kept.  On a real context the blocks
-    and coefficients are the real parts, exactly, and the matrix is float64.
+    with columns scaled by the grade signs if twisted.  Each plain block is
+    scattered from the nonzeros of E_a once per context, keyed by (label,
+    weight, row key, column key), and a twisted term scales it on use; a
+    term with no kept row or column adds nothing and is skipped.  With a
+    weight, only the rows and columns of that total weight are kept.  On a
+    real context the blocks and coefficients are the real parts, exactly,
+    and the matrix is float64.
     """
     dst, n_rows = _layout(ctx, p_out, weight)
     src, n_cols = _layout(ctx, p_in, weight)
@@ -736,17 +791,18 @@ def _assemble(
     blocks = ctx._blocks
     for target, source, label, twist, coef in terms:
         (row, rkey, rent), (col, ckey, cent) = dst[target], src[source]
-        key = (label, twist, weight, rkey, ckey)
+        if not (rent[0].size and cent[0].size):
+            continue
+        key = (label, weight, rkey, ckey)
         if key not in blocks:
             if label:
                 block = restricted_adjoint(ctx.generators[label - 1], rent, cent)
-                if real:
-                    block = block.real.copy()
+                blocks[key] = block.real.copy() if real else block
             else:
-                block = np.eye(cent[0].size)
-            blocks[key] = block * ctx.grade[cent] if twist else block
-        h, w = blocks[key].shape
-        out[row : row + h, col : col + w] += (coef.real if real else coef) * blocks[key]
+                blocks[key] = np.eye(cent[0].size)
+        block = blocks[key] * ctx.grade[cent] if twist else blocks[key]
+        h, w = block.shape
+        out[row : row + h, col : col + w] += (coef.real if real else coef) * block
     return out
 
 

@@ -1042,7 +1042,7 @@ TERM_CASES = {"super": 5, "body": 3, "ladder": 5, "body-ladder": 3}
 
 @pytest.mark.parametrize("kind", TERM_CASES)
 def test_term_lists_equal_the_reference_builders(kind):
-    # same terms, same order, same coefficients, on a cold context
+    # same terms, same order, same coefficients, from the shared record
     ctx, p_max = plan_contexts(1)[kind], TERM_CASES[kind]
     for p in range(p_max + 1):
         assert ctx.d_terms(p) == reference_d_terms(ctx, p), p
@@ -1072,6 +1072,118 @@ def test_plans_equal_the_loop_compiled_reference(kind):
             assert a.dtype == b.dtype and np.array_equal(a, b), (key, field)
         assert got.groups == want.groups, key
         assert got.coefs.shape == want.coefs.shape and np.array_equal(got.coefs, want.coefs), key
+
+
+# ---------------------------------------------------------------- the shared record
+
+
+def compiled(ctx, p_max):
+    """Every term list and Plan of ctx up to degree p_max, with the tuples and positions."""
+    out = []
+    for p in range(p_max + 1):
+        out += [ctx.index_tuples(p), ctx.positions(p)]
+        terms = ctx.d_terms(p)
+        out += [terms, ctx.plan(("d", p), terms, p, p + 1)]
+        for a in ctx.labels:
+            terms = ctx.lie_terms(a, p)
+            out += [terms, ctx.plan(("lie", a, p), terms, p, p)]
+        for pp in range(p_max + 1 - p):
+            terms = ctx.wedge_plan(p, pp)
+            out += [terms, ctx.plan(("wedge", p, pp), terms, pp, p + pp, p)]
+    return out
+
+
+@pytest.mark.parametrize("kind", CONTEXTS)
+def test_every_level_and_ladder_frame_shares_one_record(kind):
+    make, p_max = CONTEXTS[kind]
+    contexts = [make(q) for q in (1, 2, 3)]
+    for frames in (contexts, [ctx.ladder for ctx in contexts]):
+        first = compiled(frames[0], p_max - 1)
+        for ctx in frames[1:]:
+            assert ctx._algebra is frames[0]._algebra
+            assert all(got is want for got, want in zip(compiled(ctx, p_max - 1), first))
+    assert contexts[0].ladder.constants.tobytes() == contexts[2].ladder.constants.tobytes()
+
+
+def test_frames_and_other_constants_get_their_own_records():
+    ctx, body = super_context(2), body_context(2)
+    records = {id(c._algebra) for c in (ctx, ctx.ladder, body, body.ladder)}
+    assert len(records) == 4
+    assert ctx.d_terms(1) is not ctx.ladder.d_terms(1)
+    copy = DerivationContext(
+        "copy", ctx.labels, ctx.parities, ctx.constants.copy(), ctx.generators, ctx.sphere
+    )
+    assert copy._algebra is ctx._algebra  # keyed by content, not by the array
+    scaled = DerivationContext(
+        "scaled", ctx.labels, ctx.parities, 2 * ctx.constants, ctx.generators, ctx.sphere
+    )
+    assert scaled._algebra is not ctx._algebra
+    assert scaled.d_terms(1) == reference_d_terms(scaled, 1) != ctx.d_terms(1)
+
+
+@pytest.fixture
+def cold(monkeypatch):
+    """Call to empty the process-wide record dict; the shared one is restored after the test."""
+    return lambda: monkeypatch.setattr(calculus_module, "_ALGEBRAS", {})
+
+
+def operator_bytes(ctx, seed):
+    """The bytes of exterior_d, lie_derivative, wedge, d_matrix and lie_matrix on ctx."""
+    rng = np.random.default_rng(seed)
+    out = []
+    forms = [random_superform(ctx, p, rng) for p in range(3)]
+    for w in forms:
+        out += [exterior_d(w).stack, d_matrix(ctx, w.p)]
+        out += [lie_derivative(a, w).stack for a in ctx.labels]
+        out += [wedge(w1, w).stack for w1 in forms if w1.p + w.p <= 3]
+    out += [lie_matrix(ctx, a, p) for a in ctx.labels for p in (0, 1)]
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in out]
+
+
+@pytest.mark.parametrize("kind", CONTEXTS)
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_a_warm_record_gives_the_bytes_of_a_cold_compile(cold, kind, q):
+    make = CONTEXTS[kind][0]
+    operator_bytes(make(q), 0)  # fills the shared record
+    warm = make(q)
+    want = operator_bytes(warm, q)
+    cold()
+    ctx = make(q)
+    assert ctx._algebra is not warm._algebra and not ctx._algebra.terms
+    assert operator_bytes(ctx, q) == want
+
+
+def test_cached_plans_are_read_only():
+    ctx = super_context(2)
+    plans = [item for item in compiled(ctx, 2) if isinstance(item, Plan)]
+    assert plans
+    for plan in plans:
+        for field in ("sources", "twisted", "ops", "coefs"):
+            assert not getattr(plan, field).flags.writeable, field
+    with pytest.raises(ValueError):
+        plans[0].coefs[0, 0] = 1.0
+
+
+def test_cohomology_scatters_each_block_once(monkeypatch):
+    # one restricted_adjoint call per distinct (generator, row entries, column entries),
+    # none of them empty, and one per cached (label, weight, row key, column key)
+    calls = []
+    real = calculus_module.restricted_adjoint
+
+    def spy(e, target, source):
+        calls.append((id(e),) + tuple(index.tobytes() for index in (*target, *source)))
+        assert target[0].size and source[0].size
+        return real(e, target, source)
+
+    monkeypatch.setattr(calculus_module, "restricted_adjoint", spy)
+    frames = []
+    for q in (2, 3):
+        for make, p_max in CONTEXTS.values():
+            ctx = make(q)
+            cohomology_dims(ctx, p_max)
+            frames.append(ctx.ladder)
+    assert len(calls) == len(set(calls))
+    assert len(calls) == sum(1 for frame in frames for key in frame._blocks if key[0])
 
 
 def test_unknown_labels_are_rejected():
