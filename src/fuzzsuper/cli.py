@@ -476,7 +476,8 @@ def cmd_converge(args, parser) -> int:
     two_j2 = _parse_half(args.j2, parser, "--j2")
     qs = args.q_list or [10, 20, 40]
     for q in qs:
-        _validate_level(q, args.allow_large, parser)
+        # the structure constants take O(q) and build no matrix: any level will do
+        _validate_level(q, True, parser)
     rho_frac = args.rho
     c_cl, resid_cl = structure_constant_classical(two_j1, two_j2, rho_frac)
     rows = []
@@ -720,7 +721,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--j1", required=True, help="first superspin (e.g. 1/2)")
     p_conv.add_argument("--j2", required=True, help="second superspin")
     p_conv.add_argument("--q-list", type=_int_list, help="levels (default 10,20,40)")
-    common(p_conv, "--rho", "--format", "--out", "--allow-large")
+    common(p_conv, "--rho", "--format", "--out")
+    p_conv.add_argument(
+        "--allow-large", action="store_true", help="accepted; converge takes any level q >= 1"
+    )
 
     p_coh = sub.add_parser("cohomology", help="Betti numbers with sv-gap evidence")
     p_coh.add_argument("--q", type=int, default=1, help="truncation level (default 1)")

@@ -18,11 +18,12 @@ come out exact up to one final square root.
 The kernels run in Python integers.  Each polynomial keeps its integer
 form, one common denominator over all four components and the integer
 numerators of every term, from the kernel that made it, or computes it once
-from its coefficients.  Products, normal forms, vector fields, the Berezin
-pairing and the sphere average sum integers over products of such
-denominators (and powers of rho = P/R), and Fractions are formed only for
-the results: one per output coefficient, two per inner product.  A radius
-must be positive (_radius).
+from its coefficients; a kernel's result builds its coefficient tables only
+when they are first read.  Products, normal forms, vector fields and the
+pairings sum integers over products of such denominators (and powers of
+rho = P/R), and Fractions are formed only where a result is read: per
+coefficient of a table, two per inner product.  A radius must be positive
+(_radius).
 
 The generators of osp(1|2) act as first-order graded vector fields.  Each
 field is data: a table of terms, coefficient times x_a d/dx_b from one
@@ -128,12 +129,13 @@ class Surd:
     rad: Fraction = Fraction(1)
 
     def __post_init__(self) -> None:
-        if self.rad < 0:
+        rn, rd = self.rad.numerator, self.rad.denominator
+        if rn < 0:
             raise ValueError("radicand must be non-negative")
-        if self.rad == 0 and self.coef != 0:
+        if rn == 0 and self.coef != 0:
             object.__setattr__(self, "coef", Fraction(0))
             object.__setattr__(self, "rad", Fraction(1))
-        rn, rd = self.rad.numerator, self.rad.denominator
+            rn = 1
         sn, sd = math.isqrt(rn), math.isqrt(rd)
         if sn * sn == rn and sd * sd == rd:
             object.__setattr__(self, "coef", self.coef * Fraction(sn, sd))
@@ -146,21 +148,24 @@ class Surd:
     def __mul__(self, other: "Surd") -> "Surd":
         # in integers: the product radicand in lowest terms, one square test,
         # one Fraction per field; the pair is canonical, so __post_init__
-        # has nothing left to check
-        a, b = self.rad, other.rad
-        rn, rd = a.numerator * b.numerator, a.denominator * b.denominator
-        g = math.gcd(rn, rd)
-        rn, rd = rn // g, rd // g
-        cn = self.coef.numerator * other.coef.numerator
-        cd = self.coef.denominator * other.coef.denominator
-        sn, sd = math.isqrt(rn), math.isqrt(rd)
-        if sn * sn == rn and sd * sd == rd:
-            coef, rad = Fraction(cn * sn, cd * sd), _F1
+        # has nothing left to check.  A radicand of 1 (numerator equal to
+        # denominator, in lowest terms) leaves the other's, already canonical.
+        a, b, x, y = self.rad, other.rad, self.coef, other.coef
+        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+        cn, cd = x.numerator * y.numerator, x.denominator * y.denominator
+        if an == ad or bn == bd:
+            coef, rad = Fraction(cn, cd), b if an == ad else a
         else:
-            coef, rad = Fraction(cn, cd), Fraction(rn, rd)
+            rn, rd = an * bn, ad * bd
+            g = math.gcd(rn, rd)
+            rn, rd = rn // g, rd // g
+            sn, sd = math.isqrt(rn), math.isqrt(rd)
+            if sn * sn == rn and sd * sd == rd:
+                coef, rad = Fraction(cn * sn, cd * sd), _F1
+            else:
+                coef, rad = Fraction(cn, cd), Fraction(rn, rd)
         out = object.__new__(Surd)
-        object.__setattr__(out, "coef", coef)
-        object.__setattr__(out, "rad", rad)
+        out.__dict__.update(coef=coef, rad=rad)
         return out
 
     def exact(self) -> Optional[Fraction]:
@@ -201,7 +206,8 @@ def _pconj(a: Dict[Mono, QQi]) -> Dict[Mono, QQi]:
 # tuple of terms (a, b, c, re, im): den times the coefficient of
 # x1^a x2^b x3^c is the Gaussian integer re + im*i.  The kernels below sum
 # such terms in Python integers into accumulators {mono: [re, im]} over a
-# known denominator, and _kept forms the Fractions once per result.
+# known denominator; _kept keeps the result as an integer form, and its
+# Fractions are formed when its coefficient tables are first read.
 
 Term = Tuple[int, int, int, int, int]
 Acc = Dict[Mono, List[int]]
@@ -242,21 +248,29 @@ def _int_form(comps: Tuple[Dict[Mono, QQi], ...]) -> IntForm:
 
 
 def _kept(den: int, accs: Tuple[Acc, ...]) -> "SuperPoly":
-    """The polynomial of the accumulators over den, which it keeps as its ints.
+    """The polynomial of the accumulators over den, kept as its ints alone.
 
     Over den divided by the gcd of den and every numerator, the terms are
-    exactly what _int_form computes from the coefficients, in the same order.
+    exactly what _int_form computes from the coefficients, in the same order;
+    the coefficient tables are built from them on first read (_tables).
     """
     terms = [_acc_terms(acc) for acc in accs]
     g = math.gcd(den, *(x for rows in terms for row in rows for x in row[3:]))
     if g > 1:
         den //= g
         terms = [tuple((a, b, c, re // g, im // g) for a, b, c, re, im in rows) for rows in terms]
-    poly = SuperPoly(*(
-        {(a, b, c): QQi(Fraction(re, den), Fraction(im, den)) for a, b, c, re, im in rows} for rows in terms
-    ))
+    poly = object.__new__(SuperPoly)
     poly.__dict__["ints"] = _form(den, terms)
     return poly
+
+
+def _tables(form: IntForm) -> Tuple[Dict[Mono, QQi], ...]:
+    """The four coefficient tables of an integer form, one QQi per term."""
+    den = form.den
+    return tuple(
+        {(a, b, c): QQi(Fraction(re, den), Fraction(im, den)) for a, b, c, re, im in rows}
+        for rows in form.terms
+    )
 
 
 def _imul(acc: Acc, p: Tuple[Term, ...], q: Tuple[Term, ...], sign: int = 1, conj: bool = False) -> None:
@@ -280,86 +294,117 @@ def _imul(acc: Acc, p: Tuple[Term, ...], q: Tuple[Term, ...], sign: int = 1, con
                 slot[1] += im
 
 
-#: (f component, g component, sign, part) of the even components of
-#: cross(f) * g: part 0 is the body f0* g0, part 1 the top
-#: f0* g45 + f45* g0 - f5* g5 - f4* g4
-_EVEN_PAIRS = ((0, 0, 1, 0), (0, 3, 1, 1), (3, 0, 1, 1), (2, 2, -1, 1), (1, 1, -1, 1))
+class _OddDoubleFactorials(dict):
+    """(2k - 1)!! by k, each computed once, on first use."""
+
+    def __missing__(self, k: int) -> int:
+        out = self[k] = _dfact(2 * k - 1)
+        return out
 
 
-def _moment_sums(f: "SuperPoly", g: "SuperPoly", pairs) -> Tuple[list, list]:
-    """Unnormalized unit-sphere moments of the body and the top of cross(f) * g, by degree.
+_ODD_DFACT = _OddDoubleFactorials()
 
-    pairs lists the bucket pairs to sum (_EVEN_PAIRS, or its first entry
-    for the body alone).  The products are never formed: a product monomial
-    has a nonzero moment only when all three exponents are even, so a
-    monomial of f meets only the monomials of g with the same exponent
-    parity.  Each paired monomial of degree n has the moment
-    (a-1)!! (b-1)!! (c-1)!! / (n+1)!!; the numerators are summed here into
-    (n, re, im) per part, zero sums dropped, and the caller divides by (n+1)!!.
+#: (f component, g component, sign, offset) of the Berezin pairing: the body
+#: f0* g0 enters at s = n - 1, the top -(f0* g45 + f45* g0 - f5* g5 - f4* g4)
+#: at s = n + 1, for product terms of degree n
+_BEREZIN_PAIRS = ((0, 0, 1, -1), (0, 3, -1, 1), (3, 0, -1, 1), (2, 2, 1, 1), (1, 1, 1, 1))
+#: the sphere average: the body f0* g0 alone, at s = n + 1
+_SPHERE_PAIRS = ((0, 0, 1, 1),)
+
+
+def _pairing(f: IntForm, g: IntForm, rho: Fraction, shift: int, pairs) -> QQi:
+    """sum_s A_s rho^(s + shift) / s!! over f.den g.den, in one pass over two integer forms.
+
+    A_s sums sign * w * conj(p) * q over the bucket pairs listed, for every
+    term p of f and q of g of equal exponent parity: only their product
+    x1^a x2^b x3^c has all exponents even, and with them the unit-sphere
+    moment w / (n+1)!!, w = (a-1)!! (b-1)!! (c-1)!!, of degree n = a+b+c.
+    The product enters at s = n + offset.  With s odd, the Berezin weights
+    (n+1) rho^(n-1) / (n+1)!! of the body and rho^(n+1) / (n+1)!! of the
+    top are both rho^s / s!!, and the sphere's rho^n / (n+1)!! is
+    rho^(s-1) / s!!.  With rho = P/R, the nonzero A_s are brought over
+    the one denominator den S!! P^-K0 R^K1, S the largest s and
+    K0 <= 0 <= K1 bounding the powers of rho, so the result costs two
+    Fractions; a zero sum costs none.
     """
-    fb, gb = f.ints.buckets, g.ints.buckets
-    accs = ({}, {})
-    for i, j, sign, part in pairs:
-        right = gb[j]
-        for parity, p_terms in fb[i].items():
+    dfact = _ODD_DFACT
+    acc: Dict[int, List[int]] = {}
+    for i, j, sign, offset in pairs:
+        right = g.buckets[j]
+        if not right:
+            continue
+        for parity, p_terms in f.buckets[i].items():
             q_terms = right.get(parity)
-            if q_terms:
-                _imul(accs[part], p_terms, q_terms, sign, conj=True)
-    sums = ([], [])
-    for acc, out in zip(accs, sums):
-        if acc:
-            by_degree: Dict[int, List[int]] = {}
-            for (a, b, c), (re, im) in acc.items():
-                w = _dfact(a - 1) * _dfact(b - 1) * _dfact(c - 1)
-                slot = by_degree.setdefault(a + b + c, [0, 0])
-                slot[0] += w * re
-                slot[1] += w * im
-            out += [(n, re, im) for n, (re, im) in by_degree.items() if re or im]
-    return sums
-
-
-def _fold_moments(terms, rho: Fraction, den: int) -> QQi:
-    """The sum of c (re + i im) rho^k / ((n+1)!! den) as one QQi.
-
-    terms holds (k, c, n, re, im) with n even.  For rho = P/R every term is
-    brought over the one denominator den (N+1)!! P^-K0 R^K1, with N the
-    largest degree and K0 <= 0 <= K1 bounding the powers k, so the result
-    costs two Fractions.
-    """
+            if not q_terms:
+                continue
+            for a1, b1, c1, pr, pi in p_terms:
+                if sign < 0:
+                    pr, pi = -pr, -pi
+                for a2, b2, c2, qr, qi in q_terms:
+                    a, b, c = a1 + a2, b1 + b2, c1 + c2
+                    w = dfact[a >> 1] * dfact[b >> 1] * dfact[c >> 1]
+                    s = a + b + c + offset
+                    slot = acc.get(s)
+                    if slot is None:
+                        acc[s] = [w * (pr * qr + pi * qi), w * (pr * qi - pi * qr)]
+                    else:
+                        slot[0] += w * (pr * qr + pi * qi)
+                        slot[1] += w * (pr * qi - pi * qr)
+    terms = [(s, re, im) for s, (re, im) in acc.items() if re or im]
     if not terms:
         return QQI_ZERO
     p, r = rho.numerator, rho.denominator
-    top = max(t[2] for t in terms) + 1
-    k0 = min(0, min(t[0] for t in terms))
-    k1 = max(0, max(t[0] for t in terms))
+    top = max(t[0] for t in terms)
+    k0 = min(0, min(t[0] for t in terms) + shift)
+    k1 = max(0, top + shift)
     num_re = num_im = 0
-    for k, c, n, re, im in terms:
-        w = c * math.prod(range(n + 3, top + 1, 2)) * p ** (k - k0) * r ** (k1 - k)
+    for s, re, im in terms:
+        w = math.prod(range(s + 2, top + 1, 2)) * p ** (s + shift - k0) * r ** (k1 - s - shift)
         num_re += w * re
         num_im += w * im
-    den *= _dfact(top) * p**-k0 * r**k1
+    den = f.den * g.den * dfact[(top + 1) >> 1] * p**-k0 * r**k1
     return QQi(Fraction(num_re, den), Fraction(num_im, den))
 
 
-@dataclasses.dataclass(frozen=True, eq=False)
+_COMPONENTS = ("c0", "c4", "c5", "c45")
+
+
+def _table(k: int) -> functools.cached_property:
+    """Component k's coefficient table, built with the other three on first read."""
+
+    def read(self: "SuperPoly") -> Dict[Mono, QQi]:
+        tables = _tables(self.ints)
+        self.__dict__.update(zip(_COMPONENTS, tables))
+        return tables[k]
+
+    return functools.cached_property(read)
+
+
 class SuperPoly:
     """Element f0 + f4 theta4 + f5 theta5 + f45 theta4 theta5.
 
-    A value: the component tables are never changed after construction,
-    so the integer form (ints) is kept from the kernel that made it
-    (_kept), or computed once from the coefficients.
+    A value with two forms, each built from the other on first read and
+    then kept: the coefficient tables c0, c4, c5, c45 of a polynomial given
+    by its coefficients, and the integer form (ints) of a kernel's result
+    (_kept), which the kernels read.
     """
 
-    c0: Dict[Mono, QQi] = dataclasses.field(default_factory=dict)
-    c4: Dict[Mono, QQi] = dataclasses.field(default_factory=dict)
-    c5: Dict[Mono, QQi] = dataclasses.field(default_factory=dict)
-    c45: Dict[Mono, QQi] = dataclasses.field(default_factory=dict)
+    c0 = _table(0)
+    c4 = _table(1)
+    c5 = _table(2)
+    c45 = _table(3)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "c0", _clean(self.c0))
-        object.__setattr__(self, "c4", _clean(self.c4))
-        object.__setattr__(self, "c5", _clean(self.c5))
-        object.__setattr__(self, "c45", _clean(self.c45))
+    def __init__(
+        self,
+        c0: Optional[Dict[Mono, QQi]] = None,
+        c4: Optional[Dict[Mono, QQi]] = None,
+        c5: Optional[Dict[Mono, QQi]] = None,
+        c45: Optional[Dict[Mono, QQi]] = None,
+    ) -> None:
+        self.__dict__.update(zip(_COMPONENTS, (_clean(c or {}) for c in (c0, c4, c5, c45))))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"SuperPoly is immutable; cannot set {name!r}")
 
     @classmethod
     def zero(cls) -> "SuperPoly":
@@ -380,7 +425,7 @@ class SuperPoly:
 
     @functools.cached_property
     def ints(self) -> IntForm:
-        """The integer form, kept from a kernel or built on first use."""
+        """The integer form, kept from a kernel or built on first use from the tables."""
         return _int_form(self.components())
 
     def is_zero(self) -> bool:
@@ -432,6 +477,9 @@ class SuperPoly:
         _imul(h[3], f4, g5)
         _imul(h[3], f5, g4, -1)
         return _kept(self.ints.den * other.ints.den, h)
+
+
+_ONE_FORM = SuperPoly.one().ints
 
 
 def cross_involution(f: SuperPoly) -> SuperPoly:
@@ -570,7 +618,7 @@ def berezin_radial_sum(f: SuperPoly, rho: RhoLike) -> QQi:
     among the candidate Berezin-integration conventions.  It is the
     pairing of 1 with f.
     """
-    return _berezin_pairing(SuperPoly.one(), f, _radius(rho), 0)
+    return _pairing(_ONE_FORM, f.ints, _radius(rho), 0, _BEREZIN_PAIRS)
 
 
 def berezin_sphere_integral(f: SuperPoly, rho: RhoLike) -> complex:
@@ -582,29 +630,11 @@ PolyOrClass = Union[SuperPoly, SpherePolyClass]
 
 def _as_class_parts(f: PolyOrClass, rho: Fraction) -> Tuple[SuperPoly, Surd]:
     if isinstance(f, SpherePolyClass):
-        # both in lowest terms, so equal exactly when the integers are
-        if f.rho.numerator != rho.numerator or f.rho.denominator != rho.denominator:
+        # most often the very Fraction the class was built with
+        if f.rho is not rho and f.rho != rho:
             raise ValueError("radius mismatch")
         return f.poly, f.scale
     return f, _SURD_ONE
-
-
-def _berezin_pairing(f: SuperPoly, g: SuperPoly, rho: Fraction, lift: int) -> QQi:
-    """rho^lift * berezin_radial_sum(cross_involution(f) * g, rho), never forming the product.
-
-    The even components of the product are f0* g0 (the body) and
-    f0* g45 + f45* g0 - f5* g5 - f4* g4 (the top, with the cross involution
-    folded in).  Their moments are summed in integers per degree over the
-    integer forms of f and g, in one pass (_moment_sums), then folded with
-    the weights (n+1) and 1/(n+1)!! and the powers of rho into one numerator
-    over one denominator: at most two Fractions per call.  rho must be a
-    positive Fraction (_radius).
-    """
-    # rho^lift times sum_n (n+1) body_n rho^(n-1) - top_n rho^(n+1)
-    body, top = _moment_sums(f, g, _EVEN_PAIRS)
-    terms = [(n - 1 + lift, n + 1, n, re, im) for n, re, im in body]
-    terms += [(n + 1 + lift, -1, n, re, im) for n, re, im in top]
-    return _fold_moments(terms, rho, f.ints.den * g.ints.den)
 
 
 def inner_S_exact(f: PolyOrClass, g: PolyOrClass, rho: RhoLike) -> Tuple[QQi, Surd]:
@@ -613,15 +643,15 @@ def inner_S_exact(f: PolyOrClass, g: PolyOrClass, rho: RhoLike) -> Tuple[QQi, Su
     The core is rho * berezin_radial_sum(cross_involution(f) * g, rho),
     computed as a bilinear pairing of the components of f and g: only
     monomial pairs of equal exponent parity contribute, and only the even
-    components of the product are summed.  The sums run in integers over
-    the integer form of each polynomial, and the core is the only pair of
-    Fractions formed.  rho is converted once, and a class's radius is
-    compared with it as two integers.
+    components of the product are summed, f0* g0 (the body) and
+    f0* g45 + f45* g0 - f5* g5 - f4* g4 (the top, with the cross involution
+    folded in).  The sums run in one pass over the integer forms of f and g
+    (_pairing), and the core is the only pair of Fractions formed.
     """
     rho = _radius(rho)
     fp, fs = _as_class_parts(f, rho)
     gp, gs = _as_class_parts(g, rho)
-    return _berezin_pairing(fp, gp, rho, 1), fs * gs
+    return _pairing(fp.ints, gp.ints, rho, 1, _BEREZIN_PAIRS), fs * gs
 
 
 def inner_S(f: PolyOrClass, g: PolyOrClass, rho: RhoLike) -> complex:
@@ -831,15 +861,14 @@ def sphere_harmonic(j: int, m: int, rho: RhoLike) -> SpherePolyClass:
 def inner_sphere_exact(f: PolyOrClass, g: PolyOrClass, rho: RhoLike) -> Tuple[QQi, Surd]:
     """Sphere average (1/4pi) of conj(f) g on the radius-rho sphere.
 
-    The body moments of the pairing kernel, sum_n rho^n m_n(f0* g0), in one
-    numerator over one denominator.
+    The body moments of the pairing kernel, sum_n rho^n m_n(f0* g0), in the
+    one pass of inner_S_exact (_pairing).
     """
     rho = _radius(rho)
     fp, fs = _as_class_parts(f, rho)
     gp, gs = _as_class_parts(g, rho)
-    body = _moment_sums(fp, gp, _EVEN_PAIRS[:1])[0]
-    terms = [(n, 1, n, re, im) for n, re, im in body]
-    return _fold_moments(terms, rho, fp.ints.den * gp.ints.den), fs * gs
+    return _pairing(fp.ints, gp.ints, rho, -1, _SPHERE_PAIRS), fs * gs
+
 
 def inner_sphere(f: PolyOrClass, g: PolyOrClass, rho: RhoLike) -> complex:
     core, s = inner_sphere_exact(f, g, rho)

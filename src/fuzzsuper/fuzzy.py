@@ -40,12 +40,19 @@ from .osp import Irrep, Sl2Irrep, build_irrep, build_sl2_irrep, label_parity
 
 
 def _binomial_diagonal(a: int, b: int, top: int, count: int, num: int, den: int) -> np.ndarray:
-    """sqrt(num C(r+a, a) C(top-r, b) / den) for r = 0..count-1.
+    """sqrt(num C(r+a, a) C(top-r, b) / den) for r = 0..count-1, count <= top - b + 1.
 
-    Each square is one exact integer ratio, rounded once, so a top's
-    entries neither underflow nor overflow, however small its norm.
+    Both binomials are carried as exact integers from r - 1 to r (two exact
+    divisions), and each square is one exact integer ratio, rounded once, so
+    a top's entries neither underflow nor overflow, however small its norm.
     """
-    return np.sqrt([num * math.comb(r + a, a) * math.comb(top - r, b) / den for r in range(count)])
+    u, v = 1, math.comb(top, b)
+    out = [num * v / den] if count else []
+    for r in range(1, count):
+        u = u * (r + a) // r
+        v = v * (top - r + 1 - b) // (top - r + 1)
+        out.append(num * u * v / den)
+    return np.sqrt(out)
 
 
 def _integral(x) -> bool:
@@ -400,29 +407,34 @@ class FuzzySuperSphere:
         binomials, so the top is written from those diagonals, every entry
         from exact integers, and no power of J_+ is formed.
         """
-        if two_j < 0 or two_j > 2 * self.q:
-            raise ValueError(f"superspin 2j={two_j} out of range at level {self.q}")
+        rows, cols, vals = self._top(two_j)
         out = np.zeros((self.n, self.n), dtype=complex)
-        self._write_highest_weight(out, two_j)
+        out[rows, cols] = vals
         return GradedMatrix._adopt(self.dims, out)
 
-    def _write_highest_weight(self, out: np.ndarray, two_j: int) -> None:
-        """Write the (j, l=j, m=j) harmonic onto its entries of out, all of weight 2j."""
+    def _top(self, two_j: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The entries (rows, columns, values) of the (j, l=j, m=j) harmonic; no row twice."""
+        if two_j < 0 or two_j > 2 * self.q:
+            raise ValueError(f"superspin 2j={two_j} out of range at level {self.q}")
         q = self.q
         # first rows of the even l = (q-1)/2 block and the odd l = q/2 block
         lo, hi = 0, q
         if two_j % 2 == 0:
             j = two_j // 2
             den = math.comb(q + j, 2 * j)
+            parts = []
             for two_l, start in ((q - 1, lo), (q, hi)):
                 idx = start + np.arange(two_l + 1 - j)
-                out[idx, idx + j] = _binomial_diagonal(j, j, two_l, two_l + 1 - j, 1, den)
+                parts.append((idx, idx + j, _binomial_diagonal(j, j, two_l, two_l + 1 - j, 1, den)))
         else:
             k = (two_j - 1) // 2
             num, den = k + 1, (q - k) * math.comb(q + k + 1, 2 * k + 1)
             idx = np.arange(q - k)
-            out[lo + idx, hi + k + 1 + idx] = _binomial_diagonal(k + 1, k, q - 1, q - k, num, den)
-            out[hi + idx, lo + k + idx] = -_binomial_diagonal(k, k + 1, q, q - k, num, den)
+            parts = [
+                (lo + idx, hi + k + 1 + idx, _binomial_diagonal(k + 1, k, q - 1, q - k, num, den)),
+                (hi + idx, lo + k + idx, -_binomial_diagonal(k, k + 1, q, q - k, num, den)),
+            ]
+        return tuple(np.concatenate(part) for part in zip(*parts))
 
     @functools.cached_property
     def _table(self) -> _WeightTable:
@@ -439,7 +451,8 @@ class FuzzySuperSphere:
         pair[: self.dims.even, : self.dims.even] = -1.0  # -str(f^+ g), entrywise
         tops = np.zeros((self.n, self.n), dtype=complex)
         for two_j in range(2 * self.q + 1):
-            self._write_highest_weight(tops, two_j)
+            rows, cols, vals = self._top(two_j)
+            tops[rows, cols] = vals
         mu1_tops = self.adjoint_action(5, GradedMatrix._adopt(self.dims, tops)).mat
         chains = []
         for labels in _chains(self._labels, lambda la: (la.two_j, la.mu)):
@@ -566,21 +579,42 @@ def structure_constant_fuzzy(q: int, two_j1: int, two_j2: int) -> StructureConst
 
     The product of two highest-weight harmonics is exactly proportional
     to the highest-weight harmonic of the summed superspin; the residual
-    reports how well the computed matrices honor that, including any
-    spurious imaginary part.
+    reports how well the computed entries honor that, as the Frobenius
+    norm of Y_(j1,hw) Y_(j2,hw) - c Y_(j1+j2,hw).
+
+    No matrix is formed: each top has at most one entry per row, so it is
+    a map from rows to columns with a value per row, and the product is one
+    gather, row r to column col2[col1[r]] with value val1[r] val2[col1[r]].
+    c is the pseudo-inner product with the summed top, entrywise with -1 on
+    the even-even block, and the residual is read from the same vectors.
+    The cost is O(q) time and memory.
     """
     if two_j1 + two_j2 > 2 * q:
         raise ValueError(
             f"superspin {(two_j1 + two_j2) / 2} exceeds the level-{q} cutoff"
         )
     sphere = FuzzySuperSphere(q)
-    y1 = sphere.highest_weight(two_j1)
-    y2 = sphere.highest_weight(two_j2)
-    y12 = sphere.highest_weight(two_j1 + two_j2)
-    prod = y1 @ y2
-    c = indefinite_inner(y12, prod)
-    residual = float(np.linalg.norm(prod.mat - c.real * y12.mat))
-    return StructureConstant(c=c.real, residual=max(residual, abs(c.imag)))
+    n, even = sphere.n, sphere.dims.even
+
+    def row_map(two_j: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The column (n where the row is empty) and the value of each row, and of row n."""
+        rows, cols, vals = sphere._top(two_j)
+        col, val = np.full(n + 1, n), np.zeros(n + 1)
+        col[rows], val[rows] = cols, vals
+        return col, val
+
+    col1, val1 = row_map(two_j1)
+    col2, val2 = (col1, val1) if two_j2 == two_j1 else row_map(two_j2)
+    col12, val12 = row_map(two_j1 + two_j2)
+    # the product, row by row; row n is empty and maps to itself
+    col, val = col2[col1], val1 * val2[col1]
+    shared = col == col12
+    paired = np.where((np.arange(n + 1) < even) & (col12 < even), -val12, val12)
+    c = float(np.dot(paired[shared], val[shared]))
+    diff = np.where(shared, val - c * val12, 0.0)
+    apart = np.where(shared, 0.0, val**2 + (c * val12) ** 2)
+    residual = math.sqrt(float(np.dot(diff, diff) + apart.sum()))
+    return StructureConstant(c=c, residual=residual)
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,29 @@ def test_large_level_opt_in_accepted(capsys):
     assert code == 0
 
 
+def test_cohomology_large_level_needs_opt_in():
+    with pytest.raises(SystemExit) as exc:
+        main(["cohomology", "--q", "61"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("opt_in", [[], ["--allow-large"]])
+def test_converge_takes_any_level(capsys, opt_in):
+    # converge builds no matrix, so a large level needs no opt-in; the flag is still accepted
+    argv = ["converge", "--j1", "1/2", "--j2", "1/2", "--q-list", "10,1000", "--format", "json"]
+    code, out = run(capsys, *argv, *opt_in)
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [row["q"] for row in rows] == [10, 1000]
+    assert rows[1]["abs_delta"] < rows[0]["abs_delta"] / 50
+
+
+def test_converge_rejects_level_zero():
+    with pytest.raises(SystemExit) as exc:
+        main(["converge", "--j1", "1/2", "--j2", "1", "--q-list", "0,10"])
+    assert exc.value.code == 2
+
+
 def test_verify_unknown_suite_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nonsense"])

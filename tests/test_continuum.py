@@ -30,7 +30,7 @@ from fuzzsuper.continuum import (
     structure_constant_classical,
     vector_field_action,
 )
-from fuzzsuper.continuum import _dfact, _fold_moments, _imul, _int_form, _radius
+from fuzzsuper.continuum import _dfact, _imul, _int_form, _radius
 
 X1, X2, X3 = (SuperPoly.variable(v) for v in ("x1", "x2", "x3"))
 T4, T5 = SuperPoly.variable("t4"), SuperPoly.variable("t5")
@@ -78,6 +78,23 @@ def test_surd_product_stays_exact():
     c = a * b
     assert c.rad == 1  # 6 * 24 = 144
     assert c.coef == Fraction(2, 3) * Fraction(1, 2) * 12
+
+
+def test_surd_product_is_the_canonical_pair():
+    # the integer product, and its fast path for a rational factor, give the pair
+    # that the constructor makes of the product coefficient and radicand
+    rng = np.random.default_rng(4)
+
+    def frac(lo):
+        return Fraction(int(rng.integers(lo, 50)), int(rng.integers(1, 50)))
+
+    surds = [Surd(frac(-49), frac(0)) for _ in range(40)]
+    surds += [Surd(Fraction(3, 7)), Surd(Fraction(-2, 5), Fraction(9, 4)), Surd(Fraction(1), Fraction(0))]
+    for a in surds:
+        for b in surds:
+            got, want = a * b, Surd(a.coef * b.coef, a.rad * b.rad)
+            assert (got.coef, got.rad) == (want.coef, want.rad)
+            assert type(got.coef) is type(got.rad) is Fraction
 
 
 # ---------------------------------------------------------------- algebra
@@ -359,15 +376,25 @@ def test_integer_form_is_cached_on_the_instance():
 # ------------------------------------------- kept integer forms, two-pass refs
 # A kernel's result keeps the accumulators it was made from as its integer
 # form; that form must be the one _int_form recomputes from the Fractions,
-# term and bucket order included.  The one-pass pairing must give the
-# Fractions of the two-pass one it replaced: one accumulator per call of
-# ref_degree_sums, over forms recomputed from the Fractions.
+# term and bucket order included, and the Fractions are formed on first
+# read, equal to the tables the kernels once built eagerly.  The one-pass
+# pairing must give the Fractions of the two-pass one it replaced: one
+# accumulator per call of ref_degree_sums, folded by ref_fold_moments, over
+# forms recomputed from the Fractions.
 
 RHOS = [Fraction(1), Fraction(5, 2), Fraction(7, 3)]
 
 
 def form_key(form):
     return form.den, form.terms, [list(bucket.items()) for bucket in form.buckets]
+
+
+def eager_tables(form):
+    """The coefficient tables that a kernel built eagerly from its integer form."""
+    return tuple(
+        {(a, b, c): QQi(Fraction(re, form.den), Fraction(im, form.den)) for a, b, c, re, im in rows}
+        for rows in form.terms
+    )
 
 
 @pytest.mark.parametrize("rho", RHOS)
@@ -377,9 +404,17 @@ def test_kept_integer_forms_equal_the_recomputed_ones(rho):
     made += [normal_form(f, rho).poly for f in polys]
     made += [vector_field_action(a, f) for a in (1, 2, 3, 4, 5, "+", "-") for f in polys]
     made += [classical_harmonic(*label, rho).poly for label in all_harmonic_labels(6)]
+    tables = {"c0", "c4", "c5", "c45"}
     for f in made:
         assert "ints" in vars(f)  # kept from its kernel, not built on first use
+        assert not tables & set(vars(f))  # and no coefficient table yet
+        want = eager_tables(f.ints)
+        assert f.c5 == want[2] and tables <= set(vars(f))  # one read builds all four
+        assert f.components() == want
+        assert format_superpoly(f) == format_superpoly(SuperPoly(*want))
         assert form_key(f.ints) == form_key(_int_form(f.components()))
+    with pytest.raises(AttributeError):
+        made[0].c0 = {}
     assert SuperPoly.zero().ints == (ONE * SuperPoly.zero()).ints == (1, ((),) * 4, ({},) * 4)
 
 
@@ -400,6 +435,23 @@ def ref_degree_sums(pairs):
     return by_degree
 
 
+def ref_fold_moments(terms, rho, den):
+    """The sum of c (re + i im) rho^k / ((n+1)!! den) over terms (k, c, n, re, im), n even."""
+    if not terms:
+        return QQi()
+    p, r = rho.numerator, rho.denominator
+    top = max(t[2] for t in terms) + 1
+    k0 = min(0, min(t[0] for t in terms))
+    k1 = max(0, max(t[0] for t in terms))
+    num_re = num_im = 0
+    for k, c, n, re, im in terms:
+        w = c * math.prod(range(n + 3, top + 1, 2)) * p ** (k - k0) * r ** (k1 - k)
+        num_re += w * re
+        num_im += w * im
+    den *= _dfact(top) * p**-k0 * r**k1
+    return QQi(Fraction(num_re, den), Fraction(num_im, den))
+
+
 def ref_pairing(f, g, rho, lift):
     """rho^lift * berezin_radial_sum(cross_involution(f) * g, rho), body and top apart."""
     ff, gf = _int_form(f.components()), _int_form(g.components())
@@ -408,20 +460,37 @@ def ref_pairing(f, g, rho, lift):
     top = ref_degree_sums(((fb[0], gb[3], 1), (fb[3], gb[0], 1), (fb[2], gb[2], -1), (fb[1], gb[1], -1)))
     terms = [(n - 1 + lift, n + 1, n, re, im) for n, (re, im) in body.items()]
     terms += [(n + 1 + lift, -1, n, re, im) for n, (re, im) in top.items()]
-    return _fold_moments(terms, rho, ff.den * gf.den)
+    return ref_fold_moments(terms, rho, ff.den * gf.den)
 
 
 def ref_sphere_pairing(f, g, rho):
     ff, gf = _int_form(f.components()), _int_form(g.components())
     body = ref_degree_sums(((ff.buckets[0], gf.buckets[0], 1),))
     terms = [(n, 1, n, re, im) for n, (re, im) in body.items()]
-    return _fold_moments(terms, rho, ff.den * gf.den)
+    return ref_fold_moments(terms, rho, ff.den * gf.den)
+
+
+def gaussian_polys(count):
+    """Gaussian-rational coefficients on random monomials up to degree 3 per variable,
+    as the benchmark's ideal integrals draw them, with empty and one-term components."""
+    rng = np.random.default_rng(29)
+
+    def frac():
+        return Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
+
+    return [
+        SuperPoly(*(
+            {tuple(int(x) for x in rng.integers(0, 4, size=3)): QQi(frac(), frac()) for _ in range(size)}
+            for size in rng.integers(0, 5, size=4)
+        ))
+        for _ in range(count)
+    ]
 
 
 @pytest.mark.parametrize("rho", RHOS)
 def test_one_pass_pairing_equals_the_two_pass_reference(rho):
     harms = [classical_harmonic(*label, rho) for label in all_harmonic_labels(4)]
-    polys = kernel_inputs(rho) + [h.poly for h in harms]
+    polys = kernel_inputs(rho) + [h.poly for h in harms] + gaussian_polys(16)
     for f in polys:
         assert berezin_radial_sum(f, rho) == ref_pairing(ONE, f, rho, 0)
         for g in polys:

@@ -1,6 +1,7 @@
 import bisect
 import dataclasses
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -740,6 +741,89 @@ def test_structure_constants_converge_monotonically():
         if max(deltas) < tol_vacuous:
             continue  # exact at every level (identity factor)
         assert deltas[2] < deltas[1] < deltas[0], (two_j1, two_j2, deltas)
+
+
+
+# ------------------------------------------- gathered structure constants
+
+
+def reference_structure_constant(q, two_j1, two_j2):
+    """The dense route: three highest-weight matrices, one product, one indefinite_inner.
+
+    Returns c, the residual and the Frobenius norm of the summed top.
+    """
+    s = FuzzySuperSphere(q)
+    y1, y2, y12 = (s.highest_weight(two_j) for two_j in (two_j1, two_j2, two_j1 + two_j2))
+    prod = y1 @ y2
+    c = indefinite_inner(y12, prod)
+    residual = float(np.linalg.norm(prod.mat - c.real * y12.mat))
+    return c.real, max(residual, abs(c.imag)), float(np.linalg.norm(y12.mat))
+
+
+@pytest.mark.parametrize("q", range(1, 41))
+def test_gather_matches_the_dense_structure_constant(q):
+    for two_j1 in range(7):
+        for two_j2 in range(7):
+            if two_j1 + two_j2 > 2 * q:
+                continue
+            sc = structure_constant_fuzzy(q, two_j1, two_j2)
+            c, residual, norm12 = reference_structure_constant(q, two_j1, two_j2)
+            bound = 1e-14 * max(abs(c), 1.0)
+            assert abs(sc.c - c) <= bound, (two_j1, two_j2)
+            # both residuals are ||Y1 Y2 - c Y12|| of the same product entries, so they differ
+            # by at most |delta c| ||Y12||: the dense route's own rounding of c, which the
+            # cancelling even and odd blocks of its inner product carry (2e-14 at q = 38)
+            slack = abs(sc.c - c) * norm12
+            assert abs(sc.residual - residual) <= bound + slack, (two_j1, two_j2)
+
+
+def test_structure_constant_forms_no_square_array():
+    q = 10**4
+    n = 2 * q + 1
+    tracemalloc.start()
+    try:
+        structure_constant_fuzzy(q, 2, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # O(q): a few vectors of n + 1 entries, against 16 n^2 bytes for one complex (2q+1)^2 array
+    assert peak < 64 * 8 * n
+
+
+def test_the_one_over_q_coefficient_of_two_spinors():
+    # The classical constant of (1/2, 1/2) is zero.  c_q = alpha/q + beta/q^2 + gamma/q^3,
+    # solved from q = 10^3, 10^4, 10^5, gives alpha = -1/sqrt(2): the truncation tail is
+    # O(1e-12) and the rounding of c at q = 10^5 about 7e-12 relative, so 1e-9 has margin.
+    assert structure_constant_classical(1, 1)[0] == 0.0
+    qs = [10**3, 10**4, 10**5]
+    x = np.array([[1.0 / q, 1.0 / q**2, 1.0 / q**3] for q in qs])
+    c = np.array([structure_constant_fuzzy(q, 1, 1).c for q in qs])
+    alpha = np.linalg.solve(x, c)[0]
+    assert abs(alpha + 1.0 / math.sqrt(2.0)) <= 1e-9
+    # every level probed gives the closed form -1/sqrt(2q(q+1)), up to a rounding that
+    # grows with the cancelling sums of the even and odd blocks (about 1e-16 q)
+    for q in [*range(1, 41), *qs]:
+        got = structure_constant_fuzzy(q, 1, 1).c * math.sqrt(2 * q * (q + 1))
+        assert abs(got + 1.0) <= 2e-16 * q + 1e-14, q
+
+
+def reference_binomial_diagonal(a, b, top, count, num, den):
+    """Two math.comb per entry, the same exact ratio rounded once."""
+    return np.sqrt([num * math.comb(r + a, a) * math.comb(top - r, b) / den for r in range(count)])
+
+
+@pytest.mark.parametrize("q", [*range(1, 13), 32, 128])
+def test_binomial_recurrence_keeps_every_top_and_table_bytes(q, monkeypatch):
+    def build():
+        s, b = FuzzySuperSphere(q), FuzzySphere(q)
+        tops = [s.highest_weight(two_j).mat.tobytes() for two_j in range(2 * q + 1)]
+        tops += [b.highest_weight(j).tobytes() for j in range(q + 1)]
+        tables = [rows.tobytes() for t in (s._table, b._table) for rows in t.rows.values()]
+        return tops, tables
+
+    got = build()
+    monkeypatch.setattr(fuzzy_module, "_binomial_diagonal", reference_binomial_diagonal)
+    assert build() == got
 
 
 # ---------------------------------------------------------------- the lazy irrep
