@@ -11,10 +11,10 @@ it is the vector that d_matrix and lie_matrix act on.
 Signs follow one commutation-factor convention throughout: permuting
 arguments costs the permutation sign times (-1) for every transposed pair
 of odd slots, and moving an odd object past a form w costs (-1)^|w|, where
-|w| is the value parity plus the tuple parity.  d, L_a and the wedge are
-written out once per degree as cached term lists; the part of a sign that
-depends on the value parity is a grade twist of the source value (even
-part minus odd part), so no operator splits a form by parity.
+|w| is the value parity plus the tuple parity.  d, L_a, iota_a and the
+wedge are written out once per degree as cached term lists; the part of a
+sign that depends on the value parity is a grade twist of the source value
+(even part minus odd part), so no operator splits a form by parity.
 Each list is compiled in one pass over the canonical tuples: a bracket
 substitution inserts the one new label into the canonical remainder by
 bisection, and each term is added straight into the merged list.
@@ -23,8 +23,14 @@ over a tuple, gives sort_signed: one reordering rule.  The pointwise
 operators apply each term list to a form's stack through its Plan: one
 gather of its inputs, the twisted ones times the grade signs, one batched
 product per derivation label, or one for the wedge, and one coefficient
-matrix that sums them into the result's stack.  d_matrix and lie_matrix
-assemble the same terms into matrices on coefficient space.
+matrix that sums them into the result's stack.
+
+_assemble is the one builder of matrices on coefficient space: d_matrix,
+lie_matrix and the weight blocks of invariant_one_forms all come from it.
+In a frame of weight vectors it builds one total weight at a time, the
+entry weight minus the label weight.  That rule lives in _layout alone:
+_assemble reads the shift of the total weight from its term list, and
+form_weights lists the weights that _layout finds entries for.
 
 The canonical tuples, their positions, the bracket table, the term lists
 and their Plans follow from the labels, parities and structure constants
@@ -52,7 +58,7 @@ import bisect
 import dataclasses
 import itertools
 import math
-from typing import Callable, Dict, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -104,8 +110,8 @@ class _Algebra:
     structure constants alone, not from the matrix algebra the derivations
     act on: the bracket table, built with the record, and, compiled as
     contexts first ask for them, the canonical tuples and their positions
-    per degree, the term lists (keyed ("d", p), ("lie", a, p) and ("wedge",
-    p, pp)) and their Plans, whose arrays are read-only.
+    per degree, the term lists (keyed ("d", p), ("lie", a, p), ("interior",
+    a, p) and ("wedge", p, pp)) and their Plans, whose arrays are read-only.
     """
 
     #: (a, b) -> ((c, c^C_ab), ...): the nonzero brackets, c ascending
@@ -140,14 +146,15 @@ class DerivationContext:
 
     Carries the structure constants of the derivation algebra and serves
     the canonical index tuples and the term lists of d (d_terms), L_a
-    (lie_terms) and the wedge (wedge_plan).  These and their Plans depend
-    on the algebra alone, so they are cached in the record (_Algebra) that
-    every context with the same labels, parities and constants shares; the
-    context itself caches only what depends on its generators: its ladder
-    frame and the layouts and blocks of the assembled matrices.  A term
-    (target, source, op, twist, coefficient) adds coefficient times op
-    applied to the source value into the target value; op is a derivation
-    label, 0 for none, or for the wedge the left factor's tuple.  These
+    (lie_terms), iota_a (interior_terms) and the wedge (wedge_plan).  These
+    and their Plans depend on the algebra alone, so they are cached in the
+    record (_Algebra) that every context with the same labels, parities and
+    constants shares; the context itself caches only what depends on its
+    generators: its ladder frame and the layouts and blocks of the
+    assembled matrices.  A term (target, source, op, twist, coefficient)
+    adds coefficient times op applied to the source value into the target
+    value; op is a derivation label, 0 for none, or for the wedge the left
+    factor's tuple.  These
     lists hold the whole sign convention: a term with twist 1 carries the
     sign (-1)^|w| of its source form, the tuple part of which is folded into
     the coefficient, while the value part is the grade twist (even part
@@ -155,10 +162,11 @@ class DerivationContext:
     osp(1|2) derivations on the graded algebra and their three even
     companions on the body.  In a frame of weight vectors (_ladder_frame,
     cached as ladder) the context also knows the doubled J_3 weight of each
-    label, which d_matrix adds to the entry weights to keep one total
-    weight.  The ladder frame has exactly real constants and generators;
-    such a context is flagged real, and its d matrices are float64.  A
-    label outside labels is rejected with a ValueError (check_label).
+    label, which _layout subtracts from the entry weights to give each
+    entry its total weight.  The ladder frame has exactly real constants
+    and generators; such a context is flagged real, and its d matrices are
+    float64.  A label outside labels is rejected with a ValueError
+    (check_label).
 
     Each list is compiled in one pass, terms merged per (target, source, op,
     twist) in the order they are first met.  The structure constants are
@@ -396,6 +404,24 @@ class DerivationContext:
                 rc = tuple(big[i] for i in slots if i not in left)
                 k = (big, rc, lc, twist)
                 acc[k] = acc.get(k, 0) + (-1 if flips % 2 else 1)
+        return self._keep(key, acc)
+
+    def interior_terms(self, a: Label, p: int) -> Tuple[Term, ...]:
+        """Terms of iota_a: Omega^p -> Omega^(p-1), for p >= 1.
+
+        The value on each canonical (p-1)-tuple t is the value on a put into
+        slot 0 of t, at its canonical place (_insert) and signed by the
+        labels it passes; no op, no twist.
+        """
+        key = ("interior", a, p)
+        if key in self._algebra.terms:
+            return self._algebra.terms[key]
+        self.check_label(a)
+        acc: Dict[tuple, complex] = {}
+        for t in self.index_tuples(p - 1):
+            canon, sign = self._insert(t, 0, a)
+            if sign:
+                acc[(t, canon, 0, 0)] = sign
         return self._keep(key, acc)
 
     def _insert(self, rest: IndexTuple, slot: int, c: Label) -> Tuple[IndexTuple, int]:
@@ -708,13 +734,8 @@ def interior(a: Label, w: SuperForm) -> SuperForm:
     ctx.check_label(a)
     if w.p == 0:
         return SuperForm.zero_form(ctx, 0)
-    pos = ctx.positions(w.p)
-    out = np.zeros((len(ctx.index_tuples(w.p - 1)), ctx.n, ctx.n), dtype=complex)
-    for i, t in enumerate(ctx.index_tuples(w.p - 1)):
-        canon, sign = ctx._insert(t, 0, a)
-        if sign:
-            out[i] = w.stack[pos[canon]] * sign
-    return SuperForm(ctx, w.p - 1, out)
+    plan = ctx.plan(("interior", a, w.p), ctx.interior_terms(a, w.p), w.p, w.p - 1)
+    return _apply(w, w.p - 1, plan, lambda x: x)
 
 
 def exterior_d(w: SuperForm) -> SuperForm:
@@ -739,12 +760,12 @@ def _layout(
 ) -> Tuple[Dict[IndexTuple, tuple], int]:
     """Where each canonical p-tuple's value sits in a stacked vector, and its length.
 
-    Maps each tuple to (offset, key, kept entries), the entries as row-major
-    (rows, cols) index arrays, the order graded.restricted_adjoint needs of
-    its sources.  Without a weight all are kept (key None); with a doubled
-    total weight, only those whose entry weight minus the tuple's label
-    weight (key) equals it.  Cached on ctx per (p, weight), with read-only
-    index arrays.
+    Maps each tuple to (offset, entry weight, kept entries), the entries as
+    row-major (rows, cols) index arrays, the order graded.restricted_adjoint
+    needs of its sources.  Without a weight all are kept (entry weight None).
+    With a doubled total weight, only the entries whose entry weight minus
+    the tuple's label weight equals it: this is the one place of that rule.
+    Cached on ctx per (p, weight), with read-only index arrays.
     """
     if weight is not None and ctx.weights is None:
         raise ValueError("a weight needs a frame of weight vectors")
@@ -753,9 +774,9 @@ def _layout(
     two_m = entry_weights(ctx.generators[2].mat)
     out, offset, kept = {}, 0, {}
     for t in ctx.index_tuples(p):
-        key = None if weight is None else sum(ctx.weights[a - 1] for a in t)
+        key = None if weight is None else weight + sum(ctx.weights[a - 1] for a in t)
         if key not in kept:
-            keep = np.ones(two_m.shape, dtype=bool) if key is None else two_m == weight + key
+            keep = np.ones(two_m.shape, dtype=bool) if key is None else two_m == key
             kept[key] = np.nonzero(keep)
             for index in kept[key]:
                 index.setflags(write=False)
@@ -765,9 +786,21 @@ def _layout(
     return ctx._layouts[p, weight]
 
 
+def form_weights(ctx: DerivationContext, p: int) -> Tuple[int, ...]:
+    """The doubled total weights that p-forms of a frame of weight vectors carry, ascending.
+
+    Those w with an entry in _layout(ctx, p, w), for |w| up to the largest
+    entry weight plus p times the largest label weight.
+    """
+    if ctx.weights is None:
+        raise ValueError("weights need a frame of weight vectors")
+    bound = int(entry_weights(ctx.generators[2].mat).max()) + p * max(map(abs, ctx.weights))
+    return tuple(w for w in range(-bound, bound + 1) if _layout(ctx, p, w)[1])
+
+
 def _assemble(
     ctx: DerivationContext,
-    terms: Iterable[Term],
+    terms: Sequence[Term],
     p_out: int,
     p_in: int,
     weight: Optional[int] = None,
@@ -778,14 +811,25 @@ def _assemble(
     E_a between the kept entries (see _layout), or the identity for label 0,
     with columns scaled by the grade signs if twisted.  Each plain block is
     scattered from the nonzeros of E_a once per context, keyed by (label,
-    weight, row key, column key), and a twisted term scales it on use; a
-    term with no kept row or column adds nothing and is skipped.  With a
-    weight, only the rows and columns of that total weight are kept.  On a
-    real context the blocks and coefficients are the real parts, exactly,
-    and the matrix is float64.
+    row entry weight, column entry weight), and a twisted term scales it on
+    use; a term with no kept row or column adds nothing and is skipped.
+
+    With a weight, only the columns of that total weight are kept, and the
+    rows of that weight plus the list's shift.  A term moves the entry
+    weight of its source value by weight(op), so it moves the total weight
+    by weight(op) + weight(source) - weight(target), label weights summed
+    over each tuple.  Every term of one list has the same shift: 0 for d,
+    weight(a) for L_a.  On a real context the blocks and coefficients are
+    the real parts, exactly, and the matrix is float64.
     """
-    dst, n_rows = _layout(ctx, p_out, weight)
     src, n_cols = _layout(ctx, p_in, weight)
+    rows = weight
+    if weight is not None and terms:
+        target, source, label, _, _ = terms[0]
+        labels = ctx.weights
+        rows += (labels[label - 1] if label else 0) + sum(labels[b - 1] for b in source)
+        rows -= sum(labels[b - 1] for b in target)
+    dst, n_rows = _layout(ctx, p_out, rows)
     real = ctx.real
     out = np.zeros((n_rows, n_cols), dtype=float if real else complex)
     blocks = ctx._blocks
@@ -793,7 +837,7 @@ def _assemble(
         (row, rkey, rent), (col, ckey, cent) = dst[target], src[source]
         if not (rent[0].size and cent[0].size):
             continue
-        key = (label, weight, rkey, ckey)
+        key = (label, rkey, ckey)
         if key not in blocks:
             if label:
                 block = restricted_adjoint(ctx.generators[label - 1], rent, cent)
@@ -841,25 +885,21 @@ def invariant_one_forms(ctx: DerivationContext, tol: float = 1e-8) -> RankDecisi
 
     The kernel dimension is dim Omega^1 minus the rank; the invariant
     Maurer-Cartan form spans it when the kernel is one-dimensional.  The
-    L_a are built once each, in float64 in the real ladder frame, whose
-    change is unitary, so the rank and gap are those of ctx.  L_a takes a
-    1-form entry of total weight w (the entry weight minus its label's
-    weight) to total weight w + weight(a).  So the stack of all L_a is
-    block diagonal over w: the block of w gathers, from every L_a, the rows
-    of weight w + weight(a) and the columns of weight w.  rank_decision
-    gets those blocks, one per total weight, and the stack is never formed.
+    L_a are assembled in float64 in the real ladder frame, whose change is
+    unitary, so the rank and gap are those of ctx.  L_a takes total weight
+    w to w + weight(a), so the stack of all L_a is block diagonal over the
+    column weight w.  The block of w stacks, label by label, the pieces
+    that _assemble gives for column weight w; rank_decision gets those
+    blocks, one per total weight, and no whole L_a or stack is formed.
     """
     frame = ctx.ladder
-    two_m = entry_weights(frame.generators[2].mat).reshape(-1)
-    # in the order of _layout: each label's entries row-major, labels in turn
-    total = np.concatenate([two_m - frame.weights[a - 1] for (a,) in frame.index_tuples(1)])
-    weights = np.unique(total)
-    pieces = {w: [] for w in weights}
-    for a in frame.labels:
-        lie = lie_matrix(frame, a, 1)
-        for w in weights:
-            pieces[w].append(lie[np.ix_(total == w + frame.weights[a - 1], total == w)])
-    return rank_decision([np.concatenate(pieces[w]) for w in weights], tol)
+    return rank_decision(
+        [
+            np.concatenate([_assemble(frame, frame.lie_terms(a, 1), 1, 1, w) for a in frame.labels])
+            for w in form_weights(frame, 1)
+        ],
+        tol,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from .calculus import (
     d_matrix,
     exterior_d,
     form_to_vec,
+    form_weights,
     interior,
     invariant_one_forms,
     lie_derivative,
@@ -287,8 +288,7 @@ def _suite_calculus(q: int, rho: float, tol: float, rng) -> List[CheckResult]:
     frame = ctx.ladder
     w = random_superform(frame, 1, rng)
     dw, miss = exterior_d(w), 0.0
-    entry = np.unique(entry_weights(frame.generators[2].mat))
-    for weight in np.unique(entry[:, None] - frame.weights).tolist():  # entry weight minus label weight
+    for weight in form_weights(frame, 1):
         residual = d_matrix(frame, 1, weight=weight) @ form_to_vec(w, weight) - form_to_vec(dw, weight)
         miss = math.hypot(miss, float(np.linalg.norm(residual)))
     out.append(CheckResult("calculus", "matrix assembly", q, miss, tol))

@@ -123,6 +123,10 @@ class Surd:
 
     Closed under multiplication; perfect-square radicands are folded into
     the rational factor, so products of a surd with itself are rational.
+    Only whole perfect-square radicands fold, so one value can have several
+    (coef, rad) pairs: Surd(1, 8) and Surd(2, 2).  Equality and the hash
+    therefore go by the value, its sign and its square coef^2 rad, and the
+    stored pair is kept as it was made.
     """
 
     coef: Fraction
@@ -167,6 +171,18 @@ class Surd:
         out = object.__new__(Surd)
         out.__dict__.update(coef=coef, rad=rad)
         return out
+
+    def _value(self) -> Tuple[int, Fraction]:
+        """The sign and the square of the value, which together fix it."""
+        return (self.coef > 0) - (self.coef < 0), self.coef * self.coef * self.rad
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Surd):
+            return NotImplemented
+        return self._value() == other._value()
+
+    def __hash__(self) -> int:
+        return hash(self._value())
 
     def exact(self) -> Optional[Fraction]:
         """The value as a Fraction when the radicand is a perfect square."""

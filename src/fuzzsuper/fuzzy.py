@@ -585,16 +585,19 @@ def structure_constant_fuzzy(q: int, two_j1: int, two_j2: int) -> StructureConst
     No matrix is formed: each top has at most one entry per row, so it is
     a map from rows to columns with a value per row, and the product is one
     gather, row r to column col2[col1[r]] with value val1[r] val2[col1[r]].
-    c is the pseudo-inner product with the summed top, entrywise with -1 on
-    the even-even block, and the residual is read from the same vectors.
-    The cost is O(q) time and memory.
+    c is the least-squares coefficient of the summed top in the Frobenius
+    pairing, <Y12, Y1 Y2> / <Y12, Y12>.  In exact arithmetic it equals the
+    indefinite pairing with the summed top, but that pairing's even and odd
+    blocks cancel and leave c a rounding error of about eps q relative.
+    The residual is read from the same vectors.  The cost is O(q) time and
+    memory.
     """
     if two_j1 + two_j2 > 2 * q:
         raise ValueError(
             f"superspin {(two_j1 + two_j2) / 2} exceeds the level-{q} cutoff"
         )
     sphere = FuzzySuperSphere(q)
-    n, even = sphere.n, sphere.dims.even
+    n = sphere.n
 
     def row_map(two_j: int) -> Tuple[np.ndarray, np.ndarray]:
         """The column (n where the row is empty) and the value of each row, and of row n."""
@@ -609,8 +612,7 @@ def structure_constant_fuzzy(q: int, two_j1: int, two_j2: int) -> StructureConst
     # the product, row by row; row n is empty and maps to itself
     col, val = col2[col1], val1 * val2[col1]
     shared = col == col12
-    paired = np.where((np.arange(n + 1) < even) & (col12 < even), -val12, val12)
-    c = float(np.dot(paired[shared], val[shared]))
+    c = float(np.dot(val12[shared], val[shared]) / np.dot(val12, val12))
     diff = np.where(shared, val - c * val12, 0.0)
     apart = np.where(shared, 0.0, val**2 + (c * val12) ** 2)
     residual = math.sqrt(float(np.dot(diff, diff) + apart.sum()))

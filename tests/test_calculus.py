@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from fuzzsuper.calculus import (
     eta_forms,
     exterior_d,
     form_to_vec,
+    form_weights,
     interior,
     invariant_one_forms,
     lambda_form,
@@ -430,6 +432,47 @@ def test_invariant_one_forms_blocks_are_the_weight_unions_of_the_pattern(monkeyp
     assert sum(np.count_nonzero(b) for b in blocks) == np.count_nonzero(stack)
 
 
+def reference_weight_blocks(ctx):
+    """The weight blocks gathered from whole L_a: each L_a on 1-forms assembled, then cut.
+
+    The block of total weight w takes, from every L_a in turn, the rows of
+    total weight w + weight(a) and the columns of weight w (np.ix_).
+    """
+    frame = ctx.ladder
+    total = total_weights(frame, 1)
+    weights = np.unique(total)
+    pieces = {w: [] for w in weights}
+    for a in frame.labels:
+        lie = lie_matrix(frame, a, 1)
+        for w in weights:
+            pieces[w].append(lie[np.ix_(total == w + frame.weights[a - 1], total == w)])
+    return [np.concatenate(pieces[w]) for w in weights]
+
+
+@pytest.mark.parametrize("kind", ["super", "body"])
+@pytest.mark.parametrize("q", range(1, 7))
+def test_invariant_one_forms_blocks_are_the_bytes_of_the_dense_gather(monkeypatch, kind, q):
+    ctx = (super_context if kind == "super" else body_context)(q)
+    got, want = captured_blocks(monkeypatch, ctx), reference_weight_blocks(ctx)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.dtype.str, g.shape, g.tobytes()) == (w.dtype.str, w.shape, w.tobytes())
+
+
+def test_invariant_one_forms_allocates_no_whole_lie_matrix():
+    # one L_a on 1-forms at q = 16 is 8 dim^2 bytes, 237 MB; the weight blocks take about 26 MB
+    ctx = super_context(16)
+    dim = len(ctx.index_tuples(1)) * ctx.n**2
+    tracemalloc.start()
+    try:
+        dec = invariant_one_forms(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dec.rank == dim - 1 and not dec.inconclusive
+    assert peak < 2 * dim * dim
+
+
 def recording_rows(join, rows):
     """join (np.vstack or np.concatenate), noting the row count of each matrix it forms."""
     def spy(arrays, *args, **kwargs):
@@ -687,6 +730,17 @@ def test_layout_is_cached_on_the_context_and_read_only(weight):
             with pytest.raises(ValueError):
                 entries[0][0] = 0
     assert _layout(frame, 1, weight) is not _layout(super_context(2).ladder, 1, weight)
+
+
+@pytest.mark.parametrize("kind", CONTEXTS)
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_form_weights_are_the_total_weights_that_occur(kind, q):
+    make, p_max = CONTEXTS[kind]
+    frame = make(q).ladder
+    for p in range(p_max + 1):
+        assert form_weights(frame, p) == tuple(np.unique(total_weights(frame, p)).tolist()), p
+    with pytest.raises(ValueError):
+        form_weights(make(q), 1)
 
 
 # ---------------------------------------------------------------- the real ladder frame
@@ -1087,6 +1141,9 @@ def compiled(ctx, p_max):
         for a in ctx.labels:
             terms = ctx.lie_terms(a, p)
             out += [terms, ctx.plan(("lie", a, p), terms, p, p)]
+        for a in ctx.labels if p else ():
+            terms = ctx.interior_terms(a, p)
+            out += [terms, ctx.plan(("interior", a, p), terms, p, p - 1)]
         for pp in range(p_max + 1 - p):
             terms = ctx.wedge_plan(p, pp)
             out += [terms, ctx.plan(("wedge", p, pp), terms, pp, p + pp, p)]

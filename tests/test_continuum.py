@@ -97,6 +97,15 @@ def test_surd_product_is_the_canonical_pair():
             assert type(got.coef) is type(got.rad) is Fraction
 
 
+def test_surd_equality_goes_by_value():
+    # only whole perfect-square radicands fold, so one value has several pairs
+    a, b = Surd(1, 8), Surd(2, 2)
+    assert (a.coef, a.rad) == (1, 8) and (b.coef, b.rad) == (2, 2)
+    assert a == b and hash(a) == hash(b)
+    assert a != Surd(-2, 2) and a != Surd(2, 3) and Surd(0) == Surd(0, 5)
+    assert len({Surd(Fraction(1, 3), 12), Surd(Fraction(2, 3), 3), Surd(2, Fraction(1, 3))}) == 1
+
+
 # ---------------------------------------------------------------- algebra
 
 

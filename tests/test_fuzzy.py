@@ -793,18 +793,27 @@ def test_structure_constant_forms_no_square_array():
 def test_the_one_over_q_coefficient_of_two_spinors():
     # The classical constant of (1/2, 1/2) is zero.  c_q = alpha/q + beta/q^2 + gamma/q^3,
     # solved from q = 10^3, 10^4, 10^5, gives alpha = -1/sqrt(2): the truncation tail is
-    # O(1e-12) and the rounding of c at q = 10^5 about 7e-12 relative, so 1e-9 has margin.
+    # O(1e-12) and the rounding of c a few eps relative, so 1e-9 has margin.
     assert structure_constant_classical(1, 1)[0] == 0.0
     qs = [10**3, 10**4, 10**5]
     x = np.array([[1.0 / q, 1.0 / q**2, 1.0 / q**3] for q in qs])
     c = np.array([structure_constant_fuzzy(q, 1, 1).c for q in qs])
     alpha = np.linalg.solve(x, c)[0]
     assert abs(alpha + 1.0 / math.sqrt(2.0)) <= 1e-9
-    # every level probed gives the closed form -1/sqrt(2q(q+1)), up to a rounding that
-    # grows with the cancelling sums of the even and odd blocks (about 1e-16 q)
+    # every level probed gives the closed form -1/sqrt(2q(q+1)) to a few eps: the
+    # Frobenius fit sums no even and odd blocks that cancel
     for q in [*range(1, 41), *qs]:
         got = structure_constant_fuzzy(q, 1, 1).c * math.sqrt(2 * q * (q + 1))
-        assert abs(got + 1.0) <= 2e-16 * q + 1e-14, q
+        assert abs(got + 1.0) <= 1e-15, q
+
+
+def test_two_spin_one_constant_keeps_its_residual_at_rounding():
+    # the indefinite pairing's rounding of c (about eps q relative) left a residual of
+    # 1e-9 at q = 10^5; the Frobenius fit leaves 6e-14, and c - sqrt(2/3) keeps its 1/q^2 law
+    assert structure_constant_fuzzy(10**5, 2, 2).residual <= 1e-12
+    # q^2 (sqrt(2/3) - c) is 0.81641 at q = 10^4 and 0.81649 at 10^5 (0.888 with the old rounding)
+    law = [(math.sqrt(2.0 / 3.0) - structure_constant_fuzzy(q, 2, 2).c) * q**2 for q in (10**4, 10**5)]
+    assert abs(law[1] - law[0]) <= 1e-3
 
 
 def reference_binomial_diagonal(a, b, top, count, num, den):
