@@ -30,7 +30,10 @@ lie_matrix and the weight blocks of invariant_one_forms all come from it.
 In a frame of weight vectors it builds one total weight at a time, the
 entry weight minus the label weight.  That rule lives in _layout alone:
 _assemble reads the shift of the total weight from its term list, and
-form_weights lists the weights that _layout finds entries for.
+form_weights lists the weights that _layout finds entries for.  The
+entries of each entry weight come from one place, the buckets that J_3
+caches (graded.GradedMatrix.weight_buckets); the fuzzy weight tables read
+the same buckets.
 
 The canonical tuples, their positions, the bracket table, the term lists
 and their Plans follow from the labels, parities and structure constants
@@ -69,8 +72,7 @@ from .graded import (
     GradedDims,
     GradedMatrix,
     RankDecision,
-    entry_weights,
-    graded_commutator,
+    graded_commutator,  # noqa: F401 -- kept as a name of this module; perfbench's span test reads it
     rank_decision,
     random_graded_matrix,
     restricted_adjoint,
@@ -282,15 +284,6 @@ class DerivationContext:
                 return None, 0
             sign *= s
         return canon, sign
-
-    # -- the derivations
-
-    def derivation(self, a: Label, f: GradedMatrix) -> GradedMatrix:
-        """D_a f = [E_a, f]; label 0, as in the term lists, is the identity."""
-        if a == 0:
-            return f
-        self.check_label(a)
-        return graded_commutator(self.generators[a - 1], f)
 
     # -- term lists
 
@@ -755,6 +748,12 @@ def exterior_d(w: SuperForm) -> SuperForm:
 # d and L as matrices on coefficient space
 
 
+#: the kept entries of a weight that no entry has, read-only like every layout's
+_NO_ENTRIES = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp))
+for _index in _NO_ENTRIES:
+    _index.setflags(write=False)
+
+
 def _layout(
     ctx: DerivationContext, p: int, weight: Optional[int]
 ) -> Tuple[Dict[IndexTuple, tuple], int]:
@@ -765,23 +764,26 @@ def _layout(
     needs of its sources.  Without a weight all are kept (entry weight None).
     With a doubled total weight, only the entries whose entry weight minus
     the tuple's label weight equals it: this is the one place of that rule.
-    Cached on ctx per (p, weight), with read-only index arrays.
+    Those entries are the bucket of that entry weight that J_3,
+    ctx.generators[2], caches (graded.GradedMatrix.weight_buckets, which
+    the fuzzy weight tables read too), or none.  Cached on ctx per (p,
+    weight), with read-only index arrays.
     """
     if weight is not None and ctx.weights is None:
         raise ValueError("a weight needs a frame of weight vectors")
     if (p, weight) in ctx._layouts:
         return ctx._layouts[p, weight]
-    two_m = entry_weights(ctx.generators[2].mat)
-    out, offset, kept = {}, 0, {}
+    if weight is None:
+        kept = {None: np.nonzero(np.ones((ctx.n, ctx.n), dtype=bool))}
+        for index in kept[None]:
+            index.setflags(write=False)
+    else:
+        kept = ctx.generators[2].weight_buckets
+    out, offset = {}, 0
     for t in ctx.index_tuples(p):
         key = None if weight is None else weight + sum(ctx.weights[a - 1] for a in t)
-        if key not in kept:
-            keep = np.ones(two_m.shape, dtype=bool) if key is None else two_m == key
-            kept[key] = np.nonzero(keep)
-            for index in kept[key]:
-                index.setflags(write=False)
-        out[t] = (offset, key, kept[key])
-        offset += kept[key][0].size
+        out[t] = (offset, key, kept.get(key, _NO_ENTRIES))
+        offset += out[t][2][0].size
     ctx._layouts[p, weight] = out, offset
     return ctx._layouts[p, weight]
 
@@ -789,13 +791,14 @@ def _layout(
 def form_weights(ctx: DerivationContext, p: int) -> Tuple[int, ...]:
     """The doubled total weights that p-forms of a frame of weight vectors carry, ascending.
 
-    Those w with an entry in _layout(ctx, p, w), for |w| up to the largest
-    entry weight plus p times the largest label weight.
+    Those w with an entry in _layout(ctx, p, w): each weight of the buckets
+    of J_3 (graded.GradedMatrix.weight_buckets) minus the label weight of
+    each canonical p-tuple.  No layout is built.
     """
     if ctx.weights is None:
         raise ValueError("weights need a frame of weight vectors")
-    bound = int(entry_weights(ctx.generators[2].mat).max()) + p * max(map(abs, ctx.weights))
-    return tuple(w for w in range(-bound, bound + 1) if _layout(ctx, p, w)[1])
+    labels = {sum(ctx.weights[a - 1] for a in t) for t in ctx.index_tuples(p)}
+    return tuple(sorted({m - s for m in ctx.generators[2].weight_buckets for s in labels}))
 
 
 def _assemble(
@@ -889,17 +892,17 @@ def invariant_one_forms(ctx: DerivationContext, tol: float = 1e-8) -> RankDecisi
     unitary, so the rank and gap are those of ctx.  L_a takes total weight
     w to w + weight(a), so the stack of all L_a is block diagonal over the
     column weight w.  The block of w stacks, label by label, the pieces
-    that _assemble gives for column weight w; rank_decision gets those
-    blocks, one per total weight, and no whole L_a or stack is formed.
+    that _assemble gives for column weight w.  rank_decision gets those
+    blocks, one per total weight, from a generator, and ranks each as it is
+    assembled, so no whole L_a or stack is formed and at most one block is
+    held at a time.
     """
     frame = ctx.ladder
-    return rank_decision(
-        [
-            np.concatenate([_assemble(frame, frame.lie_terms(a, 1), 1, 1, w) for a in frame.labels])
-            for w in form_weights(frame, 1)
-        ],
-        tol,
+    blocks = (
+        np.concatenate([_assemble(frame, frame.lie_terms(a, 1), 1, 1, w) for a in frame.labels])
+        for w in form_weights(frame, 1)
     )
+    return rank_decision(blocks, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,13 @@ normalizations are fixed once by the highest-weight matrices; everything
 else is generated by ladder steps, so orthonormality is a theorem here, not
 a fitting procedure.  Both spheres keep their harmonics in one weight table,
 built in one sweep; its one projection per weight removes only rounding noise.
-The sweep forms no dense operator per weight: it buckets the matrix entries
-by weight once, takes each J_- step block from graded.restricted_adjoint,
-which scatters it from the nonzeros of J_-, and reads every chain top from
-one matrix of all the highest weights (the supersphere's mu = 1 tops from
-one graded commutator of that matrix with J_5).
+The sweep forms no dense operator per weight: it reads the matrix entries
+of each weight from the buckets cached on J_3 (GradedMatrix.weight_buckets,
+which the calculus layouts read too), takes each J_- step block from
+graded.restricted_adjoint, which scatters it from the nonzeros of J_-, and
+reads every chain top from one matrix of all the highest weights (the
+supersphere's mu = 1 tops from one graded commutator of that matrix with
+J_5).
 """
 
 from __future__ import annotations
@@ -214,23 +216,25 @@ class _WeightTable:
     """The harmonic basis of a sphere, stored on the entries of each weight.
 
     A harmonic of doubled weight m is nonzero only on the entries of weight
-    m (graded.entry_weights).  For each m the table keeps those entries as
-    ``flat`` indices r*n + c, and one row per label in ``rows``, labels
-    sorted by descending l: a C-contiguous labels x entries array, so a
-    harmonic is one contiguous row scattered onto the flat entries.
+    m (graded.entry_weights).  The table reads those entries from the
+    buckets cached on its J_3, a GradedMatrix (weight_buckets, which
+    calculus._layout reads too), row-major within a weight, the order
+    graded.restricted_adjoint needs of its sources.  For each m it keeps
+    them as ``flat`` indices r*n + c, and one row per label in ``rows``,
+    labels sorted by descending l: a C-contiguous labels x entries array,
+    so a harmonic is one contiguous row scattered onto the flat entries.
     ``cols`` holds the transposed views of ``rows``, one column per label,
     and ``where`` gives the row (column) of each label at its weight
     label.two_m, keyed by those same label objects.
 
-    The entries are bucketed by weight once, row-major within a weight (one
-    stable argsort).  ``chains`` lists (labels, sign, source, scale) per
-    chain, its labels from the top weight 2l down; the chain's top is
-    scale * source on the entries of weight 2l, so one source matrix serves
-    every top whose weights differ.  One sweep down from the top weight
-    builds every chain: each step is the block graded.restricted_adjoint
-    gives for J_- from the bucket of weight m + 2 to that of m, times the
-    columns there, over the ladder's sqrt(step).  Every nonzero of J_- must
-    sit on an entry of weight -2 (a ValueError otherwise).
+    ``chains`` lists (labels, sign, source, scale) per chain, its labels
+    from the top weight 2l down; the chain's top is scale * source on the
+    entries of weight 2l, so one source matrix serves every top whose
+    weights differ.  One sweep down from the top weight builds every chain:
+    each step is the block graded.restricted_adjoint gives for J_- from the
+    bucket of weight m + 2 to that of m, times the columns there, over the
+    ladder's sqrt(step).  Every nonzero of J_- must sit on an entry of
+    weight -2 (a ValueError otherwise).
 
     The chains live at a weight are those whose top is at least |m| and of
     m's parity: a prefix of that parity's chains sorted by descending top,
@@ -250,21 +254,15 @@ class _WeightTable:
     ``combine`` with the same pairing: one product per weight.
     """
 
-    def __init__(self, j3: np.ndarray, jm: GradedMatrix, pair: np.ndarray, chains: list) -> None:
-        self.n = n = len(j3)
-        diff = entry_weights(j3)
-        if (diff[jm.mat != 0] != -2).any():
+    def __init__(self, j3: GradedMatrix, jm: GradedMatrix, pair: np.ndarray, chains: list) -> None:
+        self.n = n = j3.n
+        if (entry_weights(j3.mat)[jm.mat != 0] != -2).any():
             raise ValueError("the lowering operator must lower the weight by one")
-        diff = diff.reshape(-1)
         chains = sorted(chains, key=lambda ch: -ch[0][0].two_m)
         # each parity's chains by descending top weight, and those tops negated for bisect
         by_parity = {p: [ch for ch in chains if ch[0][0].two_m % 2 == p] for p in (0, 1)}
         neg_tops = {p: [-ch[0][0].two_m for ch in live] for p, live in by_parity.items()}
-        # the entries by descending weight, row-major within a weight
-        order = np.argsort(-diff, kind="stable")
-        weights, starts = np.unique(-diff[order], return_index=True)
-        bounds = np.append(starts, n * n)
-        pair = pair.reshape(-1)
+        buckets = j3.weight_buckets
         self.flat: Dict[int, np.ndarray] = {}  # r * n + c for the entries of each weight
         self.rows: Dict[int, np.ndarray] = {}  # labels x entries, C-contiguous
         self.cols: Dict[int, np.ndarray] = {}  # the transposed views of rows
@@ -273,16 +271,15 @@ class _WeightTable:
         self.signs: Dict[int, np.ndarray] = {}  # the label signs, in column order
         self.where: Dict[object, int] = {}
         above: Dict[int, np.ndarray] = {}  # per parity, the columns of the last weight built
-        for i, two_m in enumerate((-weights).tolist()):
-            p = two_m % 2
+        for two_m in sorted(buckets, reverse=True):
+            p, entries = two_m % 2, buckets[two_m]
             live = by_parity[p][: bisect.bisect_right(neg_tops[p], -abs(two_m))]
-            flat = order[bounds[i]:bounds[i + 1]]
-            w, s = pair[flat], np.array([ch[1] for ch in live], dtype=float)
-            h = np.empty((len(flat), len(live)), dtype=complex)
+            w, s = pair[entries], np.array([ch[1] for ch in live], dtype=float)
+            h = np.empty((len(entries[0]), len(live)), dtype=complex)
             # the chains stepping down from two_m + 2: tops above two_m
             k0 = bisect.bisect_left(neg_tops[p], -two_m, 0, len(live))
             if k0:
-                ad = restricted_adjoint(jm, np.divmod(flat, n), np.divmod(self.flat[two_m + 2], n))
+                ad = restricted_adjoint(jm, entries, buckets[two_m + 2])
                 two_l = np.array([ch[0][0].two_m for ch in live[:k0]])
                 step = (two_l + two_m + 2) // 2 * ((two_l - two_m) // 2)
                 steps = ad @ above[p][:, :k0] / np.sqrt(step)
@@ -291,9 +288,9 @@ class _WeightTable:
                 h[:, :k0] = steps - steps @ g
             for k in range(k0, len(live)):
                 _, _, source, scale = live[k]
-                h[:, k] = source.reshape(-1)[flat] * scale
+                h[:, k] = source[entries] * scale
             above[p] = h
-            self.flat[two_m] = flat
+            self.flat[two_m] = entries[0] * n + entries[1]
             self.rows[two_m] = np.ascontiguousarray(h.T)
             self.cols[two_m] = self.rows[two_m].T
             self.labels[two_m] = tuple(ch[0][(ch[0][0].two_m - two_m) // 2] for ch in live)
@@ -459,7 +456,7 @@ class FuzzySuperSphere:
             top = labels[0]
             source, scale = (mu1_tops, 2.0 / math.sqrt(top.two_j)) if top.mu else (tops, 1.0)
             chains.append((labels, top.sign, source, scale))
-        return _WeightTable(self.rep.j3.mat, self.rep.jm, pair, chains)
+        return _WeightTable(self.rep.j3, self.rep.jm, pair, chains)
 
     def harmonic(self, label: HarmonicLabel) -> GradedMatrix:
         return GradedMatrix._adopt(self.dims, self._table.column(label))
@@ -691,8 +688,8 @@ class FuzzySphere:
         for j in range(self.q + 1):
             self._write_highest_weight(tops, j)
         chains = [(labels, 1, tops, 1.0) for labels in _chains(self._labels, lambda la: la.two_j)]
-        jm = GradedMatrix(GradedDims(self.n, 0), self.rep.jm)
-        return _WeightTable(self.rep.j3, jm, pair, chains)
+        dims = GradedDims(self.n, 0)
+        return _WeightTable(GradedMatrix(dims, self.rep.j3), GradedMatrix(dims, self.rep.jm), pair, chains)
 
     def harmonic(self, label: SphereLabel) -> np.ndarray:
         return self._table.column(label)

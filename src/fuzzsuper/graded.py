@@ -6,7 +6,7 @@ dimension split alone.  Everything here is immutable and pure, in dense
 double precision.  Graded matrices at desk scale stay below ~100x100.  The
 matrices that reach rank_decision have thousands of rows; a caller whose
 matrix is block diagonal knows the blocks from its layout and passes them
-as a list, and each matrix or block takes one SVD as given.
+as a list or a generator, and each matrix or block takes one SVD as given.
 
 Every parity-dependent kernel goes through one grade twist,
 tau(b) = b_even - b_odd = b * dims.twist, an elementwise product with a
@@ -28,10 +28,12 @@ graded_commutator, and the fuzzy highest weights, harmonics and
 reconstructions, are fresh arrays; GradedMatrix._adopt freezes them in
 place without a copy.  Either way the entries of a GradedMatrix are
 read-only and shared with no other object.  So are its cached
-twisted_even_rows and adjoint_stencil, which stay valid because the entries
-cannot change.  restricted_adjoint scatters [e, .] between two sets of
-entries from that stencil of e, its nonzeros by row and by column, and is
-the one place that knows how the commutator acts entry by entry.
+twisted_even_rows, adjoint_stencil and weight_buckets, which stay valid
+because the entries cannot change.  restricted_adjoint scatters [e, .]
+between two sets of entries from that stencil of e, its nonzeros by row
+and by column, and is the one place that knows how the commutator acts
+entry by entry.  weight_buckets of a diagonal J_3 is the one place that
+sorts the entries by weight.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-from typing import Optional, Sequence, Tuple, Union
+import types
+from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -195,6 +198,24 @@ class GradedMatrix:
         for a in out:
             a.setflags(write=False)
         return out
+
+    @functools.cached_property
+    def weight_buckets(self) -> Mapping[int, Tuple[np.ndarray, np.ndarray]]:
+        """The entries of each doubled weight, for a diagonal J_3; cached, read-only.
+
+        Maps every weight m that entry_weights gives, ascending, to the
+        (rows, cols) of its entries, row-major: one stable argsort of the
+        flat entries buckets them all.  This is the one bucketing of entries
+        by weight: the fuzzy weight tables and calculus._layout read it.
+        """
+        diff = entry_weights(self.mat).reshape(-1)
+        order = np.argsort(diff, kind="stable")
+        weights, starts = np.unique(diff[order], return_index=True)
+        entries = np.divmod(order, self.n)
+        for a in entries:
+            a.setflags(write=False)
+        rows, cols = (np.split(a, starts[1:]) for a in entries)
+        return types.MappingProxyType(dict(zip(weights.tolist(), zip(rows, cols))))
 
     def part(self, parity: Parity) -> "GradedMatrix":
         sign = -1.0 if parity % 2 else 1.0
@@ -405,35 +426,37 @@ class RankDecision:
 
 
 def rank_decision(
-    m: Union[np.ndarray, Sequence[np.ndarray]], tol: float = 1e-8
+    m: Union[np.ndarray, Iterable[np.ndarray]], tol: float = 1e-8
 ) -> RankDecision:
     """Numerical rank of m: singular values above tol * max(s_max, 1).
 
-    m is a matrix, or the list of diagonal blocks of a block-diagonal
-    matrix, which the caller knows from its layout.  Each matrix or block
-    takes one values-only SVD as given; the union of the block spectra is
-    the spectrum of the whole, padded with exact zeros to min(total rows,
-    total columns) values.  A real floating block stays real (float64, so
-    LAPACK takes the real SVD); any other block is cast to complex.  tol
-    must be positive and finite.
+    m is a matrix, or an iterable (a list or a generator) of the diagonal
+    blocks of a block-diagonal matrix, which the caller knows from its
+    layout.  The blocks are read in one pass, and each matrix or block
+    takes one values-only SVD as given; only its singular values and shape
+    are kept, so a generator of blocks is never held whole.  The union of
+    the block spectra is the spectrum of the whole, padded with exact zeros
+    to min(total rows, total columns) values.  A real floating block stays
+    real (float64, so LAPACK takes the real SVD); any other block is cast
+    to complex.  tol must be positive and finite.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
-    blocks = [np.asarray(b) for b in ([m] if isinstance(m, np.ndarray) else m)]
-    if any(b.ndim != 2 for b in blocks):
-        raise ValueError("rank_decision takes a matrix or a list of matrices")
-    size = min(sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks))
+    rows = cols = 0
+    spectra = []
+    for b in [m] if isinstance(m, np.ndarray) else m:
+        b = np.asarray(b)
+        if b.ndim != 2:
+            raise ValueError("rank_decision takes a matrix or an iterable of matrices")
+        rows, cols = rows + b.shape[0], cols + b.shape[1]
+        if b.size:
+            real = np.issubdtype(b.dtype, np.floating)
+            spectra.append(np.linalg.svd(b.astype(float if real else complex, copy=False), compute_uv=False))
+        del b  # before the next block is read
+    size = min(rows, cols)
     if size == 0:
         return RankDecision(rank=0, gap=math.inf, tol=tol)
     s = np.zeros(size)
-    spectra = [
-        np.linalg.svd(
-            b.astype(float if np.issubdtype(b.dtype, np.floating) else complex, copy=False),
-            compute_uv=False,
-        )
-        for b in blocks
-        if b.size
-    ]
     if spectra:
         values = np.concatenate(spectra)
         s[: values.size] = values

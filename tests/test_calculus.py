@@ -394,12 +394,15 @@ def test_invariant_one_forms_in_the_ladder_frame_match_the_original(kind, q):
 
 
 def captured_blocks(monkeypatch, ctx):
-    """The blocks invariant_one_forms hands to rank_decision."""
+    """The blocks invariant_one_forms hands to rank_decision, as a list, from any iterable."""
     seen = []
     real = calculus_module.rank_decision
-    monkeypatch.setattr(
-        calculus_module, "rank_decision", lambda m, tol=1e-8: seen.append(m) or real(m, tol)
-    )
+
+    def spy(m, tol=1e-8):
+        seen.append(m if isinstance(m, np.ndarray) else list(m))
+        return real(seen[-1], tol)
+
+    monkeypatch.setattr(calculus_module, "rank_decision", spy)
     invariant_one_forms(ctx)
     monkeypatch.setattr(calculus_module, "rank_decision", real)
     assert len(seen) == 1 and isinstance(seen[0], list)
@@ -460,7 +463,9 @@ def test_invariant_one_forms_blocks_are_the_bytes_of_the_dense_gather(monkeypatc
 
 
 def test_invariant_one_forms_allocates_no_whole_lie_matrix():
-    # one L_a on 1-forms at q = 16 is 8 dim^2 bytes, 237 MB; the weight blocks take about 26 MB
+    # one L_a on 1-forms at q = 16 is 8 dim^2 bytes, 237 MB; the weight blocks sum to about
+    # 26 MB, the largest is 1.0 MB, and they are ranked as they are assembled, so the peak
+    # (3.0 MB) stays below four times the largest block
     ctx = super_context(16)
     dim = len(ctx.index_tuples(1)) * ctx.n**2
     tracemalloc.start()
@@ -471,6 +476,13 @@ def test_invariant_one_forms_allocates_no_whole_lie_matrix():
         tracemalloc.stop()
     assert dec.rank == dim - 1 and not dec.inconclusive
     assert peak < 2 * dim * dim
+    frame = ctx.ladder
+    sizes = [
+        8 * _layout(frame, 1, w)[1] * sum(_layout(frame, 1, w + frame.weights[a - 1])[1] for a in frame.labels)
+        for w in form_weights(frame, 1)
+    ]
+    assert 4 * max(sizes) < sum(sizes) / 5
+    assert peak < 4 * max(sizes)
 
 
 def recording_rows(join, rows):
@@ -733,7 +745,7 @@ def test_layout_is_cached_on_the_context_and_read_only(weight):
 
 
 @pytest.mark.parametrize("kind", CONTEXTS)
-@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("q", [1, 2, 3, 8, 16])
 def test_form_weights_are_the_total_weights_that_occur(kind, q):
     make, p_max = CONTEXTS[kind]
     frame = make(q).ladder
@@ -741,6 +753,47 @@ def test_form_weights_are_the_total_weights_that_occur(kind, q):
         assert form_weights(frame, p) == tuple(np.unique(total_weights(frame, p)).tolist()), p
     with pytest.raises(ValueError):
         form_weights(make(q), 1)
+
+
+def test_form_weights_builds_no_layout():
+    frame = super_context(3).ladder
+    for p in range(4):
+        form_weights(frame, p)
+    assert frame._layouts == {}
+
+
+def reference_layout(ctx, p, weight):
+    """_layout by the entry-weight mask: for each tuple, np.nonzero(entry weight == key)."""
+    two_m = entry_weights(ctx.generators[2].mat)
+    out, offset = {}, 0
+    for t in ctx.index_tuples(p):
+        key = None if weight is None else weight + sum(ctx.weights[a - 1] for a in t)
+        entries = np.nonzero(np.ones(two_m.shape, dtype=bool) if key is None else two_m == key)
+        out[t] = (offset, key, entries)
+        offset += entries[0].size
+    return out, offset
+
+
+def layout_bytes(layout):
+    """A layout as plain values: offsets, keys, and each entry array's dtype, shape and bytes."""
+    records, total = layout
+    return total, [
+        (t, offset, key, [(a.dtype.str, a.shape, a.tobytes()) for a in entries])
+        for t, (offset, key, entries) in records.items()
+    ]
+
+
+@pytest.mark.parametrize("kind", CONTEXTS)
+@pytest.mark.parametrize("q", range(1, 7))
+def test_layout_is_the_bytes_of_the_mask_reference(kind, q):
+    ctx = CONTEXTS[kind][0](q)
+    for frame in (ctx, ctx.ladder):
+        for p in range(4):
+            bound = 2 * q + 2 * p + 2
+            weights = [None] if frame.weights is None else [None, *range(-bound, bound + 1)]
+            for weight in weights:
+                got, want = layout_bytes(_layout(frame, p, weight)), layout_bytes(reference_layout(frame, p, weight))
+                assert got == want, (p, weight)
 
 
 # ---------------------------------------------------------------- the real ladder frame
@@ -927,6 +980,11 @@ def loop_apply(w, p, terms, act):
     return SuperForm(ctx, p, {t: GradedMatrix(ctx.dims, m) for t, m in out.items()})
 
 
+def reference_derivation(ctx):
+    """D_a f = [E_a, f] one value at a time, by graded_commutator; label 0 is the identity."""
+    return lambda a, f: f if a == 0 else graded_commutator(ctx.generators[a - 1], f)
+
+
 def permutation_wedge_terms(ctx, p, pp):
     """The wedge terms as the full alternating sum over all (p + pp)! permutations."""
     denom = math.factorial(p) * math.factorial(pp)
@@ -974,11 +1032,12 @@ def test_stacked_operators_match_the_term_loop(kind, q):
         for p in range(4)
         for parity in (0, 1, None)
     }
+    derivation = reference_derivation(ctx)
     for (p, _), w in forms.items():
-        want = loop_apply(w, p + 1, ctx.d_terms(p), ctx.derivation)
+        want = loop_apply(w, p + 1, ctx.d_terms(p), derivation)
         assert close(exterior_d(w), want, w.norm()), p
         for a in ctx.labels:
-            want = loop_apply(w, p, ctx.lie_terms(a, p), ctx.derivation)
+            want = loop_apply(w, p, ctx.lie_terms(a, p), derivation)
             assert close(lie_derivative(a, w), want, w.norm()), (p, a)
     for (p, par1), (pp, par2) in itertools.product(forms, forms):
         if p + pp <= 3:
@@ -1256,19 +1315,15 @@ def test_unknown_labels_are_rejected():
             lambda: CTX.sort_signed((2, 2, a)),  # a later slot, past a repeated even label
             lambda: lambda_form(CTX, a),
         ]
-        if a:
-            calls.append(lambda: CTX.derivation(a, CTX.unit))
         for call in calls:
             with pytest.raises(ValueError, match=f"unknown label {a}"):
                 call()
-    assert CTX.derivation(0, CTX.unit) is CTX.unit  # label 0 is the identity
     wb = random_superform(BCTX, 1, RNG)
     for call in (
         lambda: lie_derivative(4, wb),
         lambda: lie_matrix(BCTX, 4, 1),
         lambda: interior(4, wb),
         lambda: BCTX.sort_signed((2, 1, 4)),
-        lambda: BCTX.derivation(4, BCTX.unit),
     ):
         with pytest.raises(ValueError, match="unknown label 4"):
             call()

@@ -501,9 +501,37 @@ def test_weight_table_rejects_a_lowering_operator_off_the_ladder():
     two_in_a_row, two_in_a_column = b.rep.jm.copy(), b.rep.jm.copy()
     two_in_a_row[1, 2] = 1.0  # row 1 holds J_-[1, 0] already
     two_in_a_column[2, 0] = 1.0  # column 0 holds J_-[1, 0] already
+    dims = GradedDims(b.n, 0)
     for bad in (two_in_a_row, two_in_a_column, b.rep.jp):
         with pytest.raises(ValueError, match="lower the weight by one"):
-            fuzzy_module._WeightTable(b.rep.j3, GradedMatrix(GradedDims(b.n, 0), bad), pair, chains)
+            fuzzy_module._WeightTable(GradedMatrix(dims, b.rep.j3), GradedMatrix(dims, bad), pair, chains)
+
+
+@pytest.mark.parametrize("q", range(1, 9))
+def test_j3_weight_buckets_are_the_entries_of_each_weight(q):
+    for j3 in (FuzzySuperSphere(q).rep.j3, GradedMatrix(GradedDims(q + 1, 0), FuzzySphere(q).rep.j3)):
+        buckets = j3.weight_buckets
+        assert j3.weight_buckets is buckets
+        two_m = entry_weights(j3.mat)
+        assert list(buckets) == np.unique(two_m).tolist()
+        for w, entries in buckets.items():
+            want = np.nonzero(two_m == w)
+            assert [(a.dtype.str, a.tobytes()) for a in entries] == [(a.dtype.str, a.tobytes()) for a in want], w
+            for index in entries:
+                assert not index.flags.writeable
+                with pytest.raises(ValueError):
+                    index[0] = 0
+        with pytest.raises(TypeError):
+            buckets[0] = ()
+
+
+def test_j3_buckets_are_shared_by_the_table_and_the_super_context():
+    ctx = super_context(3)
+    sphere = ctx.sphere
+    assert ctx.generators[2] is sphere.rep.j3
+    flat = {w: rows * sphere.n + cols for w, (rows, cols) in sphere.rep.j3.weight_buckets.items()}
+    assert flat.keys() == sphere._table.flat.keys()
+    assert all(np.array_equal(flat[w], sphere._table.flat[w]) for w in flat)
 
 
 @pytest.mark.parametrize("q", [32, 64])

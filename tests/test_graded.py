@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -625,6 +626,38 @@ def test_rank_decision_rejects_a_list_of_non_matrices():
         rank_decision([np.eye(2), np.ones(3)])
     with pytest.raises(ValueError):
         rank_decision(np.ones(3))
+    with pytest.raises(ValueError):
+        rank_decision(b for b in (np.eye(2), np.ones(3)))
+
+
+def test_rank_decision_reads_a_generator_as_the_list_of_its_blocks():
+    rng = np.random.default_rng(17)
+    low_rank = 1e-9 * crandn(rng, (9, 2)) @ crandn(rng, (2, 6))
+    for parts in (
+        [crandn(rng, (5, 3)), rng.standard_normal((4, 6)), np.zeros((0, 2)), low_rank],
+        [rng.standard_normal((3, 3)), np.zeros((2, 0))],
+        [np.zeros((0, 4))],
+        [],
+    ):
+        want = rank_decision(parts)
+        got = rank_decision(b for b in parts)
+        assert (got.rank, got.gap.hex(), got.tol) == (want.rank, want.gap.hex(), want.tol)
+
+
+def test_rank_decision_holds_one_block_of_a_generator_at_a_time():
+    # each block is dropped before the next one is read, so one is alive at a time
+    rng = np.random.default_rng(18)
+    alive = []
+
+    def blocks():
+        for _ in range(6):
+            assert all(ref() is None for ref in alive)
+            block = rng.standard_normal((4, 3))
+            alive.append(weakref.ref(block))
+            yield block
+            del block  # the generator's own reference
+
+    assert rank_decision(blocks()).rank == 18
 
 
 def test_numerical_rank():
