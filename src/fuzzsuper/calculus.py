@@ -42,9 +42,13 @@ into one record (_Algebra) that every context with the same constants
 shares: every level q, and every ladder frame, whose snapped constants are
 the same bytes at every q.  The first context of an algebra makes its
 record, and each list is compiled when first asked for.  What depends on
-the matrix algebra stays per context: the generators, the sphere, the
-ladder frame, and the layouts and blocks that d_matrix and lie_matrix are
-assembled from.
+the matrix algebra stays per context: the sphere, the ladder frame, and
+the layouts and blocks that d_matrix and lie_matrix are assembled from.
+The generators are the sphere's own: super_context and body_context pass
+each frozen sphere.rep.matrix(a) through, and the ladder frame forms only
+J_+/sqrt2 and J_-/sqrt2 and passes the rest through, so a level has one
+object per generator and each cache on it (weight_buckets,
+adjoint_stencil) is built once.
 
 The cohomology ranks are computed in the ladder frame of weight vectors
 (J_+/sqrt2, J_-/sqrt2, J_3, J_4, J_5), on the weight-0 block of d only:
@@ -77,7 +81,7 @@ from .graded import (
     random_graded_matrix,
     restricted_adjoint,
 )
-from .osp import build_osp_basis
+from .osp import LABELS, build_osp_basis
 
 Label = int
 IndexTuple = Tuple[Label, ...]
@@ -479,34 +483,27 @@ class DerivationContext:
         return plan
 
 
-def super_context(q: int) -> DerivationContext:
-    """All five osp(1|2) derivations acting on End(V(q/2))."""
-    sphere = FuzzySuperSphere(q)
+def _context(name: str, sphere: Union[FuzzySuperSphere, FuzzySphere], k: int) -> DerivationContext:
+    """The first k osp(1|2) derivations acting through the sphere's own generators."""
     basis = build_osp_basis()
     return DerivationContext(
-        name=f"supersphere(q={q})",
-        labels=(1, 2, 3, 4, 5),
-        parities=basis.parities,
-        constants=basis.constants,
-        generators=tuple(sphere.generator(a) for a in (1, 2, 3, 4, 5)),
+        name=name,
+        labels=LABELS[:k],
+        parities=basis.parities[:k],
+        constants=basis.constants[:k, :k, :k],
+        generators=tuple(sphere.rep.matrix(a) for a in LABELS[:k]),
         sphere=sphere,
     )
+
+
+def super_context(q: int) -> DerivationContext:
+    """All five osp(1|2) derivations acting on End(V(q/2))."""
+    return _context(f"supersphere(q={q})", FuzzySuperSphere(q), 5)
 
 
 def body_context(q: int) -> DerivationContext:
     """The three rotation derivations on the bosonic companion algebra."""
-    sphere = FuzzySphere(q)
-    basis = build_osp_basis()
-    dims = GradedDims(sphere.n, 0)
-    gens = tuple(GradedMatrix(dims, sphere.rep.matrix(a)) for a in (1, 2, 3))
-    return DerivationContext(
-        name=f"sphere(q={q})",
-        labels=(1, 2, 3),
-        parities=(EVEN, EVEN, EVEN),
-        constants=basis.constants[:3, :3, :3],
-        generators=gens,
-        sphere=sphere,
-    )
+    return _context(f"sphere(q={q})", FuzzySphere(q), 3)
 
 
 #: doubled J_3 weights of J_+/sqrt2, J_-/sqrt2, J_3, J_4, J_5
@@ -517,27 +514,32 @@ def _ladder_frame(ctx: DerivationContext) -> DerivationContext:
     """ctx in the frame (J_+/sqrt2, J_-/sqrt2, J_3[, J_4, J_5]) of weight vectors.
 
     The label change U is unitary on labels 1 and 2 and the identity on the
-    rest, so the frame's d has the singular values of ctx's.  Rounding residue
-    in the transformed constants is snapped to exact zero: the bracket table
-    keeps every nonzero constant, and a residue would couple different weights.
-    ctx must not be a frame already: its labels 1 and 2 would be mixed again
-    but keep their weights.  Use ctx.ladder, which returns such a frame itself.
+    rest, so the frame's d has the singular values of ctx's.  Only the two
+    new generators, (J_1 +- i J_2)/sqrt2, are formed; ctx's generators 3 on
+    are passed through as the same objects, so the frame's J_3 is the
+    sphere's and its caches (weight_buckets, adjoint_stencil) are shared.
+    Rounding residue in the transformed constants is snapped to exact zero:
+    the bracket table keeps every nonzero constant, and a residue would
+    couple different weights.  ctx must not be a frame already: its labels 1
+    and 2 would be mixed again but keep their weights.  Use ctx.ladder,
+    which returns such a frame itself.
     """
     if ctx.weights is not None:
         raise ValueError(f"{ctx.name} is a frame of weight vectors already")
     k = len(ctx.labels)
     u = np.eye(k, dtype=complex)
     u[:2, :2] = np.array([[1, 1j], [1, -1j]]) / math.sqrt(2)
-    gens = np.einsum("ab,bij->aij", u, np.array([g.mat for g in ctx.generators]))
     c = np.einsum("xC,ay,bz,xyz->Cab", u.conj().T, u, u, ctx.constants)
     c.real[np.abs(c.real) < 1e-12] = 0.0
     c.imag[np.abs(c.imag) < 1e-12] = 0.0
+    j1, j2 = ctx.generators[:2]
+    ladder = ((j1 + 1j * j2) / math.sqrt(2), (j1 - 1j * j2) / math.sqrt(2))
     return DerivationContext(
         name=ctx.name,
         labels=ctx.labels,
         parities=ctx.parities,
         constants=c,
-        generators=tuple(GradedMatrix(ctx.dims, g) for g in gens),
+        generators=ladder + ctx.generators[2:],
         sphere=ctx.sphere,
         weights=_LADDER_WEIGHTS[:k],
     )

@@ -183,7 +183,7 @@ def _suite_harmonics(q: int, rho: float, tol: float, rng) -> List[CheckResult]:
     )
     body = FuzzySphere(q, rho)
     boff, bworst = _weight_gram(
-        body.labels(), body.harmonic, entry_weights(body.rep.j3), np.full((body.n, body.n), 1.0 / body.n),
+        body.labels(), body.harmonic, entry_weights(body.rep.j3.mat), np.full((body.n, body.n), 1.0 / body.n),
         lambda la: 1,
     )
     return [

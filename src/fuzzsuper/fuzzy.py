@@ -638,7 +638,12 @@ class SphereLabel:
 
 
 class FuzzySphere:
-    """End of the spin-q/2 sl2 irrep with orthonormal matrix harmonics."""
+    """End of the spin-q/2 sl2 irrep with orthonormal matrix harmonics.
+
+    The irrep's generators are frozen GradedMatrix objects with dims (n|0),
+    which the weight table and calculus.body_context read as they are; the
+    methods here take and return plain arrays (a generator's .mat).
+    """
 
     def __init__(self, q: int, rho: float = 1.0):
         self.q = _level(q)
@@ -651,7 +656,7 @@ class FuzzySphere:
 
     def coordinates(self) -> Tuple[np.ndarray, ...]:
         scale = 2.0 * self.rho / math.sqrt(self.q * (self.q + 2))
-        return tuple(scale * self.rep.matrix(a) for a in (1, 2, 3))
+        return tuple(scale * self.rep.matrix(a).mat for a in (1, 2, 3))
 
     def casimir_residual(self) -> float:
         x1, x2, x3 = self.coordinates()
@@ -659,7 +664,7 @@ class FuzzySphere:
         return float(np.linalg.norm(rel - self.rho**2 * np.eye(self.n)))
 
     def adjoint_action(self, a: Union[int, str], f: np.ndarray) -> np.ndarray:
-        g = self.rep.matrix(a)
+        g = self.rep.matrix(a).mat
         return g @ f - f @ g
 
     def highest_weight(self, j: int) -> np.ndarray:
@@ -688,8 +693,7 @@ class FuzzySphere:
         for j in range(self.q + 1):
             self._write_highest_weight(tops, j)
         chains = [(labels, 1, tops, 1.0) for labels in _chains(self._labels, lambda la: la.two_j)]
-        dims = GradedDims(self.n, 0)
-        return _WeightTable(GradedMatrix(dims, self.rep.j3), GradedMatrix(dims, self.rep.jm), pair, chains)
+        return _WeightTable(self.rep.j3, self.rep.jm, pair, chains)
 
     def harmonic(self, label: SphereLabel) -> np.ndarray:
         return self._table.column(label)

@@ -24,15 +24,15 @@ the cohomology take LAPACK's real SVD.
 Who copies and who freezes: the public GradedMatrix constructor copies the
 array it is given, because the caller may still hold and write it.  The
 results of the arithmetic operators, part, superadjoint and
-graded_commutator, and the fuzzy highest weights, harmonics and
-reconstructions, are fresh arrays; GradedMatrix._adopt freezes them in
-place without a copy.  Either way the entries of a GradedMatrix are
-read-only and shared with no other object.  So are its cached
-twisted_even_rows, adjoint_stencil and weight_buckets, which stay valid
-because the entries cannot change.  restricted_adjoint scatters [e, .]
-between two sets of entries from that stencil of e, its nonzeros by row
-and by column, and is the one place that knows how the commutator acts
-entry by entry.  weight_buckets of a diagonal J_3 is the one place that
+graded_commutator, the generators of the osp(1|2) and sl(2) irreps, and
+the fuzzy highest weights, harmonics and reconstructions, are fresh arrays;
+GradedMatrix._adopt freezes them in place without a copy.  Either way
+the entries of a GradedMatrix are read-only and shared with no other
+object.  So are its cached twisted_even_rows, adjoint_stencil and
+weight_buckets, which stay valid because the entries cannot change.
+restricted_adjoint scatters [e, .] between two sets of entries from that
+stencil of e, its nonzeros by row and by column, and is the one place that
+knows how the commutator acts entry by entry.  weight_buckets of a diagonal J_3 is the one place that
 sorts the entries by weight.
 """
 

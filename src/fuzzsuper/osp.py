@@ -12,7 +12,10 @@ modules V(j, hw_parity) of dimension 4j+1, realized in ladder form.  One
 helper, _spin_block, gives the J_3, J_+ and J_- of a spin-l block: the sl(2)
 irrep is one such block, and V(j) places its l = j and l = j - 1/2 blocks
 with it and adds only the odd couplings J_4, J_5.  J_1 and J_2 are
-reconstructed from J_+- = J_1 +- i J_2 on demand, by one helper for both.
+formed from J_+- = J_1 +- i J_2 once, when the irrep is built, by one
+helper for both.  Every generator of either irrep is a frozen GradedMatrix
+(the sl(2) irrep's with dims (n|0)), built once: matrix(a) returns the same
+object on every call, so every cache on it is built once too.
 """
 
 from __future__ import annotations
@@ -126,53 +129,45 @@ def _spin_block(two_l: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return j3, jp, jm
 
 
-def _cartesian(a: Label, jp, jm):
-    """J_1 = (J_+ + J_-)/2 or J_2 = -i/2 (J_+ - J_-), for arrays or graded matrices."""
-    if a == 1:
-        return 0.5 * (jp + jm)
-    return -0.5j * (jp - jm)
+def _cartesian(jp: GradedMatrix, jm: GradedMatrix) -> Tuple[GradedMatrix, GradedMatrix]:
+    """J_1 = (J_+ + J_-)/2 and J_2 = -i/2 (J_+ - J_-)."""
+    return 0.5 * (jp + jm), -0.5j * (jp - jm)
+
+
+#: the attribute that holds each label's generator
+_GENERATORS = {1: "j1", 2: "j2", 3: "j3", 4: "j4", 5: "j5", "+": "jp", "-": "jm"}
+
+
+class _Generators:
+    """The one lookup of a generator by label, shared by both irreps."""
+
+    def matrix(self, a: Label) -> GradedMatrix:
+        """The generator of label a: the same frozen object on every call."""
+        try:
+            return getattr(self, _GENERATORS[a])
+        except (KeyError, TypeError, AttributeError):
+            raise ValueError(f"unknown basis label {a!r} of {type(self).__name__}") from None
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class Irrep:
+class Irrep(_Generators):
     """Irreducible graded osp(1|2)-module V(j, hw_parity), dim 4j+1.
 
     Basis vectors e_{l,m} with l in {j, j-1/2} and m descending inside each
-    block; the even-parity block is laid out first.  index_of maps doubled
-    labels (2l, 2m) to positions.
+    block; the even-parity block is laid out first.
     """
 
     two_j: int
     hw_parity: Parity
     dims: GradedDims
+    j1: GradedMatrix
+    j2: GradedMatrix
     j3: GradedMatrix
     jp: GradedMatrix
     jm: GradedMatrix
     j4: GradedMatrix
     j5: GradedMatrix
     index: Dict[Tuple[int, int], int]
-
-    @property
-    def j(self) -> float:
-        return _half(self.two_j)
-
-    def index_of(self, two_l: int, two_m: int) -> int:
-        return self.index[(two_l, two_m)]
-
-    def matrix(self, a: Label) -> GradedMatrix:
-        if a == "+":
-            return self.jp
-        if a == "-":
-            return self.jm
-        if a in (1, 2):
-            return _cartesian(a, self.jp, self.jm)
-        if a == 3:
-            return self.j3
-        if a == 4:
-            return self.j4
-        if a == 5:
-            return self.j5
-        raise ValueError(f"unknown basis label {a!r}")
 
 
 def _block_layout(two_j: int, hw_parity: Parity):
@@ -220,56 +215,33 @@ def build_irrep(two_j: int, hw_parity: Parity = ODD) -> Irrep:
             j4[index[(two_j, two_m + 1)], col] = -0.5 * math.sqrt(jj + m + 0.5)
             j5[index[(two_j, two_m - 1)], col] = -0.5 * math.sqrt(jj - m + 0.5)
 
-    return Irrep(
-        two_j=two_j,
-        hw_parity=hw_parity % 2,
-        dims=dims,
-        j3=GradedMatrix(dims, j3),
-        jp=GradedMatrix(dims, jp),
-        jm=GradedMatrix(dims, jm),
-        j4=GradedMatrix(dims, j4),
-        j5=GradedMatrix(dims, j5),
-        index=index,
-    )
+    j3, jp, jm, j4, j5 = (GradedMatrix._adopt(dims, m) for m in (j3, jp, jm, j4, j5))
+    j1, j2 = _cartesian(jp, jm)
+    return Irrep(two_j, hw_parity % 2, dims, j1, j2, j3, jp, jm, j4, j5, index)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class Sl2Irrep:
-    """Standard spin-s module, basis e_m with m descending from +s."""
+class Sl2Irrep(_Generators):
+    """Standard spin-s module, basis e_m with m descending from +s; its generators even."""
 
     two_s: int
-    j3: np.ndarray
-    jp: np.ndarray
-    jm: np.ndarray
-
-    @property
-    def s(self) -> float:
-        return _half(self.two_s)
+    j1: GradedMatrix
+    j2: GradedMatrix
+    j3: GradedMatrix
+    jp: GradedMatrix
+    jm: GradedMatrix
 
     @property
     def dim(self) -> int:
         return self.two_s + 1
 
-    def index_of(self, two_m: int) -> int:
-        return (self.two_s - two_m) // 2
-
-    def matrix(self, a: Label) -> np.ndarray:
-        if a == "+":
-            return self.jp
-        if a == "-":
-            return self.jm
-        if a in (1, 2):
-            return _cartesian(a, self.jp, self.jm)
-        if a == 3:
-            return self.j3
-        raise ValueError(f"unknown sl(2) label {a!r}")
-
 
 def build_sl2_irrep(two_s: int) -> Sl2Irrep:
     if two_s < 0:
         raise ValueError("spin must be non-negative")
-    j3, jp, jm = _spin_block(two_s)
-    return Sl2Irrep(two_s=two_s, j3=j3, jp=jp, jm=jm)
+    dims = GradedDims(even=two_s + 1, odd=0)
+    j3, jp, jm = (GradedMatrix._adopt(dims, m) for m in _spin_block(two_s))
+    return Sl2Irrep(two_s, *_cartesian(jp, jm), j3, jp, jm)
 
 
 def osp_casimir(rep: Irrep) -> GradedMatrix:

@@ -49,6 +49,7 @@ from fuzzsuper.graded import (
 )
 from fuzzsuper.osp import OspBasis, build_osp_basis, jacobi_residual
 import fuzzsuper.calculus as calculus_module
+import fuzzsuper.graded as graded_module
 from test_graded import nonzero_blocks, reference_restricted_adjoint  # the pattern-block and broadcast references
 
 CTX = super_context(1)
@@ -863,6 +864,65 @@ def test_ladder_frame_is_cached_and_real(kind):
     assert lie_matrix(ctx, 1, 1).dtype == np.complex128
     assert center_d_matrix(ctx, 1).dtype == np.complex128
     assert lie_matrix(frame, 1, 1).dtype == np.float64
+
+
+def reference_ladder_frame(ctx):
+    """The frame's generators and snapped constants by the dense label change U on every label."""
+    k = len(ctx.labels)
+    u = np.eye(k, dtype=complex)
+    u[:2, :2] = np.array([[1, 1j], [1, -1j]]) / math.sqrt(2)
+    gens = np.einsum("ab,bij->aij", u, np.array([g.mat for g in ctx.generators]))
+    c = np.einsum("xC,ay,bz,xyz->Cab", u.conj().T, u, u, ctx.constants)
+    c.real[np.abs(c.real) < 1e-12] = 0.0
+    c.imag[np.abs(c.imag) < 1e-12] = 0.0
+    return gens, c
+
+
+def same_bytes(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", CONTEXTS)
+@pytest.mark.parametrize("q", [*range(1, 13), 32, 64])
+def test_ladder_frame_is_the_bytes_of_the_dense_reference(kind, q):
+    # two mixed labels and the rest passed through: bit for bit the einsum over every label
+    ctx = CONTEXTS[kind][0](q)
+    gens, c = reference_ladder_frame(ctx)
+    frame = _ladder_frame(ctx)
+    assert same_bytes(frame.constants, c)
+    assert len(frame.generators) == len(gens)
+    for a, (g, want) in enumerate(zip(frame.generators, gens), start=1):
+        assert same_bytes(g.mat, want), a
+
+
+@pytest.mark.parametrize("kind", CONTEXTS)
+@pytest.mark.parametrize("q", range(1, 7))
+def test_a_level_has_one_graded_matrix_per_generator(kind, q, monkeypatch):
+    # the sphere, its weight table, the context and its ladder frame read the same
+    # objects, so the entries of J_3 are bucketed by weight once per level
+    bucketed = []
+    entry_weights = graded_module.entry_weights
+
+    def spy(j3):
+        bucketed.append(j3)
+        return entry_weights(j3)
+
+    monkeypatch.setattr(graded_module, "entry_weights", spy)
+    ctx = CONTEXTS[kind][0](q)
+    sphere, frame = ctx.sphere, ctx.ladder
+    for a, g in zip(ctx.labels, ctx.generators):
+        assert g is sphere.rep.matrix(a), a
+        assert not g.mat.flags.writeable, a
+    assert sphere.rep.matrix(1) is sphere.rep.matrix(1)
+    if kind == "super":
+        assert sphere.generator(1) is sphere.generator(1) is ctx.generators[0]
+    for k in range(2, len(ctx.labels)):
+        assert frame.generators[k] is ctx.generators[k], k
+    sphere._table
+    form_weights(frame, 1)
+    d_matrix(frame, 1, weight=0)
+    assert len(bucketed) == 1 and bucketed[0] is sphere.rep.j3.mat
+    assert frame.generators[2].weight_buckets is sphere.rep.j3.weight_buckets
 
 
 @pytest.mark.parametrize("kind", CONTEXTS)

@@ -160,8 +160,7 @@ def reference_super_table(s):
 def reference_body_table(b):
     pair = np.full((b.n, b.n), 1.0 / b.n)
     chains = [(labels, 1) for labels in fuzzy_module._chains(b.labels(), lambda la: la.two_j)]
-    jm = GradedMatrix(GradedDims(b.n, 0), b.rep.jm)
-    return reference_weight_table(b.rep.j3, jm, pair, chains, lambda la: b.highest_weight(la.two_j // 2))
+    return reference_weight_table(b.rep.j3.mat, b.rep.jm, pair, chains, lambda la: b.highest_weight(la.two_j // 2))
 
 
 def table_gram_residual(table):
@@ -204,7 +203,7 @@ def reference_body_top(b, j):
         2**j * _double_factorial(2 * j + 1) * (q + 1) * math.factorial(q - j)
         / (math.factorial(j) * math.factorial(q + j + 1))
     )
-    return norm * np.linalg.matrix_power(b.rep.matrix("+"), j)
+    return norm * np.linalg.matrix_power(b.rep.matrix("+").mat, j)
 
 
 def reference_body_map(f, s, b):
@@ -446,10 +445,9 @@ def test_table_matches_the_per_column_projection(q):
     # one masked projection per weight, its Gram read from the unprojected
     # columns, against the loop that projected one step column at a time
     s, b = FuzzySuperSphere(q), FuzzySphere(q)
-    body_jm = GradedMatrix(GradedDims(b.n, 0), b.rep.jm)
     cases = [
         (s._table, s.rep.jm, lambda la: reference_chain_top(s, la), lambda la: la.two_l),
-        (b._table, body_jm, lambda la: b.highest_weight(la.two_j // 2), lambda la: la.two_j),
+        (b._table, b.rep.jm, lambda la: b.highest_weight(la.two_j // 2), lambda la: la.two_j),
     ]
     for table, jm, top, two_l in cases:
         want = reference_sequential_cols(table, jm, top, two_l)
@@ -498,18 +496,32 @@ def test_weight_table_rejects_a_lowering_operator_off_the_ladder():
     b = FuzzySphere(3)
     pair = np.full((b.n, b.n), 1.0 / b.n)
     chains = [(labels, 1, b.highest_weight(0), 1.0) for labels in fuzzy_module._chains(b.labels(), lambda la: la.two_j)]
-    two_in_a_row, two_in_a_column = b.rep.jm.copy(), b.rep.jm.copy()
+    two_in_a_row, two_in_a_column = b.rep.jm.mat.copy(), b.rep.jm.mat.copy()
     two_in_a_row[1, 2] = 1.0  # row 1 holds J_-[1, 0] already
     two_in_a_column[2, 0] = 1.0  # column 0 holds J_-[1, 0] already
     dims = GradedDims(b.n, 0)
-    for bad in (two_in_a_row, two_in_a_column, b.rep.jp):
+    for bad in (GradedMatrix(dims, two_in_a_row), GradedMatrix(dims, two_in_a_column), b.rep.jp):
         with pytest.raises(ValueError, match="lower the weight by one"):
-            fuzzy_module._WeightTable(GradedMatrix(dims, b.rep.j3), GradedMatrix(dims, bad), pair, chains)
+            fuzzy_module._WeightTable(b.rep.j3, bad, pair, chains)
+
+
+@pytest.mark.parametrize("q", range(1, 7))
+def test_body_generators_are_read_only(q):
+    # a write into a generator would move the sphere it belongs to
+    b = FuzzySphere(q)
+    before = b.casimir_residual()
+    assert before <= 1e-12
+    for a in (1, 2, 3, "+", "-"):
+        g = b.rep.matrix(a).mat
+        assert not g.flags.writeable, a
+        with pytest.raises(ValueError, match="read-only"):
+            g *= 2
+    assert b.casimir_residual() == before
 
 
 @pytest.mark.parametrize("q", range(1, 9))
 def test_j3_weight_buckets_are_the_entries_of_each_weight(q):
-    for j3 in (FuzzySuperSphere(q).rep.j3, GradedMatrix(GradedDims(q + 1, 0), FuzzySphere(q).rep.j3)):
+    for j3 in (FuzzySuperSphere(q).rep.j3, FuzzySphere(q).rep.j3):
         buckets = j3.weight_buckets
         assert j3.weight_buckets is buckets
         two_m = entry_weights(j3.mat)

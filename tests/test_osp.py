@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fuzzsuper.graded import EVEN, ODD, graded_commutator, superadjoint
+from fuzzsuper.graded import EVEN, ODD, GradedDims, graded_commutator, superadjoint
 from fuzzsuper.osp import (
     build_irrep,
     build_osp_basis,
@@ -181,11 +181,12 @@ def test_sl2_irrep():
     for two_s in (1, 2, 3, 4):
         rep = build_sl2_irrep(two_s)
         assert rep.dim == two_s + 1
-        cas = sum(rep.matrix(a) @ rep.matrix(a) for a in (1, 2, 3))
+        j1, j2, j3 = (rep.matrix(a).mat for a in (1, 2, 3))
+        cas = j1 @ j1 + j2 @ j2 + j3 @ j3
         s = two_s / 2
         assert np.allclose(cas, s * (s + 1) * np.eye(rep.dim), atol=1e-12)
-        comm = rep.matrix(1) @ rep.matrix(2) - rep.matrix(2) @ rep.matrix(1)
-        assert np.allclose(comm, 1j * rep.matrix(3), atol=1e-12)
+        comm = j1 @ j2 - j2 @ j1
+        assert np.allclose(comm, 1j * j3, atol=1e-12)
 
 
 @pytest.mark.parametrize("hw_parity", [EVEN, ODD])
@@ -211,6 +212,31 @@ def test_sl2_irrep_matches_reference_loop():
         rep = build_sl2_irrep(two_s)
         j3, jp, jm = reference_sl2_arrays(two_s)
         for a, want in zip((3, "+", "-"), (j3, jp, jm)):
-            assert np.array_equal(rep.matrix(a), want), (two_s, a)
-        assert np.array_equal(rep.matrix(1), 0.5 * (jp + jm))
-        assert np.array_equal(rep.matrix(2), -0.5j * (jp - jm))
+            assert np.array_equal(rep.matrix(a).mat, want), (two_s, a)
+        assert np.array_equal(rep.matrix(1).mat, 0.5 * (jp + jm))
+        assert np.array_equal(rep.matrix(2).mat, -0.5j * (jp - jm))
+
+
+@pytest.mark.parametrize("two_j", range(0, 7))
+def test_every_irrep_generator_is_one_frozen_graded_matrix(two_j):
+    """matrix(a) hands out the same read-only object on every call, J_1 and J_2 too."""
+    for rep, labels in (
+        (build_irrep(two_j, ODD), (1, 2, 3, 4, 5, "+", "-")),
+        (build_sl2_irrep(two_j), (1, 2, 3, "+", "-")),
+    ):
+        for a in labels:
+            g = rep.matrix(a)
+            assert rep.matrix(a) is g, (rep, a)
+            assert not g.mat.flags.writeable, (rep, a)
+            with pytest.raises(ValueError, match="read-only"):
+                g.mat[0, 0] = 1.0
+    assert build_sl2_irrep(two_j).matrix(1).dims == GradedDims(two_j + 1, 0)
+
+
+@pytest.mark.parametrize("label", [0, 6, "x", None, [1]])
+def test_matrix_rejects_an_unknown_label(label):
+    for rep in (build_irrep(2), build_sl2_irrep(2)):
+        with pytest.raises(ValueError, match="unknown basis label"):
+            rep.matrix(label)
+    with pytest.raises(ValueError, match="unknown basis label 4"):
+        build_sl2_irrep(2).matrix(4)
