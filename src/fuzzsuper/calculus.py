@@ -25,8 +25,11 @@ gather of its inputs, the twisted ones times the grade signs, one batched
 product per derivation label, or one for the wedge, and one coefficient
 matrix that sums them into the result's stack.
 
-_assemble is the one builder of matrices on coefficient space: d_matrix,
-lie_matrix and the weight blocks of invariant_one_forms all come from it.
+_assemble is the one builder of matrices on the full coefficient space:
+d_matrix, lie_matrix and the weight blocks of invariant_one_forms all come
+from it.  The center complex is the exception: center_d_matrix builds its
+small matrix on its own, from the label-0 terms of d_terms, because on
+multiples of the unit only those terms survive.
 In a frame of weight vectors it builds one total weight at a time, the
 entry weight minus the label weight.  That rule lives in _layout alone:
 _assemble reads the shift of the total weight from its term list, and

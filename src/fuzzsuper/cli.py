@@ -8,15 +8,22 @@ Four subcommands:
     fuzzsuper cohomology  Betti numbers with singular-value gap evidence
     fuzzsuper oracle      evaluate exact supersphere expressions
 
-verify, converge and cohomology print text (default), json or csv; oracle
-prints text.  Floats in csv carry 17 significant digits, enough to
-round-trip doubles.
+verify, converge and cohomology print text (default), json or csv through
+one writer, _report; oracle prints text.  Floats in csv carry 17
+significant digits, enough to round-trip doubles.  json keeps json.dumps'
+defaults, so an infinite singular-value gap is written Infinity.
+
+build_parser builds the parser once per process; parsing leaves it
+unchanged, so every call of main shares it.  Each subparser names its
+handler (the run default), and argparse itself rejects a --pmax, --suite
+or --op outside its choices.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -379,28 +386,26 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _render_checks(results: List[CheckResult], meta: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps({"meta": meta, "results": [r.row() for r in results]}, indent=2)
-    if fmt == "csv":
-        lines = ["suite,name,q,residual,tol,passed"]
-        for r in results:
-            lines.append(
-                f"{r.suite},{r.name},{'' if r.q is None else r.q},"
-                f"{_fmt(r.residual)},{_fmt(r.tol)},{r.passed}"
-            )
-        return "\n".join(lines)
-    width = max((len(f"{r.suite}: {r.name}") for r in results), default=20)
-    lines = ["# " + " ".join(f"{key}={meta[key]}" for key in ("seed", "rho", "version") if key in meta)]
-    for r in results:
-        tag = "PASS" if r.passed else "FAIL"
-        qtxt = f" q={r.q}" if r.q is not None else ""
-        lines.append(
-            f"{tag}  {f'{r.suite}: {r.name}':<{width}}{qtxt}  residual={r.residual:.3e}  tol={r.tol:.1e}"
-        )
-    n_fail = sum(1 for r in results if not r.passed)
-    lines.append(f"# {len(results) - n_fail}/{len(results)} checks passed")
-    return "\n".join(lines)
+def _cell(value) -> str:
+    """One csv cell: a float by _fmt, None empty, anything else by str."""
+    if value is None:
+        return ""
+    return _fmt(value) if isinstance(value, float) else str(value)
+
+
+def _report(args, payload: dict, header: str, rows, text: List[str]) -> None:
+    """Write a report in args.format to args.out, or to stdout.
+
+    json is the payload; csv is the header and one line per row of cells;
+    text is the command's own lines.
+    """
+    if args.format == "json":
+        out = json.dumps(payload, indent=2)
+    elif args.format == "csv":
+        out = "\n".join([header, *(",".join(map(_cell, row)) for row in rows)])
+    else:
+        out = "\n".join(text)
+    _emit(out, args.out)
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:
@@ -444,18 +449,10 @@ def _validate_level(q: int, allow_large: bool, parser: argparse.ArgumentParser) 
         )
 
 
-def _validate_pmax(p_max: int, parser: argparse.ArgumentParser) -> None:
-    top = len(EXPECTED_BETTI_SUPER) - 1
-    if not 0 <= p_max <= top:
-        parser.error(f"--pmax must be in 0..{top}, got {p_max}")
-
-
 def cmd_verify(args, parser) -> int:
     qs = args.q_list or [args.q]
     for q in qs:
         _validate_level(q, args.allow_large, parser)
-    if args.suite != "all" and args.suite not in SUITES:
-        parser.error(f"unknown suite {args.suite!r}; choose from {', '.join(SUITES)} or all")
     rng = np.random.default_rng(args.seed)
     names = list(SUITES) if args.suite == "all" else [args.suite]
     results: List[CheckResult] = []
@@ -467,8 +464,24 @@ def cmd_verify(args, parser) -> int:
     if RADIUS_SUITES.intersection(names):
         meta["rho"] = str(args.rho)
     meta.update(tol=args.tol, q=qs, suites=names)
-    _emit(_render_checks(results, meta, args.format), args.out)
-    return 0 if all(r.passed for r in results) else 1
+    width = max((len(f"{r.suite}: {r.name}") for r in results), default=20)
+    text = ["# " + " ".join(f"{key}={meta[key]}" for key in ("seed", "rho", "version") if key in meta)]
+    for r in results:
+        tag = "PASS" if r.passed else "FAIL"
+        qtxt = f" q={r.q}" if r.q is not None else ""
+        text.append(
+            f"{tag}  {f'{r.suite}: {r.name}':<{width}}{qtxt}  residual={r.residual:.3e}  tol={r.tol:.1e}"
+        )
+    n_pass = sum(r.passed for r in results)
+    text.append(f"# {n_pass}/{len(results)} checks passed")
+    _report(
+        args,
+        {"meta": meta, "results": [r.row() for r in results]},
+        "suite,name,q,residual,tol,passed",
+        [(r.suite, r.name, r.q, r.residual, r.tol, r.passed) for r in results],
+        text,
+    )
+    return 0 if n_pass == len(results) else 1
 
 
 def cmd_converge(args, parser) -> int:
@@ -505,31 +518,25 @@ def cmd_converge(args, parser) -> int:
         "classical_residual": resid_cl,
         "notes": notes,
     }
-    if args.format == "json":
-        text = json.dumps({"meta": meta, "rows": rows}, indent=2)
-    elif args.format == "csv":
-        lines = ["j1,j2,q,c_fuzzy,c_classical,abs_delta"]
-        for r in rows:
-            lines.append(
-                f"{r['j1']},{r['j2']},{r['q']},{_fmt(r['c_fuzzy'])},"
-                f"{_fmt(r['c_classical'])},{_fmt(r['abs_delta'])}"
-            )
-        text = "\n".join(lines)
-    else:
-        lines = [f"# c classical = {c_cl:.12f} (residual {resid_cl:.1e})"]
-        for r in rows:
-            lines.append(
-                f"q={r['q']:>3}  c={r['c_fuzzy']:.12f}  |delta|={r['abs_delta']:.3e}"
-            )
-        lines.extend(f"# {n}" for n in notes)
-        text = "\n".join(lines)
-    _emit(text, args.out)
+    text = [f"# c classical = {c_cl:.12f} (residual {resid_cl:.1e})"]
+    text.extend(f"q={r['q']:>3}  c={r['c_fuzzy']:.12f}  |delta|={r['abs_delta']:.3e}" for r in rows)
+    text.extend(f"# {n}" for n in notes)
+    _report(
+        args,
+        {"meta": meta, "rows": rows},
+        "j1,j2,q,c_fuzzy,c_classical,abs_delta",
+        # the spins print as str(float), "1.0", not by _fmt
+        [
+            (str(r["j1"]), str(r["j2"]), r["q"], r["c_fuzzy"], r["c_classical"], r["abs_delta"])
+            for r in rows
+        ],
+        text,
+    )
     return 0
 
 
 def cmd_cohomology(args, parser) -> int:
     _validate_level(args.q, args.allow_large, parser)
-    _validate_pmax(args.pmax, parser)
     ctx = super_context(args.q)
     bctx = body_context(args.q)
     p_super = args.pmax
@@ -561,31 +568,17 @@ def cmd_cohomology(args, parser) -> int:
         "center_crosscheck": rep_c.to_json(),
         "ok": ok,
     }
-    if args.format == "json":
-        text = json.dumps(payload, indent=2)
-    elif args.format == "csv":
-        lines = ["complex,p,dim,betti,rank,sv_gap"]
-        for tag, rep in (("super", rep_s), ("body", rep_b), ("center", rep_c)):
-            for p in range(rep.p_max + 1):
-                dec = rep.decisions[p]
-                lines.append(
-                    f"{tag},{p},{rep.dims[p]},{rep.betti[p]},{dec.rank},{_fmt(dec.gap)}"
-                )
-        text = "\n".join(lines)
-    else:
-        lines = []
-        for tag, rep, exp in (
-            ("super", rep_s, expected_s),
-            ("body", rep_b, expected_b),
-            ("center", rep_c, expected_s),
-        ):
-            status = "ok" if tuple(rep.betti) == tuple(exp) and not rep.inconclusive else "MISMATCH"
-            lines.append(
-                f"{tag:<7} betti={list(rep.betti)} expected={list(exp)} "
-                f"min sv-gap={rep.min_gap:.2e} [{status}]"
-            )
-        text = "\n".join(lines)
-    _emit(text, args.out)
+    complexes = (("super", rep_s, expected_s), ("body", rep_b, expected_b), ("center", rep_c, expected_s))
+    rows, text = [], []
+    for tag, rep, exp in complexes:
+        for p in range(rep.p_max + 1):
+            rows.append((tag, p, rep.dims[p], rep.betti[p], rep.decisions[p].rank, rep.decisions[p].gap))
+        status = "ok" if tuple(rep.betti) == tuple(exp) and not rep.inconclusive else "MISMATCH"
+        text.append(
+            f"{tag:<7} betti={list(rep.betti)} expected={list(exp)} "
+            f"min sv-gap={rep.min_gap:.2e} [{status}]"
+        )
+    _report(args, payload, "complex,p,dim,betti,rank,sv_gap", rows, text)
     return 0 if ok else 1
 
 
@@ -597,28 +590,20 @@ def cmd_oracle(args, parser) -> int:
     if op == "inner" and (not args.expr or not args.expr2):
         parser.error("--expr and --expr2 are required for inner")
     if op == "normal-form":
-        cls = normal_form(parse_superpoly(args.expr), rho)
-        _emit(format_superpoly(cls.poly), args.out)
-        return 0
-    if op == "cross":
-        _emit(format_superpoly(cross_involution(parse_superpoly(args.expr))), args.out)
-        return 0
-    if op == "integral":
+        text = format_superpoly(normal_form(parse_superpoly(args.expr), rho).poly)
+    elif op == "cross":
+        text = format_superpoly(cross_involution(parse_superpoly(args.expr)))
+    elif op == "integral":
         core = berezin_radial_sum(parse_superpoly(args.expr), rho)
         val = 2 * math.pi * complex(core)
-        _emit(
-            f"(2*pi) * ({core.re}{'+' if core.im >= 0 else '-'}{abs(core.im)}i) = {val}",
-            args.out,
-        )
-        return 0
-    if op == "inner":
+        text = f"(2*pi) * ({core.re}{'+' if core.im >= 0 else '-'}{abs(core.im)}i) = {val}"
+    elif op == "inner":
         core, scale = inner_S_exact(
             parse_superpoly(args.expr), parse_superpoly(args.expr2), rho
         )
         val = complex(core) * float(scale)
-        _emit(f"exact core = {core.re}{'+' if core.im >= 0 else '-'}{abs(core.im)}i, value = {val}", args.out)
-        return 0
-    if op == "harmonic":
+        text = f"exact core = {core.re}{'+' if core.im >= 0 else '-'}{abs(core.im)}i, value = {val}"
+    elif op == "harmonic":
         if args.j1 is None:
             parser.error("--j1 (the superspin) is required for harmonic")
         two_j = _parse_half(args.j1, parser, "--j1")
@@ -628,21 +613,16 @@ def cmd_oracle(args, parser) -> int:
             cls = classical_harmonic(two_j, mu, two_m, rho)
         except ValueError as exc:
             parser.error(str(exc))
-        _emit(
-            f"scale = {cls.scale.coef} * sqrt({cls.scale.rad})\npoly  = {format_superpoly(cls.poly)}",
-            args.out,
-        )
-        return 0
-    if op == "classical-c":
+        text = f"scale = {cls.scale.coef} * sqrt({cls.scale.rad})\npoly  = {format_superpoly(cls.poly)}"
+    else:  # classical-c, the last of --op's choices
         if args.j1 is None or args.j2 is None:
             parser.error("--j1 and --j2 are required for classical-c")
         two_j1 = _parse_half(args.j1, parser, "--j1")
         two_j2 = _parse_half(args.j2, parser, "--j2")
         c, resid = structure_constant_classical(two_j1, two_j2, rho)
-        _emit(f"c = {_fmt(c)} (residual {resid:.3e})", args.out)
-        return 0
-    parser.error(f"unknown oracle op {op!r}")
-    return 2
+        text = f"c = {_fmt(c)} (residual {resid:.3e})"
+    _emit(text, args.out)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +661,14 @@ def _positive_float(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The fuzzsuper parser, built on the first call and shared after it.
+
+    Parsing reads the parser without changing it, so every call of main in a
+    process can use the one object.  Each subcommand's handler is its run
+    default.
+    """
     parser = argparse.ArgumentParser(
         prog="fuzzsuper",
         description="Matrix supersphere truncations: harmonics, calculus, cohomology.",
@@ -710,14 +697,14 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, **shared[flag])
 
     p_verify = sub.add_parser("verify", help="run residual check suites")
+    p_verify.set_defaults(run=cmd_verify)
     p_verify.add_argument("--q", type=int, default=2, help="truncation level (default 2)")
     p_verify.add_argument("--q-list", type=_int_list, help="comma-separated levels")
-    p_verify.add_argument(
-        "--suite", default="all", help=f"one of: {', '.join(SUITES)}, all (default all)"
-    )
+    p_verify.add_argument("--suite", default="all", choices=[*SUITES, "all"], help="suite to run (default all)")
     common(p_verify, *shared)
 
     p_conv = sub.add_parser("converge", help="structure constants against the classical value")
+    p_conv.set_defaults(run=cmd_converge)
     p_conv.add_argument("--j1", required=True, help="first superspin (e.g. 1/2)")
     p_conv.add_argument("--j2", required=True, help="second superspin")
     p_conv.add_argument("--q-list", type=_int_list, help="levels (default 10,20,40)")
@@ -727,16 +714,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_coh = sub.add_parser("cohomology", help="Betti numbers with sv-gap evidence")
+    p_coh.set_defaults(run=cmd_cohomology)
     p_coh.add_argument("--q", type=int, default=1, help="truncation level (default 1)")
     p_coh.add_argument(
-        "--pmax",
-        type=int,
-        default=5,
-        help=f"top degree, 0..{len(EXPECTED_BETTI_SUPER) - 1} (default 5)",
+        "--pmax", type=int, default=5, choices=range(len(EXPECTED_BETTI_SUPER)), help="top degree (default 5)"
     )
     common(p_coh, "--tol", "--format", "--out", "--allow-large")
 
     p_or = sub.add_parser("oracle", help="exact classical-side computations")
+    p_or.set_defaults(run=cmd_oracle)
     p_or.add_argument(
         "--op",
         required=True,
@@ -771,13 +757,7 @@ def _attach_signed_values(argv: Sequence[str]) -> List[str]:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
-    handlers = {
-        "verify": cmd_verify,
-        "converge": cmd_converge,
-        "cohomology": cmd_cohomology,
-        "oracle": cmd_oracle,
-    }
-    return handlers[args.command](args, parser)
+    return args.run(args, parser)
 
 
 if __name__ == "__main__":

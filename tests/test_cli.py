@@ -168,10 +168,11 @@ def test_converge_rejects_level_zero():
     assert exc.value.code == 2
 
 
-def test_verify_unknown_suite_is_usage_error():
+def test_verify_unknown_suite_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--suite", "nonsense"])
     assert exc.value.code == 2
+    assert "argument --suite: invalid choice: 'nonsense'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("q", [1, 4])
@@ -311,6 +312,39 @@ def test_cohomology_csv_matches_json(capsys):
         assert [float(r[5]) for r in mine] == doc[key]["sv_gaps"], tag
 
 
+def csv_and_json(capsys, argv, key):
+    """The csv rows and the json rows (under key) of one command."""
+    code, out = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    header, *lines = out.strip().splitlines()
+    code, out = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    return header.split(","), [line.split(",") for line in lines], json.loads(out)[key]
+
+
+def test_verify_csv_matches_json(capsys):
+    header, rows, doc = csv_and_json(capsys, ("verify", "--q-list", "1,2", "--suite", "casimir"), "results")
+    assert header == ["suite", "name", "q", "residual", "tol", "passed"]
+    assert len(rows) == len(doc) == 4
+    for row, want in zip(rows, doc):
+        assert row[:2] == [want["suite"], want["name"]]
+        assert int(row[2]) == want["q"]
+        assert float(row[3]) == want["residual"] and float(row[4]) == want["tol"]
+        assert row[5] == str(want["passed"])
+
+
+def test_converge_csv_matches_json(capsys):
+    argv = ("converge", "--j1", "1/2", "--j2", "1", "--q-list", "4,10")
+    header, rows, doc = csv_and_json(capsys, argv, "rows")
+    assert header == ["j1", "j2", "q", "c_fuzzy", "c_classical", "abs_delta"]
+    assert len(rows) == len(doc) == 2
+    for row, want in zip(rows, doc):
+        # the spins print as floats, "0.5" and "1.0"
+        assert row[:2] == [str(want["j1"]), str(want["j2"])] == ["0.5", "1.0"]
+        assert int(row[2]) == want["q"]
+        assert [float(x) for x in row[3:]] == [want["c_fuzzy"], want["c_classical"], want["abs_delta"]]
+
+
 def test_oracle_normal_form(capsys):
     code, out = run(capsys, "oracle", "--op", "normal-form", "--expr", "x3^2", "--rho", "1")
     assert code == 0
@@ -364,10 +398,26 @@ def test_oracle_harmonic_negative_m(capsys, m_args):
 
 
 @pytest.mark.parametrize("pmax", ["-1", "6"])
-def test_cohomology_rejects_pmax_out_of_range(pmax):
+def test_cohomology_rejects_pmax_out_of_range(capsys, pmax):
     with pytest.raises(SystemExit) as exc:
         main(["cohomology", "--q", "1", "--pmax", pmax])
     assert exc.value.code == 2
+    assert f"argument --pmax: invalid choice: {pmax}" in capsys.readouterr().err
+
+
+def test_one_parser_serves_every_call(capsys):
+    # argparse reads the parser without changing it, so one object serves every
+    # main call in a process, a usage error between two runs included
+    assert cli.build_parser() is cli.build_parser()
+    first = ("cohomology", "--q", "2", "--format", "json")
+    code, out = run(capsys, *first)
+    assert code == 0
+    assert run(capsys, "verify", "--q", "1", "--suite", "casimir", "--format", "csv")[0] == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["cohomology", "--q", "1", "--pmax", "6"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run(capsys, *first) == (code, out)
 
 
 @pytest.mark.parametrize(
