@@ -31,9 +31,10 @@ from it.  The center complex is the exception: center_d_matrix builds its
 small matrix on its own, from the label-0 terms of d_terms, because on
 multiples of the unit only those terms survive.
 In a frame of weight vectors it builds one total weight at a time, the
-entry weight minus the label weight.  That rule lives in _layout alone:
-_assemble reads the shift of the total weight from its term list, and
-form_weights lists the weights that _layout finds entries for.  The
+entry weight minus the label weight of its tuple (the one sum of label
+weights, DerivationContext.tuple_weight).  That rule lives in _layout
+alone: _assemble reads the shift of the total weight from its term list,
+and form_weights lists the weights that _layout finds entries for.  The
 entries of each entry weight come from one place, the buckets that J_3
 caches (graded.GradedMatrix.weight_buckets); the fuzzy weight tables read
 the same buckets.
@@ -254,6 +255,10 @@ class DerivationContext:
 
     def tuple_parity(self, t: IndexTuple) -> int:
         return sum(self.label_parity(a) for a in t) % 2
+
+    def tuple_weight(self, t: IndexTuple) -> int:
+        """The doubled J_3 weight of a label tuple in a frame of weight vectors: its labels' sum."""
+        return sum(self.weights[a - 1] for a in t)
 
     def index_tuples(self, p: int) -> Tuple[IndexTuple, ...]:
         """Canonical tuples: strictly increasing evens then repeatable odds."""
@@ -786,7 +791,7 @@ def _layout(
         kept = ctx.generators[2].weight_buckets
     out, offset = {}, 0
     for t in ctx.index_tuples(p):
-        key = None if weight is None else weight + sum(ctx.weights[a - 1] for a in t)
+        key = None if weight is None else weight + ctx.tuple_weight(t)
         out[t] = (offset, key, kept.get(key, _NO_ENTRIES))
         offset += out[t][2][0].size
     ctx._layouts[p, weight] = out, offset
@@ -802,7 +807,7 @@ def form_weights(ctx: DerivationContext, p: int) -> Tuple[int, ...]:
     """
     if ctx.weights is None:
         raise ValueError("weights need a frame of weight vectors")
-    labels = {sum(ctx.weights[a - 1] for a in t) for t in ctx.index_tuples(p)}
+    labels = {ctx.tuple_weight(t) for t in ctx.index_tuples(p)}
     return tuple(sorted({m - s for m in ctx.generators[2].weight_buckets for s in labels}))
 
 
@@ -834,9 +839,8 @@ def _assemble(
     rows = weight
     if weight is not None and terms:
         target, source, label, _, _ = terms[0]
-        labels = ctx.weights
-        rows += (labels[label - 1] if label else 0) + sum(labels[b - 1] for b in source)
-        rows -= sum(labels[b - 1] for b in target)
+        op = (label,) if label else ()
+        rows += ctx.tuple_weight(op + source) - ctx.tuple_weight(target)
     dst, n_rows = _layout(ctx, p_out, rows)
     real = ctx.real
     out = np.zeros((n_rows, n_cols), dtype=float if real else complex)

@@ -16,7 +16,8 @@ defaults, so an infinite singular-value gap is written Infinity.
 build_parser builds the parser once per process; parsing leaves it
 unchanged, so every call of main shares it.  Each subparser names its
 handler (the run default), and argparse itself rejects a --pmax, --suite
-or --op outside its choices.
+or --op outside its choices.  oracle reports an --expr or --expr2 that
+continuum.parse_superpoly cannot read as a usage error naming the option.
 """
 
 from __future__ import annotations
@@ -589,18 +590,22 @@ def cmd_oracle(args, parser) -> int:
         parser.error(f"--expr is required for {op}")
     if op == "inner" and (not args.expr or not args.expr2):
         parser.error("--expr and --expr2 are required for inner")
+    polys = {}
+    for flag in ("expr", "expr2"):
+        try:
+            polys[flag] = parse_superpoly(getattr(args, flag) or "")
+        except ValueError as exc:
+            parser.error(f"argument --{flag}: {exc}")
     if op == "normal-form":
-        text = format_superpoly(normal_form(parse_superpoly(args.expr), rho).poly)
+        text = format_superpoly(normal_form(polys["expr"], rho).poly)
     elif op == "cross":
-        text = format_superpoly(cross_involution(parse_superpoly(args.expr)))
+        text = format_superpoly(cross_involution(polys["expr"]))
     elif op == "integral":
-        core = berezin_radial_sum(parse_superpoly(args.expr), rho)
+        core = berezin_radial_sum(polys["expr"], rho)
         val = 2 * math.pi * complex(core)
         text = f"(2*pi) * ({core.re}{'+' if core.im >= 0 else '-'}{abs(core.im)}i) = {val}"
     elif op == "inner":
-        core, scale = inner_S_exact(
-            parse_superpoly(args.expr), parse_superpoly(args.expr2), rho
-        )
+        core, scale = inner_S_exact(polys["expr"], polys["expr2"], rho)
         val = complex(core) * float(scale)
         text = f"exact core = {core.re}{'+' if core.im >= 0 else '-'}{abs(core.im)}i, value = {val}"
     elif op == "harmonic":
@@ -738,9 +743,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: a signed value such as -5/2 or -1e-3: argparse reads only plain negative
+#: a signed value such as -5/2, -1e-3 or -x1: argparse reads only plain negative
 #: integers and decimals as values, and would take these for option strings
-_SIGNED_VALUE = re.compile(r"-\.?\d")
+_SIGNED_VALUE = re.compile(r"-[\d.(xti]")
 
 
 def _attach_signed_values(argv: Sequence[str]) -> List[str]:

@@ -916,26 +916,6 @@ def _format_coeff(v: QQi) -> str:
     return f"({_format_fraction(v.re)}{'+' if v.im > 0 else '-'}{im_tok})"
 
 
-def _parse_coeff(tok: str) -> QQi:
-    tok = tok.strip().replace(" ", "")
-    if tok.startswith("(") and tok.endswith(")"):
-        tok = tok[1:-1]
-    if not tok:
-        return QQI_ONE
-    if not tok.endswith("i"):
-        return QQi(Fraction(tok))
-    head = tok[:-1]
-    # a sign not in first position splits real from imaginary part
-    split = 0
-    for pos in range(len(head) - 1, 0, -1):
-        if head[pos] in "+-" and head[pos - 1] not in "/+-":
-            split = pos
-            break
-    re_tok, im_tok = head[:split], head[split:]
-    im = Fraction(im_tok + "1") if im_tok in ("", "+", "-") else Fraction(im_tok)
-    return QQi(Fraction(re_tok) if re_tok else Fraction(0), im)
-
-
 def format_superpoly(f: SuperPoly) -> str:
     """Canonical text form: terms c * x1^a x2^b x3^c [t4] [t5]."""
     pieces = []
@@ -953,59 +933,59 @@ def format_superpoly(f: SuperPoly) -> str:
     return " + ".join(pieces) if pieces else "0"
 
 
-def parse_superpoly(text: str) -> SuperPoly:
-    """Inverse of format_superpoly; also accepts bare variables and signs."""
-    text = text.strip()
-    if text in ("", "0"):
-        return SuperPoly.zero()
-    # split into signed terms at top level; parentheses protect coefficients
-    # and leading signs stay attached to their term
-    terms = []
-    depth, start = 0, 0
-    for pos, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch in "+-" and depth == 0:
-            head = text[start:pos].strip()
-            if head and not all(c in "+- " for c in head):
-                terms.append(text[start:pos])
-                start = pos
-    terms.append(text[start:])
+#: one token of superpolynomial text after optional whitespace: a sign, a '*',
+#: or a factor: an even coordinate with its exponent, an odd coordinate, or a
+#: coefficient as format_superpoly writes it (3, 1/2, 0.5, i, 2/3i, (1/2-3i)),
+#: whose sign is a token of its own.  A factor ends at whitespace, '*', a sign
+#: or the end of the text, so x12, x1.5, 2x1 and 1e-3 are not read.
+_NUM = r"\d+(?:/0*[1-9]\d*|\.\d+)?|\.\d+"
+_TOKEN = re.compile(
+    rf"\s*(?:(?P<sign>[+-])|(?P<star>\*)|(?:x(?P<x>[123])(?:\^(?P<exp>\d+))?|t(?P<t>[45])"
+    rf"|\((?P<re>-?(?:{_NUM}))(?P<im>[+-](?:{_NUM})?)i\)|(?P<num>(?:{_NUM})?i|{_NUM}))(?![^\s*+-]))"
+)
 
-    out = SuperPoly.zero()
-    for term in terms:
-        term = term.strip()
-        if not term:
-            continue
-        sign = QQI_ONE
-        while term and term[0] in "+-":
-            if term[0] == "-":
-                sign = -sign
-            term = term[1:].strip()
-        chunks = [c.strip() for c in term.split("*")]
-        coeff = sign
-        mono = [0, 0, 0]
-        grass = [0, 0]
-        for chunk in chunks:
-            for tok in chunk.split():
-                m = re.fullmatch(r"x([123])(?:\^(\d+))?", tok)
-                if m:
-                    mono[int(m.group(1)) - 1] += int(m.group(2) or 1)
-                    continue
-                m = re.fullmatch(r"t([45])", tok)
-                if m:
-                    odd = int(m.group(1)) - 4
-                    if odd == 0 and grass[1]:
-                        coeff = -coeff  # t5 t4 = -t4 t5
-                    grass[odd] += 1
-                    continue
-                coeff = coeff * _parse_coeff(tok)
-        if grass[0] > 1 or grass[1] > 1:
-            continue  # theta squared: the term is zero
-        table = {(0, 0): "c0", (1, 0): "c4", (0, 1): "c5", (1, 1): "c45"}[tuple(grass)]
-        part = {tuple(mono): coeff}
-        kwargs = {table: part}
-        out = out + SuperPoly(**kwargs)
-    return out
+
+def parse_superpoly(text: str) -> SuperPoly:
+    """Read the text format_superpoly writes, and the shorthands of its terms.
+
+    The grammar: signs, then a term, then any number of (signs, term).  A
+    term is factors side by side, or joined by one '*' between two of
+    them: a coefficient (3, -1/2, 0.5, i, 2/3i, (1+2i)), x1, x2 or x3 with an
+    optional ^n, t4 or t5, each ending at whitespace, '*', a sign or the
+    end of the text.  Signs multiply; t5 t4 = -t4 t5, and a term with
+    a repeated odd factor is zero.  "" and "0" are the zero polynomial.  Any
+    other text raises one ValueError that quotes what could not be read.
+    """
+    text = text.strip()
+    terms, coeff, mono, odd = [], QQI_ONE, [0, 0, 0], []
+    pos, last = 0, "+"  # last: the previous sign or '*', or "f" after a factor
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None or m["star"] and last != "f" or m["sign"] and last == "*":
+            break
+        if m["sign"] and last == "f":
+            terms.append((coeff, mono, odd))
+            coeff, mono, odd = QQI_ONE, [0, 0, 0], []
+        if m["x"]:
+            mono[int(m["x"]) - 1] += int(m["exp"] or 1)
+        elif m["t"]:
+            odd.append(m["t"])
+        elif m["re"]:
+            im = m["im"] if len(m["im"]) > 1 else m["im"] + "1"
+            coeff *= QQi(Fraction(m["re"]), Fraction(im))
+        elif m["num"]:
+            v = Fraction(m["num"].rstrip("i") or 1)
+            coeff *= QQi(im=v) if m["num"].endswith("i") else QQi(v)
+        elif m["sign"] == "-":
+            coeff = -coeff
+        pos, last = m.end(), m["sign"] or m["star"] or "f"
+    if pos < len(text) or text and last != "f":
+        raise ValueError(f"cannot read {text[pos:].strip() or last!r} in superpolynomial {text!r}")
+    if text:
+        terms.append((coeff, mono, odd))
+    comps = ({}, {}, {}, {})
+    for coeff, mono, odd in terms:
+        if len(set(odd)) == len(odd):  # a repeated odd factor squares to zero
+            comp = comps[("4" in odd) + 2 * ("5" in odd)]
+            comp[tuple(mono)] = comp.get(tuple(mono), QQI_ZERO) + (-coeff if odd == ["5", "4"] else coeff)
+    return SuperPoly(*comps)

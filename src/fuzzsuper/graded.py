@@ -3,7 +3,8 @@
 A graded vector space is laid out with all even basis vectors first, then
 all odd ones, so a matrix splits into four blocks addressed through the
 dimension split alone.  Everything here is immutable and pure, in dense
-double precision.  Graded matrices at desk scale stay below ~100x100.  The
+double precision.  At level q the supersphere's graded matrices are
+(2q+1)x(2q+1): 257x257 at q = 128, which verify --suite body reaches.  The
 matrices that reach rank_decision have thousands of rows; a caller whose
 matrix is block diagonal knows the blocks from its layout and passes them
 as a list or a generator, and each matrix or block takes one SVD as given.

@@ -7,11 +7,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from test_continuum import MALFORMED  # the text parse_superpoly refuses
 
 import fuzzsuper
 from fuzzsuper import cli
 from fuzzsuper.cli import main
-from fuzzsuper.continuum import classical_harmonic, format_superpoly
+from fuzzsuper.continuum import classical_harmonic, cross_involution, format_superpoly, parse_superpoly
 
 
 def run(capsys, *argv):
@@ -395,6 +396,31 @@ def test_oracle_harmonic_negative_m(capsys, m_args):
     cls = classical_harmonic(1, 0, -1, Fraction(1))
     want = f"scale = {cls.scale.coef} * sqrt({cls.scale.rad})\npoly  = {format_superpoly(cls.poly)}"
     assert out.strip() == want
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["oracle", "--op", "cross", "--expr", text] for text in MALFORMED]
+    + [["oracle", "--op", "inner", "--expr", "x1", "--expr2", "x1 ** 2"]],
+)
+def test_malformed_expression_is_a_usage_error(capsys, argv):
+    # exit 2 is a usage error, as for every other bad option value; 1 is a failed check
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"argument {argv[-2]}: cannot read" in err
+
+
+@pytest.mark.parametrize("text", ["-x1", "-t4", "-i", "-x3^2", "-(1+2i)"])
+def test_negative_expression_is_one_value(capsys, text):
+    # like --m -1/2, a value that starts with - and then a digit, '.', '(', x, t or i
+    # belongs to the flag before it
+    code, out = run(capsys, "oracle", "--op", "cross", "--expr", text)
+    assert code == 0
+    assert out.strip() == format_superpoly(cross_involution(parse_superpoly(text)))
+    assert run(capsys, "oracle", "--op", "cross", f"--expr={text}") == (code, out)
 
 
 @pytest.mark.parametrize("pmax", ["-1", "6"])

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -828,13 +829,36 @@ def test_body_map_classical_strips_odd_directions():
 # ---------------------------------------------------------------- text form
 
 
+#: a coefficient of each shape format_superpoly writes, from two random rationals:
+#: integer, rational, +-i, pure imaginary, complex with a negative real part, complex
+COEFF_SHAPES = (
+    lambda a, b: QQi(Fraction(a.numerator)),
+    lambda a, b: QQi(a),
+    lambda a, b: QQi(im=Fraction(1 if b >= 0 else -1)),
+    lambda a, b: QQi(im=b),
+    lambda a, b: QQi(-abs(a), b),
+    lambda a, b: QQi(a, b),
+)
+
+
 def test_format_parse_round_trip():
     rng = np.random.default_rng(11)
-    for _ in range(10):
-        f = rand_poly(rng)
+    polys = [SuperPoly.zero()]
+    for k in range(1200):
+        comps = [{} for _ in range(4)]
+        for comp in comps:
+            for _ in range(int(rng.integers(0, 4))):
+                a, b = (Fraction(int(rng.integers(-9, 10)), int(rng.choice([1, 2, 3, 4, 5, 8]))) for _ in "ab")
+                comp[tuple(int(e) for e in rng.integers(0, 4, size=3))] = COEFF_SHAPES[k % 6](a, b)
+        polys.append(SuperPoly(*comps))
+    for f in polys:
         text = format_superpoly(f)
         back = parse_superpoly(text)
         assert (f - back).is_zero()
+        assert format_superpoly(back) == text
+        # the same text with its halves, quarters, fifths and eighths as decimals
+        decimal = re.sub(r"(?<![\d/])(\d+)/([2458])(?!\d)", lambda m: str(int(m[1]) / int(m[2])), text)
+        assert (f - parse_superpoly(decimal)).is_zero()
 
 
 def test_parse_examples():
@@ -852,6 +876,49 @@ def test_parse_orders_odd_coordinates():
     assert berezin_radial_sum(parse_superpoly("t5 t4"), 1) == QQI_ONE
 
 
-def test_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_superpoly("x9")
+@pytest.mark.parametrize(
+    "text,canonical",
+    [
+        ("x1 x1", "1 * x1^2"),
+        ("2 3 x1", "6 * x1"),
+        ("-x1", "-1 * x1"),
+        ("--x1", "1 * x1"),
+        ("x1 * t5 t4", "-1 * x1 t4 t5"),
+        ("t5 x2 t4", "-1 * x2 t4 t5"),
+        ("t4 t4", "0"),
+        ("0.5 * x1", "1/2 * x1"),
+        ("(1+i) * (1-i)", "2"),
+        ("", "0"),
+    ],
+)
+def test_parse_reads_each_shorthand(text, canonical):
+    assert format_superpoly(parse_superpoly(text)) == canonical
+
+
+#: text that parse_superpoly refuses: a stray sign or '*', an unknown or unfinished
+#: factor, a zero denominator, an exponent
+MALFORMED = [
+    "x9",
+    "x9 +",
+    "x1 +",
+    "+",
+    "-",
+    "x1 ** 2",
+    "* x1",
+    "x1 *",
+    "x3 +* 2",
+    "()",
+    "(1+2i",
+    "x1^",
+    "t6",
+    "x12",
+    "1/0 * x1",
+    "1e-3",
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED)
+def test_parse_rejects_garbage(text):
+    with pytest.raises(ValueError, match="cannot read") as exc:
+        parse_superpoly(text)
+    assert repr(text) in str(exc.value)
