@@ -57,10 +57,15 @@ adjoint_stencil) is built once.
 The cohomology ranks are computed in the ladder frame of weight vectors
 (J_+/sqrt2, J_-/sqrt2, J_3, J_4, J_5), on the weight-0 block of d only:
 there L_3 = d iota_3 + iota_3 d acts on each form component by its total
-weight, so every subcomplex of nonzero weight is acyclic.  The frame's
-structure constants and generators are exactly real, so its d matrices,
-and those of the center cross-check in the same frame, are assembled and
-ranked in float64.
+weight, so every subcomplex of nonzero weight is acyclic.  That block is
+ranked one irreducible summand V(j) of the matrix algebra at a time: the
+derivations act on the values alone, so d is block diagonal over the
+summands, and each block is built from its term list (SummandTerms, next
+to the Plans) and the irrep's closed-form matrix elements
+(osp.weight_elements), with no matrix of the level formed.  The frame's
+structure constants and generators are exactly real, so these blocks, its
+d matrices and those of the center cross-check in the same frame are
+assembled and ranked in float64.
 """
 
 from __future__ import annotations
@@ -69,7 +74,9 @@ import bisect
 import dataclasses
 import itertools
 import math
-from typing import Callable, Dict, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -85,7 +92,7 @@ from .graded import (
     random_graded_matrix,
     restricted_adjoint,
 )
-from .osp import LABELS, build_osp_basis
+from .osp import LABELS, LADDER_STEPS, build_osp_basis, weight_elements
 
 Label = int
 IndexTuple = Tuple[Label, ...]
@@ -112,6 +119,32 @@ class Plan(NamedTuple):
     coefs: np.ndarray
 
 
+class SummandTerms(NamedTuple):
+    """The term list of d on p-forms compiled for the weight-0 blocks of the summands V(j).
+
+    A weight-0 p-form valued in an irrep V(j) has one value on each
+    canonical tuple t with |weight(t)| <= 2j, a multiple of the weight vector
+    v(weight(t)): each weight occurs once in V(j).  The tuples are numbered
+    by ascending |weight|, in a stable sort, so those that V(j) keeps are a
+    prefix; in_reach and out_reach hold the sorted |weights| of the p- and
+    (p+1)-tuples.  Term k adds coefs[k] times the element of its op (0: the
+    identity) on v(weights[k]), the weight of its source tuple, at (rows[k],
+    cols[k]), signed by the parity of v(weights[k]) where twisted[k]; a
+    twisted term of d has an odd op, so no identity term is twisted.  The
+    terms are sorted by op, and groups holds each op with its run, as in
+    Plan.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    weights: np.ndarray
+    twisted: np.ndarray
+    coefs: np.ndarray
+    groups: Tuple[Tuple[int, slice], ...]
+    in_reach: np.ndarray
+    out_reach: np.ndarray
+
+
 @dataclasses.dataclass(eq=False)
 class _Algebra:
     """The caches of one derivation algebra, shared by all of its contexts.
@@ -121,7 +154,10 @@ class _Algebra:
     act on: the bracket table, built with the record, and, compiled as
     contexts first ask for them, the canonical tuples and their positions
     per degree, the term lists (keyed ("d", p), ("lie", a, p), ("interior",
-    a, p) and ("wedge", p, pp)) and their Plans, whose arrays are read-only.
+    a, p) and ("wedge", p, pp)), their Plans and, in a frame of weight
+    vectors, the SummandTerms of d per degree, all arrays read-only.  A
+    frame's label weights follow from its constants (the brackets with J_3),
+    so they are the algebra's too.
     """
 
     #: (a, b) -> ((c, c^C_ab), ...): the nonzero brackets, c ascending
@@ -130,6 +166,7 @@ class _Algebra:
     positions: Dict[int, Dict[IndexTuple, int]] = dataclasses.field(default_factory=dict)
     terms: Dict[tuple, Tuple[Term, ...]] = dataclasses.field(default_factory=dict)
     plans: Dict[tuple, Plan] = dataclasses.field(default_factory=dict)
+    summands: Dict[int, SummandTerms] = dataclasses.field(default_factory=dict)
 
 
 #: the _Algebra of each derivation algebra met in this process, keyed by
@@ -490,6 +527,48 @@ class DerivationContext:
         plans[key] = plan
         return plan
 
+    def summand_terms(self, p: int) -> SummandTerms:
+        """d_terms(p) as the SummandTerms that cohomology_dims reads, compiled on first use.
+
+        Needs a frame of weight vectors.  The coefficients of such a frame
+        are exactly real (_ladder_frame), and so are those compiled here: a
+        term with an imaginary part is rejected (ValueError).
+        """
+        if self.weights is None:
+            raise ValueError("summand blocks need a frame of weight vectors")
+        cache = self._algebra.summands
+        if p in cache:
+            return cache[p]
+        terms = sorted(self.d_terms(p), key=lambda t: t[2])  # by op, stably
+
+        def by_reach(degree: int) -> Tuple[Dict[IndexTuple, int], np.ndarray]:
+            tuples = self.index_tuples(degree)
+            reach = np.abs([self.tuple_weight(t) for t in tuples]).astype(np.intp)
+            order = np.argsort(reach, kind="stable")
+            return {tuples[i]: k for k, i in enumerate(order.tolist())}, reach[order]
+
+        (src, in_reach), (dst, out_reach) = by_reach(p), by_reach(p + 1)
+        coefs = np.array([t[4] for t in terms], dtype=complex)
+        if coefs.imag.any():
+            raise ValueError(f"the terms of d on {p}-forms of {self.name} are not real")
+        labels, starts = np.unique(np.array([t[2] for t in terms], dtype=np.intp), return_index=True)
+        stops = [*starts[1:], len(terms)]
+        compiled = SummandTerms(
+            rows=np.array([dst[t[0]] for t in terms], dtype=np.intp),
+            cols=np.array([src[t[1]] for t in terms], dtype=np.intp),
+            weights=np.array([self.tuple_weight(t[1]) for t in terms], dtype=np.intp),
+            twisted=np.array([t[3] for t in terms], dtype=bool),
+            coefs=coefs.real.copy(),
+            groups=tuple((int(a), slice(int(i), int(j))) for a, i, j in zip(labels, starts, stops)),
+            in_reach=in_reach,
+            out_reach=out_reach,
+        )
+        for array in compiled:
+            if isinstance(array, np.ndarray):
+                array.setflags(write=False)
+        cache[p] = compiled
+        return compiled
+
 
 def _context(name: str, sphere: Union[FuzzySuperSphere, FuzzySphere], k: int) -> DerivationContext:
     """The first k osp(1|2) derivations acting through the sphere's own generators."""
@@ -514,8 +593,11 @@ def body_context(q: int) -> DerivationContext:
     return _context(f"sphere(q={q})", FuzzySphere(q), 3)
 
 
-#: doubled J_3 weights of J_+/sqrt2, J_-/sqrt2, J_3, J_4, J_5
-_LADDER_WEIGHTS = (2, -2, 0, 1, -1)
+#: each label of the ladder frame as (osp label, norm): its generator is J_op / norm,
+#: so J_+/sqrt2, J_-/sqrt2, J_3, J_4, J_5
+_LADDER_OPS = (("+", math.sqrt(2)), ("-", math.sqrt(2)), (3, 1.0), (4, 1.0), (5, 1.0))
+#: their doubled J_3 weights
+_LADDER_WEIGHTS = tuple(LADDER_STEPS[op] for op, _ in _LADDER_OPS)
 
 
 def _ladder_frame(ctx: DerivationContext) -> DerivationContext:
@@ -988,17 +1070,65 @@ class CohomologyReport:
 
 
 def _betti_report(
-    name: str, dims: Tuple[int, ...], d_of: Callable[[int], np.ndarray], tol: float
+    name: str, dims: Tuple[int, ...], decisions: Sequence[RankDecision], tol: float
 ) -> CohomologyReport:
-    """betti_p = dims[p] - rank d_p - rank d_(p-1), for p < len(dims)."""
-    decisions = tuple(rank_decision(d_of(p), tol) for p in range(len(dims)))
+    """betti_p = dims[p] - rank d_p - rank d_(p-1), for p < len(dims), from the decisions on d_p."""
     betti = tuple(
         dims[p] - decisions[p].rank - (decisions[p - 1].rank if p > 0 else 0)
         for p in range(len(dims))
     )
     return CohomologyReport(
-        name=name, p_max=len(dims) - 1, dims=dims, betti=betti, decisions=decisions, tol=tol
+        name=name, p_max=len(dims) - 1, dims=dims, betti=betti, decisions=tuple(decisions), tol=tol
     )
+
+
+def _summands(ctx: DerivationContext) -> Tuple[range, bool]:
+    """The doubled spins 2j of the irreducible summands of ctx's matrix algebra, and if they are sl(2)'s.
+
+    Under the derivations, End V(q/2) is the sum of the osp(1|2) irreps V(j)
+    with 2j = 0..2q, each once, and the body's End V_(q/2) that of the sl(2)
+    irreps V_l with l = 0..q: such modules are completely reducible
+    (Scheunert, The Theory of Lie Superalgebras, LNM 716, 1979), and the
+    superspin-j harmonics span V(j) (fuzzy.label_action).
+    """
+    q = ctx.sphere.q
+    if isinstance(ctx.sphere, FuzzySuperSphere):
+        return range(2 * q + 1), False
+    return range(0, 2 * q + 1, 2), True
+
+
+def _summand_blocks(
+    frame: DerivationContext, p: int, two_js: Sequence[int], sl2: bool
+) -> List[np.ndarray]:
+    """The weight-0 block of d on p-forms valued in V(j), for each 2j in two_js.
+
+    Its rows and columns are the canonical (p+1)- and p-tuples of weight at
+    most 2j in absolute value, numbered as in frame.summand_terms(p).  Each
+    entry sums coef * <v(w_target)|E_a|v(w_source)> over its terms, the
+    element read from osp.weight_elements over the label's norm in the
+    frame (_LADDER_OPS) and signed by the parity of v(w_source) where
+    twisted: the derivations act on the values alone, and a weight-0
+    value on a tuple of weight w is a multiple of v(w).  All the summands'
+    entries are computed in one pass and summed into one float64 stack.
+    """
+    st = frame.summand_terms(p)
+    two_js = np.asarray(two_js, dtype=np.intp)
+    values = np.empty((len(two_js), len(st.rows)))
+    for a, run in st.groups:
+        if a == 0:
+            values[:, run] = st.coefs[run]
+            continue
+        op, norm = _LADDER_OPS[a - 1]
+        elements, parities = weight_elements(two_js[:, None], op, st.weights[run], sl2=sl2)
+        signs = np.where(st.twisted[run] & (parities == 1), -1.0, 1.0)
+        values[:, run] = st.coefs[run] * elements * signs / norm
+    n_out, n_in = len(st.out_reach), len(st.in_reach)
+    flat = np.arange(len(two_js))[:, None] * (n_out * n_in) + st.rows * n_in + st.cols
+    stack = np.bincount(flat.ravel(), values.ravel(), minlength=len(two_js) * n_out * n_in)
+    stack = stack.reshape(len(two_js), n_out, n_in)
+    rows = np.searchsorted(st.out_reach, two_js, side="right")
+    cols = np.searchsorted(st.in_reach, two_js, side="right")
+    return [stack[k, : rows[k], : cols[k]] for k in range(len(two_js))]
 
 
 def cohomology_dims(ctx: DerivationContext, p_max: int, tol: float = 1e-8) -> CohomologyReport:
@@ -1009,17 +1139,30 @@ def cohomology_dims(ctx: DerivationContext, p_max: int, tol: float = 1e-8) -> Co
     weight minus its labels' weights, and L_3 = d iota_3 + iota_3 d commutes
     with d.  So each subcomplex of nonzero weight w is acyclic (iota_3 / w is
     a contracting homotopy), and the cohomology is that of the weight-0 part.
-    dims are the weight-0 dimensions, and betti_p = dims[p] - rank d_p -
-    rank d_(p-1), each rank backed by a singular-value gap decision; the
-    frame change is unitary, so each block's spectrum is part of the full
-    one.  The frame is real, so the blocks are assembled and ranked in
-    float64.
+
+    The derivations act on the values alone, and the matrix algebra is the
+    sum of irreducible summands V(j), each once (_summands).  So the complex
+    is the sum of the complexes K_j = C(osp(1|2), V(j)) (body: C(sl(2),
+    V_l)), none of which depends on the level, and d is block diagonal over
+    them.  Each summand's weight-0 block (_summand_blocks) is built from the
+    closed-form matrix elements of its irrep, with no matrix of the level
+    formed, and gets its own rank decision; the degree's decision sums their
+    ranks and keeps their least gap.  dims are the weight-0 dimensions, the
+    sum of the blocks' column counts, and betti_p = dims[p] - rank d_p -
+    rank d_(p-1).  The ranks are those of the entry-basis weight-0 d, whose
+    spectrum is different: the harmonics that span each V(j) are not
+    orthonormal in the Hilbert-Schmidt pairing.
     """
     frame = ctx.ladder
-    dims = tuple(_layout(frame, p, 0)[1] for p in range(p_max + 1))
-    return _betti_report(
-        f"{ctx.name} [weight 0]", dims, lambda p: d_matrix(frame, p, weight=0), tol
-    )
+    two_js, sl2 = _summands(frame)
+    dims, decisions = [], []
+    for p in range(p_max + 1):
+        blocks = _summand_blocks(frame, p, two_js, sl2)
+        dims.append(sum(b.shape[1] for b in blocks))
+        ranked = [rank_decision(b, tol) for b in blocks]
+        rank, gap = sum(dec.rank for dec in ranked), min((dec.gap for dec in ranked), default=math.inf)
+        decisions.append(RankDecision(rank=rank, gap=gap, tol=tol))
+    return _betti_report(f"{ctx.name} [weight 0]", tuple(dims), decisions, tol)
 
 
 def center_d_matrix(ctx: DerivationContext, p: int) -> np.ndarray:
@@ -1053,7 +1196,8 @@ def center_cohomology_dims(
     """
     frame = ctx.ladder
     dims = tuple(len(frame.index_tuples(p)) for p in range(p_max + 1))
-    return _betti_report(f"{ctx.name} [center]", dims, lambda p: center_d_matrix(frame, p), tol)
+    decisions = [rank_decision(center_d_matrix(frame, p), tol) for p in range(p_max + 1)]
+    return _betti_report(f"{ctx.name} [center]", dims, decisions, tol)
 
 
 EXPECTED_BETTI_SUPER = (1, 0, 0, 1, 0, 0)

@@ -9,9 +9,11 @@ odd spinor pair.  Brackets:
 
 with a, b in {4, 5} mapped to spinor rows 1, 2.  Irreps are highest-weight
 modules V(j, hw_parity) of dimension 4j+1, realized in ladder form.  One
-helper, _spin_block, gives the J_3, J_+ and J_- of a spin-l block: the sl(2)
-irrep is one such block, and V(j) places its l = j and l = j - 1/2 blocks
-with it and adds only the odd couplings J_4, J_5.  J_1 and J_2 are
+helper, weight_elements, gives the matrix elements of J_+, J_-, J_3, J_4
+and J_5 on the weight vectors in closed form, O(1) per weight, and the
+parity of each: each weight occurs once in V(j), so a weight names its
+vector.  Both irreps fill their matrices from it, and
+calculus.cohomology_dims reads it without forming a matrix.  J_1 and J_2 are
 formed from J_+- = J_1 +- i J_2 once, when the irrep is built, by one
 helper for both.  Every generator of either irrep is a frozen GradedMatrix
 (the sl(2) irrep's with dims (n|0)), built once: matrix(a) returns the same
@@ -21,7 +23,6 @@ object on every call, so every cache on it is built once too.
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Dict, Tuple, Union
 
 import numpy as np
@@ -110,23 +111,67 @@ def jacobi_residual(basis: OspBasis) -> float:
     return worst
 
 
-def _half(two_x: int) -> float:
-    return two_x / 2.0
+#: the doubled J_3 weight that each generator of weight vectors adds: J_+, J_-, J_3, J_4, J_5
+LADDER_STEPS = {"+": 2, "-": -2, 3: 0, 4: 1, 5: -1}
 
 
-def _spin_block(two_l: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """J_3, J_+ and J_- of the spin-l module, basis e_m with m descending from l."""
-    n = two_l + 1
-    l = _half(two_l)
-    j3, jp, jm = (np.zeros((n, n), dtype=complex) for _ in range(3))
-    for col in range(n):
-        m = l - col
-        j3[col, col] = m
-        if col > 0:
-            jp[col - 1, col] = math.sqrt((l - m) * (l + m + 1))
-        if col < n - 1:
-            jm[col + 1, col] = math.sqrt((l + m) * (l - m + 1))
-    return j3, jp, jm
+def weight_elements(two_j, a: Label, two_w, sl2: bool = False) -> Tuple[np.ndarray, np.ndarray]:
+    """J_a on the weight vectors of an irrep, in closed form: (elements, parities).
+
+    The irrep is build_irrep(two_j, two_j % 2), the superspin-j summand of
+    End V(q/2) (fuzzy.label_action), or with sl2 build_sl2_irrep(two_j).
+    Its weight vector v(w), of doubled J_3 weight w, is the basis vector
+    (2l, w) with 2l = 2j where 2j - w is even and 2l = 2j - 1 where it is
+    odd: each weight from -2j to 2j occurs once, and on sl(2) only the first
+    kind exists.  Then J_a v(w) = elements * v(w + LADDER_STEPS[a]), with the
+    ladder coefficients of spin l for J_+-, and elements is 0 where v(w) or
+    its image does not exist.  The elements do not depend on the parity of
+    the highest weight.  parities is the parity of v(w): that of 2j on the
+    2l = 2j block and the other on the 2l = 2j - 1 block, so w % 2, and 0 on
+    sl(2).  two_j and two_w are integers or integer arrays, broadcast together; each
+    weight costs O(1) and no matrix is formed.  a is one of LADDER_STEPS;
+    J_4 and J_5 are rejected on sl(2) (ValueError).
+    """
+    if a not in LADDER_STEPS or (sl2 and label_parity(a) == ODD):
+        raise ValueError(f"label {a!r} does not map weight vectors to weight vectors here")
+    two_j, w = np.asarray(two_j), np.asarray(two_w)
+    lower = (two_j - w) % 2  # 1 on the 2l = 2j - 1 block
+    two_l = two_j - lower
+    live = np.abs(w) <= two_l
+    if sl2:
+        live &= lower == 0
+        parities = np.zeros(live.shape, dtype=int)
+    else:
+        parities = (two_j + lower) % 2
+    # squared coefficients as exact integer ratios: (l - m)(l + m + 1) is
+    # (2l - w)(2l + w + 2)/4, and j - m, j + m + 1/2 and so on are halves
+    if a == 3:
+        values = w / 2
+    elif a == "+":
+        values = np.sqrt(np.maximum((two_l - w) * (two_l + w + 2), 0) / 4)
+    elif a == "-":
+        values = np.sqrt(np.maximum((two_l + w) * (two_l - w + 2), 0) / 4)
+    elif a == 4:  # down to 2l = 2j - 1 from the top block, and back up
+        values = -0.5 * np.sqrt(np.maximum(np.where(lower, two_j + w + 1, two_j - w), 0) / 2)
+    else:
+        root = 0.5 * np.sqrt(np.maximum(np.where(lower, two_j - w + 1, two_j + w), 0) / 2)
+        values = np.where(lower, -root, root)
+    return np.where(live, values, 0.0), parities
+
+
+def _ladder_matrices(two_j: int, weights: np.ndarray, labels, sl2: bool = False) -> list:
+    """The matrices of the labels on the basis (v(w) for w in weights), filled from weight_elements."""
+    n = len(weights)
+    position = np.zeros(2 * two_j + 1, dtype=np.intp)  # of v(w), at w + two_j
+    position[weights + two_j] = np.arange(n)
+    out = []
+    for a in labels:
+        values, _ = weight_elements(two_j, a, weights, sl2=sl2)
+        live = np.flatnonzero(values)  # a nonzero element has an image
+        m = np.zeros((n, n), dtype=complex)
+        m[position[weights[live] + LADDER_STEPS[a] + two_j], live] = values[live]
+        out.append(m)
+    return out
 
 
 def _cartesian(jp: GradedMatrix, jm: GradedMatrix) -> Tuple[GradedMatrix, GradedMatrix]:
@@ -192,29 +237,12 @@ def build_irrep(two_j: int, hw_parity: Parity = ODD) -> Irrep:
     dims = GradedDims(even=even_dim, odd=n - even_dim)
 
     index: Dict[Tuple[int, int], int] = {}
-    j3, jp, jm, j4, j5 = (np.zeros((n, n), dtype=complex) for _ in range(5))
-    pos = 0
     for two_l, _, _ in _block_layout(two_j, hw_parity):
-        block = slice(pos, pos + two_l + 1)
-        j3[block, block], jp[block, block], jm[block, block] = _spin_block(two_l)
         for two_m in range(two_l, -two_l - 2, -2):
-            index[(two_l, two_m)] = pos
-            pos += 1
-
-    # the odd generators step the l = j block down to l = j - 1/2 and back up;
-    # coefficients on the way up carry the superspin j
-    jj = _half(two_j)
-    for (two_l, two_m), col in index.items():
-        m = _half(two_m)
-        if two_l == two_j:
-            if two_m + 1 <= two_j - 1:
-                j4[index[(two_j - 1, two_m + 1)], col] = -0.5 * math.sqrt(jj - m)
-            if two_m - 1 >= -(two_j - 1):
-                j5[index[(two_j - 1, two_m - 1)], col] = 0.5 * math.sqrt(jj + m)
-        else:
-            j4[index[(two_j, two_m + 1)], col] = -0.5 * math.sqrt(jj + m + 0.5)
-            j5[index[(two_j, two_m - 1)], col] = -0.5 * math.sqrt(jj - m + 0.5)
-
+            index[(two_l, two_m)] = len(index)
+    # each weight occurs once, so v(w) is known by w alone (weight_elements)
+    weights = np.array([two_m for _, two_m in index])
+    j3, jp, jm, j4, j5 = _ladder_matrices(two_j, weights, (3, "+", "-", 4, 5))
     j3, jp, jm, j4, j5 = (GradedMatrix._adopt(dims, m) for m in (j3, jp, jm, j4, j5))
     j1, j2 = _cartesian(jp, jm)
     return Irrep(two_j, hw_parity % 2, dims, j1, j2, j3, jp, jm, j4, j5, index)
@@ -240,7 +268,8 @@ def build_sl2_irrep(two_s: int) -> Sl2Irrep:
     if two_s < 0:
         raise ValueError("spin must be non-negative")
     dims = GradedDims(even=two_s + 1, odd=0)
-    j3, jp, jm = (GradedMatrix._adopt(dims, m) for m in _spin_block(two_s))
+    mats = _ladder_matrices(two_s, np.arange(two_s, -two_s - 1, -2), (3, "+", "-"), sl2=True)
+    j3, jp, jm = (GradedMatrix._adopt(dims, m) for m in mats)
     return Sl2Irrep(two_s, *_cartesian(jp, jm), j3, jp, jm)
 
 

@@ -34,7 +34,7 @@ from fuzzsuper.calculus import (
     vec_to_form,
     wedge,
 )
-from fuzzsuper.calculus import _betti_report, _ladder_frame, _layout
+from fuzzsuper.calculus import _betti_report, _ladder_frame, _layout, _summand_blocks, _summands
 from fuzzsuper.cli import main as cli_main
 from fuzzsuper.graded import (
     GradedDims,
@@ -47,8 +47,10 @@ from fuzzsuper.graded import (
     rank_decision,
     restricted_adjoint,
 )
-from fuzzsuper.osp import OspBasis, build_osp_basis, jacobi_residual
+from fuzzsuper.osp import OspBasis, build_osp_basis, jacobi_residual, weight_elements
 import fuzzsuper.calculus as calculus_module
+import fuzzsuper.fuzzy as fuzzy_module
+import fuzzsuper.osp as osp_module
 import fuzzsuper.graded as graded_module
 from test_graded import nonzero_blocks, reference_restricted_adjoint  # the pattern-block and broadcast references
 
@@ -584,11 +586,16 @@ def test_center_crosscheck_agrees():
     assert not center.inconclusive
 
 
+def matrix_report(name, dims, d_of, tol=1e-8):
+    """The report with each d_of(p) handed to rank_decision whole."""
+    return _betti_report(name, dims, [rank_decision(d_of(p), tol) for p in range(len(dims))], tol)
+
+
 def full_report(ctx, p_max):
     """Betti numbers of the whole Cartesian complex, no frame change."""
     n2 = ctx.n * ctx.n
     dims = tuple(n2 * len(ctx.index_tuples(p)) for p in range(p_max + 1))
-    return _betti_report(ctx.name, dims, lambda p: d_matrix(ctx, p), 1e-8)
+    return matrix_report(ctx.name, dims, lambda p: d_matrix(ctx, p))
 
 
 def total_weights(frame, p):
@@ -672,7 +679,7 @@ def test_nonzero_weight_subcomplexes_are_acyclic(kind, q):
     assert 0 in weights and len(weights) > 1
     for w in weights[weights != 0].tolist():
         dims = tuple(_layout(frame, p, w)[1] for p in range(p_max + 1))
-        rep = _betti_report(f"weight {w}", dims, lambda p: d_matrix(frame, p, weight=w), 1e-8)
+        rep = matrix_report(f"weight {w}", dims, lambda p: d_matrix(frame, p, weight=w))
         assert rep.betti == (0,) * (p_max + 1), w
         assert not rep.inconclusive, w
 
@@ -953,7 +960,7 @@ def test_weight_zero_d_is_the_real_part_of_the_complex_reference(kind, q):
 @pytest.mark.parametrize("kind", CONTEXTS)
 @pytest.mark.parametrize("q", range(1, 7))
 def test_weight_zero_d_is_one_pattern_block_or_empty(kind, q):
-    # cohomology_dims hands each weight-0 d matrix to rank_decision whole
+    # reference_cohomology_dims hands each weight-0 d matrix to rank_decision whole
     make, p_max = CONTEXTS[kind]
     frame = make(q).ladder
     for p in range(p_max + 1):
@@ -997,6 +1004,8 @@ def test_float_path_needs_exactly_zero_imaginary_parts():
 
 
 def test_cohomology_json_matches_the_complex_reference(tmp_path):
+    # dims, ranks and betti are those of the entry-basis complex; the gaps are
+    # those of the per-superspin blocks, which cohomology_dims ranks
     path = tmp_path / "cohomology.json"
     argv = ["cohomology", "--q", "3", "--pmax", "5", "--format", "json", "--out", str(path)]
     assert cli_main(argv) == 0
@@ -1008,21 +1017,185 @@ def test_cohomology_json_matches_the_complex_reference(tmp_path):
         frame = _ladder_frame(ctx)
         dims = tuple(_layout(frame, p, 0)[1] for p in range(p_max + 1))
         d_of = lambda p: reference_assemble(frame, frame.d_terms(p), p + 1, p, weight=0)
-        return _betti_report(ctx.name, dims, d_of, tol)
+        return matrix_report(ctx.name, dims, d_of, tol)
 
     ctx = super_context(3)
     dims = tuple(len(ctx.index_tuples(p)) for p in range(6))
-    want = {
-        "super": weight_zero(ctx, 5),
-        "body": weight_zero(body_context(3), 3),
-        "center_crosscheck": _betti_report(ctx.name, dims, lambda p: center_d_matrix(ctx, p), tol),
-    }
+    complexes = {"super": (ctx, 5), "body": (body_context(3), 3)}
+    want = {key: weight_zero(c, p_max) for key, (c, p_max) in complexes.items()}
+    want["center_crosscheck"] = matrix_report(ctx.name, dims, lambda p: center_d_matrix(ctx, p), tol)
+    gaps = {key: reference_summand_gaps(c, p_max, tol) for key, (c, p_max) in complexes.items()}
+    gaps["center_crosscheck"] = [dec.gap for dec in want["center_crosscheck"].decisions]
     for key, rep in want.items():
         got = doc[key]
         assert got["dims"] == list(rep.dims), key
         assert got["ranks"] == [dec.rank for dec in rep.decisions], key
         assert got["betti"] == list(rep.betti), key
-        assert all(same_gap(g, dec.gap) for g, dec in zip(got["sv_gaps"], rep.decisions)), key
+        assert len(got["sv_gaps"]) == len(gaps[key]), key
+        assert all(same_gap(g, want_gap) for g, want_gap in zip(got["sv_gaps"], gaps[key])), key
+
+
+# ---------------------------------------------------------------- the complex per superspin
+
+#: the generator of each ladder-frame label as (osp label, norm): J_op / norm
+FRAME_OPS = {1: ("+", math.sqrt(2)), 2: ("-", math.sqrt(2)), 3: (3, 1.0), 4: (4, 1.0), 5: (5, 1.0)}
+
+
+def reference_cohomology_dims(ctx, p_max, tol=1e-8):
+    """The entry-basis ranking: each whole weight-0 d matrix of the ladder frame to rank_decision."""
+    frame = ctx.ladder
+    dims = tuple(_layout(frame, p, 0)[1] for p in range(p_max + 1))
+    return matrix_report(f"{ctx.name} [weight 0]", dims, lambda p: d_matrix(frame, p, weight=0), tol)
+
+
+def kept_tuples(frame, p, two_j):
+    """The canonical p-tuples of weight at most 2j in absolute value, in canonical order."""
+    return [t for t in frame.index_tuples(p) if abs(frame.tuple_weight(t)) <= two_j]
+
+
+def reference_summand_block(frame, p, two_j, sl2):
+    """The weight-0 block of d on p-forms valued in V(j), one term of d_terms at a time.
+
+    Rows and columns are kept_tuples in canonical order; each term adds coef
+    times the osp matrix element of its op on v(weight of its source), over
+    the label's norm in the frame, signed by that vector's parity if twisted.
+    """
+    rows = {t: k for k, t in enumerate(kept_tuples(frame, p + 1, two_j))}
+    cols = {t: k for k, t in enumerate(kept_tuples(frame, p, two_j))}
+    out = np.zeros((len(rows), len(cols)))
+    for target, source, op, twist, coef in frame.d_terms(p):
+        if target not in rows or source not in cols:
+            continue
+        label, norm = FRAME_OPS[op] if op else (3, 1.0)
+        element, parity = weight_elements(two_j, label, frame.tuple_weight(source), sl2=sl2)
+        value = float(element) / norm if op else 1.0
+        if twist and parity:
+            value = -value
+        out[rows[target], cols[source]] += coef.real * value
+    return out
+
+
+def reference_summand_gaps(ctx, p_max, tol=1e-8):
+    """Per degree, the least gap of the rank decisions on the reference summand blocks."""
+    frame = ctx.ladder
+    two_js, sl2 = _summands(frame)
+    return [
+        min(rank_decision(reference_summand_block(frame, p, two_j, sl2), tol).gap for two_j in two_js)
+        for p in range(p_max + 1)
+    ]
+
+
+@pytest.mark.parametrize("kind", CONTEXTS)
+@pytest.mark.parametrize("q", range(1, 9))
+def test_cohomology_dims_matches_the_entry_basis_reference(kind, q):
+    make, p_max = CONTEXTS[kind]
+    got, want = cohomology_dims(make(q), p_max), reference_cohomology_dims(make(q), p_max)
+    assert got.name == want.name
+    assert got.dims == want.dims
+    assert [dec.rank for dec in got.decisions] == [dec.rank for dec in want.decisions]
+    assert got.betti == want.betti
+    assert not got.inconclusive and not want.inconclusive
+
+
+def test_cohomology_dims_forms_no_matrix_of_the_level(monkeypatch):
+    ctx, bctx = super_context(3), body_context(3)
+    calls = []
+
+    def counted(name, fn):
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return spy
+
+    for name in ("d_matrix", "_layout", "_assemble"):
+        monkeypatch.setattr(calculus_module, name, counted(name, getattr(calculus_module, name)))
+    for module in (osp_module, fuzzy_module):
+        for name in ("build_irrep", "build_sl2_irrep"):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    assert cohomology_dims(ctx, 5).betti == EXPECTED_BETTI_SUPER
+    assert cohomology_dims(bctx, 3).betti == EXPECTED_BETTI_BODY
+    assert calls == []
+    calculus_module.d_matrix(ctx.ladder, 1, weight=0)  # the spies do count
+    assert {"d_matrix", "_layout", "_assemble"} <= set(calls)
+
+
+def harmonic_basis(frame, p):
+    """The weight table's harmonics as a basis of the weight-0 p-forms, and each one's 2j.
+
+    Column k of the returned matrix is a harmonic on the entries that
+    _layout keeps for one tuple: the tuples' blocks, each one
+    table.cols[weight] on the same bucket of entries, stacked diagonally.
+    """
+    table = frame.sphere._table
+    layout, size = _layout(frame, p, 0)
+    basis = np.zeros((size, size), dtype=complex)
+    spins = []
+    for offset, key, entries in layout.values():
+        n = entries[0].size
+        if n:
+            basis[offset : offset + n, offset : offset + n] = table.cols[key]
+            spins.extend(label.two_j for label in table.labels[key])
+    return basis, np.array(spins, dtype=int)
+
+
+HARMONIC_CASES = [(k, q) for k in CONTEXTS for q in range(1, 7)]
+
+
+@pytest.mark.parametrize("kind, q", HARMONIC_CASES, ids=[f"{k}-q{q}" for k, q in HARMONIC_CASES])
+def test_weight_zero_d_in_harmonics_is_the_sum_of_the_summand_blocks(kind, q):
+    frame = CONTEXTS[kind][0](q).ladder
+    two_js, sl2 = _summands(frame)
+    for p in range(4):
+        h_in, s_in = harmonic_basis(frame, p)
+        h_out, s_out = harmonic_basis(frame, p + 1)
+        d = np.linalg.solve(h_out, d_matrix(frame, p, weight=0) @ h_in)
+        assert np.abs(d.imag).max(initial=0.0) <= 1e-13, p
+        off = s_out[:, None] != s_in[None, :]
+        assert np.abs(d[off]).max(initial=0.0) <= 1e-13, p
+        assert set(s_in) | set(s_out) <= set(two_js), p
+        for two_j, block in zip(two_js, _summand_blocks(frame, p, two_js, sl2)):
+            want = reference_summand_block(frame, p, two_j, sl2)
+            got = d[np.ix_(s_out == two_j, s_in == two_j)]
+            assert got.shape == want.shape, (p, two_j)
+            assert np.abs(got - want).max(initial=0.0) <= 1e-13, (p, two_j)
+            # cohomology_dims numbers the tuples by ascending |weight|
+            rows, cols = (
+                np.argsort([abs(frame.tuple_weight(t)) for t in kept_tuples(frame, deg, two_j)], kind="stable")
+                for deg in (p + 1, p)
+            )
+            assert np.abs(block - want[np.ix_(rows, cols)]).max(initial=0.0) <= 1e-14, (p, two_j)
+
+
+@pytest.mark.parametrize("kind", CONTEXTS)
+def test_the_least_gap_is_the_same_at_every_level(kind):
+    make, p_max = CONTEXTS[kind]
+    expected = EXPECTED_BETTI_SUPER if kind == "super" else EXPECTED_BETTI_BODY
+    reports = [cohomology_dims(make(q), p_max) for q in (3, 8, 40)]
+    assert reports[-1].betti == expected
+    assert not any(rep.inconclusive for rep in reports)
+    assert reports[0].min_gap == reports[1].min_gap == reports[2].min_gap
+    assert reports[0].min_gap == pytest.approx(0.268 if kind == "super" else 0.5, abs=1e-3)
+
+
+def test_summand_terms_are_cached_per_algebra_and_read_only():
+    frame = super_context(2).ladder
+    terms = frame.summand_terms(3)
+    assert super_context(5).ladder.summand_terms(3) is terms
+    for array in terms:
+        if isinstance(array, np.ndarray):
+            assert not array.flags.writeable
+    assert list(terms.in_reach) == sorted(abs(frame.tuple_weight(t)) for t in frame.index_tuples(3))
+    with pytest.raises(ValueError):
+        super_context(2).summand_terms(1)
+    # a frame whose constants are not exactly real has no float64 blocks
+    c = frame.constants.copy()
+    c[tuple(np.argwhere(c != 0)[0])] += 1e-300j
+    perturbed = DerivationContext(
+        frame.name, frame.labels, frame.parities, c, frame.generators, frame.sphere, frame.weights
+    )
+    with pytest.raises(ValueError, match="not real"):
+        perturbed.summand_terms(1)
 
 
 # ---------------------------------------------------------------- stacked plans

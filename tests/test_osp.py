@@ -5,6 +5,7 @@ import pytest
 
 from fuzzsuper.graded import EVEN, ODD, GradedDims, graded_commutator, superadjoint
 from fuzzsuper.osp import (
+    LADDER_STEPS,
     build_irrep,
     build_osp_basis,
     build_sl2_irrep,
@@ -15,6 +16,7 @@ from fuzzsuper.osp import (
     osp_casimir,
     structure_constants,
     verify_grade_star,
+    weight_elements,
 )
 
 BASIS = build_osp_basis()
@@ -202,7 +204,7 @@ def test_irrep_matches_reference_loop(hw_parity):
         assert rep.index == {key: pos for pos, key in enumerate(order)}
         ref = reference_irrep_arrays(two_j, rep.index)
         for a, want in zip((3, "+", "-", 4, 5), ref):
-            assert np.array_equal(rep.matrix(a).mat, want), (two_j, a)
+            assert rep.matrix(a).mat.tobytes() == want.tobytes(), (two_j, a)
         assert np.array_equal(rep.matrix(1).mat, 0.5 * (ref[1] + ref[2]))
         assert np.array_equal(rep.matrix(2).mat, -0.5j * (ref[1] - ref[2]))
 
@@ -212,7 +214,7 @@ def test_sl2_irrep_matches_reference_loop():
         rep = build_sl2_irrep(two_s)
         j3, jp, jm = reference_sl2_arrays(two_s)
         for a, want in zip((3, "+", "-"), (j3, jp, jm)):
-            assert np.array_equal(rep.matrix(a).mat, want), (two_s, a)
+            assert rep.matrix(a).mat.tobytes() == want.tobytes(), (two_s, a)
         assert np.array_equal(rep.matrix(1).mat, 0.5 * (jp + jm))
         assert np.array_equal(rep.matrix(2).mat, -0.5j * (jp - jm))
 
@@ -240,3 +242,58 @@ def test_matrix_rejects_an_unknown_label(label):
             rep.matrix(label)
     with pytest.raises(ValueError, match="unknown basis label 4"):
         build_sl2_irrep(2).matrix(4)
+
+
+def elements_as_matrix(two_j, a, where, **kwargs):
+    """The matrix that weight_elements gives on the basis with v(w) at where[w]; fails on an element without a target."""
+    n = len(where)
+    out = np.zeros((n, n))
+    for w, col in where.items():
+        value, _ = weight_elements(two_j, a, w, **kwargs)
+        if w + LADDER_STEPS[a] in where:
+            out[where[w + LADDER_STEPS[a]], col] = value
+        else:
+            assert value == 0, (two_j, a, w)
+    return out
+
+
+@pytest.mark.parametrize("two_j", range(13))
+def test_weight_elements_are_the_entries_of_the_irreps(two_j):
+    weights = np.arange(-two_j - 3, two_j + 4)
+    # the elements do not depend on the parity of the highest weight
+    for hw_parity in (EVEN, ODD):
+        rep = build_irrep(two_j, hw_parity)
+        where = {two_m: pos for (_, two_m), pos in rep.index.items()}
+        for a in LADDER_STEPS:
+            assert np.array_equal(rep.matrix(a).mat, elements_as_matrix(two_j, a, where)), a
+            values, _ = weight_elements(two_j, a, weights)
+            assert not values[np.abs(weights) > two_j].any(), a
+    # the parities are those of the summand of End V(q/2), build_irrep(two_j, two_j % 2)
+    rep = build_irrep(two_j, two_j % 2)
+    live = weights[np.abs(weights) <= two_j]
+    _, parities = weight_elements(two_j, 3, live)
+    odd = [rep.index[(two_j - (two_j - w) % 2, w)] >= rep.dims.even for w in live.tolist()]
+    assert parities.tolist() == [int(x) for x in odd] == [w % 2 for w in live.tolist()]
+    rep = build_sl2_irrep(two_j)
+    where = {two_j - 2 * k: k for k in range(two_j + 1)}
+    for a in ("+", "-", 3):
+        assert np.array_equal(rep.matrix(a).mat, elements_as_matrix(two_j, a, where, sl2=True)), a
+        values, parities = weight_elements(two_j, a, weights, sl2=True)
+        assert not values[(np.abs(weights) > two_j) | ((two_j - weights) % 2 == 1)].any()
+        assert not parities.any()
+
+
+def test_weight_elements_broadcast_over_spins_and_weights():
+    two_js, weights = np.arange(9)[:, None], np.arange(-5, 6)
+    for a in LADDER_STEPS:
+        values, parities = weight_elements(two_js, a, weights)
+        assert values.shape == parities.shape == (9, 11)
+        for k in range(9):
+            row, par = weight_elements(k, a, weights)
+            assert values[k].tobytes() == row.tobytes() and np.array_equal(parities[k], par)
+
+
+@pytest.mark.parametrize("label, sl2", [(1, False), (2, False), ("x", False), (4, True), (5, True)])
+def test_weight_elements_reject_a_label_off_the_weight_vectors(label, sl2):
+    with pytest.raises(ValueError):
+        weight_elements(2, label, 0, sl2=sl2)
