@@ -603,6 +603,9 @@ _LADDER_WEIGHTS = tuple(LADDER_STEPS[op] for op, _ in _LADDER_OPS)
 def _ladder_frame(ctx: DerivationContext) -> DerivationContext:
     """ctx in the frame (J_+/sqrt2, J_-/sqrt2, J_3[, J_4, J_5]) of weight vectors.
 
+    The norms of J_+ and J_- are read from _LADDER_OPS, the one definition of
+    the frame that _summand_blocks also reads.
+
     The label change U is unitary on labels 1 and 2 and the identity on the
     rest, so the frame's d has the singular values of ctx's.  Only the two
     new generators, (J_1 +- i J_2)/sqrt2, are formed; ctx's generators 3 on
@@ -617,13 +620,14 @@ def _ladder_frame(ctx: DerivationContext) -> DerivationContext:
     if ctx.weights is not None:
         raise ValueError(f"{ctx.name} is a frame of weight vectors already")
     k = len(ctx.labels)
+    (_, plus_norm), (_, minus_norm) = _LADDER_OPS[:2]
     u = np.eye(k, dtype=complex)
-    u[:2, :2] = np.array([[1, 1j], [1, -1j]]) / math.sqrt(2)
+    u[:2, :2] = np.array([[1, 1j], [1, -1j]]) / np.array([[plus_norm], [minus_norm]])
     c = np.einsum("xC,ay,bz,xyz->Cab", u.conj().T, u, u, ctx.constants)
     c.real[np.abs(c.real) < 1e-12] = 0.0
     c.imag[np.abs(c.imag) < 1e-12] = 0.0
     j1, j2 = ctx.generators[:2]
-    ladder = ((j1 + 1j * j2) / math.sqrt(2), (j1 - 1j * j2) / math.sqrt(2))
+    ladder = ((j1 + 1j * j2) / plus_norm, (j1 - 1j * j2) / minus_norm)
     return DerivationContext(
         name=ctx.name,
         labels=ctx.labels,

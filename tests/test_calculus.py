@@ -1514,7 +1514,8 @@ def test_cached_plans_are_read_only():
 
 
 def test_cohomology_scatters_each_block_once(monkeypatch):
-    # one restricted_adjoint call per distinct (generator, row entries, column entries),
+    # the entry-basis weight-0 d matrices (reference_cohomology_dims) make one
+    # restricted_adjoint call per distinct (generator, row entries, column entries),
     # none of them empty, and one per cached (label, weight, row key, column key)
     calls = []
     real = calculus_module.restricted_adjoint
@@ -1529,8 +1530,9 @@ def test_cohomology_scatters_each_block_once(monkeypatch):
     for q in (2, 3):
         for make, p_max in CONTEXTS.values():
             ctx = make(q)
-            cohomology_dims(ctx, p_max)
+            reference_cohomology_dims(ctx, p_max)
             frames.append(ctx.ladder)
+    assert calls
     assert len(calls) == len(set(calls))
     assert len(calls) == sum(1 for frame in frames for key in frame._blocks if key[0])
 
