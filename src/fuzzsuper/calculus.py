@@ -21,14 +21,16 @@ bisection, and each term is added straight into the merged list.
 The same insertion (_insert) places an interior product's label and, folded
 over a tuple, gives sort_signed: one reordering rule.  The pointwise
 operators apply each term list to a form's stack through its Plan: one
-gather of its inputs, the twisted ones times the grade signs, one batched
-product per derivation label, or one for the wedge, and one coefficient
-matrix that sums them into the result's stack.
+gather of its inputs, the twisted ones times the grade signs in place, one
+batched product per derivation label, or one for the wedge, and one
+coefficient matrix that sums them into the result's stack, which the new
+form adopts without a copy (SuperForm._adopt).
 
 _assemble is the one builder of matrices on the full coefficient space:
-d_matrix, lie_matrix and the weight blocks of invariant_one_forms all come
-from it.  The center complex is the exception: center_d_matrix builds its
-small matrix on its own, from the label-0 terms of d_terms, because on
+d_matrix and lie_matrix come from it.  No rank reads them: verify's
+"matrix assembly" row checks d_matrix against exterior_d, and the tests
+check both.  The center complex is the exception: center_d_matrix builds
+its small matrix on its own, from the label-0 terms of d_terms, because on
 multiples of the unit only those terms survive.
 In a frame of weight vectors it builds one total weight at a time, the
 entry weight minus the label weight of its tuple (the one sum of label
@@ -54,18 +56,21 @@ J_+/sqrt2 and J_-/sqrt2 and passes the rest through, so a level has one
 object per generator and each cache on it (weight_buckets,
 adjoint_stencil) is built once.
 
-The cohomology ranks are computed in the ladder frame of weight vectors
-(J_+/sqrt2, J_-/sqrt2, J_3, J_4, J_5), on the weight-0 block of d only:
-there L_3 = d iota_3 + iota_3 d acts on each form component by its total
-weight, so every subcomplex of nonzero weight is acyclic.  That block is
-ranked one irreducible summand V(j) of the matrix algebra at a time: the
-derivations act on the values alone, so d is block diagonal over the
-summands, and each block is built from its term list (SummandTerms, next
-to the Plans) and the irrep's closed-form matrix elements
-(osp.weight_elements), with no matrix of the level formed.  The frame's
-structure constants and generators are exactly real, so these blocks, its
-d matrices and those of the center cross-check in the same frame are
-assembled and ranked in float64.
+Both ranks, the cohomology's and the invariant 1-forms', are computed in
+the ladder frame of weight vectors (J_+/sqrt2, J_-/sqrt2, J_3, J_4, J_5),
+on weight-0 forms only: there L_3 = d iota_3 + iota_3 d acts on each form
+component by its total weight, so every subcomplex of nonzero weight is
+acyclic, and no 1-form of nonzero weight is invariant.  The
+weight-0 blocks of d, and of the L_a on 1-forms, are ranked one
+irreducible summand V(j) of the matrix algebra at a time: the derivations
+act on the values alone, so both are block diagonal over the summands.
+Each block is built from its term list, compiled as SummandTerms next to
+the Plans (every term of d or of one L_a shifts the total weight alike),
+and the irrep's closed-form matrix elements (osp.weight_elements), with no
+matrix of the level formed.  The frame's structure constants and
+generators are exactly real, so these blocks, its d and L_a matrices and
+those of the center cross-check in the same frame are assembled and ranked
+in float64.
 """
 
 from __future__ import annotations
@@ -120,19 +125,26 @@ class Plan(NamedTuple):
 
 
 class SummandTerms(NamedTuple):
-    """The term list of d on p-forms compiled for the weight-0 blocks of the summands V(j).
+    """A term list of one weight shift, compiled for the summand blocks V(j) on weight-0 forms.
 
-    A weight-0 p-form valued in an irrep V(j) has one value on each
-    canonical tuple t with |weight(t)| <= 2j, a multiple of the weight vector
-    v(weight(t)): each weight occurs once in V(j).  The tuples are numbered
-    by ascending |weight|, in a stable sort, so those that V(j) keeps are a
-    prefix; in_reach and out_reach hold the sorted |weights| of the p- and
-    (p+1)-tuples.  Term k adds coefs[k] times the element of its op (0: the
-    identity) on v(weights[k]), the weight of its source tuple, at (rows[k],
-    cols[k]), signed by the parity of v(weights[k]) where twisted[k]; a
-    twisted term of d has an odd op, so no identity term is twisted.  The
-    terms are sorted by op, and groups holds each op with its run, as in
-    Plan.
+    The list is d on p-forms or L_a on p-forms (DerivationContext.summand_terms).
+    Each of its terms moves the total weight by the same shift: 0 for d and
+    weight(a) for L_a.  A weight-0 p-form valued in an irrep V(j) has one
+    value on each canonical tuple t with |weight(t)| <= 2j, a multiple of the
+    weight vector v(weight(t)): each weight occurs once in V(j).  Its image
+    has total weight shift, so its value on a tuple t is a multiple of
+    v(weight(t) + shift), kept where |weight(t) + shift| <= 2j: only the
+    row reach depends on the shift.  The tuples are numbered by ascending
+    reach, in a stable sort, so those that V(j) keeps are a prefix; in_reach
+    and out_reach hold the sorted reaches of the source and target tuples.
+    Term k adds coefs[k] times the element of its op (0: the identity) on
+    v(weights[k]), the weight of its source tuple, at (rows[k], cols[k]),
+    signed by the parity of v(weights[k]) where twisted[k].  That parity is
+    the parity of the weight (osp.weight_elements; every weight is even on
+    the body), so the twist of an identity term, which L_a of an odd a has,
+    is folded into its coefficient, and only terms with an odd op are
+    twisted.  The terms are sorted by op, and groups holds each op with its
+    run, as in Plan.
     """
 
     rows: np.ndarray
@@ -166,7 +178,7 @@ class _Algebra:
     positions: Dict[int, Dict[IndexTuple, int]] = dataclasses.field(default_factory=dict)
     terms: Dict[tuple, Tuple[Term, ...]] = dataclasses.field(default_factory=dict)
     plans: Dict[tuple, Plan] = dataclasses.field(default_factory=dict)
-    summands: Dict[int, SummandTerms] = dataclasses.field(default_factory=dict)
+    summands: Dict[tuple, SummandTerms] = dataclasses.field(default_factory=dict)
 
 
 #: the _Algebra of each derivation algebra met in this process, keyed by
@@ -527,46 +539,57 @@ class DerivationContext:
         plans[key] = plan
         return plan
 
-    def summand_terms(self, p: int) -> SummandTerms:
-        """d_terms(p) as the SummandTerms that cohomology_dims reads, compiled on first use.
+    def summand_terms(self, p: int, a: Optional[Label] = None) -> SummandTerms:
+        """d_terms(p), or lie_terms(a, p) with a label, as SummandTerms, compiled on first use.
 
+        The shift of the total weight is 0 for d and weight(a) for L_a.
         Needs a frame of weight vectors.  The coefficients of such a frame
         are exactly real (_ladder_frame), and so are those compiled here: a
         term with an imaginary part is rejected (ValueError).
         """
         if self.weights is None:
             raise ValueError("summand blocks need a frame of weight vectors")
+        key = ("d", p) if a is None else ("lie", a, p)
         cache = self._algebra.summands
-        if p in cache:
-            return cache[p]
-        terms = sorted(self.d_terms(p), key=lambda t: t[2])  # by op, stably
+        if key in cache:
+            return cache[key]
+        if a is None:
+            terms, p_out, shift = self.d_terms(p), p + 1, 0
+        else:
+            terms, p_out, shift = self.lie_terms(a, p), p, self.weights[a - 1]
+        terms = sorted(terms, key=lambda t: t[2])  # by op, stably
 
-        def by_reach(degree: int) -> Tuple[Dict[IndexTuple, int], np.ndarray]:
+        def by_reach(degree: int, shift: int) -> Tuple[Dict[IndexTuple, int], np.ndarray]:
             tuples = self.index_tuples(degree)
-            reach = np.abs([self.tuple_weight(t) for t in tuples]).astype(np.intp)
+            reach = np.abs([self.tuple_weight(t) + shift for t in tuples]).astype(np.intp)
             order = np.argsort(reach, kind="stable")
             return {tuples[i]: k for k, i in enumerate(order.tolist())}, reach[order]
 
-        (src, in_reach), (dst, out_reach) = by_reach(p), by_reach(p + 1)
+        (src, in_reach), (dst, out_reach) = by_reach(p, 0), by_reach(p_out, shift)
         coefs = np.array([t[4] for t in terms], dtype=complex)
         if coefs.imag.any():
-            raise ValueError(f"the terms of d on {p}-forms of {self.name} are not real")
-        labels, starts = np.unique(np.array([t[2] for t in terms], dtype=np.intp), return_index=True)
+            what = "d" if a is None else f"L_{a}"
+            raise ValueError(f"the terms of {what} on {p}-forms of {self.name} are not real")
+        ops = np.array([t[2] for t in terms], dtype=np.intp)
+        weights = np.array([self.tuple_weight(t[1]) for t in terms], dtype=np.intp)
+        twisted = np.array([t[3] for t in terms], dtype=bool)
+        folded = twisted & (ops == 0)  # the identity keeps v(w), of the parity of w
+        labels, starts = np.unique(ops, return_index=True)
         stops = [*starts[1:], len(terms)]
         compiled = SummandTerms(
             rows=np.array([dst[t[0]] for t in terms], dtype=np.intp),
             cols=np.array([src[t[1]] for t in terms], dtype=np.intp),
-            weights=np.array([self.tuple_weight(t[1]) for t in terms], dtype=np.intp),
-            twisted=np.array([t[3] for t in terms], dtype=bool),
-            coefs=coefs.real.copy(),
-            groups=tuple((int(a), slice(int(i), int(j))) for a, i, j in zip(labels, starts, stops)),
+            weights=weights,
+            twisted=twisted & ~folded,
+            coefs=np.where(folded & (weights % 2 == 1), -coefs.real, coefs.real),
+            groups=tuple((int(b), slice(int(i), int(j))) for b, i, j in zip(labels, starts, stops)),
             in_reach=in_reach,
             out_reach=out_reach,
         )
         for array in compiled:
             if isinstance(array, np.ndarray):
                 array.setflags(write=False)
-        cache[p] = compiled
+        cache[key] = compiled
         return compiled
 
 
@@ -649,6 +672,9 @@ class SuperForm:
 
     Built from S*n*n entries or from {canonical p-tuple: GradedMatrix}, missing
     tuples zero, other keys or dims rejected; the values are copied and frozen.
+    _adopt freezes a fresh stack in place without copying it, as
+    GradedMatrix._adopt does; it is for the stacks that the operators below
+    have just computed and no one else holds.
     """
 
     ctx: DerivationContext
@@ -670,6 +696,19 @@ class SuperForm:
             out = np.array(np.reshape(self.stack, (len(pos), n, n)), dtype=complex)
         out.setflags(write=False)
         object.__setattr__(self, "stack", out)
+
+    @classmethod
+    def _adopt(cls, ctx: DerivationContext, p: int, stack: np.ndarray) -> "SuperForm":
+        """Wrap a fresh complex (S, n, n) stack that nothing else references, frozen in place."""
+        shape = (len(ctx.index_tuples(p)), ctx.n, ctx.n)
+        if stack.shape != shape or stack.dtype != complex:
+            raise ValueError(f"expected a complex stack of shape {shape}, got {stack.dtype} {stack.shape}")
+        stack.setflags(write=False)
+        out = object.__new__(cls)
+        object.__setattr__(out, "ctx", ctx)
+        object.__setattr__(out, "p", p)
+        object.__setattr__(out, "stack", stack)
+        return out
 
     @classmethod
     def zero_form(cls, ctx: DerivationContext, p: int) -> "SuperForm":
@@ -695,14 +734,14 @@ class SuperForm:
 
     def __add__(self, other: "SuperForm") -> "SuperForm":
         self._check(other)
-        return SuperForm(self.ctx, self.p, self.stack + other.stack)
+        return SuperForm._adopt(self.ctx, self.p, self.stack + other.stack)
 
     def __sub__(self, other: "SuperForm") -> "SuperForm":
         self._check(other)
-        return SuperForm(self.ctx, self.p, self.stack - other.stack)
+        return SuperForm._adopt(self.ctx, self.p, self.stack - other.stack)
 
     def __mul__(self, s: complex) -> "SuperForm":
-        return SuperForm(self.ctx, self.p, self.stack * s)
+        return SuperForm._adopt(self.ctx, self.p, self.stack * s)
 
     __rmul__ = __mul__
 
@@ -714,8 +753,13 @@ class SuperForm:
             raise ValueError("form mismatch")
 
     def norm(self) -> float:
-        """The largest Frobenius norm of a value; 0.0 for a form with no values."""
-        return float(np.linalg.norm(self.stack, axis=(1, 2)).max(initial=0.0))
+        """The largest Frobenius norm of a value; 0.0 for a form with no values.
+
+        Each value's squared norm is the dot product of its real and imaginary
+        parts with themselves, read as one float64 row.
+        """
+        flat = self.stack.reshape(len(self.stack), self.ctx.n**2).view(np.float64)
+        return math.sqrt(np.einsum("ij,ij->i", flat, flat).max(initial=0.0))
 
     # -- coefficients in the dual-basis expansion
 
@@ -771,14 +815,15 @@ def _apply(w: SuperForm, p: int, plan: Plan, act: Callable[[np.ndarray], np.ndar
     """The p-form whose stack is plan.coefs @ act(x), x the plan's inputs.
 
     x gathers the rows plan.sources of the stack of w and multiplies the
-    twisted ones by the grade signs; act returns the (inputs, n, n) stack
-    of the inputs, acted on.
+    twisted ones by the grade signs, in place; act returns the (inputs, n,
+    n) stack of the inputs, acted on.  The result is fresh, so it is
+    adopted, not copied.
     """
-    ctx = w.ctx
+    ctx, n = w.ctx, w.ctx.n
     x = w.stack[plan.sources]
-    x[plan.twisted] *= ctx.grade
+    np.multiply(x, ctx.grade, out=x, where=plan.twisted[:, None, None])
     y = act(x)
-    return SuperForm(ctx, p, plan.coefs @ y.reshape(len(y), ctx.n * ctx.n))
+    return SuperForm._adopt(ctx, p, (plan.coefs @ y.reshape(len(y), n * n)).reshape(-1, n, n))
 
 
 def _derive(ctx: DerivationContext, x: np.ndarray, plan: Plan) -> np.ndarray:
@@ -978,28 +1023,6 @@ def lie_matrix(ctx: DerivationContext, a: Label, p: int) -> np.ndarray:
     return _assemble(ctx, ctx.lie_terms(a, p), p, p)
 
 
-def invariant_one_forms(ctx: DerivationContext, tol: float = 1e-8) -> RankDecision:
-    """Rank decision for the joint kernel of all L_a on 1-forms.
-
-    The kernel dimension is dim Omega^1 minus the rank; the invariant
-    Maurer-Cartan form spans it when the kernel is one-dimensional.  The
-    L_a are assembled in float64 in the real ladder frame, whose change is
-    unitary, so the rank and gap are those of ctx.  L_a takes total weight
-    w to w + weight(a), so the stack of all L_a is block diagonal over the
-    column weight w.  The block of w stacks, label by label, the pieces
-    that _assemble gives for column weight w.  rank_decision gets those
-    blocks, one per total weight, from a generator, and ranks each as it is
-    assembled, so no whole L_a or stack is formed and at most one block is
-    held at a time.
-    """
-    frame = ctx.ladder
-    blocks = (
-        np.concatenate([_assemble(frame, frame.lie_terms(a, 1), 1, 1, w) for a in frame.labels])
-        for w in form_weights(frame, 1)
-    )
-    return rank_decision(blocks, tol)
-
-
 # ---------------------------------------------------------------------------
 # maps between complexes
 
@@ -1102,28 +1125,29 @@ def _summands(ctx: DerivationContext) -> Tuple[range, bool]:
 
 
 def _summand_blocks(
-    frame: DerivationContext, p: int, two_js: Sequence[int], sl2: bool
+    frame: DerivationContext, p: int, two_js: Sequence[int], sl2: bool, a: Optional[Label] = None
 ) -> List[np.ndarray]:
-    """The weight-0 block of d on p-forms valued in V(j), for each 2j in two_js.
+    """The block of d, or of L_a with a label, on weight-0 p-forms valued in V(j), per 2j in two_js.
 
-    Its rows and columns are the canonical (p+1)- and p-tuples of weight at
-    most 2j in absolute value, numbered as in frame.summand_terms(p).  Each
-    entry sums coef * <v(w_target)|E_a|v(w_source)> over its terms, the
-    element read from osp.weight_elements over the label's norm in the
-    frame (_LADDER_OPS) and signed by the parity of v(w_source) where
-    twisted: the derivations act on the values alone, and a weight-0
-    value on a tuple of weight w is a multiple of v(w).  All the summands'
-    entries are computed in one pass and summed into one float64 stack.
+    Its rows and columns are the target and source tuples of reach at most
+    2j, numbered as in frame.summand_terms(p, a).  Each entry sums coef *
+    <v(w_target)|E_op|v(w_source)> over its terms, the element read from
+    osp.weight_elements over the label's norm in the frame (_LADDER_OPS),
+    or 1 for the identity, and signed by the parity of v(w_source) where
+    twisted (SummandTerms): the derivations act on the values alone, and a
+    weight-0 value on a tuple of weight w is a multiple of v(w).  All the
+    summands' entries are computed in one pass and summed into one float64
+    stack.
     """
-    st = frame.summand_terms(p)
+    st = frame.summand_terms(p, a)
     two_js = np.asarray(two_js, dtype=np.intp)
     values = np.empty((len(two_js), len(st.rows)))
-    for a, run in st.groups:
-        if a == 0:
+    for op, run in st.groups:
+        if op == 0:
             values[:, run] = st.coefs[run]
             continue
-        op, norm = _LADDER_OPS[a - 1]
-        elements, parities = weight_elements(two_js[:, None], op, st.weights[run], sl2=sl2)
+        label, norm = _LADDER_OPS[op - 1]
+        elements, parities = weight_elements(two_js[:, None], label, st.weights[run], sl2=sl2)
         signs = np.where(st.twisted[run] & (parities == 1), -1.0, 1.0)
         values[:, run] = st.coefs[run] * elements * signs / norm
     n_out, n_in = len(st.out_reach), len(st.in_reach)
@@ -1167,6 +1191,41 @@ def cohomology_dims(ctx: DerivationContext, p_max: int, tol: float = 1e-8) -> Co
         rank, gap = sum(dec.rank for dec in ranked), min((dec.gap for dec in ranked), default=math.inf)
         decisions.append(RankDecision(rank=rank, gap=gap, tol=tol))
     return _betti_report(f"{ctx.name} [weight 0]", tuple(dims), decisions, tol)
+
+
+#: the summands whose L_a blocks invariant_one_forms builds at once
+_SUMMAND_CHUNK = 16
+
+
+def invariant_one_forms(ctx: DerivationContext, tol: float = 1e-8) -> RankDecision:
+    """Rank decision for the joint kernel of all L_a on 1-forms.
+
+    The kernel dimension is dim Omega^1 = n^2 * |1-tuples| minus the rank;
+    the invariant Maurer-Cartan form spans it when the kernel is
+    one-dimensional.  Computed in the ladder frame (ctx.ladder), whose change
+    is unitary, so the rank is that of ctx.  There L_3 acts on a 1-form of
+    total weight w as w/2 (see cohomology_dims), so the joint kernel lies in
+    the weight-0 forms, and the stack of all L_a has full column rank on
+    every nonzero weight exactly.  The L_a act on the values alone, so on
+    weight-0 1-forms they are block diagonal over the summands V(j)
+    (_summands), as d is.  Each summand's L_a blocks (_summand_blocks) are
+    stacked and get their own rank decision: the rank returned is dim
+    Omega^1 minus the sum of their kernels, and the gap is their least.
+    That spectrum is the summand blocks', not that of the entry-basis L_a.
+    The blocks are built _SUMMAND_CHUNK summands at a time, so the memory
+    held does not grow with the level.
+    """
+    frame = ctx.ladder
+    two_js, sl2 = _summands(frame)
+    kernel, gap = 0, math.inf
+    for start in range(0, len(two_js), _SUMMAND_CHUNK):
+        chunk = two_js[start : start + _SUMMAND_CHUNK]
+        for blocks in zip(*(_summand_blocks(frame, 1, chunk, sl2, a) for a in frame.labels)):
+            dec = rank_decision(np.concatenate(blocks), tol)
+            kernel += blocks[0].shape[1] - dec.rank
+            gap = min(gap, dec.gap)
+    dim = ctx.n**2 * len(frame.index_tuples(1))
+    return RankDecision(rank=dim - kernel, gap=gap, tol=tol)
 
 
 def center_d_matrix(ctx: DerivationContext, p: int) -> np.ndarray:

@@ -13,7 +13,8 @@ helper, weight_elements, gives the matrix elements of J_+, J_-, J_3, J_4
 and J_5 on the weight vectors in closed form, O(1) per weight, and the
 parity of each: each weight occurs once in V(j), so a weight names its
 vector.  Both irreps fill their matrices from it, and
-calculus.cohomology_dims reads it without forming a matrix.  J_1 and J_2 are
+calculus.cohomology_dims and calculus.invariant_one_forms read it without
+forming a matrix.  J_1 and J_2 are
 formed from J_+- = J_1 +- i J_2 once, when the irrep is built, by one
 helper for both.  Every generator of either irrep is a frozen GradedMatrix
 (the sl(2) irrep's with dims (n|0)), built once: matrix(a) returns the same

@@ -34,7 +34,7 @@ from fuzzsuper.calculus import (
     vec_to_form,
     wedge,
 )
-from fuzzsuper.calculus import _betti_report, _ladder_frame, _layout, _summand_blocks, _summands
+from fuzzsuper.calculus import _assemble, _betti_report, _ladder_frame, _layout, _summand_blocks, _summands
 from fuzzsuper.cli import main as cli_main
 from fuzzsuper.graded import (
     GradedDims,
@@ -207,6 +207,20 @@ def test_norm_is_the_largest_value_norm():
         assert abs(w.norm() - want) <= 1e-14 * want
     empty = SuperForm.zero_form(body_context(2), 4)
     assert empty.stack.size == 0 and type(empty.norm()) is float and empty.norm() == 0.0
+
+
+def test_norm_agrees_with_the_linalg_norm():
+    # the squared norms as float64 dot products: within 1e-15 of np.linalg.norm (4.0e-16 seen)
+    rng = np.random.default_rng(7)
+    for make in (super_context, body_context):
+        for q in (1, 3, 8):
+            ctx = make(q)
+            for p in range(4):
+                for scale in (1e-8, 1.0, 1e6):
+                    w = random_superform(ctx, p, rng) * scale
+                    for f in (w, exterior_d(w)):
+                        want = float(np.linalg.norm(f.stack, axis=(1, 2)).max(initial=0.0))
+                        assert abs(f.norm() - want) <= 1e-15 * want, (q, p, scale)
 
 
 # ---------------------------------------------------------------- d
@@ -385,39 +399,45 @@ def reference_invariant_one_forms(ctx, tol=1e-8):
     return rank_decision(np.vstack([lie_matrix(ctx, a, 1) for a in ctx.labels]), tol)
 
 
+def weight_block_route(ctx):
+    """The entry-basis weight blocks of the stacked L_a on 1-forms, from a generator.
+
+    L_a takes total weight w to w + weight(a), so the stack of all L_a on
+    1-forms is block diagonal over the column weight w.  The block of w
+    stacks, label by label, the pieces that _assemble gives for column weight
+    w in the ladder frame, and each block is assembled only when it is read.
+    Ranked, they give the invariant 1-forms in the entry basis; they are also
+    the reference for _assemble's weight blocks of L_a.
+    """
+    frame = ctx.ladder
+    return (
+        np.concatenate([_assemble(frame, frame.lie_terms(a, 1), 1, 1, w) for a in frame.labels])
+        for w in form_weights(frame, 1)
+    )
+
+
 @pytest.mark.parametrize("kind", ["super", "body"])
-@pytest.mark.parametrize("q", [1, 2, 3, 4])
+@pytest.mark.parametrize("q", range(1, 7))
 def test_invariant_one_forms_in_the_ladder_frame_match_the_original(kind, q):
+    # the rank, not the gap: invariant_one_forms ranks the superspin blocks, whose
+    # spectrum is not the entry basis's; the weight route keeps the original's spectrum
     ctx = (super_context if kind == "super" else body_context)(q)
     got, want = invariant_one_forms(ctx), reference_invariant_one_forms(ctx)
     assert got.rank == want.rank
-    assert abs(got.gap - want.gap) <= 1e-12 * abs(want.gap)
+    assert not got.inconclusive and not want.inconclusive
+    route = rank_decision(weight_block_route(ctx))
+    assert route.rank == want.rank
+    assert abs(route.gap - want.gap) <= 1e-12 * abs(want.gap)
     stacked = np.vstack([lie_matrix(ctx.ladder, a, 1) for a in ctx.labels])
     assert stacked.dtype == np.float64
 
 
-def captured_blocks(monkeypatch, ctx):
-    """The blocks invariant_one_forms hands to rank_decision, as a list, from any iterable."""
-    seen = []
-    real = calculus_module.rank_decision
-
-    def spy(m, tol=1e-8):
-        seen.append(m if isinstance(m, np.ndarray) else list(m))
-        return real(seen[-1], tol)
-
-    monkeypatch.setattr(calculus_module, "rank_decision", spy)
-    invariant_one_forms(ctx)
-    monkeypatch.setattr(calculus_module, "rank_decision", real)
-    assert len(seen) == 1 and isinstance(seen[0], list)
-    return seen[0]
-
-
 @pytest.mark.parametrize("kind", ["super", "body"])
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
-def test_invariant_one_forms_blocks_are_the_weight_unions_of_the_pattern(monkeypatch, kind, q):
+def test_invariant_one_forms_blocks_are_the_weight_unions_of_the_pattern(kind, q):
     ctx = (super_context if kind == "super" else body_context)(q)
     frame = ctx.ladder
-    blocks = captured_blocks(monkeypatch, ctx)
+    blocks = list(weight_block_route(ctx))
     stack = np.vstack([lie_matrix(frame, a, 1) for a in frame.labels])
     # the column weight that each stack row answers to: its total weight minus weight(a)
     total = total_weights(frame, 1)
@@ -457,9 +477,9 @@ def reference_weight_blocks(ctx):
 
 @pytest.mark.parametrize("kind", ["super", "body"])
 @pytest.mark.parametrize("q", range(1, 7))
-def test_invariant_one_forms_blocks_are_the_bytes_of_the_dense_gather(monkeypatch, kind, q):
+def test_invariant_one_forms_blocks_are_the_bytes_of_the_dense_gather(kind, q):
     ctx = (super_context if kind == "super" else body_context)(q)
-    got, want = captured_blocks(monkeypatch, ctx), reference_weight_blocks(ctx)
+    got, want = list(weight_block_route(ctx)), reference_weight_blocks(ctx)
     assert len(got) == len(want)
     for g, w in zip(got, want):
         assert (g.dtype.str, g.shape, g.tobytes()) == (w.dtype.str, w.shape, w.tobytes())
@@ -467,13 +487,14 @@ def test_invariant_one_forms_blocks_are_the_bytes_of_the_dense_gather(monkeypatc
 
 def test_invariant_one_forms_allocates_no_whole_lie_matrix():
     # one L_a on 1-forms at q = 16 is 8 dim^2 bytes, 237 MB; the weight blocks sum to about
-    # 26 MB, the largest is 1.0 MB, and they are ranked as they are assembled, so the peak
-    # (3.0 MB) stays below four times the largest block
+    # 26 MB, the largest is 1.0 MB, and the route ranks them as they are assembled, so the
+    # peak (3.0 MB) stays below four times the largest block; invariant_one_forms holds no
+    # weight block at all (see test_invariant_one_forms_memory_does_not_grow_with_the_level)
     ctx = super_context(16)
     dim = len(ctx.index_tuples(1)) * ctx.n**2
     tracemalloc.start()
     try:
-        dec = invariant_one_forms(ctx)
+        dec = rank_decision(weight_block_route(ctx))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -499,16 +520,102 @@ def recording_rows(join, rows):
 
 
 def test_invariant_one_forms_stacks_no_whole_lie_matrix(monkeypatch):
-    # one L_a on 1-forms is dim x dim; nothing stacked may reach dim rows
+    # one L_a on 1-forms is dim x dim; nothing stacked may reach dim rows, on either route
     ctx = super_context(4)
+    ctx.ladder  # built before the spies
     dim = len(ctx.index_tuples(1)) * ctx.n**2
-    rows = []
-    for name in ("vstack", "concatenate"):
-        monkeypatch.setattr(np, name, recording_rows(getattr(np, name), rows))
+    for route in (invariant_one_forms, lambda c: rank_decision(weight_block_route(c))):
+        rows = []
+        for name in ("vstack", "concatenate"):
+            monkeypatch.setattr(np, name, recording_rows(getattr(np, name), rows))
+        dec = route(ctx)
+        monkeypatch.undo()
+        assert dec.rank == dim - 1
+        assert rows and max(rows) < dim
+
+
+def adjoint_kernels(ctx):
+    """Each superspin's kernel of the stacked L_a on weight-0 1-forms, ranked on its own."""
+    frame = ctx.ladder
+    two_js, sl2 = _summands(frame)
+    kernels = {}
+    for two_j in two_js:
+        blocks = [_summand_blocks(frame, 1, [two_j], sl2, a)[0] for a in frame.labels]
+        dec = rank_decision(np.concatenate(blocks))
+        assert not dec.inconclusive, two_j
+        kernels[two_j] = blocks[0].shape[1] - dec.rank
+    return kernels
+
+
+@pytest.mark.parametrize("kind", ["super", "body"])
+@pytest.mark.parametrize("q", range(1, 9))
+def test_invariant_one_forms_kernel_lies_in_the_adjoint_summand_alone(kind, q):
+    # 2j = 2 on the super side, 2l = 2 on the body: the Maurer-Cartan form's values span the adjoint
+    ctx = (super_context if kind == "super" else body_context)(q)
+    kernels = adjoint_kernels(ctx)
+    assert {two_j: k for two_j, k in kernels.items() if k} == {2: 1}
     dec = invariant_one_forms(ctx)
-    monkeypatch.undo()
-    assert dec.rank == dim - 1
-    assert rows and max(rows) < dim
+    assert dec.rank == ctx.n**2 * len(ctx.index_tuples(1)) - sum(kernels.values())
+    assert not dec.inconclusive
+
+
+@pytest.mark.parametrize("kind", ["super", "body"])
+def test_invariant_one_forms_least_gap_is_the_same_at_every_level(kind):
+    # the blocks of V(j) do not depend on q, and the least gap is met at a 2j <= 4
+    make = super_context if kind == "super" else body_context
+    decs = [invariant_one_forms(make(q)) for q in (2, 8, 64)]
+    assert decs[0].gap == decs[1].gap == decs[2].gap
+    assert decs[0].gap == pytest.approx(0.399 if kind == "super" else 0.408, abs=1e-3)
+
+
+def test_invariant_one_forms_memory_does_not_grow_with_the_level():
+    # one float64 (2q+1)^2 block is 133 kB at q = 64; the summand blocks are built 16
+    # superspins at a time, and the peak (52 kB at q = 64 and 53 kB at q = 128) stays
+    # below half of it
+    block = 8 * (2 * 64 + 1) ** 2
+    for q in (64, 128):
+        ctx = super_context(q)
+        ctx.ladder  # the frame's generators are the level's, not the rank's
+        invariant_one_forms(super_context(2))  # the algebra's summand terms, compiled once
+        tracemalloc.start()
+        try:
+            dec = invariant_one_forms(ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ctx.n**2 * len(ctx.index_tuples(1)) - dec.rank == 1 and not dec.inconclusive
+        assert peak < block / 2, q
+
+
+def level_matrix_calls(monkeypatch):
+    """The calls, by name, of the builders of level matrices and irreps, from now on."""
+    calls = []
+
+    def counted(name, fn):
+        def spy(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return spy
+
+    for name in ("d_matrix", "lie_matrix", "_layout", "_assemble"):
+        monkeypatch.setattr(calculus_module, name, counted(name, getattr(calculus_module, name)))
+    for module in (osp_module, fuzzy_module):
+        for name in ("build_irrep", "build_sl2_irrep"):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
+def test_invariant_one_forms_forms_no_matrix_of_the_level(monkeypatch):
+    ctx, bctx = super_context(3), body_context(3)
+    for c in (ctx, bctx):
+        c.ladder  # the frame forms two generators of the level, before the spies
+    calls = level_matrix_calls(monkeypatch)
+    for c in (ctx, bctx):
+        assert c.n**2 * len(c.index_tuples(1)) - invariant_one_forms(c).rank == 1
+    assert calls == []
+    calculus_module.lie_matrix(ctx.ladder, 1, 1)  # the spies do count
+    assert {"lie_matrix", "_layout", "_assemble"} <= set(calls)
 
 
 # ---------------------------------------------------------------- matrices
@@ -1053,17 +1160,24 @@ def kept_tuples(frame, p, two_j):
     return [t for t in frame.index_tuples(p) if abs(frame.tuple_weight(t)) <= two_j]
 
 
-def reference_summand_block(frame, p, two_j, sl2):
-    """The weight-0 block of d on p-forms valued in V(j), one term of d_terms at a time.
+def reference_summand_block(frame, p, two_j, sl2, a=None):
+    """The block of d (or L_a) on weight-0 p-forms valued in V(j), one term at a time.
 
-    Rows and columns are kept_tuples in canonical order; each term adds coef
-    times the osp matrix element of its op on v(weight of its source), over
-    the label's norm in the frame, signed by that vector's parity if twisted.
+    Columns are kept_tuples in canonical order, and rows the target tuples t
+    with |weight(t) + shift| <= 2j, shift 0 for d and weight(a) for L_a; each
+    term adds coef times the osp matrix element of its op on v(weight of its
+    source), over the label's norm in the frame, signed by that vector's
+    parity if twisted.
     """
-    rows = {t: k for k, t in enumerate(kept_tuples(frame, p + 1, two_j))}
+    if a is None:
+        terms, p_out, shift = frame.d_terms(p), p + 1, 0
+    else:
+        terms, p_out, shift = frame.lie_terms(a, p), p, frame.weights[a - 1]
+    targets = [t for t in frame.index_tuples(p_out) if abs(frame.tuple_weight(t) + shift) <= two_j]
+    rows = {t: k for k, t in enumerate(targets)}
     cols = {t: k for k, t in enumerate(kept_tuples(frame, p, two_j))}
     out = np.zeros((len(rows), len(cols)))
-    for target, source, op, twist, coef in frame.d_terms(p):
+    for target, source, op, twist, coef in terms:
         if target not in rows or source not in cols:
             continue
         label, norm = FRAME_OPS[op] if op else (3, 1.0)
@@ -1099,20 +1213,7 @@ def test_cohomology_dims_matches_the_entry_basis_reference(kind, q):
 
 def test_cohomology_dims_forms_no_matrix_of_the_level(monkeypatch):
     ctx, bctx = super_context(3), body_context(3)
-    calls = []
-
-    def counted(name, fn):
-        def spy(*args, **kwargs):
-            calls.append(name)
-            return fn(*args, **kwargs)
-
-        return spy
-
-    for name in ("d_matrix", "_layout", "_assemble"):
-        monkeypatch.setattr(calculus_module, name, counted(name, getattr(calculus_module, name)))
-    for module in (osp_module, fuzzy_module):
-        for name in ("build_irrep", "build_sl2_irrep"):
-            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    calls = level_matrix_calls(monkeypatch)
     assert cohomology_dims(ctx, 5).betti == EXPECTED_BETTI_SUPER
     assert cohomology_dims(bctx, 3).betti == EXPECTED_BETTI_BODY
     assert calls == []
@@ -1120,15 +1221,15 @@ def test_cohomology_dims_forms_no_matrix_of_the_level(monkeypatch):
     assert {"d_matrix", "_layout", "_assemble"} <= set(calls)
 
 
-def harmonic_basis(frame, p):
-    """The weight table's harmonics as a basis of the weight-0 p-forms, and each one's 2j.
+def harmonic_basis(frame, p, weight=0):
+    """The weight table's harmonics as a basis of the p-forms of a total weight, and each one's 2j.
 
     Column k of the returned matrix is a harmonic on the entries that
     _layout keeps for one tuple: the tuples' blocks, each one
     table.cols[weight] on the same bucket of entries, stacked diagonally.
     """
     table = frame.sphere._table
-    layout, size = _layout(frame, p, 0)
+    layout, size = _layout(frame, p, weight)
     basis = np.zeros((size, size), dtype=complex)
     spins = []
     for offset, key, entries in layout.values():
@@ -1167,6 +1268,30 @@ def test_weight_zero_d_in_harmonics_is_the_sum_of_the_summand_blocks(kind, q):
             assert np.abs(block - want[np.ix_(rows, cols)]).max(initial=0.0) <= 1e-14, (p, two_j)
 
 
+@pytest.mark.parametrize("kind, q", HARMONIC_CASES, ids=[f"{k}-q{q}" for k, q in HARMONIC_CASES])
+def test_weight_zero_lie_in_harmonics_is_the_sum_of_the_summand_blocks(kind, q):
+    # L_a takes the weight-0 1-forms to weight(a); in the harmonics it is block
+    # diagonal over the superspins, and each block is the one invariant_one_forms ranks
+    frame = CONTEXTS[kind][0](q).ladder
+    two_js, sl2 = _summands(frame)
+    h_in, s_in = harmonic_basis(frame, 1)
+    for a in frame.labels:
+        shift = frame.weights[a - 1]
+        h_out, s_out = harmonic_basis(frame, 1, shift)
+        lie = np.linalg.solve(h_out, _assemble(frame, frame.lie_terms(a, 1), 1, 1, 0) @ h_in)
+        assert np.abs(lie.imag).max(initial=0.0) <= 1e-13, a
+        assert np.abs(lie[s_out[:, None] != s_in[None, :]]).max(initial=0.0) <= 1e-13, a
+        for two_j, block in zip(two_js, _summand_blocks(frame, 1, two_js, sl2, a)):
+            want = reference_summand_block(frame, 1, two_j, sl2, a)
+            got = lie[np.ix_(s_out == two_j, s_in == two_j)]
+            assert got.shape == want.shape, (a, two_j)
+            assert np.abs(got - want).max(initial=0.0) <= 1e-13, (a, two_j)
+            targets = [t for t in frame.index_tuples(1) if abs(frame.tuple_weight(t) + shift) <= two_j]
+            rows = np.argsort([abs(frame.tuple_weight(t) + shift) for t in targets], kind="stable")
+            cols = np.argsort([abs(frame.tuple_weight(t)) for t in kept_tuples(frame, 1, two_j)], kind="stable")
+            assert np.abs(block - want[np.ix_(rows, cols)]).max(initial=0.0) <= 1e-14, (a, two_j)
+
+
 @pytest.mark.parametrize("kind", CONTEXTS)
 def test_the_least_gap_is_the_same_at_every_level(kind):
     make, p_max = CONTEXTS[kind]
@@ -1186,6 +1311,14 @@ def test_summand_terms_are_cached_per_algebra_and_read_only():
         if isinstance(array, np.ndarray):
             assert not array.flags.writeable
     assert list(terms.in_reach) == sorted(abs(frame.tuple_weight(t)) for t in frame.index_tuples(3))
+    # L_a's are keyed apart from d's, and their rows reach |weight(t) + weight(a)|
+    lie = frame.summand_terms(1, 4)
+    assert super_context(5).ladder.summand_terms(1, 4) is lie and lie is not frame.summand_terms(1)
+    assert list(lie.out_reach) == sorted(abs(frame.tuple_weight(t) + 1) for t in frame.index_tuples(1))
+    assert not any(lie.twisted[run].any() for op, run in lie.groups if op == 0)
+    for array in lie:
+        if isinstance(array, np.ndarray):
+            assert not array.flags.writeable
     with pytest.raises(ValueError):
         super_context(2).summand_terms(1)
     # a frame whose constants are not exactly real has no float64 blocks
@@ -1277,6 +1410,81 @@ def test_stacked_operators_match_the_term_loop(kind, q):
             w1, w2 = forms[p, par1], forms[pp, par2]
             want = loop_apply(w2, p + pp, ctx.wedge_plan(p, pp), lambda lc, f: w1.evaluate(lc) @ f)
             assert close(wedge(w1, w2), want, w1.norm() * w2.norm()), (p, pp)
+
+
+def masked_apply(w, p, plan, act):
+    """The stack of a pointwise operator, computed as the operators did before they adopted it.
+
+    The grade twist is a boolean-mask gather and scatter, and the result is
+    plan.coefs @ act(x), reshaped to (targets, n, n).
+    """
+    ctx = w.ctx
+    x = w.stack[plan.sources]
+    x[plan.twisted] *= ctx.grade
+    y = act(x)
+    return (plan.coefs @ y.reshape(len(y), ctx.n * ctx.n)).reshape(-1, ctx.n, ctx.n)
+
+
+def per_label_derive(ctx, x, plan):
+    """E_a X - X' E_a per label run, X' twisted when E_a is odd; label 0 is the identity."""
+    y = np.empty_like(x)
+    for a, run in plan.groups:
+        f = x[run]
+        if a == 0:
+            y[run] = f
+            continue
+        e = ctx.generators[a - 1].mat
+        right = f * ctx.grade if ctx.label_parity(a) else f
+        y[run] = e @ f - right @ e
+    return y
+
+
+def same_stack(got, want):
+    return (got.stack.dtype.str, got.stack.shape, got.stack.tobytes()) == (
+        want.dtype.str, want.shape, want.tobytes()
+    )
+
+
+@pytest.mark.parametrize("kind", ["super", "body", "ladder", "body-ladder"])
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_pointwise_operators_are_the_bytes_of_the_masked_reference(kind, q):
+    ctx = plan_contexts(q)[kind]
+    rng = np.random.default_rng(40 + q)
+    forms = {p: random_superform(ctx, p, rng) for p in range(4)}
+    for p, w in forms.items():
+        plan = ctx.plan(("d", p), ctx.d_terms(p), p, p + 1)
+        want = masked_apply(w, p + 1, plan, lambda x: per_label_derive(ctx, x, plan))
+        assert same_stack(exterior_d(w), want), p
+        for a in ctx.labels:
+            plan = ctx.plan(("lie", a, p), ctx.lie_terms(a, p), p, p)
+            want = masked_apply(w, p, plan, lambda x: per_label_derive(ctx, x, plan))
+            assert same_stack(lie_derivative(a, w), want), (p, a)
+            if p:
+                plan = ctx.plan(("interior", a, p), ctx.interior_terms(a, p), p, p - 1)
+                assert same_stack(interior(a, w), masked_apply(w, p - 1, plan, lambda x: x)), (p, a)
+    for (p, w1), (pp, w2) in itertools.product(forms.items(), forms.items()):
+        if p + pp <= 3:
+            plan = ctx.plan(("wedge", p, pp), ctx.wedge_plan(p, pp), pp, p + pp, p)
+            want = masked_apply(w2, p + pp, plan, lambda x: w1.stack[plan.ops] @ x)
+            assert same_stack(wedge(w1, w2), want), (p, pp)
+
+
+def test_operators_adopt_their_fresh_stacks_and_the_constructor_copies():
+    w = random_superform(CTX, 1, RNG)
+    given = np.array(w.stack)
+    public = SuperForm(CTX, 1, given)
+    assert not np.shares_memory(public.stack, given)
+    given[:] = 0.0
+    assert np.array_equal(public.stack, w.stack)
+    fresh = np.array(w.stack)
+    adopted = SuperForm._adopt(CTX, 1, fresh)
+    assert adopted.stack is fresh and not fresh.flags.writeable
+    for out in (w + w, w - w, 2.0 * w, -w, exterior_d(w), lie_derivative(4, w), interior(5, w), wedge(w, w)):
+        assert not out.stack.flags.writeable
+        assert not np.shares_memory(out.stack, w.stack)
+    for bad in (np.zeros((5, 3, 3)), np.zeros((4, 3, 3), dtype=complex)):
+        with pytest.raises(ValueError):
+            SuperForm._adopt(CTX, 1, bad)
 
 
 def reference_interior(a, w):
