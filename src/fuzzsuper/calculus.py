@@ -80,7 +80,7 @@ import dataclasses
 import itertools
 import math
 from typing import (
-    Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union,
+    Callable, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union,
 )
 
 import numpy as np
@@ -1159,6 +1159,26 @@ def _summand_blocks(
     return [stack[k, : rows[k], : cols[k]] for k in range(len(two_js))]
 
 
+#: the summands whose blocks _chunked_summand_blocks builds at once
+_SUMMAND_CHUNK = 16
+
+
+def _chunked_summand_blocks(
+    frame: DerivationContext, p: int, labels: Sequence[Optional[Label]]
+) -> Iterator[Tuple[np.ndarray, ...]]:
+    """Per summand of frame (_summands), in order, its _summand_blocks on p-forms for each of labels.
+
+    A label of None stands for d.  The blocks are built _SUMMAND_CHUNK
+    summands at a time, so the memory held does not grow with the level;
+    each summand's blocks are the ones a single call over all summands
+    gives, bit for bit, since every entry is computed and summed per summand.
+    """
+    two_js, sl2 = _summands(frame)
+    for start in range(0, len(two_js), _SUMMAND_CHUNK):
+        chunk = two_js[start : start + _SUMMAND_CHUNK]
+        yield from zip(*(_summand_blocks(frame, p, chunk, sl2, a) for a in labels))
+
+
 def cohomology_dims(ctx: DerivationContext, p_max: int, tol: float = 1e-8) -> CohomologyReport:
     """Betti numbers of the derivation complex for p = 0..p_max.
 
@@ -1174,27 +1194,24 @@ def cohomology_dims(ctx: DerivationContext, p_max: int, tol: float = 1e-8) -> Co
     V_l)), none of which depends on the level, and d is block diagonal over
     them.  Each summand's weight-0 block (_summand_blocks) is built from the
     closed-form matrix elements of its irrep, with no matrix of the level
-    formed, and gets its own rank decision; the degree's decision sums their
-    ranks and keeps their least gap.  dims are the weight-0 dimensions, the
+    formed, _SUMMAND_CHUNK summands at a time (_chunked_summand_blocks), and
+    gets its own rank decision; the degree's decision sums their ranks and
+    keeps their least gap.  dims are the weight-0 dimensions, the
     sum of the blocks' column counts, and betti_p = dims[p] - rank d_p -
     rank d_(p-1).  The ranks are those of the entry-basis weight-0 d, whose
     spectrum is different: the harmonics that span each V(j) are not
     orthonormal in the Hilbert-Schmidt pairing.
     """
     frame = ctx.ladder
-    two_js, sl2 = _summands(frame)
     dims, decisions = [], []
     for p in range(p_max + 1):
-        blocks = _summand_blocks(frame, p, two_js, sl2)
-        dims.append(sum(b.shape[1] for b in blocks))
-        ranked = [rank_decision(b, tol) for b in blocks]
-        rank, gap = sum(dec.rank for dec in ranked), min((dec.gap for dec in ranked), default=math.inf)
+        dim, rank, gap = 0, 0, math.inf
+        for (block,) in _chunked_summand_blocks(frame, p, (None,)):
+            dec = rank_decision(block, tol)
+            dim, rank, gap = dim + block.shape[1], rank + dec.rank, min(gap, dec.gap)
+        dims.append(dim)
         decisions.append(RankDecision(rank=rank, gap=gap, tol=tol))
     return _betti_report(f"{ctx.name} [weight 0]", tuple(dims), decisions, tol)
-
-
-#: the summands whose L_a blocks invariant_one_forms builds at once
-_SUMMAND_CHUNK = 16
 
 
 def invariant_one_forms(ctx: DerivationContext, tol: float = 1e-8) -> RankDecision:
@@ -1212,18 +1229,16 @@ def invariant_one_forms(ctx: DerivationContext, tol: float = 1e-8) -> RankDecisi
     stacked and get their own rank decision: the rank returned is dim
     Omega^1 minus the sum of their kernels, and the gap is their least.
     That spectrum is the summand blocks', not that of the entry-basis L_a.
-    The blocks are built _SUMMAND_CHUNK summands at a time, so the memory
-    held does not grow with the level.
+    The blocks are built _SUMMAND_CHUNK summands at a time
+    (_chunked_summand_blocks), so the memory held does not grow with the
+    level.
     """
     frame = ctx.ladder
-    two_js, sl2 = _summands(frame)
     kernel, gap = 0, math.inf
-    for start in range(0, len(two_js), _SUMMAND_CHUNK):
-        chunk = two_js[start : start + _SUMMAND_CHUNK]
-        for blocks in zip(*(_summand_blocks(frame, 1, chunk, sl2, a) for a in frame.labels)):
-            dec = rank_decision(np.concatenate(blocks), tol)
-            kernel += blocks[0].shape[1] - dec.rank
-            gap = min(gap, dec.gap)
+    for blocks in _chunked_summand_blocks(frame, 1, frame.labels):
+        dec = rank_decision(np.concatenate(blocks), tol)
+        kernel += blocks[0].shape[1] - dec.rank
+        gap = min(gap, dec.gap)
     dim = ctx.n**2 * len(frame.index_tuples(1))
     return RankDecision(rank=dim - kernel, gap=gap, tol=tol)
 

@@ -22,8 +22,9 @@ from its coefficients; a kernel's result builds its coefficient tables only
 when they are first read.  Products, normal forms, vector fields and the
 pairings sum integers over products of such denominators (and powers of
 rho = P/R), and Fractions are formed only where a result is read: per
-coefficient of a table, two per inner product.  A radius must be positive
-(_radius).
+coefficient of a table, and two per inner product, for its rational core.
+The surd scales (Surd) hold reduced pairs of Python ints, so the product
+of two scales forms no Fraction.  A radius must be positive (_radius).
 
 The generators of osp(1|2) act as first-order graded vector fields.  Each
 field is data: a table of terms, coefficient times x_a d/dx_b from one
@@ -106,9 +107,6 @@ QQI_I = QQi(Fraction(0), Fraction(1))
 QQI_HALF = QQi(Fraction(1, 2), Fraction(0))
 
 
-_F1 = Fraction(1)
-
-
 def _radius(rho: RhoLike) -> Fraction:
     """rho as a positive Fraction; a Fraction is passed through as it is."""
     rho = rho if isinstance(rho, Fraction) else Fraction(rho)
@@ -117,64 +115,90 @@ def _radius(rho: RhoLike) -> Fraction:
     return rho
 
 
-@dataclasses.dataclass(frozen=True)
 class Surd:
     """Real number coef * sqrt(rad) with exact rational coef and rad >= 0.
 
-    Closed under multiplication; perfect-square radicands are folded into
-    the rational factor, so products of a surd with itself are rational.
-    Only whole perfect-square radicands fold, so one value can have several
+    An immutable value that holds the coefficient and the radicand as two
+    reduced pairs of Python ints (numerator, positive denominator); .coef
+    and .rad read them as Fractions.  coef and rad must each be an int or a
+    Fraction.  Closed under multiplication, which runs in int multiplies,
+    one or two gcds and a square test, and forms no Fraction.  A whole
+    perfect-square radicand (numerator and denominator both squares) is
+    folded into the coefficient, so a surd times itself is rational.  Only
+    whole perfect-square radicands fold, so one value can have several
     (coef, rad) pairs: Surd(1, 8) and Surd(2, 2).  Equality and the hash
     therefore go by the value, its sign and its square coef^2 rad, and the
     stored pair is kept as it was made.
     """
 
-    coef: Fraction
-    rad: Fraction = Fraction(1)
+    __slots__ = ("_ints",)
 
-    def __post_init__(self) -> None:
-        rn, rd = self.rad.numerator, self.rad.denominator
+    def __init__(self, coef: Union[int, Fraction], rad: Union[int, Fraction] = 1) -> None:
+        for name, x in (("coef", coef), ("rad", rad)):
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"Surd {name} must be an int or a Fraction, got {type(x).__name__}")
+        rn, rd = rad.numerator, rad.denominator
         if rn < 0:
             raise ValueError("radicand must be non-negative")
-        if rn == 0 and self.coef != 0:
-            object.__setattr__(self, "coef", Fraction(0))
-            object.__setattr__(self, "rad", Fraction(1))
-            rn = 1
-        sn, sd = math.isqrt(rn), math.isqrt(rd)
-        if sn * sn == rn and sd * sd == rd:
-            object.__setattr__(self, "coef", self.coef * Fraction(sn, sd))
-            object.__setattr__(self, "rad", _F1)
+        ints = _surd_ints(coef.numerator, coef.denominator, rn, rd) if rn else (0, 1, 1, 1)
+        object.__setattr__(self, "_ints", ints)
 
     @classmethod
     def one(cls) -> "Surd":
-        return cls(Fraction(1), Fraction(1))
+        return cls(1)
+
+    @property
+    def coef(self) -> Fraction:
+        return Fraction(self._ints[0], self._ints[1])
+
+    @property
+    def rad(self) -> Fraction:
+        return Fraction(self._ints[2], self._ints[3])
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("Surd is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("Surd is immutable")
+
+    def __reduce__(self) -> tuple:
+        # the stored pair is one the constructor keeps as it is
+        return Surd, (self.coef, self.rad)
+
+    def __repr__(self) -> str:
+        return f"Surd({self.coef!r}, {self.rad!r})"
 
     def __mul__(self, other: "Surd") -> "Surd":
         # in integers: the product radicand in lowest terms, one square test,
-        # one Fraction per field; the pair is canonical, so __post_init__
-        # has nothing left to check.  A radicand of 1 (numerator equal to
+        # one gcd for the coefficient.  A radicand of 1 (numerator equal to
         # denominator, in lowest terms) leaves the other's, already canonical.
-        a, b, x, y = self.rad, other.rad, self.coef, other.coef
-        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
-        cn, cd = x.numerator * y.numerator, x.denominator * y.denominator
-        if an == ad or bn == bd:
-            coef, rad = Fraction(cn, cd), b if an == ad else a
+        if not isinstance(other, Surd):
+            return NotImplemented
+        xn, xd, an, ad = self._ints
+        yn, yd, bn, bd = other._ints
+        cn, cd = xn * yn, xd * yd
+        if an == ad:
+            rn, rd = bn, bd
+        elif bn == bd:
+            rn, rd = an, ad
         else:
             rn, rd = an * bn, ad * bd
             g = math.gcd(rn, rd)
             rn, rd = rn // g, rd // g
             sn, sd = math.isqrt(rn), math.isqrt(rd)
             if sn * sn == rn and sd * sd == rd:
-                coef, rad = Fraction(cn * sn, cd * sd), _F1
-            else:
-                coef, rad = Fraction(cn, cd), Fraction(rn, rd)
+                cn, cd, rn, rd = cn * sn, cd * sd, 1, 1
+        g = math.gcd(cn, cd)
         out = object.__new__(Surd)
-        out.__dict__.update(coef=coef, rad=rad)
+        object.__setattr__(out, "_ints", (cn // g, cd // g, rn, rd))
         return out
 
-    def _value(self) -> Tuple[int, Fraction]:
-        """The sign and the square of the value, which together fix it."""
-        return (self.coef > 0) - (self.coef < 0), self.coef * self.coef * self.rad
+    def _value(self) -> Tuple[int, int, int]:
+        """The sign and the square of the value in lowest terms, which together fix it."""
+        cn, cd, rn, rd = self._ints
+        n, d = cn * cn * rn, cd * cd * rd
+        g = math.gcd(n, d)
+        return (cn > 0) - (cn < 0), n // g, d // g
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Surd):
@@ -186,10 +210,30 @@ class Surd:
 
     def exact(self) -> Optional[Fraction]:
         """The value as a Fraction when the radicand is a perfect square."""
-        return self.coef if self.rad == 1 else None
+        return self.coef if self._ints[2:] == (1, 1) else None
 
     def __float__(self) -> float:
-        return float(self.coef) * math.sqrt(float(self.rad))
+        # int true division rounds as float(Fraction(n, d)) does
+        cn, cd, rn, rd = self._ints
+        return cn / cd * math.sqrt(rn / rd)
+
+
+def _surd(cn: int, cd: int, rn: int, rd: int) -> Surd:
+    """Surd(Fraction(cn, cd), Fraction(rn, rd)) for positive cd, rn and rd, made in ints."""
+    g, h = math.gcd(cn, cd), math.gcd(rn, rd)
+    out = object.__new__(Surd)
+    object.__setattr__(out, "_ints", _surd_ints(cn // g, cd // g, rn // h, rd // h))
+    return out
+
+
+def _surd_ints(cn: int, cd: int, rn: int, rd: int) -> Tuple[int, int, int, int]:
+    """A surd's int pairs from reduced coef cn/cd and radicand rn/rd > 0: a whole square radicand folded."""
+    sn, sd = math.isqrt(rn), math.isqrt(rd)
+    if sn * sn == rn and sd * sd == rd:
+        cn, cd = cn * sn, cd * sd
+        g = math.gcd(cn, cd)
+        return cn // g, cd // g, 1, 1
+    return cn, cd, rn, rd
 
 
 _SURD_ONE = Surd.one()
@@ -820,16 +864,18 @@ def classical_harmonic(two_j: int, mu: int, two_m: int, rho: RhoLike) -> SphereP
     else:
         # x3 (x1 + i x2)^k theta4 + (x1 + i x2)^(k+1) theta5
         terms, power = ((), _x_plus_terms(k, 1), _x_plus_terms(k + 1, 0), ()), k + 2
-    scale = Surd(Fraction(1, 2**k * math.factorial(k)) / rho**power, Fraction(math.factorial(two_j)))
+    # sqrt((2j)!) / (2^k k! rho^power)
+    top = 2**k * math.factorial(k) * rho.numerator**power
+    scale = _surd(rho.denominator**power, top, math.factorial(two_j), 1)
 
-    # (field, radicand of its normalization): J_5 for mu = 1, then the J_- steps
-    steps = [(5, Fraction(4, two_j))] if mu else []
-    steps += [("-", Fraction(1, (two_l + t) // 2 * ((two_l - t + 2) // 2))) for t in range(two_l, two_m, -2)]
+    # (field, radicand of its normalization as num, den): J_5 for mu = 1, then the J_- steps
+    steps = [(5, 4, two_j)] if mu else []
+    steps += [("-", 1, (two_l + t) // 2 * ((two_l - t + 2) // 2)) for t in range(two_l, two_m, -2)]
     den = 1
-    for field, rad in steps:
+    for field, rn, rd in steps:
         den, out = _apply_field(field, den, terms)
         terms = tuple(_acc_terms(acc) for acc in out)
-        scale = scale * Surd(_F1, rad)
+        scale = scale * _surd(1, 1, rn, rd)
 
     return SpherePolyClass(poly=_kept(*_normal_ints(den, terms, rho)), rho=rho, scale=scale)
 

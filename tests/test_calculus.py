@@ -39,6 +39,7 @@ from fuzzsuper.cli import main as cli_main
 from fuzzsuper.graded import (
     GradedDims,
     GradedMatrix,
+    RankDecision,
     commutation_factor,
     entry_weights,
     graded_commutator,
@@ -1219,6 +1220,48 @@ def test_cohomology_dims_forms_no_matrix_of_the_level(monkeypatch):
     assert calls == []
     calculus_module.d_matrix(ctx.ladder, 1, weight=0)  # the spies do count
     assert {"d_matrix", "_layout", "_assemble"} <= set(calls)
+
+
+def all_summands_cohomology_dims(ctx, p_max, tol=1e-8):
+    """cohomology_dims with every summand's blocks built in one _summand_blocks call, not in chunks."""
+    frame = ctx.ladder
+    two_js, sl2 = _summands(frame)
+    dims, decisions = [], []
+    for p in range(p_max + 1):
+        blocks = _summand_blocks(frame, p, two_js, sl2)
+        dims.append(sum(b.shape[1] for b in blocks))
+        ranked = [rank_decision(b, tol) for b in blocks]
+        rank, gap = sum(dec.rank for dec in ranked), min((dec.gap for dec in ranked), default=math.inf)
+        decisions.append(RankDecision(rank=rank, gap=gap, tol=tol))
+    return _betti_report(f"{ctx.name} [weight 0]", tuple(dims), decisions, tol)
+
+
+@pytest.mark.parametrize("kind", CONTEXTS)
+@pytest.mark.parametrize("q", [*range(1, 9), 200])
+def test_chunked_cohomology_dims_matches_all_summands_at_once(kind, q):
+    # bit for bit: from q = 8 (super) the summands span more than one chunk
+    make, p_max = CONTEXTS[kind]
+    ctx = make(q)
+    got, want = cohomology_dims(ctx, p_max), all_summands_cohomology_dims(ctx, p_max)
+    assert got.name == want.name and got.to_json() == want.to_json()
+
+
+def test_cohomology_dims_memory_does_not_grow_with_the_level():
+    # with every summand's block built at once the peak grew with the number of
+    # summands, 2q + 1: 2.6 MB at q = 50 and 10.4 MB at q = 200
+    cohomology_dims(super_context(2), 5)  # the algebra's summand terms, compiled once
+    peaks = {}
+    for q in (50, 200):
+        ctx = super_context(q)
+        ctx.ladder  # the frame's generators are the level's, not the rank's
+        tracemalloc.start()
+        try:
+            rep = cohomology_dims(ctx, 5)
+            peaks[q] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.betti == EXPECTED_BETTI_SUPER and not rep.inconclusive
+    assert peaks[200] < 1.1 * peaks[50]
 
 
 def harmonic_basis(frame, p, weight=0):

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 import re
 from fractions import Fraction
 
@@ -81,21 +84,127 @@ def test_surd_product_stays_exact():
     assert c.coef == Fraction(2, 3) * Fraction(1, 2) * 12
 
 
+@dataclasses.dataclass(frozen=True)
+class ReferenceSurd:
+    """The Fraction-backed surd that continuum.Surd replaced, as it was: the reference for its pairs."""
+
+    coef: Fraction
+    rad: Fraction = Fraction(1)
+
+    def __post_init__(self) -> None:
+        rn, rd = self.rad.numerator, self.rad.denominator
+        if rn < 0:
+            raise ValueError("radicand must be non-negative")
+        if rn == 0 and self.coef != 0:
+            object.__setattr__(self, "coef", Fraction(0))
+            object.__setattr__(self, "rad", Fraction(1))
+            rn = 1
+        sn, sd = math.isqrt(rn), math.isqrt(rd)
+        if sn * sn == rn and sd * sd == rd:
+            object.__setattr__(self, "coef", self.coef * Fraction(sn, sd))
+            object.__setattr__(self, "rad", Fraction(1))
+
+    def __mul__(self, other: "ReferenceSurd") -> "ReferenceSurd":
+        a, b, x, y = self.rad, other.rad, self.coef, other.coef
+        an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+        cn, cd = x.numerator * y.numerator, x.denominator * y.denominator
+        if an == ad or bn == bd:
+            coef, rad = Fraction(cn, cd), b if an == ad else a
+        else:
+            rn, rd = an * bn, ad * bd
+            g = math.gcd(rn, rd)
+            rn, rd = rn // g, rd // g
+            sn, sd = math.isqrt(rn), math.isqrt(rd)
+            if sn * sn == rn and sd * sd == rd:
+                coef, rad = Fraction(cn * sn, cd * sd), Fraction(1)
+            else:
+                coef, rad = Fraction(cn, cd), Fraction(rn, rd)
+        out = object.__new__(ReferenceSurd)
+        out.__dict__.update(coef=coef, rad=rad)
+        return out
+
+    def __float__(self) -> float:
+        return float(self.coef) * math.sqrt(float(self.rad))
+
+
+def assert_same_surd(got: Surd, want: ReferenceSurd) -> None:
+    assert (got.coef, got.rad) == (want.coef, want.rad)
+    assert type(got.coef) is type(got.rad) is Fraction
+    assert float(got).hex() == float(want).hex()
+
+
 def test_surd_product_is_the_canonical_pair():
     # the integer product, and its fast path for a rational factor, give the pair
-    # that the constructor makes of the product coefficient and radicand
+    # that the constructor makes of the product coefficient and radicand, and the
+    # pair and the float of the Fraction-backed reference product
     rng = np.random.default_rng(4)
 
     def frac(lo):
         return Fraction(int(rng.integers(lo, 50)), int(rng.integers(1, 50)))
 
-    surds = [Surd(frac(-49), frac(0)) for _ in range(40)]
-    surds += [Surd(Fraction(3, 7)), Surd(Fraction(-2, 5), Fraction(9, 4)), Surd(Fraction(1), Fraction(0))]
-    for a in surds:
-        for b in surds:
-            got, want = a * b, Surd(a.coef * b.coef, a.rad * b.rad)
+    pairs = [(frac(-49), frac(0)) for _ in range(40)]
+    pairs += [(Fraction(3, 7), Fraction(1)), (Fraction(-2, 5), Fraction(9, 4)), (Fraction(1), Fraction(0))]
+    for ca, ra in pairs:
+        a, ref_a = Surd(ca, ra), ReferenceSurd(ca, ra)
+        assert_same_surd(a, ref_a)
+        for cb, rb in pairs:
+            b, ref_b = Surd(cb, rb), ReferenceSurd(cb, rb)
+            got = a * b
+            want = Surd(a.coef * b.coef, a.rad * b.rad)
             assert (got.coef, got.rad) == (want.coef, want.rad)
-            assert type(got.coef) is type(got.rad) is Fraction
+            assert_same_surd(got, ref_a * ref_b)
+
+
+@pytest.mark.parametrize("rho", [Fraction(1), Fraction(5, 2), Fraction(7, 3)])
+def test_harmonic_scales_match_the_fraction_reference(rho):
+    # the scale as classical_harmonic built it from Fraction-backed surds, folded per step
+    for two_j in range(9):
+        for mu in (0, 1) if two_j else (0,):
+            two_l, k = two_j - mu, two_j // 2
+            power = k if two_j % 2 == 0 else k + 2
+            top = ReferenceSurd(Fraction(1, 2**k * math.factorial(k)) / rho**power, Fraction(math.factorial(two_j)))
+            steps = [Fraction(4, two_j)] if mu else []
+            for two_m in range(two_l, -two_l - 1, -2):
+                want = top
+                for rad in steps + [Fraction(1, (two_l + t) // 2 * ((two_l - t + 2) // 2)) for t in range(two_l, two_m, -2)]:
+                    want = want * ReferenceSurd(Fraction(1), rad)
+                assert_same_surd(classical_harmonic(two_j, mu, two_m, rho).scale, want)
+
+
+def test_surd_takes_ints_and_fractions_only():
+    # int and Fraction input give the same int pairs, read back as Fractions
+    for coef, rad in ((1, 8), (Fraction(1), 8), (1, Fraction(8))):
+        s = Surd(coef, rad)
+        assert (s.coef, s.rad) == (1, 8)
+        assert type(s.coef) is type(s.rad) is Fraction
+    assert (Surd(3, 4).coef, Surd(3, 4).rad) == (6, 1)
+    with pytest.raises(TypeError, match="coef"):
+        Surd(0.5, 2)
+    with pytest.raises(TypeError, match="rad"):
+        Surd(1, 2.5)
+    with pytest.raises(TypeError, match="coef"):
+        Surd("1")
+    with pytest.raises(ValueError, match="non-negative"):
+        Surd(1, -2)
+
+
+def test_surd_is_an_immutable_value():
+    s = Surd(Fraction(-2, 3), Fraction(5, 7))
+    for name in ("coef", "rad", "_ints", "other"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, 1)
+    with pytest.raises(AttributeError):
+        del s.coef
+    with pytest.raises(TypeError):
+        s * 2
+    for twin in (copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))):
+        assert type(twin) is Surd and twin == s and hash(twin) == hash(s)
+        assert (twin.coef, twin.rad) == (s.coef, s.rad) and float(twin) == float(s)
+    # a pair that only its value makes equal to another survives the round trip as it was
+    t = pickle.loads(pickle.dumps(Surd(1, 8)))
+    assert (t.coef, t.rad) == (1, 8) and repr(t) == repr(Surd(1, 8))
+    z = copy.copy(Surd(0, 5))
+    assert (z.coef, z.rad) == (0, 5)
 
 
 def test_surd_equality_goes_by_value():
