@@ -48,13 +48,15 @@ into one record (_Algebra) that every context with the same constants
 shares: every level q, and every ladder frame, whose snapped constants are
 the same bytes at every q.  The first context of an algebra makes its
 record, and each list is compiled when first asked for.  What depends on
-the matrix algebra stays per context: the sphere, the ladder frame, and
-the layouts and blocks that d_matrix and lie_matrix are assembled from.
-The generators are the sphere's own: super_context and body_context pass
-each frozen sphere.rep.matrix(a) through, and the ladder frame forms only
-J_+/sqrt2 and J_-/sqrt2 and passes the rest through, so a level has one
-object per generator and each cache on it (weight_buckets,
-adjoint_stencil) is built once.
+the matrix algebra stays per context, each part made on first use: the
+generators, the unit, the grade twist, the real flag, the ladder frame,
+and the layouts and blocks that d_matrix and lie_matrix are assembled
+from.  The generators are the sphere's own: super_context and body_context read each
+frozen sphere.rep.matrix(a), and the ladder frame forms only J_+/sqrt2 and
+J_-/sqrt2 and passes the rest through, so a level has one object per
+generator and each cache on it (weight_buckets, adjoint_stencil) is built
+once.  They are read when a pointwise operator, an assembled matrix or
+maurer_cartan first needs them; the sphere builds its irrep only then.
 
 Both ranks, the cohomology's and the invariant 1-forms', are computed in
 the ladder frame of weight vectors (J_+/sqrt2, J_-/sqrt2, J_3, J_4, J_5),
@@ -66,17 +68,21 @@ irreducible summand V(j) of the matrix algebra at a time: the derivations
 act on the values alone, so both are block diagonal over the summands.
 Each block is built from its term list, compiled as SummandTerms next to
 the Plans (every term of d or of one L_a shifts the total weight alike),
-and the irrep's closed-form matrix elements (osp.weight_elements), with no
-matrix of the level formed.  The frame's structure constants and
-generators are exactly real, so these blocks, its d and L_a matrices and
-those of the center cross-check in the same frame are assembled and ranked
-in float64.
+and the irrep's closed-form matrix elements (osp.weight_elements).  The
+blocks of a run of summands are built together, zero-padded to one shape,
+and ranked by one batched SVD call (graded.rank_decisions).  These ranks,
+and the center cross-check's, read only q, the structure constants and the
+term lists: no generator is read and no matrix of the level is formed.  The
+frame's structure constants and generators are exactly real, so these
+blocks, its d and L_a matrices and those of the center cross-check in the
+same frame are assembled and ranked in float64.
 """
 
 from __future__ import annotations
 
 import bisect
 import dataclasses
+import functools
 import itertools
 import math
 from typing import (
@@ -94,6 +100,7 @@ from .graded import (
     RankDecision,
     graded_commutator,  # noqa: F401 -- kept as a name of this module; perfbench's span test reads it
     rank_decision,
+    rank_decisions,
     random_graded_matrix,
     restricted_adjoint,
 )
@@ -143,8 +150,8 @@ class SummandTerms(NamedTuple):
     the parity of the weight (osp.weight_elements; every weight is even on
     the body), so the twist of an identity term, which L_a of an odd a has,
     is folded into its coefficient, and only terms with an odd op are
-    twisted.  The terms are sorted by op, and groups holds each op with its
-    run, as in Plan.
+    twisted.  ops holds each term's op.  The terms are sorted by op, stably,
+    which fixes the order in which the terms of one entry are summed.
     """
 
     rows: np.ndarray
@@ -152,7 +159,7 @@ class SummandTerms(NamedTuple):
     weights: np.ndarray
     twisted: np.ndarray
     coefs: np.ndarray
-    groups: Tuple[Tuple[int, slice], ...]
+    ops: np.ndarray
     in_reach: np.ndarray
     out_reach: np.ndarray
 
@@ -208,9 +215,15 @@ class DerivationContext:
     (lie_terms), iota_a (interior_terms) and the wedge (wedge_plan).  These
     and their Plans depend on the algebra alone, so they are cached in the
     record (_Algebra) that every context with the same labels, parities and
-    constants shares; the context itself caches only what depends on its
-    generators: its ladder frame and the layouts and blocks of the
-    assembled matrices.  A term (target, source, op, twist, coefficient)
+    constants shares.  The context itself caches what depends on its matrix
+    algebra, each on first use: its generators, the unit, the grade twist,
+    the real flag, its ladder frame, and the layouts and blocks of the assembled matrices.
+    Generators given as a sequence are checked (dims and parity) at
+    construction.  Given as a reader instead, as super_context, body_context
+    and _ladder_frame give them, they are read and checked when first used,
+    so the ranks of cohomology_dims, center_cohomology_dims and
+    invariant_one_forms, which read only the sphere's q and dims, the
+    constants and the term lists, never build the level's irrep.  A term (target, source, op, twist, coefficient)
     adds coefficient times op applied to the source value into the target
     value; op is a derivation label, 0 for none, or for the wedge the left
     factor's tuple.  These
@@ -224,7 +237,7 @@ class DerivationContext:
     label, which _layout subtracts from the entry weights to give each
     entry its total weight.  The ladder frame has exactly real constants
     and generators; such a context is flagged real, and its d matrices are
-    float64.  A label outside labels is rejected with a ValueError
+    float64 (center_d_matrix reads the constants alone).  A label outside labels is rejected with a ValueError
     (check_label).
 
     Each list is compiled in one pass, terms merged per (target, source, op,
@@ -248,7 +261,7 @@ class DerivationContext:
         labels: Sequence[Label],
         parities: Sequence[int],
         constants: np.ndarray,
-        generators: Sequence[GradedMatrix],
+        generators: Union[Sequence[GradedMatrix], Callable[[], Sequence[GradedMatrix]]],
         sphere: Union[FuzzySuperSphere, FuzzySphere],
         weights: Optional[Sequence[int]] = None,
     ):
@@ -256,28 +269,51 @@ class DerivationContext:
         self.labels = tuple(labels)
         self.parities = tuple(parities)
         self.constants = constants
-        self.generators = tuple(generators)
         self.sphere = sphere
-        self.dims: GradedDims = generators[0].dims
+        self.dims: GradedDims = sphere.dims
         self.n = self.dims.total
         self._parity = dict(zip(self.labels, self.parities))
-        for a, g in zip(self.labels, self.generators):
-            if g.part(1 - self.label_parity(a)).mat.any():
-                raise ValueError(f"generator {a} is not homogeneous of its label's parity")
         self._algebra = _algebra(self.labels, self.parities, constants)
-        self.unit = GradedMatrix.identity(self.dims)
-        #: +1 on even matrix entries, -1 on odd ones: the grade twist
-        self.grade = self.dims.twist
         #: in a frame of weight vectors: the doubled J_3 weights of the labels
         self.weights = None if weights is None else tuple(weights)
-        #: constants and generators have exactly zero imaginary part, so
-        #: d_matrix and center_d_matrix are assembled in float64
-        self.real = not np.imag(constants).any() and not any(
-            np.imag(g.mat).any() for g in self.generators
-        )
+        if callable(generators):
+            self._read_generators = generators
+        else:
+            self.generators = self._checked(generators)
         self._ladder: Optional[DerivationContext] = None
         self._blocks: Dict[tuple, np.ndarray] = {}  # of _assemble, shared by its calls
         self._layouts: Dict[tuple, tuple] = {}  # of _layout, per (p, weight)
+
+    @functools.cached_property
+    def generators(self) -> Tuple[GradedMatrix, ...]:
+        """The generator E_a of each label, in label order, read and checked on first use."""
+        return self._checked(self._read_generators())
+
+    def _checked(self, generators: Sequence[GradedMatrix]) -> Tuple[GradedMatrix, ...]:
+        """The generators as a tuple, each of the sphere's dims and homogeneous of its label's parity."""
+        generators = tuple(generators)
+        for a, g in zip(self.labels, generators):
+            if g.dims != self.dims:
+                raise ValueError(f"generator {a} has dims {g.dims}, expected {self.dims}")
+            if g.part(1 - self.label_parity(a)).mat.any():
+                raise ValueError(f"generator {a} is not homogeneous of its label's parity")
+        return generators
+
+    @functools.cached_property
+    def grade(self) -> np.ndarray:
+        """+1 on even matrix entries, -1 on odd ones: the grade twist (GradedDims.twist)."""
+        return self.dims.twist
+
+    @functools.cached_property
+    def unit(self) -> GradedMatrix:
+        return GradedMatrix.identity(self.dims)
+
+    @functools.cached_property
+    def real(self) -> bool:
+        """Constants and generators have exactly zero imaginary part, so d_matrix is float64."""
+        return not np.imag(self.constants).any() and not any(
+            np.imag(g.mat).any() for g in self.generators
+        )
 
     @property
     def ladder(self) -> "DerivationContext":
@@ -574,15 +610,13 @@ class DerivationContext:
         weights = np.array([self.tuple_weight(t[1]) for t in terms], dtype=np.intp)
         twisted = np.array([t[3] for t in terms], dtype=bool)
         folded = twisted & (ops == 0)  # the identity keeps v(w), of the parity of w
-        labels, starts = np.unique(ops, return_index=True)
-        stops = [*starts[1:], len(terms)]
         compiled = SummandTerms(
             rows=np.array([dst[t[0]] for t in terms], dtype=np.intp),
             cols=np.array([src[t[1]] for t in terms], dtype=np.intp),
             weights=weights,
             twisted=twisted & ~folded,
             coefs=np.where(folded & (weights % 2 == 1), -coefs.real, coefs.real),
-            groups=tuple((int(b), slice(int(i), int(j))) for b, i, j in zip(labels, starts, stops)),
+            ops=ops,
             in_reach=in_reach,
             out_reach=out_reach,
         )
@@ -601,7 +635,7 @@ def _context(name: str, sphere: Union[FuzzySuperSphere, FuzzySphere], k: int) ->
         labels=LABELS[:k],
         parities=basis.parities[:k],
         constants=basis.constants[:k, :k, :k],
-        generators=tuple(sphere.rep.matrix(a) for a in LABELS[:k]),
+        generators=lambda: [sphere.rep.matrix(a) for a in LABELS[:k]],
         sphere=sphere,
     )
 
@@ -627,12 +661,13 @@ def _ladder_frame(ctx: DerivationContext) -> DerivationContext:
     """ctx in the frame (J_+/sqrt2, J_-/sqrt2, J_3[, J_4, J_5]) of weight vectors.
 
     The norms of J_+ and J_- are read from _LADDER_OPS, the one definition of
-    the frame that _summand_blocks also reads.
+    the frame that the summand blocks (_summand_elements, _LADDER_NORMS) also read.
 
     The label change U is unitary on labels 1 and 2 and the identity on the
     rest, so the frame's d has the singular values of ctx's.  Only the two
-    new generators, (J_1 +- i J_2)/sqrt2, are formed; ctx's generators 3 on
-    are passed through as the same objects, so the frame's J_3 is the
+    new generators, (J_1 +- i J_2)/sqrt2, are formed, when the frame's
+    generators are first read; ctx's generators 3 on are passed through as
+    the same objects, so the frame's J_3 is the
     sphere's and its caches (weight_buckets, adjoint_stencil) are shared.
     Rounding residue in the transformed constants is snapped to exact zero:
     the bracket table keeps every nonzero constant, and a residue would
@@ -649,14 +684,17 @@ def _ladder_frame(ctx: DerivationContext) -> DerivationContext:
     c = np.einsum("xC,ay,bz,xyz->Cab", u.conj().T, u, u, ctx.constants)
     c.real[np.abs(c.real) < 1e-12] = 0.0
     c.imag[np.abs(c.imag) < 1e-12] = 0.0
-    j1, j2 = ctx.generators[:2]
-    ladder = ((j1 + 1j * j2) / plus_norm, (j1 - 1j * j2) / minus_norm)
+
+    def generators() -> Tuple[GradedMatrix, ...]:
+        j1, j2 = ctx.generators[:2]
+        return ((j1 + 1j * j2) / plus_norm, (j1 - 1j * j2) / minus_norm) + ctx.generators[2:]
+
     return DerivationContext(
         name=ctx.name,
         labels=ctx.labels,
         parities=ctx.parities,
         constants=c,
-        generators=ladder + ctx.generators[2:],
+        generators=generators,
         sphere=ctx.sphere,
         weights=_LADDER_WEIGHTS[:k],
     )
@@ -1124,39 +1162,83 @@ def _summands(ctx: DerivationContext) -> Tuple[range, bool]:
     return range(0, 2 * q + 1, 2), True
 
 
-def _summand_blocks(
-    frame: DerivationContext, p: int, two_js: Sequence[int], sl2: bool, a: Optional[Label] = None
-) -> List[np.ndarray]:
-    """The block of d, or of L_a with a label, on weight-0 p-forms valued in V(j), per 2j in two_js.
+class _SummandElements(NamedTuple):
+    """The closed-form matrix elements of the frame's generators on a run of summands V(j).
 
-    Its rows and columns are the target and source tuples of reach at most
-    2j, numbered as in frame.summand_terms(p, a).  Each entry sums coef *
-    <v(w_target)|E_op|v(w_source)> over its terms, the element read from
-    osp.weight_elements over the label's norm in the frame (_LADDER_OPS),
-    or 1 for the identity, and signed by the parity of v(w_source) where
-    twisted (SummandTerms): the derivations act on the values alone, and a
-    weight-0 value on a tuple of weight w is a multiple of v(w).  All the
-    summands' entries are computed in one pass and summed into one float64
-    stack.
+    elements[k, op, w + reach] is the element of the frame's generator of
+    label op (_LADDER_OPS; op 0 is the identity, whose element is 1) on the
+    weight vector v(w) of the summand of doubled spin two_js[k], and
+    parities[k, op, w + reach] is the parity of v(w), for the weights w from
+    -reach to reach (_summand_elements).
     """
-    st = frame.summand_terms(p, a)
+
+    two_js: np.ndarray
+    reach: int
+    elements: np.ndarray
+    parities: np.ndarray
+
+
+#: the norm of each ladder-frame label in _LADDER_OPS, after 1 for the identity
+_LADDER_NORMS = np.array([1.0, *(norm for _, norm in _LADDER_OPS)])
+
+
+def _summand_elements(
+    frame: DerivationContext, two_js: Sequence[int], sl2: bool, reach: int
+) -> _SummandElements:
+    """The _SummandElements of frame's labels: osp.weight_elements, one call per label.
+
+    Every degree and label of a run of summands reads the one table.  The
+    elements are elementwise in (2j, w), so each entry is the bytes of a
+    call for that (2j, w) alone.
+    """
     two_js = np.asarray(two_js, dtype=np.intp)
-    values = np.empty((len(two_js), len(st.rows)))
-    for op, run in st.groups:
-        if op == 0:
-            values[:, run] = st.coefs[run]
-            continue
-        label, norm = _LADDER_OPS[op - 1]
-        elements, parities = weight_elements(two_js[:, None], label, st.weights[run], sl2=sl2)
-        signs = np.where(st.twisted[run] & (parities == 1), -1.0, 1.0)
-        values[:, run] = st.coefs[run] * elements * signs / norm
-    n_out, n_in = len(st.out_reach), len(st.in_reach)
-    flat = np.arange(len(two_js))[:, None] * (n_out * n_in) + st.rows * n_in + st.cols
-    stack = np.bincount(flat.ravel(), values.ravel(), minlength=len(two_js) * n_out * n_in)
-    stack = stack.reshape(len(two_js), n_out, n_in)
-    rows = np.searchsorted(st.out_reach, two_js, side="right")
-    cols = np.searchsorted(st.in_reach, two_js, side="right")
-    return [stack[k, : rows[k], : cols[k]] for k in range(len(two_js))]
+    span = np.arange(-reach, reach + 1)
+    shape = (len(two_js), len(span))
+    tables = [(np.ones(shape), np.zeros(shape, dtype=int))]
+    tables += [weight_elements(two_js[:, None], _LADDER_OPS[a - 1][0], span, sl2=sl2) for a in frame.labels]
+    return _SummandElements(
+        two_js, reach, np.stack([e for e, _ in tables], axis=1), np.stack([par for _, par in tables], axis=1)
+    )
+
+
+def _summand_stack(
+    frame: DerivationContext, p: int, elements: _SummandElements, labels: Sequence[Optional[Label]]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The block of d, or of the L_a of labels stacked row-wise, on weight-0 p-forms valued in V(j), per 2j.
+
+    A label of None stands for d, and the 2j are elements.two_js.  Returns
+    the blocks zero-padded to the largest as one float64 stack, and each
+    block's (rows, columns): block k is the top left of stack[k], and the
+    rest of stack[k] is exactly zero.  Each label's part of a block has the
+    target tuples of reach at most 2j as rows, and the source tuples of
+    reach at most 2j as columns, numbered as in frame.summand_terms(p, a),
+    in which the kept ones are a prefix; the parts of the labels follow
+    each other in order.  Each entry sums coef *
+    <v(w_target)|E_op|v(w_source)> over its terms, the element read from
+    elements (1 for the identity) over the op's norm in the frame
+    (_LADDER_NORMS), and signed by the parity of v(w_source) where twisted
+    (SummandTerms): the derivations act on the values alone, and a weight-0
+    value on a tuple of weight w is a multiple of v(w).  All the entries are
+    computed in one pass per label, those outside each block dropped, and
+    summed into the stack by one bincount.
+    """
+    two_js = elements.two_js
+    terms = [frame.summand_terms(p, a) for a in labels]
+    cols = np.searchsorted(terms[0].in_reach, two_js, side="right")
+    heights = np.array([np.searchsorted(st.out_reach, two_js, side="right") for st in terms])
+    offsets = np.cumsum(heights, axis=0) - heights  # of each label's rows, per summand
+    n_out, n_in = int(heights.sum(axis=0).max(initial=0)), int(cols.max(initial=0))
+    flats, weights = [], []
+    for st, rows, offset in zip(terms, heights, offsets):
+        at = (slice(None), st.ops, st.weights + elements.reach)
+        signs = np.where(st.twisted & (elements.parities[at] == 1), -1.0, 1.0)
+        values = st.coefs * elements.elements[at] * signs / _LADDER_NORMS[st.ops]
+        kept = (st.rows < rows[:, None]) & (st.cols < cols[:, None])
+        flat = np.arange(len(two_js))[:, None] * (n_out * n_in) + (offset[:, None] + st.rows) * n_in + st.cols
+        flats.append(flat[kept])
+        weights.append(values[kept])
+    stack = np.bincount(np.concatenate(flats), np.concatenate(weights), minlength=len(two_js) * n_out * n_in)
+    return stack.reshape(len(two_js), n_out, n_in), np.stack([heights.sum(axis=0), cols], axis=1)
 
 
 #: the summands whose blocks _chunked_summand_blocks builds at once
@@ -1164,19 +1246,45 @@ _SUMMAND_CHUNK = 16
 
 
 def _chunked_summand_blocks(
-    frame: DerivationContext, p: int, labels: Sequence[Optional[Label]]
-) -> Iterator[Tuple[np.ndarray, ...]]:
-    """Per summand of frame (_summands), in order, its _summand_blocks on p-forms for each of labels.
+    frame: DerivationContext, degrees: Sequence[int], labels: Sequence[Optional[Label]]
+) -> Iterator[Tuple[int, np.ndarray, np.ndarray]]:
+    """Per chunk of the summands of frame (_summands), in order, and per degree p of degrees: their blocks.
 
-    A label of None stands for d.  The blocks are built _SUMMAND_CHUNK
-    summands at a time, so the memory held does not grow with the level;
-    each summand's blocks are the ones a single call over all summands
-    gives, bit for bit, since every entry is computed and summed per summand.
+    Yields (p, stack, shapes): the chunk's _summand_stack of labels on
+    p-forms.  The blocks are built _SUMMAND_CHUNK summands at a time, so the
+    memory held does not grow with the level, and all the degrees and labels
+    of a chunk read one table of elements (_summand_elements).  Each entry
+    is computed and summed per summand, so each block is the one a single
+    call over all summands gives, bit for bit.
     """
     two_js, sl2 = _summands(frame)
+    reach = max(int(frame.summand_terms(p, a).in_reach.max(initial=0)) for p in degrees for a in labels)
     for start in range(0, len(two_js), _SUMMAND_CHUNK):
-        chunk = two_js[start : start + _SUMMAND_CHUNK]
-        yield from zip(*(_summand_blocks(frame, p, chunk, sl2, a) for a in labels))
+        elements = _summand_elements(frame, two_js[start : start + _SUMMAND_CHUNK], sl2, reach)
+        for p in degrees:
+            # no local keeps a yielded stack while the next one is built
+            yield (p, *_summand_stack(frame, p, elements, labels))
+
+
+def _ranked_summands(
+    frame: DerivationContext, degrees: Sequence[int], labels: Sequence[Optional[Label]], tol: float
+) -> List[Tuple[int, int, float]]:
+    """Per degree: the columns and ranks of the summand blocks (_chunked_summand_blocks), summed, and their least gap.
+
+    Each chunk's stack takes one batched SVD call (graded.rank_decisions),
+    which gives every block its own rank decision.
+    """
+    totals = {p: (0, 0, math.inf) for p in degrees}
+    for p, stack, shapes in _chunked_summand_blocks(frame, degrees, labels):
+        decisions = rank_decisions(stack, shapes, tol)
+        cols, rank, gap = totals[p]
+        totals[p] = (
+            cols + int(shapes[:, 1].sum()),
+            rank + sum(dec.rank for dec in decisions),
+            min([gap, *(dec.gap for dec in decisions)]),
+        )
+        del stack  # before the next one is built
+    return [totals[p] for p in degrees]
 
 
 def cohomology_dims(ctx: DerivationContext, p_max: int, tol: float = 1e-8) -> CohomologyReport:
@@ -1192,26 +1300,21 @@ def cohomology_dims(ctx: DerivationContext, p_max: int, tol: float = 1e-8) -> Co
     sum of irreducible summands V(j), each once (_summands).  So the complex
     is the sum of the complexes K_j = C(osp(1|2), V(j)) (body: C(sl(2),
     V_l)), none of which depends on the level, and d is block diagonal over
-    them.  Each summand's weight-0 block (_summand_blocks) is built from the
-    closed-form matrix elements of its irrep, with no matrix of the level
-    formed, _SUMMAND_CHUNK summands at a time (_chunked_summand_blocks), and
-    gets its own rank decision; the degree's decision sums their ranks and
-    keeps their least gap.  dims are the weight-0 dimensions, the
-    sum of the blocks' column counts, and betti_p = dims[p] - rank d_p -
-    rank d_(p-1).  The ranks are those of the entry-basis weight-0 d, whose
-    spectrum is different: the harmonics that span each V(j) are not
-    orthonormal in the Hilbert-Schmidt pairing.
+    them.  Each summand's weight-0 block (_summand_stack) is built from the
+    closed-form matrix elements of its irrep, _SUMMAND_CHUNK summands at a
+    time (_chunked_summand_blocks), and gets its own rank decision from one
+    batched SVD call per chunk (_ranked_summands); the degree's decision
+    sums their ranks and keeps their least gap.  Only q and the frame's term
+    lists are read: no generator and no matrix of the level is formed.
+    dims are the weight-0 dimensions, the sum of the blocks' column counts,
+    and betti_p = dims[p] - rank d_p - rank d_(p-1).  The ranks are those of
+    the entry-basis weight-0 d, whose spectrum is different: the harmonics
+    that span each V(j) are not orthonormal in the Hilbert-Schmidt pairing.
     """
-    frame = ctx.ladder
-    dims, decisions = [], []
-    for p in range(p_max + 1):
-        dim, rank, gap = 0, 0, math.inf
-        for (block,) in _chunked_summand_blocks(frame, p, (None,)):
-            dec = rank_decision(block, tol)
-            dim, rank, gap = dim + block.shape[1], rank + dec.rank, min(gap, dec.gap)
-        dims.append(dim)
-        decisions.append(RankDecision(rank=rank, gap=gap, tol=tol))
-    return _betti_report(f"{ctx.name} [weight 0]", tuple(dims), decisions, tol)
+    ranked = _ranked_summands(ctx.ladder, range(p_max + 1), (None,), tol)
+    dims = tuple(dim for dim, _, _ in ranked)
+    decisions = [RankDecision(rank=rank, gap=gap, tol=tol) for _, rank, gap in ranked]
+    return _betti_report(f"{ctx.name} [weight 0]", dims, decisions, tol)
 
 
 def invariant_one_forms(ctx: DerivationContext, tol: float = 1e-8) -> RankDecision:
@@ -1225,22 +1328,17 @@ def invariant_one_forms(ctx: DerivationContext, tol: float = 1e-8) -> RankDecisi
     the weight-0 forms, and the stack of all L_a has full column rank on
     every nonzero weight exactly.  The L_a act on the values alone, so on
     weight-0 1-forms they are block diagonal over the summands V(j)
-    (_summands), as d is.  Each summand's L_a blocks (_summand_blocks) are
-    stacked and get their own rank decision: the rank returned is dim
-    Omega^1 minus the sum of their kernels, and the gap is their least.
-    That spectrum is the summand blocks', not that of the entry-basis L_a.
-    The blocks are built _SUMMAND_CHUNK summands at a time
-    (_chunked_summand_blocks), so the memory held does not grow with the
-    level.
+    (_summands), as d is.  Each summand's L_a blocks (_summand_stack) are
+    stacked and get their own rank decision (_ranked_summands): the rank
+    returned is dim Omega^1 minus the sum of their kernels, and the gap is
+    their least.  That spectrum is the summand blocks', not that of the
+    entry-basis L_a.  As in cohomology_dims, no matrix of the level is
+    formed, and the memory held does not grow with the level.
     """
     frame = ctx.ladder
-    kernel, gap = 0, math.inf
-    for blocks in _chunked_summand_blocks(frame, 1, frame.labels):
-        dec = rank_decision(np.concatenate(blocks), tol)
-        kernel += blocks[0].shape[1] - dec.rank
-        gap = min(gap, dec.gap)
+    ((cols, rank, gap),) = _ranked_summands(frame, (1,), frame.labels, tol)
     dim = ctx.n**2 * len(frame.index_tuples(1))
-    return RankDecision(rank=dim - kernel, gap=gap, tol=tol)
+    return RankDecision(rank=dim - (cols - rank), gap=gap, tol=tol)
 
 
 def center_d_matrix(ctx: DerivationContext, p: int) -> np.ndarray:
@@ -1248,11 +1346,12 @@ def center_d_matrix(ctx: DerivationContext, p: int) -> np.ndarray:
 
     The derivation terms vanish on the center, leaving the label-0 bracket
     substitution scalars of d_terms: the trivial-coefficient complex of the
-    derivation algebra, independent of the level.  On a real context, such
-    as the ladder frame, the matrix is float64.
+    derivation algebra, independent of the level.  Those carry only the
+    structure constants, so where the constants are exactly real, as in the
+    ladder frame, the matrix is float64; no generator is read.
     """
     src, dst = ctx.positions(p), ctx.positions(p + 1)
-    real = ctx.real
+    real = not np.imag(ctx.constants).any()
     out = np.zeros((len(dst), len(src)), dtype=float if real else complex)
     for target, source, label, _, coef in ctx.d_terms(p):
         if label == 0:

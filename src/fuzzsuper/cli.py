@@ -537,7 +537,8 @@ def cmd_converge(args, parser) -> int:
 
 
 def cmd_cohomology(args, parser) -> int:
-    _validate_level(args.q, args.allow_large, parser)
+    # the ranks read only q and the summand complexes, and build no matrix of the level
+    _validate_level(args.q, True, parser)
     ctx = super_context(args.q)
     bctx = body_context(args.q)
     p_super = args.pmax
@@ -701,6 +702,10 @@ def build_parser() -> argparse.ArgumentParser:
         for flag in flags:
             p.add_argument(flag, **shared[flag])
 
+    def takes_any_level(p, command):
+        """--allow-large for a command that needs no opt-in: accepted, so old command lines still run."""
+        p.add_argument("--allow-large", action="store_true", help=f"accepted; {command} takes any level q >= 1")
+
     p_verify = sub.add_parser("verify", help="run residual check suites")
     p_verify.set_defaults(run=cmd_verify)
     p_verify.add_argument("--q", type=int, default=2, help="truncation level (default 2)")
@@ -714,9 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--j2", required=True, help="second superspin")
     p_conv.add_argument("--q-list", type=_int_list, help="levels (default 10,20,40)")
     common(p_conv, "--rho", "--format", "--out")
-    p_conv.add_argument(
-        "--allow-large", action="store_true", help="accepted; converge takes any level q >= 1"
-    )
+    takes_any_level(p_conv, "converge")
 
     p_coh = sub.add_parser("cohomology", help="Betti numbers with sv-gap evidence")
     p_coh.set_defaults(run=cmd_cohomology)
@@ -724,7 +727,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_coh.add_argument(
         "--pmax", type=int, default=5, choices=range(len(EXPECTED_BETTI_SUPER)), help="top degree (default 5)"
     )
-    common(p_coh, "--tol", "--format", "--out", "--allow-large")
+    common(p_coh, "--tol", "--format", "--out")
+    takes_any_level(p_coh, "cohomology")
 
     p_or = sub.add_parser("oracle", help="exact classical-side computations")
     p_or.set_defaults(run=cmd_oracle)

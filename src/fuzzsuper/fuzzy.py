@@ -642,17 +642,23 @@ class FuzzySphere:
 
     The irrep's generators are frozen GradedMatrix objects with dims (n|0),
     which the weight table and calculus.body_context read as they are; the
-    methods here take and return plain arrays (a generator's .mat).
+    methods here take and return plain arrays (a generator's .mat).  As on
+    the supersphere, the irrep is built on the first call that needs it, and
+    dims = (q+1 | 0) follows from q.
     """
 
     def __init__(self, q: int, rho: float = 1.0):
         self.q = _level(q)
         self.rho = _radius(rho)
-        self.rep: Sl2Irrep = build_sl2_irrep(self.q)
+        self.dims = GradedDims(even=self.q + 1, odd=0)
+
+    @functools.cached_property
+    def rep(self) -> Sl2Irrep:
+        return build_sl2_irrep(self.q)
 
     @property
     def n(self) -> int:
-        return self.rep.dim
+        return self.dims.total
 
     def coordinates(self) -> Tuple[np.ndarray, ...]:
         scale = 2.0 * self.rho / math.sqrt(self.q * (self.q + 2))

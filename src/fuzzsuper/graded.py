@@ -8,6 +8,9 @@ double precision.  At level q the supersphere's graded matrices are
 matrices that reach rank_decision have thousands of rows; a caller whose
 matrix is block diagonal knows the blocks from its layout and passes them
 as a list or a generator, and each matrix or block takes one SVD as given.
+A caller with many small blocks passes them zero-padded to one shape, as
+one stack, to rank_decisions, which takes one batched SVD call for all of
+them; both read the same cut and gap rule (_decide).
 
 Every parity-dependent kernel goes through one grade twist,
 tau(b) = b_even - b_odd = b * dims.twist, an elementwise product with a
@@ -43,7 +46,7 @@ import dataclasses
 import functools
 import math
 import types
-from typing import Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -426,6 +429,41 @@ class RankDecision:
         return self.gap < 10.0 * self.tol
 
 
+def _check_tol(tol: float) -> None:
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+
+
+def _as_svd_input(b: np.ndarray) -> np.ndarray:
+    """b as LAPACK takes it: a real floating array as float64, any other as complex."""
+    return b.astype(float if np.issubdtype(b.dtype, np.floating) else complex, copy=False)
+
+
+def _decide(s: Sequence[float], tol: float) -> RankDecision:
+    """The cut and gap rule: the rank and gap of a whole spectrum s, in any order.
+
+    s holds min(rows, columns) singular values, exact zeros included, as
+    Python floats.  The rank counts the values above tol * max(s_max, 1),
+    and the gap is the relative distance between the smallest kept and the
+    largest dropped one.
+    """
+    if not s:
+        return RankDecision(rank=0, gap=math.inf, tol=tol)
+    s = sorted(s, reverse=True)
+    scale = max(s[0], 1.0)
+    cut = tol * scale
+    rank = sum(v > cut for v in s)
+    if rank == 0:
+        # no kept values: certain for an exact zero matrix, otherwise report
+        # how far below the cut the spectrum sits
+        gap = math.inf if s[0] == 0.0 else tol - s[0] / scale
+    elif rank == len(s):
+        gap = s[-1] / scale
+    else:
+        gap = (s[rank - 1] - s[rank]) / scale
+    return RankDecision(rank=rank, gap=gap, tol=tol)
+
+
 def rank_decision(
     m: Union[np.ndarray, Iterable[np.ndarray]], tol: float = 1e-8
 ) -> RankDecision:
@@ -441,8 +479,7 @@ def rank_decision(
     real (float64, so LAPACK takes the real SVD); any other block is cast
     to complex.  tol must be positive and finite.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    _check_tol(tol)
     rows = cols = 0
     spectra = []
     for b in [m] if isinstance(m, np.ndarray) else m:
@@ -451,29 +488,41 @@ def rank_decision(
             raise ValueError("rank_decision takes a matrix or an iterable of matrices")
         rows, cols = rows + b.shape[0], cols + b.shape[1]
         if b.size:
-            real = np.issubdtype(b.dtype, np.floating)
-            spectra.append(np.linalg.svd(b.astype(float if real else complex, copy=False), compute_uv=False))
+            spectra.append(np.linalg.svd(_as_svd_input(b), compute_uv=False))
         del b  # before the next block is read
-    size = min(rows, cols)
-    if size == 0:
-        return RankDecision(rank=0, gap=math.inf, tol=tol)
-    s = np.zeros(size)
+    s = np.zeros(min(rows, cols))
     if spectra:
         values = np.concatenate(spectra)
         s[: values.size] = values
-    s = np.sort(s)[::-1]
-    scale = max(float(s[0]), 1.0)
-    cut = tol * scale
-    rank = int(np.sum(s > cut))
-    if rank == 0:
-        # no kept values: certain for an exact zero matrix, otherwise report
-        # how far below the cut the spectrum sits
-        gap = math.inf if float(s[0]) == 0.0 else tol - float(s[0]) / scale
-    elif rank == len(s):
-        gap = float(s[-1]) / scale
+    return _decide(s.tolist(), tol)
+
+
+def rank_decisions(stack: np.ndarray, shapes: np.ndarray, tol: float = 1e-8) -> List[RankDecision]:
+    """The rank decision of each block of a zero-padded stack, from one batched SVD.
+
+    stack is (k, m, n), and block i is the shapes[i] = (rows, columns)
+    matrix that stack[i] holds with rows and columns of exact zeros put in
+    anywhere.  Those add only zero singular values, so the block's spectrum
+    is the min(rows, columns) largest of stack[i]'s, and each block gets
+    the decision of rank_decision on its own (the one cut and gap rule,
+    _decide).  One values-only SVD call covers the whole stack: numpy loops
+    LAPACK over the matrices.  A padded matrix is bidiagonalised in another
+    order than the block alone, so the two spectra may differ by rounding;
+    for the calculus's summand blocks the difference was seen only in
+    values far below every cut.  Dtypes are handled as in rank_decision.
+    """
+    _check_tol(tol)
+    stack, shapes = np.asarray(stack), np.asarray(shapes)
+    if stack.ndim != 3 or shapes.shape != (len(stack), 2):
+        raise ValueError("rank_decisions takes a (k, m, n) stack and one (rows, columns) per matrix")
+    if np.any(shapes > stack.shape[1:]):
+        raise ValueError("a block is larger than its padded matrix")
+    sizes = shapes.min(axis=1)
+    if stack.size:
+        spectra = np.linalg.svd(_as_svd_input(stack), compute_uv=False)
     else:
-        gap = (float(s[rank - 1]) - float(s[rank])) / scale
-    return RankDecision(rank=rank, gap=gap, tol=tol)
+        spectra = np.zeros((len(stack), 0))
+    return [_decide(s[:size], tol) for s, size in zip(spectra.tolist(), sizes.tolist())]
 
 
 def numerical_rank(m: np.ndarray, tol: float = 1e-8) -> int:

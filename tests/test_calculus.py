@@ -34,7 +34,16 @@ from fuzzsuper.calculus import (
     vec_to_form,
     wedge,
 )
-from fuzzsuper.calculus import _assemble, _betti_report, _ladder_frame, _layout, _summand_blocks, _summands
+from fuzzsuper.calculus import (
+    _assemble,
+    _betti_report,
+    _chunked_summand_blocks,
+    _ladder_frame,
+    _layout,
+    _summand_elements,
+    _summand_stack,
+    _summands,
+)
 from fuzzsuper.cli import main as cli_main
 from fuzzsuper.graded import (
     GradedDims,
@@ -46,6 +55,7 @@ from fuzzsuper.graded import (
     perm_sign,
     random_graded_matrix,
     rank_decision,
+    rank_decisions,
     restricted_adjoint,
 )
 from fuzzsuper.osp import OspBasis, build_osp_basis, jacobi_residual, weight_elements
@@ -521,18 +531,33 @@ def recording_rows(join, rows):
 
 
 def test_invariant_one_forms_stacks_no_whole_lie_matrix(monkeypatch):
-    # one L_a on 1-forms is dim x dim; nothing stacked may reach dim rows, on either route
+    # one L_a on 1-forms is dim x dim; nothing stacked, or ranked as a padded stack of
+    # summand blocks, may reach dim rows, on either route
     ctx = super_context(4)
     ctx.ladder  # built before the spies
     dim = len(ctx.index_tuples(1)) * ctx.n**2
+    decide = calculus_module.rank_decisions
+
+    def ranked(stack, shapes, tol=1e-8):
+        rows.append(stack.shape[1])
+        return decide(stack, shapes, tol)
+
     for route in (invariant_one_forms, lambda c: rank_decision(weight_block_route(c))):
         rows = []
         for name in ("vstack", "concatenate"):
             monkeypatch.setattr(np, name, recording_rows(getattr(np, name), rows))
+        monkeypatch.setattr(calculus_module, "rank_decisions", ranked)
         dec = route(ctx)
         monkeypatch.undo()
         assert dec.rank == dim - 1
         assert rows and max(rows) < dim
+
+
+def summand_blocks(frame, p, two_js, sl2, a=None):
+    """Each summand's block of d (or L_a) on its own: the top left of its padded _summand_stack."""
+    reach = int(frame.summand_terms(p, a).in_reach.max(initial=0))
+    stack, shapes = _summand_stack(frame, p, _summand_elements(frame, two_js, sl2, reach), (a,))
+    return [block[:r, :c] for block, (r, c) in zip(stack, shapes)]
 
 
 def adjoint_kernels(ctx):
@@ -541,7 +566,7 @@ def adjoint_kernels(ctx):
     two_js, sl2 = _summands(frame)
     kernels = {}
     for two_j in two_js:
-        blocks = [_summand_blocks(frame, 1, [two_j], sl2, a)[0] for a in frame.labels]
+        blocks = [summand_blocks(frame, 1, [two_j], sl2, a)[0] for a in frame.labels]
         dec = rank_decision(np.concatenate(blocks))
         assert not dec.inconclusive, two_j
         kernels[two_j] = blocks[0].shape[1] - dec.rank
@@ -576,7 +601,7 @@ def test_invariant_one_forms_memory_does_not_grow_with_the_level():
     block = 8 * (2 * 64 + 1) ** 2
     for q in (64, 128):
         ctx = super_context(q)
-        ctx.ladder  # the frame's generators are the level's, not the rank's
+        ctx.ladder  # the frame's constants, built outside the trace
         invariant_one_forms(super_context(2))  # the algebra's summand terms, compiled once
         tracemalloc.start()
         try:
@@ -610,7 +635,7 @@ def level_matrix_calls(monkeypatch):
 def test_invariant_one_forms_forms_no_matrix_of_the_level(monkeypatch):
     ctx, bctx = super_context(3), body_context(3)
     for c in (ctx, bctx):
-        c.ladder  # the frame forms two generators of the level, before the spies
+        c.ladder  # built before the spies
     calls = level_matrix_calls(monkeypatch)
     for c in (ctx, bctx):
         assert c.n**2 * len(c.index_tuples(1)) - invariant_one_forms(c).rank == 1
@@ -1223,12 +1248,12 @@ def test_cohomology_dims_forms_no_matrix_of_the_level(monkeypatch):
 
 
 def all_summands_cohomology_dims(ctx, p_max, tol=1e-8):
-    """cohomology_dims with every summand's blocks built in one _summand_blocks call, not in chunks."""
+    """cohomology_dims with every summand's blocks built in one _summand_stack call, not in chunks."""
     frame = ctx.ladder
     two_js, sl2 = _summands(frame)
     dims, decisions = [], []
     for p in range(p_max + 1):
-        blocks = _summand_blocks(frame, p, two_js, sl2)
+        blocks = summand_blocks(frame, p, two_js, sl2)
         dims.append(sum(b.shape[1] for b in blocks))
         ranked = [rank_decision(b, tol) for b in blocks]
         rank, gap = sum(dec.rank for dec in ranked), min((dec.gap for dec in ranked), default=math.inf)
@@ -1253,7 +1278,7 @@ def test_cohomology_dims_memory_does_not_grow_with_the_level():
     peaks = {}
     for q in (50, 200):
         ctx = super_context(q)
-        ctx.ladder  # the frame's generators are the level's, not the rank's
+        ctx.ladder  # the frame's constants, built outside the trace
         tracemalloc.start()
         try:
             rep = cohomology_dims(ctx, 5)
@@ -1262,6 +1287,81 @@ def test_cohomology_dims_memory_does_not_grow_with_the_level():
             tracemalloc.stop()
         assert rep.betti == EXPECTED_BETTI_SUPER and not rep.inconclusive
     assert peaks[200] < 1.1 * peaks[50]
+
+
+@pytest.mark.parametrize("kind", CONTEXTS)
+def test_the_ranks_read_no_generator_of_the_level(kind):
+    # cohomology_dims, center_cohomology_dims and invariant_one_forms read q and the
+    # frame's term lists alone: the sphere builds no irrep, and no context reads a generator
+    make, p_max = CONTEXTS[kind]
+    expected = EXPECTED_BETTI_SUPER if kind == "super" else EXPECTED_BETTI_BODY
+    for q in (3, 1000):
+        ctx = make(q)
+        assert cohomology_dims(ctx, p_max).betti == expected
+        assert center_cohomology_dims(ctx, p_max).betti == expected
+        assert ctx.n**2 * len(ctx.index_tuples(1)) - invariant_one_forms(ctx).rank == 1
+        assert "rep" not in ctx.sphere.__dict__, q
+        assert "generators" not in vars(ctx) and "generators" not in vars(ctx.ladder), q
+    # read on first use, the generators are the sphere's irrep's, in its dims
+    assert ctx.ladder.generators[2] is ctx.generators[2] is ctx.sphere.rep.matrix(3)
+    assert ctx.generators[0].dims == ctx.dims == ctx.sphere.dims
+
+
+def test_cohomology_dims_memory_at_a_large_level():
+    # measured: 0.46 MB at q = 50, 200 and 1000, mostly the chunk's padded stack of
+    # 5-form blocks and its terms; one float64 (2q + 1)^2 matrix is 32 MB at q = 1000
+    cohomology_dims(super_context(2), 5)  # the algebra's summand terms, compiled once
+    ctx = super_context(1000)
+    tracemalloc.start()
+    try:
+        rep = cohomology_dims(ctx, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.betti == EXPECTED_BETTI_SUPER and not rep.inconclusive
+    assert peak < 512 * 1024
+
+
+def per_block_decisions(frame, p, labels, tol=1e-8):
+    """The reference for the batched decisions: each summand's block ranked on its own by rank_decision.
+
+    The block is d's (labels (None,)) or the L_a of labels stacked row-wise,
+    each label's block cut from its padded stack.
+    """
+    two_js, sl2 = _summands(frame)
+    parts = [summand_blocks(frame, p, two_js, sl2, a) for a in labels]
+    return [rank_decision(np.concatenate(blocks), tol) for blocks in zip(*parts)]
+
+
+def batched_decisions(frame, degrees, labels, tol=1e-8):
+    """The decisions that cohomology_dims and invariant_one_forms read: one batched SVD per chunk."""
+    out = {p: [] for p in degrees}
+    for p, stack, shapes in _chunked_summand_blocks(frame, degrees, labels):
+        out[p].extend(rank_decisions(stack, shapes, tol))
+    return out
+
+
+def bits(decisions):
+    return [(dec.rank, dec.gap.hex()) for dec in decisions]
+
+
+@pytest.mark.parametrize("kind", CONTEXTS)
+@pytest.mark.parametrize("q", [*range(1, 9), 24, 200])
+def test_batched_d_decisions_are_the_per_block_ones_bit_for_bit(kind, q):
+    make, p_max = CONTEXTS[kind]
+    frame = make(q).ladder
+    got = batched_decisions(frame, range(p_max + 1), (None,))
+    for p in range(p_max + 1):
+        assert len(got[p]) == len(_summands(frame)[0]), p
+        assert bits(got[p]) == bits(per_block_decisions(frame, p, (None,))), p
+
+
+@pytest.mark.parametrize("kind", CONTEXTS)
+@pytest.mark.parametrize("q", [*range(1, 9), 64])
+def test_batched_lie_decisions_are_the_per_block_ones_bit_for_bit(kind, q):
+    frame = CONTEXTS[kind][0](q).ladder
+    got = batched_decisions(frame, (1,), frame.labels)[1]
+    assert bits(got) == bits(per_block_decisions(frame, 1, frame.labels))
 
 
 def harmonic_basis(frame, p, weight=0):
@@ -1298,7 +1398,7 @@ def test_weight_zero_d_in_harmonics_is_the_sum_of_the_summand_blocks(kind, q):
         off = s_out[:, None] != s_in[None, :]
         assert np.abs(d[off]).max(initial=0.0) <= 1e-13, p
         assert set(s_in) | set(s_out) <= set(two_js), p
-        for two_j, block in zip(two_js, _summand_blocks(frame, p, two_js, sl2)):
+        for two_j, block in zip(two_js, summand_blocks(frame, p, two_js, sl2)):
             want = reference_summand_block(frame, p, two_j, sl2)
             got = d[np.ix_(s_out == two_j, s_in == two_j)]
             assert got.shape == want.shape, (p, two_j)
@@ -1324,7 +1424,7 @@ def test_weight_zero_lie_in_harmonics_is_the_sum_of_the_summand_blocks(kind, q):
         lie = np.linalg.solve(h_out, _assemble(frame, frame.lie_terms(a, 1), 1, 1, 0) @ h_in)
         assert np.abs(lie.imag).max(initial=0.0) <= 1e-13, a
         assert np.abs(lie[s_out[:, None] != s_in[None, :]]).max(initial=0.0) <= 1e-13, a
-        for two_j, block in zip(two_js, _summand_blocks(frame, 1, two_js, sl2, a)):
+        for two_j, block in zip(two_js, summand_blocks(frame, 1, two_js, sl2, a)):
             want = reference_summand_block(frame, 1, two_j, sl2, a)
             got = lie[np.ix_(s_out == two_j, s_in == two_j)]
             assert got.shape == want.shape, (a, two_j)
@@ -1358,7 +1458,7 @@ def test_summand_terms_are_cached_per_algebra_and_read_only():
     lie = frame.summand_terms(1, 4)
     assert super_context(5).ladder.summand_terms(1, 4) is lie and lie is not frame.summand_terms(1)
     assert list(lie.out_reach) == sorted(abs(frame.tuple_weight(t) + 1) for t in frame.index_tuples(1))
-    assert not any(lie.twisted[run].any() for op, run in lie.groups if op == 0)
+    assert not lie.twisted[lie.ops == 0].any()
     for array in lie:
         if isinstance(array, np.ndarray):
             assert not array.flags.writeable

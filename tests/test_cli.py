@@ -146,9 +146,15 @@ def test_large_level_opt_in_accepted(capsys):
     assert code == 0
 
 
-def test_cohomology_large_level_needs_opt_in():
+@pytest.mark.parametrize("opt_in", [[], ["--allow-large"]])
+def test_cohomology_takes_any_level(capsys, opt_in):
+    # cohomology builds no matrix of the level, so a large level needs no opt-in; the flag is still accepted
+    code, out = run(capsys, "cohomology", "--q", "1000", "--pmax", "3", "--format", "json", *opt_in)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["meta"]["q"] == 1000 and doc["ok"] is True
     with pytest.raises(SystemExit) as exc:
-        main(["cohomology", "--q", "61"])
+        main(["cohomology", "--q", "0", *opt_in])
     assert exc.value.code == 2
 
 

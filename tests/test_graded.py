@@ -17,6 +17,7 @@ from fuzzsuper.graded import (
     perm_sign,
     random_graded_matrix,
     rank_decision,
+    rank_decisions,
     restricted_adjoint,
     superadjoint,
     supertrace,
@@ -596,6 +597,52 @@ def test_rank_decision_empty_and_zero_width_blocks():
     assert d.rank == 2 and d.gap == 1.0
     d = rank_decision([np.eye(2), np.zeros((3, 0)), np.zeros((0, 3))])
     assert d.rank == 2 and d.gap == 1.0
+
+
+def padded_stack(blocks, shape):
+    """The blocks as the top left of one zero-padded (len(blocks),) + shape stack, and their shapes."""
+    stack = np.zeros((len(blocks), *shape), dtype=np.result_type(*blocks))
+    for out, b in zip(stack, blocks):
+        out[: b.shape[0], : b.shape[1]] = b
+    return stack, np.array([b.shape for b in blocks]).reshape(-1, 2)
+
+
+def test_rank_decisions_decide_each_padded_block_as_rank_decision_does():
+    rng = np.random.default_rng(16)
+    low_rank = rng.standard_normal((5, 2)) @ rng.standard_normal((2, 4))
+    blocks = [
+        rng.standard_normal((3, 4)),
+        low_rank,
+        np.diag([1.0, 1e-3, 1e-12]),  # a clean cut below the top
+        np.diag([1.0, 5e-8]),  # an inconclusive one
+        np.zeros((2, 3)),  # exactly zero: no cut
+        np.zeros((0, 4)),  # no rows
+        rng.standard_normal((6, 1)),
+    ]
+    stack, shapes = padded_stack(blocks, (6, 4))
+    got = rank_decisions(stack, shapes)
+    want = [rank_decision(b) for b in blocks]
+    assert [(d.rank, d.inconclusive) for d in got] == [(d.rank, d.inconclusive) for d in want]
+    assert [d.rank for d in got] == [3, 2, 2, 2, 0, 0, 1]
+    for g, w in zip(got, want):
+        assert g.gap == pytest.approx(w.gap, rel=1e-12), (g, w)
+    # complex blocks take the complex SVD, as in rank_decision
+    blocks = [crandn(rng, (3, 2)), crandn(rng, (4, 1)) @ crandn(rng, (1, 3))]
+    stack, shapes = padded_stack(blocks, (4, 3))
+    assert [d.rank for d in rank_decisions(stack, shapes)] == [2, 1]
+
+
+def test_rank_decisions_reject_what_they_cannot_read():
+    stack = np.zeros((2, 3, 3))
+    assert rank_decisions(np.zeros((0, 3, 3)), np.zeros((0, 2), dtype=int)) == []
+    assert [d.gap for d in rank_decisions(np.zeros((2, 0, 3)), [(0, 3), (0, 1)])] == [math.inf] * 2
+    for shapes in ([(3, 3)], [(3, 3), (4, 3)], [3, 3]):
+        with pytest.raises(ValueError):
+            rank_decisions(stack, shapes)
+    with pytest.raises(ValueError):
+        rank_decisions(np.zeros((3, 3)), [(3, 3)] * 3)
+    with pytest.raises(ValueError):
+        rank_decisions(stack, [(3, 3)] * 2, tol=0.0)
 
 
 def test_rank_decision_mixed_real_and_complex_blocks(monkeypatch):
