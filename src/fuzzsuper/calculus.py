@@ -26,20 +26,11 @@ batched product per derivation label, or one for the wedge, and one
 coefficient matrix that sums them into the result's stack, which the new
 form adopts without a copy (SuperForm._adopt).
 
-_assemble is the one builder of matrices on the full coefficient space:
-d_matrix and lie_matrix come from it.  No rank reads them: verify's
-"matrix assembly" row checks d_matrix against exterior_d, and the tests
-check both.  The center complex is the exception: center_d_matrix builds
-its small matrix on its own, from the label-0 terms of d_terms, because on
-multiples of the unit only those terms survive.
-In a frame of weight vectors it builds one total weight at a time, the
-entry weight minus the label weight of its tuple (the one sum of label
-weights, DerivationContext.tuple_weight).  That rule lives in _layout
-alone: _assemble reads the shift of the total weight from its term list,
-and form_weights lists the weights that _layout finds entries for.  The
-entries of each entry weight come from one place, the buckets that J_3
-caches (graded.GradedMatrix.weight_buckets); the fuzzy weight tables read
-the same buckets.
+_assemble builds d_matrix and lie_matrix on the full coefficient space,
+one graded.restricted_adjoint block per label over all n^2 entries.  No
+rank and no verify row reads them; the tests check both.  center_d_matrix
+builds its small matrix on its own, from the label-0 terms of d_terms,
+because on multiples of the unit only those terms survive.
 
 The canonical tuples, their positions, the bracket table, the term lists
 and their Plans follow from the labels, parities and structure constants
@@ -49,9 +40,8 @@ shares: every level q, and every ladder frame, whose snapped constants are
 the same bytes at every q.  The first context of an algebra makes its
 record, and each list is compiled when first asked for.  What depends on
 the matrix algebra stays per context, each part made on first use: the
-generators, the unit, the grade twist, the real flag, the ladder frame,
-and the layouts and blocks that d_matrix and lie_matrix are assembled
-from.  The generators are the sphere's own: super_context and body_context read each
+generators, the unit, the grade twist, the real flag and the ladder
+frame.  The generators are the sphere's own: super_context and body_context read each
 frozen sphere.rep.matrix(a), and the ladder frame forms only J_+/sqrt2 and
 J_-/sqrt2 and passes the rest through, so a level has one object per
 generator and each cache on it (weight_buckets, adjoint_stencil) is built
@@ -75,7 +65,10 @@ and the center cross-check's, read only q, the structure constants and the
 term lists: no generator is read and no matrix of the level is formed.  The
 frame's structure constants and generators are exactly real, so these
 blocks, its d and L_a matrices and those of the center cross-check in the
-same frame are assembled and ranked in float64.
+same frame are assembled and ranked in float64.  summand_block reads one
+summand's block with the tuples of its rows and columns; verify's "summand
+blocks" row checks it against exterior_d on forms valued in one
+superspin's harmonics.
 """
 
 from __future__ import annotations
@@ -142,8 +135,9 @@ class SummandTerms(NamedTuple):
     has total weight shift, so its value on a tuple t is a multiple of
     v(weight(t) + shift), kept where |weight(t) + shift| <= 2j: only the
     row reach depends on the shift.  The tuples are numbered by ascending
-    reach, in a stable sort, so those that V(j) keeps are a prefix; in_reach
-    and out_reach hold the sorted reaches of the source and target tuples.
+    reach, in a stable sort, so those that V(j) keeps are a prefix; sources
+    and targets hold the source and target tuples in that order, and
+    in_reach and out_reach their reaches.
     Term k adds coefs[k] times the element of its op (0: the identity) on
     v(weights[k]), the weight of its source tuple, at (rows[k], cols[k]),
     signed by the parity of v(weights[k]) where twisted[k].  That parity is
@@ -160,6 +154,8 @@ class SummandTerms(NamedTuple):
     twisted: np.ndarray
     coefs: np.ndarray
     ops: np.ndarray
+    sources: Tuple[IndexTuple, ...]
+    targets: Tuple[IndexTuple, ...]
     in_reach: np.ndarray
     out_reach: np.ndarray
 
@@ -217,7 +213,7 @@ class DerivationContext:
     record (_Algebra) that every context with the same labels, parities and
     constants shares.  The context itself caches what depends on its matrix
     algebra, each on first use: its generators, the unit, the grade twist,
-    the real flag, its ladder frame, and the layouts and blocks of the assembled matrices.
+    the real flag and its ladder frame.
     Generators given as a sequence are checked (dims and parity) at
     construction.  Given as a reader instead, as super_context, body_context
     and _ladder_frame give them, they are read and checked when first used,
@@ -234,9 +230,9 @@ class DerivationContext:
     osp(1|2) derivations on the graded algebra and their three even
     companions on the body.  In a frame of weight vectors (_ladder_frame,
     cached as ladder) the context also knows the doubled J_3 weight of each
-    label, which _layout subtracts from the entry weights to give each
-    entry its total weight.  The ladder frame has exactly real constants
-    and generators; such a context is flagged real, and its d matrices are
+    label, summed over a tuple by tuple_weight, which places each tuple's
+    value in a summand's weight vectors (summand_terms).  The ladder frame
+    has exactly real constants and generators; such a context is flagged real, and its d matrices are
     float64 (center_d_matrix reads the constants alone).  A label outside labels is rejected with a ValueError
     (check_label).
 
@@ -281,8 +277,6 @@ class DerivationContext:
         else:
             self.generators = self._checked(generators)
         self._ladder: Optional[DerivationContext] = None
-        self._blocks: Dict[tuple, np.ndarray] = {}  # of _assemble, shared by its calls
-        self._layouts: Dict[tuple, tuple] = {}  # of _layout, per (p, weight)
 
     @functools.cached_property
     def generators(self) -> Tuple[GradedMatrix, ...]:
@@ -595,13 +589,15 @@ class DerivationContext:
             terms, p_out, shift = self.lie_terms(a, p), p, self.weights[a - 1]
         terms = sorted(terms, key=lambda t: t[2])  # by op, stably
 
-        def by_reach(degree: int, shift: int) -> Tuple[Dict[IndexTuple, int], np.ndarray]:
+        def by_reach(degree: int, shift: int) -> Tuple[Tuple[IndexTuple, ...], np.ndarray]:
             tuples = self.index_tuples(degree)
             reach = np.abs([self.tuple_weight(t) + shift for t in tuples]).astype(np.intp)
             order = np.argsort(reach, kind="stable")
-            return {tuples[i]: k for k, i in enumerate(order.tolist())}, reach[order]
+            return tuple(tuples[i] for i in order.tolist()), reach[order]
 
-        (src, in_reach), (dst, out_reach) = by_reach(p, 0), by_reach(p_out, shift)
+        (sources, in_reach), (targets, out_reach) = by_reach(p, 0), by_reach(p_out, shift)
+        src = {t: k for k, t in enumerate(sources)}
+        dst = {t: k for k, t in enumerate(targets)}
         coefs = np.array([t[4] for t in terms], dtype=complex)
         if coefs.imag.any():
             what = "d" if a is None else f"L_{a}"
@@ -617,6 +613,8 @@ class DerivationContext:
             twisted=twisted & ~folded,
             coefs=np.where(folded & (weights % 2 == 1), -coefs.real, coefs.real),
             ops=ops,
+            sources=sources,
+            targets=targets,
             in_reach=in_reach,
             out_reach=out_reach,
         )
@@ -627,14 +625,20 @@ class DerivationContext:
         return compiled
 
 
+#: the parities and structure constants of osp(1|2), built once, the constants read-only
+_OSP = build_osp_basis()
+_OSP.constants.setflags(write=False)
+#: the constants of the first k labels, for the body (3) and the supersphere (5): one view each
+_CONSTANTS = {k: _OSP.constants[:k, :k, :k] for k in (3, 5)}
+
+
 def _context(name: str, sphere: Union[FuzzySuperSphere, FuzzySphere], k: int) -> DerivationContext:
     """The first k osp(1|2) derivations acting through the sphere's own generators."""
-    basis = build_osp_basis()
     return DerivationContext(
         name=name,
         labels=LABELS[:k],
-        parities=basis.parities[:k],
-        constants=basis.constants[:k, :k, :k],
+        parities=_OSP.parities[:k],
+        constants=_CONSTANTS[k],
         generators=lambda: [sphere.rep.matrix(a) for a in LABELS[:k]],
         sphere=sphere,
     )
@@ -927,137 +931,39 @@ def exterior_d(w: SuperForm) -> SuperForm:
 # d and L as matrices on coefficient space
 
 
-#: the kept entries of a weight that no entry has, read-only like every layout's
-_NO_ENTRIES = (np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp))
-for _index in _NO_ENTRIES:
-    _index.setflags(write=False)
+def _assemble(ctx: DerivationContext, terms: Sequence[Term], p_out: int, p_in: int) -> np.ndarray:
+    """Terms as a matrix from Omega^p_in to Omega^p_out on flattened stacks.
 
-
-def _layout(
-    ctx: DerivationContext, p: int, weight: Optional[int]
-) -> Tuple[Dict[IndexTuple, tuple], int]:
-    """Where each canonical p-tuple's value sits in a stacked vector, and its length.
-
-    Maps each tuple to (offset, entry weight, kept entries), the entries as
-    row-major (rows, cols) index arrays, the order graded.restricted_adjoint
-    needs of its sources.  Without a weight all are kept (entry weight None).
-    With a doubled total weight, only the entries whose entry weight minus
-    the tuple's label weight equals it: this is the one place of that rule.
-    Those entries are the bucket of that entry weight that J_3,
-    ctx.generators[2], caches (graded.GradedMatrix.weight_buckets, which
-    the fuzzy weight tables read too), or none.  Cached on ctx per (p,
-    weight), with read-only index arrays.
+    A term adds its coefficient times an n^2 x n^2 block at its target and
+    source tuples: graded.restricted_adjoint of E_a over all entries,
+    scattered once per label, or the identity for label 0, with columns
+    scaled by the grade signs if twisted.  On a real context the blocks and
+    coefficients are the real parts, exactly, and the matrix is float64.
     """
-    if weight is not None and ctx.weights is None:
-        raise ValueError("a weight needs a frame of weight vectors")
-    if (p, weight) in ctx._layouts:
-        return ctx._layouts[p, weight]
-    if weight is None:
-        kept = {None: np.nonzero(np.ones((ctx.n, ctx.n), dtype=bool))}
-        for index in kept[None]:
-            index.setflags(write=False)
-    else:
-        kept = ctx.generators[2].weight_buckets
-    out, offset = {}, 0
-    for t in ctx.index_tuples(p):
-        key = None if weight is None else weight + ctx.tuple_weight(t)
-        out[t] = (offset, key, kept.get(key, _NO_ENTRIES))
-        offset += out[t][2][0].size
-    ctx._layouts[p, weight] = out, offset
-    return ctx._layouts[p, weight]
-
-
-def form_weights(ctx: DerivationContext, p: int) -> Tuple[int, ...]:
-    """The doubled total weights that p-forms of a frame of weight vectors carry, ascending.
-
-    Those w with an entry in _layout(ctx, p, w): each weight of the buckets
-    of J_3 (graded.GradedMatrix.weight_buckets) minus the label weight of
-    each canonical p-tuple.  No layout is built.
-    """
-    if ctx.weights is None:
-        raise ValueError("weights need a frame of weight vectors")
-    labels = {ctx.tuple_weight(t) for t in ctx.index_tuples(p)}
-    return tuple(sorted({m - s for m in ctx.generators[2].weight_buckets for s in labels}))
-
-
-def _assemble(
-    ctx: DerivationContext,
-    terms: Sequence[Term],
-    p_out: int,
-    p_in: int,
-    weight: Optional[int] = None,
-) -> np.ndarray:
-    """Terms as a matrix from Omega^p_in to Omega^p_out on stacked value vectors.
-
-    A term adds its coefficient times a block: graded.restricted_adjoint of
-    E_a between the kept entries (see _layout), or the identity for label 0,
-    with columns scaled by the grade signs if twisted.  Each plain block is
-    scattered from the nonzeros of E_a once per context, keyed by (label,
-    row entry weight, column entry weight), and a twisted term scales it on
-    use; a term with no kept row or column adds nothing and is skipped.
-
-    With a weight, only the columns of that total weight are kept, and the
-    rows of that weight plus the list's shift.  A term moves the entry
-    weight of its source value by weight(op), so it moves the total weight
-    by weight(op) + weight(source) - weight(target), label weights summed
-    over each tuple.  Every term of one list has the same shift: 0 for d,
-    weight(a) for L_a.  On a real context the blocks and coefficients are
-    the real parts, exactly, and the matrix is float64.
-    """
-    src, n_cols = _layout(ctx, p_in, weight)
-    rows = weight
-    if weight is not None and terms:
-        target, source, label, _, _ = terms[0]
-        op = (label,) if label else ()
-        rows += ctx.tuple_weight(op + source) - ctx.tuple_weight(target)
-    dst, n_rows = _layout(ctx, p_out, rows)
+    n2 = ctx.n**2
+    dst, src = ctx.positions(p_out), ctx.positions(p_in)
     real = ctx.real
-    out = np.zeros((n_rows, n_cols), dtype=float if real else complex)
-    blocks = ctx._blocks
+    entries = np.divmod(np.arange(n2), ctx.n)  # every (row, col), row-major
+    grade = ctx.grade.reshape(-1)
+    blocks = {0: np.eye(n2)}
+    out = np.zeros((len(dst) * n2, len(src) * n2), dtype=float if real else complex)
     for target, source, label, twist, coef in terms:
-        (row, rkey, rent), (col, ckey, cent) = dst[target], src[source]
-        if not (rent[0].size and cent[0].size):
-            continue
-        key = (label, rkey, ckey)
-        if key not in blocks:
-            if label:
-                block = restricted_adjoint(ctx.generators[label - 1], rent, cent)
-                blocks[key] = block.real.copy() if real else block
-            else:
-                blocks[key] = np.eye(cent[0].size)
-        block = blocks[key] * ctx.grade[cent] if twist else blocks[key]
-        h, w = block.shape
-        out[row : row + h, col : col + w] += (coef.real if real else coef) * block
+        if label not in blocks:
+            block = restricted_adjoint(ctx.generators[label - 1], entries, entries)
+            blocks[label] = block.real if real else block
+        block = blocks[label] * grade if twist else blocks[label]
+        row, col = dst[target] * n2, src[source] * n2
+        out[row : row + n2, col : col + n2] += (coef.real if real else coef) * block
     return out
 
 
-def form_to_vec(w: SuperForm, weight: Optional[int] = None) -> np.ndarray:
-    """The stack of w as one read-only vector, in the layout of d_matrix(ctx, p, weight).
-
-    With a weight, a fresh vector of w's values on the entries of that total weight.
-    """
-    if weight is None:
-        return w.stack.reshape(-1)
-    pos, layout = w.ctx.positions(w.p), _layout(w.ctx, w.p, weight)[0]
-    return np.concatenate([w.stack[pos[t]][entries] for t, (_, _, entries) in layout.items()])
-
-
-def vec_to_form(ctx: DerivationContext, p: int, vec: np.ndarray) -> SuperForm:
-    """The p-form whose stack is vec, copied, in the layout of d_matrix."""
-    return SuperForm(ctx, p, vec)
-
-
-def d_matrix(ctx: DerivationContext, p: int, weight: Optional[int] = None) -> np.ndarray:
-    """d: Omega^p -> Omega^(p+1) on stacked value vectors, or its block of one weight.
-
-    d commutes with L_3, so in a frame of weight vectors it keeps the total
-    weight, and the weight block is d on that subcomplex (see _layout).
-    """
-    return _assemble(ctx, ctx.d_terms(p), p + 1, p, weight)
+def d_matrix(ctx: DerivationContext, p: int) -> np.ndarray:
+    """d: Omega^p -> Omega^(p+1) as a matrix on flattened stacks (SuperForm.stack.reshape(-1))."""
+    return _assemble(ctx, ctx.d_terms(p), p + 1, p)
 
 
 def lie_matrix(ctx: DerivationContext, a: Label, p: int) -> np.ndarray:
-    """L_a on Omega^p as a matrix, same vec layout as d_matrix."""
+    """L_a on Omega^p as a matrix, on the same vectors as d_matrix."""
     return _assemble(ctx, ctx.lie_terms(a, p), p, p)
 
 
@@ -1238,7 +1144,31 @@ def _summand_stack(
         flats.append(flat[kept])
         weights.append(values[kept])
     stack = np.bincount(np.concatenate(flats), np.concatenate(weights), minlength=len(two_js) * n_out * n_in)
+    stack = stack.astype(float, copy=False)  # bincount gives int64 zeros when no entry is kept
     return stack.reshape(len(two_js), n_out, n_in), np.stack([heights.sum(axis=0), cols], axis=1)
+
+
+def summand_block(
+    frame: DerivationContext, p: int, two_j: int, a: Optional[Label] = None
+) -> Tuple[np.ndarray, Tuple[IndexTuple, ...], Tuple[IndexTuple, ...]]:
+    """The block of d, or of L_a with a label, on weight-0 p-forms valued in the summand V(j), and its tuples.
+
+    Returns (block, sources, targets): the float64 block of _summand_stack
+    for this 2j alone, which the ranks read, and the canonical tuples of its
+    columns and rows, as frame.summand_terms(p, a) numbers them.  The form
+    with value x[k] v(weight(sources[k])) on sources[k] is taken to the form
+    with value (block @ x)[i] v(weight(targets[i]) + shift) on targets[i],
+    where v(m) is the weight-m vector of V(j) (shift 0 for d and weight(a)
+    for L_a).  Needs a frame of weight vectors, and the 2j of one of its
+    summands (_summands); a ValueError otherwise.
+    """
+    terms = frame.summand_terms(p, a)
+    two_js, sl2 = _summands(frame)
+    if two_j not in two_js:
+        raise ValueError(f"2j = {two_j!r} is not a summand of {frame.name}")
+    elements = _summand_elements(frame, [two_j], sl2, int(terms.in_reach.max(initial=0)))
+    stack, ((rows, cols),) = _summand_stack(frame, p, elements, (a,))
+    return stack[0], terms.sources[:cols], terms.targets[:rows]
 
 
 #: the summands whose blocks _chunked_summand_blocks builds at once

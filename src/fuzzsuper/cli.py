@@ -42,15 +42,13 @@ from .calculus import (
     body_context,
     center_cohomology_dims,
     cohomology_dims,
-    d_matrix,
     exterior_d,
-    form_to_vec,
-    form_weights,
     interior,
     invariant_one_forms,
     lie_derivative,
     maurer_cartan,
     random_superform,
+    summand_block,
     super_context,
     wedge,
 )
@@ -292,14 +290,25 @@ def _suite_calculus(q: int, rho: float, tol: float, rng) -> List[CheckResult]:
     ww = wedge(w1, w2)
     leib = (exterior_d(ww) - (wedge(exterior_d(w1), w2) - wedge(w1, exterior_d(w2)))).norm()
     out.append(CheckResult("calculus", "wedge leibniz", q, leib, tol))
-    # d keeps the total weight: its ladder-frame blocks on 1-forms, one per weight, against exterior_d
-    frame = ctx.ladder
-    w = random_superform(frame, 1, rng)
-    dw, miss = exterior_d(w), 0.0
-    for weight in form_weights(frame, 1):
-        residual = d_matrix(frame, 1, weight=weight) @ form_to_vec(w, weight) - form_to_vec(dw, weight)
-        miss = math.hypot(miss, float(np.linalg.norm(residual)))
-    out.append(CheckResult("calculus", "matrix assembly", q, miss, tol))
+    # the blocks that the ranks read, against exterior_d on forms valued in one superspin's
+    # harmonics: x[k] Y(2j, m) on the k-th source tuple of weight m, and block @ x on the targets
+    frame, sphere = ctx.ladder, ctx.sphere
+
+    def form(p: int, two_j: int, tuples, coefs) -> SuperForm:
+        values = {}
+        for t, x in zip(tuples, coefs):
+            m = frame.tuple_weight(t)
+            values[t] = sphere.harmonic(HarmonicLabel(two_j, (two_j - m) % 2, m)) * x
+        return SuperForm(frame, p, values)
+
+    miss = 0.0
+    for p in (0, 1):
+        for two_j in sorted({0, 1, 2, 3, 2 * q - 1, 2 * q} & set(range(2 * q + 1))):
+            block, sources, targets = summand_block(frame, p, two_j)
+            x = rng.standard_normal(len(sources))
+            predicted = form(p + 1, two_j, targets, block @ x)
+            miss = max(miss, (exterior_d(form(p, two_j, sources, x)) - predicted).norm())
+    out.append(CheckResult("calculus", "summand blocks", q, miss, tol))
     return out
 
 

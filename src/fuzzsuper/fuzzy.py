@@ -217,9 +217,9 @@ class _WeightTable:
 
     A harmonic of doubled weight m is nonzero only on the entries of weight
     m (graded.entry_weights).  The table reads those entries from the
-    buckets cached on its J_3, a GradedMatrix (weight_buckets, which
-    calculus._layout reads too), row-major within a weight, the order
-    graded.restricted_adjoint needs of its sources.  For each m it keeps
+    buckets cached on its J_3, a GradedMatrix (weight_buckets), row-major
+    within a weight, the order graded.restricted_adjoint needs of its
+    sources.  For each m it keeps
     them as ``flat`` indices r*n + c, and one row per label in ``rows``,
     labels sorted by descending l: a C-contiguous labels x entries array,
     so a harmonic is one contiguous row scattered onto the flat entries.

@@ -4,13 +4,13 @@ A graded vector space is laid out with all even basis vectors first, then
 all odd ones, so a matrix splits into four blocks addressed through the
 dimension split alone.  Everything here is immutable and pure, in dense
 double precision.  At level q the supersphere's graded matrices are
-(2q+1)x(2q+1): 257x257 at q = 128, which verify --suite body reaches.  The
-matrices that reach rank_decision have thousands of rows; a caller whose
-matrix is block diagonal knows the blocks from its layout and passes them
-as a list or a generator, and each matrix or block takes one SVD as given.
-A caller with many small blocks passes them zero-padded to one shape, as
-one stack, to rank_decisions, which takes one batched SVD call for all of
-them; both read the same cut and gap rule (_decide).
+(2q+1)x(2q+1): 257x257 at q = 128, which verify --suite body reaches.  A
+caller whose matrix is block diagonal knows its blocks and passes them to
+rank_decision as a list or a generator, and each matrix or block takes one
+SVD as given.  A caller with many small blocks, as the calculus has one per
+irreducible summand, passes them zero-padded to one shape, as one stack, to
+rank_decisions, which takes one batched SVD call for all of them; both
+read the same cut and gap rule (_decide).
 
 Every parity-dependent kernel goes through one grade twist,
 tau(b) = b_even - b_odd = b * dims.twist, an elementwise product with a
@@ -22,8 +22,8 @@ blocks.  The twisted even rows that indefinite_inner reads from its second
 argument are formed once per matrix and cached on it, read-only, so a loop
 that pairs many matrices with one right operand forms no temporary.  A
 graded commutator with a homogeneous left factor costs two matrix
-products.  rank_decision keeps real input real, so the real d matrices of
-the cohomology take LAPACK's real SVD.
+products.  rank_decision and rank_decisions keep real input real, so the
+real d blocks of the cohomology take LAPACK's real SVD.
 
 Who copies and who freezes: the public GradedMatrix constructor copies the
 array it is given, because the caller may still hold and write it.  The
@@ -210,7 +210,7 @@ class GradedMatrix:
         Maps every weight m that entry_weights gives, ascending, to the
         (rows, cols) of its entries, row-major: one stable argsort of the
         flat entries buckets them all.  This is the one bucketing of entries
-        by weight: the fuzzy weight tables and calculus._layout read it.
+        by weight: the fuzzy weight tables read it.
         """
         diff = entry_weights(self.mat).reshape(-1)
         order = np.argsort(diff, kind="stable")

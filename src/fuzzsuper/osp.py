@@ -216,7 +216,7 @@ class Irrep(_Generators):
     index: Dict[Tuple[int, int], int]
 
 
-def _block_layout(two_j: int, hw_parity: Parity):
+def _ordered_blocks(two_j: int, hw_parity: Parity):
     """Ordered list of (two_l, mu, parity) blocks, even block first."""
     blocks = [(two_j, 0, hw_parity % 2)]
     if two_j >= 1:
@@ -234,11 +234,11 @@ def build_irrep(two_j: int, hw_parity: Parity = ODD) -> Irrep:
     if two_j < 0:
         raise ValueError("superspin must be non-negative")
     n = 2 * two_j + 1
-    even_dim = sum(tl + 1 for tl, _, p in _block_layout(two_j, hw_parity) if p == EVEN)
+    even_dim = sum(tl + 1 for tl, _, p in _ordered_blocks(two_j, hw_parity) if p == EVEN)
     dims = GradedDims(even=even_dim, odd=n - even_dim)
 
     index: Dict[Tuple[int, int], int] = {}
-    for two_l, _, _ in _block_layout(two_j, hw_parity):
+    for two_l, _, _ in _ordered_blocks(two_j, hw_parity):
         for two_m in range(two_l, -two_l - 2, -2):
             index[(two_l, two_m)] = len(index)
     # each weight occurs once, so v(w) is known by w alone (weight_elements)

@@ -21,8 +21,6 @@ from fuzzsuper.calculus import (
     d_matrix,
     eta_forms,
     exterior_d,
-    form_to_vec,
-    form_weights,
     interior,
     invariant_one_forms,
     lambda_form,
@@ -30,18 +28,14 @@ from fuzzsuper.calculus import (
     lie_matrix,
     maurer_cartan,
     random_superform,
+    summand_block,
     super_context,
-    vec_to_form,
     wedge,
 )
 from fuzzsuper.calculus import (
-    _assemble,
     _betti_report,
     _chunked_summand_blocks,
     _ladder_frame,
-    _layout,
-    _summand_elements,
-    _summand_stack,
     _summands,
 )
 from fuzzsuper.cli import main as cli_main
@@ -178,9 +172,9 @@ def test_superform_stack_is_a_frozen_copy():
     w = random_superform(CTX, 2, RNG)
     with pytest.raises(ValueError):
         w.stack[0, 0, 0] = 1.0
-    vec = np.array(form_to_vec(w))
+    vec = np.array(w.stack.reshape(-1))
     vals = {t: w.evaluate(t) for t in CTX.index_tuples(2)}
-    forms = [vec_to_form(CTX, 2, vec), SuperForm(CTX, 2, vals)]
+    forms = [SuperForm(CTX, 2, vec), SuperForm(CTX, 2, vals)]
     vec[:] = 0.0
     vals[(1, 2)] = GradedMatrix.zero(CTX.dims)
     for f in forms:
@@ -197,7 +191,7 @@ def test_stack_layout(ctx, p):
     zero = SuperForm.zero_form(ctx, p)
     assert zero.stack.shape == shape and not zero.stack.any()
     v = RNG.standard_normal(math.prod(shape)) + 1j * RNG.standard_normal(math.prod(shape))
-    assert np.array_equal(form_to_vec(vec_to_form(ctx, p, v)), v)
+    assert np.array_equal(SuperForm(ctx, p, v).stack.reshape(-1), v)
 
 
 def test_body_top_degree_is_empty():
@@ -415,15 +409,15 @@ def weight_block_route(ctx):
 
     L_a takes total weight w to w + weight(a), so the stack of all L_a on
     1-forms is block diagonal over the column weight w.  The block of w
-    stacks, label by label, the pieces that _assemble gives for column weight
-    w in the ladder frame, and each block is assembled only when it is read.
-    Ranked, they give the invariant 1-forms in the entry basis; they are also
-    the reference for _assemble's weight blocks of L_a.
+    stacks, label by label, the pieces that reference_assemble gives for
+    column weight w in the ladder frame, and each block is assembled only
+    when it is read.  Ranked, they give the invariant 1-forms in the entry
+    basis.
     """
     frame = ctx.ladder
     return (
-        np.concatenate([_assemble(frame, frame.lie_terms(a, 1), 1, 1, w) for a in frame.labels])
-        for w in form_weights(frame, 1)
+        np.concatenate([reference_assemble(frame, frame.lie_terms(a, 1), 1, 1, w) for a in frame.labels])
+        for w in np.unique(total_weights(frame, 1)).tolist()
     )
 
 
@@ -489,35 +483,14 @@ def reference_weight_blocks(ctx):
 @pytest.mark.parametrize("kind", ["super", "body"])
 @pytest.mark.parametrize("q", range(1, 7))
 def test_invariant_one_forms_blocks_are_the_bytes_of_the_dense_gather(kind, q):
+    # the route's complex blocks have exactly zero imaginary parts, and real parts that are
+    # the bytes of the float64 L_a of the real frame, cut
     ctx = (super_context if kind == "super" else body_context)(q)
     got, want = list(weight_block_route(ctx)), reference_weight_blocks(ctx)
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert (g.dtype.str, g.shape, g.tobytes()) == (w.dtype.str, w.shape, w.tobytes())
-
-
-def test_invariant_one_forms_allocates_no_whole_lie_matrix():
-    # one L_a on 1-forms at q = 16 is 8 dim^2 bytes, 237 MB; the weight blocks sum to about
-    # 26 MB, the largest is 1.0 MB, and the route ranks them as they are assembled, so the
-    # peak (3.0 MB) stays below four times the largest block; invariant_one_forms holds no
-    # weight block at all (see test_invariant_one_forms_memory_does_not_grow_with_the_level)
-    ctx = super_context(16)
-    dim = len(ctx.index_tuples(1)) * ctx.n**2
-    tracemalloc.start()
-    try:
-        dec = rank_decision(weight_block_route(ctx))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert dec.rank == dim - 1 and not dec.inconclusive
-    assert peak < 2 * dim * dim
-    frame = ctx.ladder
-    sizes = [
-        8 * _layout(frame, 1, w)[1] * sum(_layout(frame, 1, w + frame.weights[a - 1])[1] for a in frame.labels)
-        for w in form_weights(frame, 1)
-    ]
-    assert 4 * max(sizes) < sum(sizes) / 5
-    assert peak < 4 * max(sizes)
+        assert not g.imag.any() and w.dtype == np.float64
+        assert (g.shape, g.real.tobytes()) == (w.shape, w.tobytes())
 
 
 def recording_rows(join, rows):
@@ -553,20 +526,17 @@ def test_invariant_one_forms_stacks_no_whole_lie_matrix(monkeypatch):
         assert rows and max(rows) < dim
 
 
-def summand_blocks(frame, p, two_js, sl2, a=None):
-    """Each summand's block of d (or L_a) on its own: the top left of its padded _summand_stack."""
-    reach = int(frame.summand_terms(p, a).in_reach.max(initial=0))
-    stack, shapes = _summand_stack(frame, p, _summand_elements(frame, two_js, sl2, reach), (a,))
-    return [block[:r, :c] for block, (r, c) in zip(stack, shapes)]
+def summand_blocks(frame, p, two_js, a=None):
+    """Each summand's block of d (or L_a), read on its own (summand_block)."""
+    return [summand_block(frame, p, two_j, a)[0] for two_j in two_js]
 
 
 def adjoint_kernels(ctx):
     """Each superspin's kernel of the stacked L_a on weight-0 1-forms, ranked on its own."""
     frame = ctx.ladder
-    two_js, sl2 = _summands(frame)
     kernels = {}
-    for two_j in two_js:
-        blocks = [summand_blocks(frame, 1, [two_j], sl2, a)[0] for a in frame.labels]
+    for two_j in _summands(frame)[0]:
+        blocks = [summand_block(frame, 1, two_j, a)[0] for a in frame.labels]
         dec = rank_decision(np.concatenate(blocks))
         assert not dec.inconclusive, two_j
         kernels[two_j] = blocks[0].shape[1] - dec.rank
@@ -624,7 +594,7 @@ def level_matrix_calls(monkeypatch):
 
         return spy
 
-    for name in ("d_matrix", "lie_matrix", "_layout", "_assemble"):
+    for name in ("d_matrix", "lie_matrix", "_assemble"):
         monkeypatch.setattr(calculus_module, name, counted(name, getattr(calculus_module, name)))
     for module in (osp_module, fuzzy_module):
         for name in ("build_irrep", "build_sl2_irrep"):
@@ -641,7 +611,7 @@ def test_invariant_one_forms_forms_no_matrix_of_the_level(monkeypatch):
         assert c.n**2 * len(c.index_tuples(1)) - invariant_one_forms(c).rank == 1
     assert calls == []
     calculus_module.lie_matrix(ctx.ladder, 1, 1)  # the spies do count
-    assert {"lie_matrix", "_layout", "_assemble"} <= set(calls)
+    assert {"lie_matrix", "_assemble"} <= set(calls)
 
 
 # ---------------------------------------------------------------- matrices
@@ -650,7 +620,7 @@ def test_invariant_one_forms_forms_no_matrix_of_the_level(monkeypatch):
 @pytest.mark.parametrize("p", [0, 1, 2])
 def test_d_matrix_matches_pointwise(p):
     w = random_superform(CTX, p, RNG)
-    via_matrix = vec_to_form(CTX, p + 1, d_matrix(CTX, p) @ form_to_vec(w))
+    via_matrix = SuperForm(CTX, p + 1, d_matrix(CTX, p) @ w.stack.reshape(-1))
     assert (via_matrix - exterior_d(w)).norm() < 1e-10
 
 
@@ -672,7 +642,7 @@ def test_assembled_d_squared_zero(ctx, p):
 def test_lie_matrix_matches_pointwise(p):
     w = random_superform(CTX, p, RNG)
     for a in CTX.labels:
-        via_matrix = vec_to_form(CTX, p, lie_matrix(CTX, a, p) @ form_to_vec(w))
+        via_matrix = SuperForm(CTX, p, lie_matrix(CTX, a, p) @ w.stack.reshape(-1))
         assert (via_matrix - lie_derivative(a, w)).norm() < 1e-10
 
 
@@ -791,8 +761,8 @@ def test_ladder_d_is_unitarily_equivalent_and_weight_diagonal(kind, q, p):
     assert not d_lad[rows[:, None] != cols[None, :]].any()
     # so the spectrum is the union of the weight blocks' spectra
     blocks = []
-    for w in np.union1d(rows, cols):
-        block = d_matrix(frame, p, weight=int(w))
+    for w in np.union1d(rows, cols).tolist():
+        block = reference_assemble(frame, frame.d_terms(p), p + 1, p, w)
         assert block.shape == ((rows == w).sum(), (cols == w).sum())
         assert np.array_equal(block, d_lad[np.ix_(rows == w, cols == w)])
         if block.size:
@@ -811,8 +781,8 @@ def test_nonzero_weight_subcomplexes_are_acyclic(kind, q):
     weights = np.unique(np.concatenate([total_weights(frame, p) for p in range(p_max + 2)]))
     assert 0 in weights and len(weights) > 1
     for w in weights[weights != 0].tolist():
-        dims = tuple(_layout(frame, p, w)[1] for p in range(p_max + 1))
-        rep = matrix_report(f"weight {w}", dims, lambda p: d_matrix(frame, p, weight=w))
+        dims = tuple(reference_layout(frame, p, w)[1] for p in range(p_max + 1))
+        rep = matrix_report(f"weight {w}", dims, lambda p: reference_assemble(frame, frame.d_terms(p), p + 1, p, w))
         assert rep.betti == (0,) * (p_max + 1), w
         assert not rep.inconclusive, w
 
@@ -857,54 +827,47 @@ def test_assembly_matches_kron_reference(kind, q, frame):
     for p in range(3):
         ref = kron_reference(ctx, ctx.d_terms(p), p + 1, p)
         assert np.array_equal(d_matrix(ctx, p), ref)
-        if frame == "ladder":
-            rows, cols = total_weights(ctx, p + 1), total_weights(ctx, p)
-            for w in (0, 1, -1, 2, -2):
-                block = d_matrix(ctx, p, weight=w)
-                assert np.array_equal(block, ref[np.ix_(rows == w, cols == w)]), w
         for a in ctx.labels:
             want = kron_reference(ctx, ctx.lie_terms(a, p), p, p)
             assert np.array_equal(lie_matrix(ctx, a, p), want), a
 
 
 def test_weight_needs_a_ladder_frame():
-    with pytest.raises(ValueError):
-        d_matrix(CTX, 0, weight=0)
-
-
-@pytest.mark.parametrize("weight", [None, 0, 2])
-def test_layout_is_cached_on_the_context_and_read_only(weight):
-    frame = super_context(2).ladder
-    for p in range(3):
-        layout = _layout(frame, p, weight)
-        assert _layout(frame, p, weight) is layout
-        for _, _, entries in layout[0].values():
-            assert all(not index.flags.writeable for index in entries)
-            with pytest.raises(ValueError):
-                entries[0][0] = 0
-    assert _layout(frame, 1, weight) is not _layout(super_context(2).ladder, 1, weight)
+    # the summand blocks act on weight-0 forms: the original frame has no label weights
+    with pytest.raises(ValueError, match="frame of weight vectors"):
+        summand_block(CTX, 0, 0)
 
 
 @pytest.mark.parametrize("kind", CONTEXTS)
-@pytest.mark.parametrize("q", [1, 2, 3, 8, 16])
-def test_form_weights_are_the_total_weights_that_occur(kind, q):
+@pytest.mark.parametrize("q", [1, 2, 8, 24])
+def test_summand_block_is_the_bytes_of_its_block_in_the_ranked_stacks(kind, q):
+    # the blocks that cohomology_dims (d) and invariant_one_forms (the L_a stacked) rank,
+    # cut from their padded chunks, against the reader, one summand at a time
     make, p_max = CONTEXTS[kind]
     frame = make(q).ladder
-    for p in range(p_max + 1):
-        assert form_weights(frame, p) == tuple(np.unique(total_weights(frame, p)).tolist()), p
-    with pytest.raises(ValueError):
-        form_weights(make(q), 1)
-
-
-def test_form_weights_builds_no_layout():
-    frame = super_context(3).ladder
-    for p in range(4):
-        form_weights(frame, p)
-    assert frame._layouts == {}
+    two_js = _summands(frame)[0]
+    for degrees, labels in ((range(p_max + 1), (None,)), ((1,), frame.labels)):
+        ranked = {p: [] for p in degrees}
+        for p, stack, shapes in _chunked_summand_blocks(frame, degrees, labels):
+            ranked[p] += [block[:r, :c] for block, (r, c) in zip(stack, shapes)]
+        for p in degrees:
+            assert len(ranked[p]) == len(two_js), p
+            for two_j, got in zip(two_js, ranked[p]):
+                want = np.concatenate([summand_block(frame, p, two_j, a)[0] for a in labels])
+                assert want.dtype == np.float64 and same_bytes(np.ascontiguousarray(got), want), (p, two_j)
+    for two_j in (-1, 2 * q + 1, 2 * q + 2) if kind == "super" else (1, 2 * q + 2):
+        with pytest.raises(ValueError, match="not a summand"):
+            summand_block(frame, 0, two_j)
 
 
 def reference_layout(ctx, p, weight):
-    """_layout by the entry-weight mask: for each tuple, np.nonzero(entry weight == key)."""
+    """Where each canonical p-tuple's value sits in a stacked vector of one total weight, and its length.
+
+    Maps each tuple to (offset, entry weight, kept entries): with a doubled
+    total weight, the entries whose entry weight minus the tuple's label
+    weight equals it, np.nonzero of that entry-weight mask, row-major; all
+    entries without a weight (entry weight None).
+    """
     two_m = entry_weights(ctx.generators[2].mat)
     out, offset = {}, 0
     for t in ctx.index_tuples(p):
@@ -915,42 +878,20 @@ def reference_layout(ctx, p, weight):
     return out, offset
 
 
-def layout_bytes(layout):
-    """A layout as plain values: offsets, keys, and each entry array's dtype, shape and bytes."""
-    records, total = layout
-    return total, [
-        (t, offset, key, [(a.dtype.str, a.shape, a.tobytes()) for a in entries])
-        for t, (offset, key, entries) in records.items()
-    ]
-
-
-@pytest.mark.parametrize("kind", CONTEXTS)
-@pytest.mark.parametrize("q", range(1, 7))
-def test_layout_is_the_bytes_of_the_mask_reference(kind, q):
-    ctx = CONTEXTS[kind][0](q)
-    for frame in (ctx, ctx.ladder):
-        for p in range(4):
-            bound = 2 * q + 2 * p + 2
-            weights = [None] if frame.weights is None else [None, *range(-bound, bound + 1)]
-            for weight in weights:
-                got, want = layout_bytes(_layout(frame, p, weight)), layout_bytes(reference_layout(frame, p, weight))
-                assert got == want, (p, weight)
-
-
 # ---------------------------------------------------------------- the real ladder frame
 
 
 @pytest.mark.parametrize("kind", CONTEXTS)
 @pytest.mark.parametrize("q", [1, 2, 3, 4])
 def test_restricted_adjoint_matches_the_reference_on_every_generator(kind, q):
-    # every generator of both frames, between every pair of entry sets _layout keeps
+    # every generator of both frames, between every pair of entry sets reference_layout keeps
     ctx = CONTEXTS[kind][0](q)
     for frame in (ctx, ctx.ladder):
         weights = [None] if frame.weights is None else [None, *range(-2 * q - 4, 2 * q + 5)]
         sets = {}
         for p in range(3):
             for weight in weights:
-                for _, _, entries in _layout(frame, p, weight)[0].values():
+                for _, _, entries in reference_layout(frame, p, weight)[0].values():
                     sets[entries[0].tobytes() + entries[1].tobytes()] = entries
         for e in frame.generators:
             for target in sets.values():
@@ -960,13 +901,22 @@ def test_restricted_adjoint_matches_the_reference_on_every_generator(kind, q):
 
 
 def reference_assemble(ctx, terms, p_out, p_in, weight=None):
-    """The terms assembled in complex arithmetic, one block and one add per term.
+    """The terms assembled in complex arithmetic, one block and one add per term, on reference_layout.
 
-    Every block and coefficient stays complex whether or not the context is
-    real, and no block is shared with the context's cache.
+    Without a weight, on all entries.  With a weight, the columns are the
+    entries of that total weight and the rows those of that weight plus the
+    list's shift: a term moves the total weight by weight(op) +
+    weight(source) - weight(target), the same for every term of a list (0
+    for d, weight(a) for L_a).  Every block and coefficient stays complex
+    whether or not the context is real, and no block is shared between
+    terms.
     """
-    dst, n_rows = _layout(ctx, p_out, weight)
-    src, n_cols = _layout(ctx, p_in, weight)
+    rows = weight
+    if weight is not None and terms:
+        target, source, op, _, _ = terms[0]
+        rows += ctx.tuple_weight(((op,) if op else ()) + source) - ctx.tuple_weight(target)
+    dst, n_rows = reference_layout(ctx, p_out, rows)
+    src, n_cols = reference_layout(ctx, p_in, weight)
     out = np.zeros((n_rows, n_cols), dtype=complex)
     for target, source, label, twist, coef in terms:
         (row, _, rent), (col, _, cent) = dst[target], src[source]
@@ -1059,10 +1009,8 @@ def test_a_level_has_one_graded_matrix_per_generator(kind, q, monkeypatch):
     for k in range(2, len(ctx.labels)):
         assert frame.generators[k] is ctx.generators[k], k
     sphere._table
-    form_weights(frame, 1)
-    d_matrix(frame, 1, weight=0)
-    assert len(bucketed) == 1 and bucketed[0] is sphere.rep.j3.mat
     assert frame.generators[2].weight_buckets is sphere.rep.j3.weight_buckets
+    assert len(bucketed) == 1 and bucketed[0] is sphere.rep.j3.mat
 
 
 @pytest.mark.parametrize("kind", CONTEXTS)
@@ -1077,19 +1025,6 @@ def test_cohomology_on_a_frame_equals_the_original(kind):
 REAL_CASES = [(k, q) for k in CONTEXTS for q in (1, 2, 3, 4)]
 
 
-@pytest.mark.parametrize("kind, q", REAL_CASES, ids=[f"{k}-q{q}" for k, q in REAL_CASES])
-def test_weight_zero_d_is_the_real_part_of_the_complex_reference(kind, q):
-    make, p_max = CONTEXTS[kind]
-    frame = make(q).ladder
-    for p in range(p_max + 1):
-        got = d_matrix(frame, p, weight=0)
-        want = reference_assemble(frame, frame.d_terms(p), p + 1, p, weight=0)
-        assert got.dtype == np.float64, p
-        assert not want.imag.any(), p
-        assert np.array_equal(got, want.real), p
-        assert same_decision(rank_decision(got), rank_decision(want)), p
-
-
 @pytest.mark.parametrize("kind", CONTEXTS)
 @pytest.mark.parametrize("q", range(1, 7))
 def test_weight_zero_d_is_one_pattern_block_or_empty(kind, q):
@@ -1097,7 +1032,7 @@ def test_weight_zero_d_is_one_pattern_block_or_empty(kind, q):
     make, p_max = CONTEXTS[kind]
     frame = make(q).ladder
     for p in range(p_max + 1):
-        assert len(nonzero_blocks(d_matrix(frame, p, weight=0))) <= 1, p
+        assert len(nonzero_blocks(reference_assemble(frame, frame.d_terms(p), p + 1, p, 0))) <= 1, p
 
 
 @pytest.mark.parametrize("kind, q", REAL_CASES, ids=[f"{k}-q{q}" for k, q in REAL_CASES])
@@ -1127,10 +1062,10 @@ def test_float_path_needs_exactly_zero_imaginary_parts():
             (frame.constants, [GradedMatrix(frame.dims, g) for g in gens]),
         )
     ]
-    want = d_matrix(frame, 1, weight=0)
+    want = d_matrix(frame, 1)
     for ctx in perturbed:
         assert not ctx.real
-        got = d_matrix(ctx, 1, weight=0)
+        got = d_matrix(ctx, 1)
         assert got.dtype == np.complex128
         assert np.array_equal(got.real, want)
     assert center_d_matrix(perturbed[0], 1).dtype == np.complex128
@@ -1146,16 +1081,10 @@ def test_cohomology_json_matches_the_complex_reference(tmp_path):
     assert doc["ok"] is True
     tol = doc["meta"]["tol"]
 
-    def weight_zero(ctx, p_max):
-        frame = _ladder_frame(ctx)
-        dims = tuple(_layout(frame, p, 0)[1] for p in range(p_max + 1))
-        d_of = lambda p: reference_assemble(frame, frame.d_terms(p), p + 1, p, weight=0)
-        return matrix_report(ctx.name, dims, d_of, tol)
-
     ctx = super_context(3)
     dims = tuple(len(ctx.index_tuples(p)) for p in range(6))
     complexes = {"super": (ctx, 5), "body": (body_context(3), 3)}
-    want = {key: weight_zero(c, p_max) for key, (c, p_max) in complexes.items()}
+    want = {key: reference_cohomology_dims(c, p_max, tol) for key, (c, p_max) in complexes.items()}
     want["center_crosscheck"] = matrix_report(ctx.name, dims, lambda p: center_d_matrix(ctx, p), tol)
     gaps = {key: reference_summand_gaps(c, p_max, tol) for key, (c, p_max) in complexes.items()}
     gaps["center_crosscheck"] = [dec.gap for dec in want["center_crosscheck"].decisions]
@@ -1175,33 +1104,41 @@ FRAME_OPS = {1: ("+", math.sqrt(2)), 2: ("-", math.sqrt(2)), 3: (3, 1.0), 4: (4,
 
 
 def reference_cohomology_dims(ctx, p_max, tol=1e-8):
-    """The entry-basis ranking: each whole weight-0 d matrix of the ladder frame to rank_decision."""
+    """The entry-basis ranking: each whole weight-0 d matrix of the ladder frame (reference_assemble) to rank_decision."""
     frame = ctx.ladder
-    dims = tuple(_layout(frame, p, 0)[1] for p in range(p_max + 1))
-    return matrix_report(f"{ctx.name} [weight 0]", dims, lambda p: d_matrix(frame, p, weight=0), tol)
+    dims = tuple(reference_layout(frame, p, 0)[1] for p in range(p_max + 1))
+    d_of = lambda p: reference_assemble(frame, frame.d_terms(p), p + 1, p, 0)
+    return matrix_report(f"{ctx.name} [weight 0]", dims, d_of, tol)
 
 
-def kept_tuples(frame, p, two_j):
-    """The canonical p-tuples of weight at most 2j in absolute value, in canonical order."""
-    return [t for t in frame.index_tuples(p) if abs(frame.tuple_weight(t)) <= two_j]
+def kept_tuples(frame, p, two_j, a=None):
+    """The source and target tuples of the summand block of 2j (summand_block), checked against their rule.
+
+    The sources are the canonical p-tuples t with |weight(t)| <= 2j, and the
+    targets the tuples t of the image's degree with |weight(t) + shift| <=
+    2j (shift 0 for d and weight(a) for L_a), each sorted stably by that
+    reach, as cohomology_dims numbers them.
+    """
+    _, sources, targets = summand_block(frame, p, two_j, a)
+    p_out, shift = (p + 1, 0) if a is None else (p, frame.weights[a - 1])
+    for got, degree, s in ((sources, p, 0), (targets, p_out, shift)):
+        reach = lambda t: abs(frame.tuple_weight(t) + s)
+        assert got == tuple(sorted((t for t in frame.index_tuples(degree) if reach(t) <= two_j), key=reach))
+    return sources, targets
 
 
 def reference_summand_block(frame, p, two_j, sl2, a=None):
     """The block of d (or L_a) on weight-0 p-forms valued in V(j), one term at a time.
 
-    Columns are kept_tuples in canonical order, and rows the target tuples t
-    with |weight(t) + shift| <= 2j, shift 0 for d and weight(a) for L_a; each
+    Columns and rows are the source and target tuples of kept_tuples; each
     term adds coef times the osp matrix element of its op on v(weight of its
     source), over the label's norm in the frame, signed by that vector's
     parity if twisted.
     """
-    if a is None:
-        terms, p_out, shift = frame.d_terms(p), p + 1, 0
-    else:
-        terms, p_out, shift = frame.lie_terms(a, p), p, frame.weights[a - 1]
-    targets = [t for t in frame.index_tuples(p_out) if abs(frame.tuple_weight(t) + shift) <= two_j]
+    terms = frame.d_terms(p) if a is None else frame.lie_terms(a, p)
+    sources, targets = kept_tuples(frame, p, two_j, a)
     rows = {t: k for k, t in enumerate(targets)}
-    cols = {t: k for k, t in enumerate(kept_tuples(frame, p, two_j))}
+    cols = {t: k for k, t in enumerate(sources)}
     out = np.zeros((len(rows), len(cols)))
     for target, source, op, twist, coef in terms:
         if target not in rows or source not in cols:
@@ -1243,17 +1180,17 @@ def test_cohomology_dims_forms_no_matrix_of_the_level(monkeypatch):
     assert cohomology_dims(ctx, 5).betti == EXPECTED_BETTI_SUPER
     assert cohomology_dims(bctx, 3).betti == EXPECTED_BETTI_BODY
     assert calls == []
-    calculus_module.d_matrix(ctx.ladder, 1, weight=0)  # the spies do count
-    assert {"d_matrix", "_layout", "_assemble"} <= set(calls)
+    calculus_module.d_matrix(ctx.ladder, 1)  # the spies do count
+    assert {"d_matrix", "_assemble"} <= set(calls)
 
 
 def all_summands_cohomology_dims(ctx, p_max, tol=1e-8):
-    """cohomology_dims with every summand's blocks built in one _summand_stack call, not in chunks."""
+    """cohomology_dims with each summand's block read on its own (summand_block), not in chunks."""
     frame = ctx.ladder
-    two_js, sl2 = _summands(frame)
+    two_js = _summands(frame)[0]
     dims, decisions = [], []
     for p in range(p_max + 1):
-        blocks = summand_blocks(frame, p, two_js, sl2)
+        blocks = summand_blocks(frame, p, two_js)
         dims.append(sum(b.shape[1] for b in blocks))
         ranked = [rank_decision(b, tol) for b in blocks]
         rank, gap = sum(dec.rank for dec in ranked), min((dec.gap for dec in ranked), default=math.inf)
@@ -1328,8 +1265,8 @@ def per_block_decisions(frame, p, labels, tol=1e-8):
     The block is d's (labels (None,)) or the L_a of labels stacked row-wise,
     each label's block cut from its padded stack.
     """
-    two_js, sl2 = _summands(frame)
-    parts = [summand_blocks(frame, p, two_js, sl2, a) for a in labels]
+    two_js = _summands(frame)[0]
+    parts = [summand_blocks(frame, p, two_js, a) for a in labels]
     return [rank_decision(np.concatenate(blocks), tol) for blocks in zip(*parts)]
 
 
@@ -1365,22 +1302,36 @@ def test_batched_lie_decisions_are_the_per_block_ones_bit_for_bit(kind, q):
 
 
 def harmonic_basis(frame, p, weight=0):
-    """The weight table's harmonics as a basis of the p-forms of a total weight, and each one's 2j.
+    """The weight table's harmonics as a basis of the p-forms of a total weight, and each one's 2j and tuple.
 
     Column k of the returned matrix is a harmonic on the entries that
-    _layout keeps for one tuple: the tuples' blocks, each one
+    reference_layout keeps for one tuple: the tuples' blocks, each one
     table.cols[weight] on the same bucket of entries, stacked diagonally.
     """
     table = frame.sphere._table
-    layout, size = _layout(frame, p, weight)
+    layout, size = reference_layout(frame, p, weight)
     basis = np.zeros((size, size), dtype=complex)
-    spins = []
-    for offset, key, entries in layout.values():
+    spins, tuples = [], []
+    for t, (offset, key, entries) in layout.items():
         n = entries[0].size
         if n:
             basis[offset : offset + n, offset : offset + n] = table.cols[key]
             spins.extend(label.two_j for label in table.labels[key])
-    return basis, np.array(spins, dtype=int)
+            tuples.extend([t] * n)
+    return basis, np.array(spins, dtype=int), tuples
+
+
+def spin_part(m, rows, cols, two_j, targets, sources):
+    """The part of m between the harmonics of one 2j, its rows and columns in the order of targets and sources.
+
+    rows and cols are the (spins, tuples) of harmonic_basis for m's rows and
+    columns; a tuple has at most one harmonic of each 2j.
+    """
+    (s_out, t_out), (s_in, t_in) = rows, cols
+    r = {t_out[k]: k for k in np.flatnonzero(s_out == two_j)}
+    c = {t_in[k]: k for k in np.flatnonzero(s_in == two_j)}
+    assert sorted(r) == sorted(targets) and sorted(c) == sorted(sources)
+    return m[np.ix_([r[t] for t in targets], [c[t] for t in sources])]
 
 
 HARMONIC_CASES = [(k, q) for k in CONTEXTS for q in range(1, 7)]
@@ -1391,24 +1342,20 @@ def test_weight_zero_d_in_harmonics_is_the_sum_of_the_summand_blocks(kind, q):
     frame = CONTEXTS[kind][0](q).ladder
     two_js, sl2 = _summands(frame)
     for p in range(4):
-        h_in, s_in = harmonic_basis(frame, p)
-        h_out, s_out = harmonic_basis(frame, p + 1)
-        d = np.linalg.solve(h_out, d_matrix(frame, p, weight=0) @ h_in)
+        h_in, s_in, t_in = harmonic_basis(frame, p)
+        h_out, s_out, t_out = harmonic_basis(frame, p + 1)
+        d = np.linalg.solve(h_out, reference_assemble(frame, frame.d_terms(p), p + 1, p, 0) @ h_in)
         assert np.abs(d.imag).max(initial=0.0) <= 1e-13, p
         off = s_out[:, None] != s_in[None, :]
         assert np.abs(d[off]).max(initial=0.0) <= 1e-13, p
         assert set(s_in) | set(s_out) <= set(two_js), p
-        for two_j, block in zip(two_js, summand_blocks(frame, p, two_js, sl2)):
+        for two_j in two_js:
+            block, sources, targets = summand_block(frame, p, two_j)
             want = reference_summand_block(frame, p, two_j, sl2)
-            got = d[np.ix_(s_out == two_j, s_in == two_j)]
-            assert got.shape == want.shape, (p, two_j)
+            got = spin_part(d, (s_out, t_out), (s_in, t_in), two_j, targets, sources)
+            assert got.shape == want.shape == block.shape, (p, two_j)
             assert np.abs(got - want).max(initial=0.0) <= 1e-13, (p, two_j)
-            # cohomology_dims numbers the tuples by ascending |weight|
-            rows, cols = (
-                np.argsort([abs(frame.tuple_weight(t)) for t in kept_tuples(frame, deg, two_j)], kind="stable")
-                for deg in (p + 1, p)
-            )
-            assert np.abs(block - want[np.ix_(rows, cols)]).max(initial=0.0) <= 1e-14, (p, two_j)
+            assert np.abs(block - want).max(initial=0.0) <= 1e-14, (p, two_j)
 
 
 @pytest.mark.parametrize("kind, q", HARMONIC_CASES, ids=[f"{k}-q{q}" for k, q in HARMONIC_CASES])
@@ -1417,22 +1364,19 @@ def test_weight_zero_lie_in_harmonics_is_the_sum_of_the_summand_blocks(kind, q):
     # diagonal over the superspins, and each block is the one invariant_one_forms ranks
     frame = CONTEXTS[kind][0](q).ladder
     two_js, sl2 = _summands(frame)
-    h_in, s_in = harmonic_basis(frame, 1)
+    h_in, s_in, t_in = harmonic_basis(frame, 1)
     for a in frame.labels:
-        shift = frame.weights[a - 1]
-        h_out, s_out = harmonic_basis(frame, 1, shift)
-        lie = np.linalg.solve(h_out, _assemble(frame, frame.lie_terms(a, 1), 1, 1, 0) @ h_in)
+        h_out, s_out, t_out = harmonic_basis(frame, 1, frame.weights[a - 1])
+        lie = np.linalg.solve(h_out, reference_assemble(frame, frame.lie_terms(a, 1), 1, 1, 0) @ h_in)
         assert np.abs(lie.imag).max(initial=0.0) <= 1e-13, a
         assert np.abs(lie[s_out[:, None] != s_in[None, :]]).max(initial=0.0) <= 1e-13, a
-        for two_j, block in zip(two_js, summand_blocks(frame, 1, two_js, sl2, a)):
+        for two_j in two_js:
+            block, sources, targets = summand_block(frame, 1, two_j, a)
             want = reference_summand_block(frame, 1, two_j, sl2, a)
-            got = lie[np.ix_(s_out == two_j, s_in == two_j)]
-            assert got.shape == want.shape, (a, two_j)
+            got = spin_part(lie, (s_out, t_out), (s_in, t_in), two_j, targets, sources)
+            assert got.shape == want.shape == block.shape, (a, two_j)
             assert np.abs(got - want).max(initial=0.0) <= 1e-13, (a, two_j)
-            targets = [t for t in frame.index_tuples(1) if abs(frame.tuple_weight(t) + shift) <= two_j]
-            rows = np.argsort([abs(frame.tuple_weight(t) + shift) for t in targets], kind="stable")
-            cols = np.argsort([abs(frame.tuple_weight(t)) for t in kept_tuples(frame, 1, two_j)], kind="stable")
-            assert np.abs(block - want[np.ix_(rows, cols)]).max(initial=0.0) <= 1e-14, (a, two_j)
+            assert np.abs(block - want).max(initial=0.0) <= 1e-14, (a, two_j)
 
 
 @pytest.mark.parametrize("kind", CONTEXTS)
@@ -1805,6 +1749,16 @@ def test_every_level_and_ladder_frame_shares_one_record(kind):
     assert contexts[0].ladder.constants.tobytes() == contexts[2].ladder.constants.tobytes()
 
 
+def test_levels_share_one_read_only_array_of_constants():
+    # the osp(1|2) constants are built once per process, not per context
+    for make in (super_context, body_context):
+        low, high = make(2), make(5)
+        assert low.constants is high.constants
+        assert not low.constants.flags.writeable
+        with pytest.raises(ValueError):
+            low.constants[0, 0, 0] = 1.0
+
+
 def test_frames_and_other_constants_get_their_own_records():
     ctx, body = super_context(2), body_context(2)
     records = {id(c._algebra) for c in (ctx, ctx.ladder, body, body.ladder)}
@@ -1862,30 +1816,6 @@ def test_cached_plans_are_read_only():
             assert not getattr(plan, field).flags.writeable, field
     with pytest.raises(ValueError):
         plans[0].coefs[0, 0] = 1.0
-
-
-def test_cohomology_scatters_each_block_once(monkeypatch):
-    # the entry-basis weight-0 d matrices (reference_cohomology_dims) make one
-    # restricted_adjoint call per distinct (generator, row entries, column entries),
-    # none of them empty, and one per cached (label, weight, row key, column key)
-    calls = []
-    real = calculus_module.restricted_adjoint
-
-    def spy(e, target, source):
-        calls.append((id(e),) + tuple(index.tobytes() for index in (*target, *source)))
-        assert target[0].size and source[0].size
-        return real(e, target, source)
-
-    monkeypatch.setattr(calculus_module, "restricted_adjoint", spy)
-    frames = []
-    for q in (2, 3):
-        for make, p_max in CONTEXTS.values():
-            ctx = make(q)
-            reference_cohomology_dims(ctx, p_max)
-            frames.append(ctx.ladder)
-    assert calls
-    assert len(calls) == len(set(calls))
-    assert len(calls) == sum(1 for frame in frames for key in frame._blocks if key[0])
 
 
 def test_unknown_labels_are_rejected():

@@ -63,14 +63,19 @@ def test_maurer_cartan_suite_fails_an_inconclusive_rank(capsys, monkeypatch):
 
 
 def test_calculus_suite_fails_a_perturbed_d_matrix(capsys, monkeypatch):
-    # the matrix-assembly row compares every weight block of d on 1-forms with exterior_d
-    real = cli.d_matrix
-    monkeypatch.setattr(cli, "d_matrix", lambda ctx, p, weight=None: 1.001 * real(ctx, p, weight=weight))
+    # the summand-blocks row compares the blocks of d that the ranks read with exterior_d
+    real = cli.summand_block
+
+    def perturbed(frame, p, two_j, a=None):
+        block, sources, targets = real(frame, p, two_j, a)
+        return 1.001 * block, sources, targets
+
+    monkeypatch.setattr(cli, "summand_block", perturbed)
     code, out = run(capsys, "verify", "--q", "2", "--suite", "calculus", "--format", "json")
     assert code == 1
     rows = {r["name"]: r for r in json.loads(out)["results"]}
-    assert [name for name, r in rows.items() if not r["passed"]] == ["matrix assembly"]
-    assert rows["matrix assembly"]["residual"] > 1e-4
+    assert [name for name, r in rows.items() if not r["passed"]] == ["summand blocks"]
+    assert rows["summand blocks"]["residual"] > 1e-4
 
 
 @pytest.mark.parametrize("suite", list(cli.SUITES))
