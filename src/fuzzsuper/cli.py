@@ -182,10 +182,9 @@ def _suite_harmonics(q: int, rho: float, tol: float, rng) -> List[CheckResult]:
     sphere = FuzzySuperSphere(q, rho)
     labels = sphere.labels()
     count_ok = 0.0 if len(labels) == (2 * q + 1) ** 2 else 1.0
-    pair = np.ones((sphere.n, sphere.n))
-    pair[: sphere.dims.even, : sphere.dims.even] = -1.0  # indefinite_inner, entrywise
     off, worst = _weight_gram(
-        labels, lambda la: sphere.harmonic(la).mat, entry_weights(sphere.rep.j3.mat), pair, lambda la: la.sign
+        labels, lambda la: sphere.harmonic(la).mat, entry_weights(sphere.rep.j3.mat), sphere.dims.pairing,
+        lambda la: la.sign,
     )
     body = FuzzySphere(q, rho)
     boff, bworst = _weight_gram(

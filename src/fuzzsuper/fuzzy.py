@@ -14,7 +14,9 @@ which the calculus layouts read too), takes each J_- step block from
 graded.restricted_adjoint, which scatters it from the nonzeros of J_-, and
 reads every chain top from one matrix of all the highest weights (the
 supersphere's mu = 1 tops from one graded commutator of that matrix with
-J_5).
+J_5).  J_-, the pairing and every chain top are real, so every harmonic is:
+the sweep runs in float64 and the table stores one float64 per entry.  The
+harmonics, projections and reconstructions it serves stay complex.
 """
 
 from __future__ import annotations
@@ -221,8 +223,9 @@ class _WeightTable:
     within a weight, the order graded.restricted_adjoint needs of its
     sources.  For each m it keeps
     them as ``flat`` indices r*n + c, and one row per label in ``rows``,
-    labels sorted by descending l: a C-contiguous labels x entries array,
-    so a harmonic is one contiguous row scattered onto the flat entries.
+    labels sorted by descending l: a C-contiguous float64 labels x entries
+    array, so a harmonic is one contiguous row scattered onto the real parts
+    of the flat entries of a complex matrix.
     ``cols`` holds the transposed views of ``rows``, one column per label,
     and ``where`` gives the row (column) of each label at its weight
     label.two_m, keyed by those same label objects.
@@ -235,6 +238,11 @@ class _WeightTable:
     bucket of weight m + 2 to that of m, times the columns there, over the
     ladder's sqrt(step).  Every nonzero of J_- must sit on an entry of
     weight -2 (a ValueError otherwise).
+
+    The sweep is real: it reads the real parts of the J_- blocks, of the
+    pairing and of the chain tops, so every product takes real BLAS.  Each
+    of them must have no nonzero imaginary part (a ValueError otherwise), so
+    taking the real part drops nothing.
 
     The chains live at a weight are those whose top is at least |m| and of
     m's parity: a prefix of that parity's chains sorted by descending top,
@@ -251,20 +259,24 @@ class _WeightTable:
     two differ by O(eps^2).  The sweep computes in entries x labels layout
     and keeps the columns of the weight m + 2 it steps from until weight m
     is built; the table stores only the rows.  ``project`` inverts
-    ``combine`` with the same pairing: one product per weight.
+    ``combine`` with the same pairing: one product per weight, of the real
+    rows with the (entries, 2) float64 view of a complex vector, so no
+    complex copy of a table block is formed.
     """
 
     def __init__(self, j3: GradedMatrix, jm: GradedMatrix, pair: np.ndarray, chains: list) -> None:
         self.n = n = j3.n
         if (entry_weights(j3.mat)[jm.mat != 0] != -2).any():
             raise ValueError("the lowering operator must lower the weight by one")
+        _check_real("the lowering operator", jm.mat)
+        pair = _check_real("the pairing", pair)
         chains = sorted(chains, key=lambda ch: -ch[0][0].two_m)
         # each parity's chains by descending top weight, and those tops negated for bisect
         by_parity = {p: [ch for ch in chains if ch[0][0].two_m % 2 == p] for p in (0, 1)}
         neg_tops = {p: [-ch[0][0].two_m for ch in live] for p, live in by_parity.items()}
         buckets = j3.weight_buckets
         self.flat: Dict[int, np.ndarray] = {}  # r * n + c for the entries of each weight
-        self.rows: Dict[int, np.ndarray] = {}  # labels x entries, C-contiguous
+        self.rows: Dict[int, np.ndarray] = {}  # labels x entries, float64, C-contiguous
         self.cols: Dict[int, np.ndarray] = {}  # the transposed views of rows
         self.labels: Dict[int, tuple] = {}  # the labels of each weight, in column order
         self.pair: Dict[int, np.ndarray] = {}  # pair on the entries of each weight
@@ -275,20 +287,20 @@ class _WeightTable:
             p, entries = two_m % 2, buckets[two_m]
             live = by_parity[p][: bisect.bisect_right(neg_tops[p], -abs(two_m))]
             w, s = pair[entries], np.array([ch[1] for ch in live], dtype=float)
-            h = np.empty((len(entries[0]), len(live)), dtype=complex)
+            h = np.empty((len(entries[0]), len(live)))
             # the chains stepping down from two_m + 2: tops above two_m
             k0 = bisect.bisect_left(neg_tops[p], -two_m, 0, len(live))
             if k0:
-                ad = restricted_adjoint(jm, entries, buckets[two_m + 2])
+                ad = np.ascontiguousarray(restricted_adjoint(jm, entries, buckets[two_m + 2]).real)
                 two_l = np.array([ch[0][0].two_m for ch in live[:k0]])
                 step = (two_l + two_m + 2) // 2 * ((two_l - two_m) // 2)
                 steps = ad @ above[p][:, :k0] / np.sqrt(step)
-                g = s[:k0, None] * (steps.conj().T @ (w[:, None] * steps))
+                g = s[:k0, None] * (steps.T @ (w[:, None] * steps))
                 g[two_l[:, None] <= two_l] = 0  # step i enters step k only if l_i > l_k
                 h[:, :k0] = steps - steps @ g
             for k in range(k0, len(live)):
                 _, _, source, scale = live[k]
-                h[:, k] = source[entries] * scale
+                h[:, k] = _check_real("a chain top", source[entries]) * scale
             above[p] = h
             self.flat[two_m] = entries[0] * n + entries[1]
             self.rows[two_m] = np.ascontiguousarray(h.T)
@@ -304,21 +316,22 @@ class _WeightTable:
             raise ValueError(f"label {label} does not exist at this level") from None
 
     def column(self, label) -> np.ndarray:
-        """Y_label as a fresh n x n array: its stored row scattered onto its flat entries."""
+        """Y_label as a fresh complex n x n array: its real row scattered onto its flat entries' real parts."""
         two_m, k = self._locate(label)
         out = np.zeros((self.n, self.n), dtype=complex)
-        out.reshape(-1)[self.flat[two_m]] = self.rows[two_m][k]
+        out.reshape(-1).real[self.flat[two_m]] = self.rows[two_m][k]
         return out
 
     def project_weight(self, f: np.ndarray, two_m: int) -> np.ndarray:
         """The coefficients of f on the labels of weight two_m, in column order.
 
         sign_L <Y_L|f> for each label L, as one product on the entries of that
-        weight: signs * conj(rows conj(pair * f)), which conjugates the entries
-        vector instead of copying the labels x entries block.
+        weight: signs * (rows @ (pair * f)), the rows being real.  The
+        complex entries vector is read as its (entries, 2) float64 view, so
+        the real rows take real BLAS and no complex copy of them is formed.
         """
-        x = self.pair[two_m] * np.take(f, self.flat[two_m])
-        return self.signs[two_m] * (self.rows[two_m] @ x.conj()).conj()
+        x = (self.pair[two_m] * np.take(f, self.flat[two_m])).astype(complex, copy=False)
+        return self.signs[two_m] * (self.rows[two_m] @ _pairs(x)).view(complex)[:, 0]
 
     def project(self, f: np.ndarray) -> Dict[object, complex]:
         """The inverse of combine: the coefficient of every label, one product per weight."""
@@ -336,11 +349,31 @@ class _WeightTable:
         return self.assemble(vecs)
 
     def assemble(self, vecs: Dict[int, np.ndarray]) -> np.ndarray:
-        """The matrix with coefficient vector vecs[m] on the columns of each weight m."""
+        """The matrix with complex coefficient vector vecs[m] on the columns of each weight m.
+
+        Each weight is one real product, the columns times the (labels, 2)
+        float64 view of vecs[m], written into the (n^2, 2) float64 view of
+        the complex result.
+        """
         out = np.zeros((self.n, self.n), dtype=complex)
+        entries = _pairs(out.reshape(-1))
         for two_m, v in vecs.items():
-            out.reshape(-1)[self.flat[two_m]] = self.cols[two_m] @ v
+            entries[self.flat[two_m]] = self.cols[two_m] @ _pairs(np.asarray(v, dtype=complex))
         return out
+
+
+def _check_real(what: str, a: np.ndarray) -> np.ndarray:
+    """The real part of a, which must have no nonzero imaginary part (a ValueError otherwise)."""
+    if np.iscomplexobj(a):
+        if a.imag.any():
+            raise ValueError(f"{what} must be real")
+        return a.real
+    return a
+
+
+def _pairs(v: np.ndarray) -> np.ndarray:
+    """A contiguous complex vector as its (len, 2) float64 view of real and imaginary parts."""
+    return np.ascontiguousarray(v).view(float).reshape(-1, 2)
 
 
 def _chains(labels, key) -> List[tuple]:
@@ -444,8 +477,6 @@ class FuzzySuperSphere:
         nonzero per row and per column, so each entry of that commutator is
         a single product, bitwise the entry of [J_5, Y_(j, hw)] alone.
         """
-        pair = np.ones((self.n, self.n))
-        pair[: self.dims.even, : self.dims.even] = -1.0  # -str(f^+ g), entrywise
         tops = np.zeros((self.n, self.n), dtype=complex)
         for two_j in range(2 * self.q + 1):
             rows, cols, vals = self._top(two_j)
@@ -456,7 +487,7 @@ class FuzzySuperSphere:
             top = labels[0]
             source, scale = (mu1_tops, 2.0 / math.sqrt(top.two_j)) if top.mu else (tops, 1.0)
             chains.append((labels, top.sign, source, scale))
-        return _WeightTable(self.rep.j3, self.rep.jm, pair, chains)
+        return _WeightTable(self.rep.j3, self.rep.jm, self.dims.pairing, chains)
 
     def harmonic(self, label: HarmonicLabel) -> GradedMatrix:
         return GradedMatrix._adopt(self.dims, self._table.column(label))
@@ -474,14 +505,14 @@ class FuzzySuperSphere:
         """Signed projection <Y_L|f> onto the pseudo-orthonormal basis.
 
         One harmonic and one indefinite_inner per label, each O(n^2), so
-        O(n^4) in all, and nothing else per label: the harmonic is one row
-        of the weight table scattered onto a zero matrix, the label's hash
-        is cached, and f is grade-twisted once, on the first inner product,
-        then read from its cache.  The benchmark's span test pins that call
-        count (49 inner products at q = 3), so the loop stays until that pin
-        is lifted (ROADMAP item 1); then this becomes the weight table's
-        ``project``, one product per weight, as FuzzySphere.decompose and
-        body_map_fuzzy already are.
+        O(n^4) in all, and nothing else per label: the harmonic is one real
+        row of the weight table scattered onto a zero matrix, the label's
+        hash is cached, and f is multiplied by the pairing signs once
+        (f.paired), on the first inner product, then read from its cache.
+        The benchmark's span test pins that call count (49 inner products
+        at q = 3), so the loop stays until that pin is lifted (ROADMAP item
+        1); then this becomes the weight table's ``project``, one product
+        per weight, as FuzzySphere.decompose and body_map_fuzzy already are.
         """
         coeffs: Dict[HarmonicLabel, complex] = {}
         for label in self._labels:

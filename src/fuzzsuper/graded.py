@@ -16,14 +16,16 @@ Every parity-dependent kernel goes through one grade twist,
 tau(b) = b_even - b_odd = b * dims.twist, an elementwise product with a
 cached read-only array of +-1 (exact in floating point).  From it
 b_even = (b + tau(b)) / 2 and b_odd = (b - tau(b)) / 2, so no kernel builds
-a parity mask.  The inner products cost O(n^2) and form no matrix product:
-hs_inner is one BLAS dot product (np.vdot), indefinite_inner two over row
-blocks.  The twisted even rows that indefinite_inner reads from its second
-argument are formed once per matrix and cached on it, read-only, so a loop
-that pairs many matrices with one right operand forms no temporary.  A
-graded commutator with a homogeneous left factor costs two matrix
-products.  rank_decision and rank_decisions keep real input real, so the
-real d blocks of the cohomology take LAPACK's real SVD.
+a parity mask.  The indefinite pairing has its own cached array of
+entrywise signs, dims.pairing: -1 on the even-even block, +1 elsewhere.
+The inner products cost O(n^2) and form no matrix product: each is one
+BLAS dot product (np.vdot).  indefinite_inner reads its second argument
+times dims.pairing, formed once per matrix and cached on it, read-only
+(GradedMatrix.paired), so a loop that pairs many matrices with one right
+operand forms no temporary.  A graded commutator with a homogeneous left
+factor costs two matrix products.  rank_decision and rank_decisions keep
+real input real, so the real d blocks of the cohomology take LAPACK's real
+SVD.
 
 Who copies and who freezes: the public GradedMatrix constructor copies the
 array it is given, because the caller may still hold and write it.  The
@@ -32,7 +34,7 @@ graded_commutator, the generators of the osp(1|2) and sl(2) irreps, and
 the fuzzy highest weights, harmonics and reconstructions, are fresh arrays;
 GradedMatrix._adopt freezes them in place without a copy.  Either way
 the entries of a GradedMatrix are read-only and shared with no other
-object.  So are its cached twisted_even_rows, adjoint_stencil and
+object.  So are its cached paired, adjoint_stencil and
 weight_buckets, which stay valid because the entries cannot change.
 restricted_adjoint scatters [e, .] between two sets of entries from that
 stencil of e, its nonzeros by row and by column, and is the one place that
@@ -85,6 +87,18 @@ class GradedDims:
         sign = np.ones(self.total)
         sign[self.even:] = -1.0
         out = np.outer(sign, sign)
+        out.setflags(write=False)
+        return out
+
+    @functools.cached_property
+    def pairing(self) -> np.ndarray:
+        """The signs of the indefinite pairing: -1 on the even-even entries, +1 elsewhere.
+
+        -str(f^+ g) = sum conj(f) * g * pairing over all entries.  Built once
+        per dims and read-only, like twist.
+        """
+        out = np.ones((self.total, self.total))
+        out[: self.even, : self.even] = -1.0
         out.setflags(write=False)
         return out
 
@@ -142,14 +156,14 @@ class GradedMatrix:
         return self.dims.total
 
     @functools.cached_property
-    def twisted_even_rows(self) -> np.ndarray:
-        """The even rows of the entries, grade-twisted: the right operand of indefinite_inner.
+    def paired(self) -> np.ndarray:
+        """The entries times dims.pairing: the right operand of indefinite_inner.
 
         Formed on first use and cached, read-only; the entries are frozen, so
-        the cache stays valid.  It holds about n^2/2 entries.
+        the cache stays valid.  It holds n^2 entries, each an exact sign flip
+        of the entry.
         """
-        ne = self.dims.even
-        out = self.mat[:ne] * self.dims.twist[:ne]
+        out = self.mat * self.dims.pairing
         out.setflags(write=False)
         return out
 
@@ -306,18 +320,17 @@ def indefinite_inner(f: GradedMatrix, g: GradedMatrix) -> complex:
 
     Indefinite in general: pseudo-orthonormal bases have diagonal +-1.
     The supertrace reads only the diagonal of f^+ g, so the product is
-    sum conj(f) * g over all entries with the even-even block negated.  It
-    is taken as two BLAS dot products (np.vdot) over contiguous row blocks:
-    the odd rows, minus g.twisted_even_rows (even-even entries +1, even-odd
-    -1, both exact).  The cost is O(n^2) and no matrix product is formed.
-    The twisted rows are g's cached attribute, formed on the first call
-    with that g, so pairing many f with one g twists it once.  Subtracting
-    twice the even-even block from vdot(f, g) instead would cancel.
+    sum conj(f) * g over all entries with the even-even block negated: one
+    BLAS dot product (np.vdot) of f with g.paired, g times dims.pairing.
+    The cost is O(n^2) and no matrix product is formed.  g.paired is
+    formed on the first call with that g and cached, so pairing many f
+    with one g flips its signs once.  The flips are exact, so no two
+    blocks are summed apart and subtracted: subtracting twice the
+    even-even block from vdot(f, g) instead would cancel.
     """
     if f.dims is not g.dims:
         f._check(g)
-    ne = f.dims.even
-    return complex(np.vdot(f.mat[ne:], g.mat[ne:]) - np.vdot(f.mat[:ne], g.twisted_even_rows))
+    return complex(np.vdot(f.mat, g.paired))
 
 
 def hs_inner(f: np.ndarray, g: np.ndarray) -> complex:

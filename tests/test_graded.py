@@ -234,16 +234,17 @@ def test_inner_products_match_trace_reference(dims):
 
 
 def reference_indefinite_inner(f, g):
-    """The formula that twisted the even rows of g on every call."""
+    """The one-dot formula, its pairing signs built on every call."""
     ne = f.dims.even
-    a, b = f.mat, g.mat
-    return complex(np.vdot(a[ne:], b[ne:]) - np.vdot(a[:ne], b[:ne] * f.dims.twist[:ne]))
+    signs = np.ones(f.mat.shape)
+    signs[:ne, :ne] = -1.0
+    return complex(np.vdot(f.mat, g.mat * signs))
 
 
 @pytest.mark.parametrize("dims", REFERENCE_DIMS, ids=lambda d: f"{d.even}-{d.odd}")
 def test_indefinite_inner_equals_the_uncached_formula(dims):
-    # the cached twisted rows give the bits of the per-call twist, also for
-    # equal dims that are distinct objects, and on a second call with the cache
+    # the cached paired entries give the bits of the per-call sign flip, also
+    # for equal dims that are distinct objects, and on a second call with the cache
     rng = np.random.default_rng(34)
     twin = GradedDims(dims.even, dims.odd)
     assert twin == dims and twin is not dims
@@ -264,14 +265,29 @@ def test_indefinite_inner_rejects_other_dims_either_way():
             indefinite_inner(a, b)
 
 
-def test_twisted_even_rows_are_cached_and_read_only():
+def test_paired_entries_are_cached_and_read_only():
     g = rand()
-    rows = g.twisted_even_rows
-    assert rows is g.twisted_even_rows
-    assert np.array_equal(rows, g.mat[: DIMS.even] * DIMS.twist[: DIMS.even])
-    assert not rows.flags.writeable and not np.shares_memory(rows, g.mat)
+    paired = g.paired
+    assert paired is g.paired
+    assert paired.shape == (DIMS.total, DIMS.total)
+    assert np.array_equal(paired, g.mat * DIMS.pairing)
+    assert not paired.flags.writeable and not np.shares_memory(paired, g.mat)
     with pytest.raises(ValueError):
-        rows[0, 0] = 0.0
+        paired[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("dims", REFERENCE_DIMS, ids=lambda d: f"{d.even}-{d.odd}")
+def test_pairing_signs_are_cached_and_read_only(dims):
+    # -1 on the even-even block and +1 elsewhere: sum conj(f) g pairing = -str(f^+ g)
+    signs = dims.pairing
+    assert signs is dims.pairing and signs.dtype == float
+    ne = dims.even
+    want = np.ones((dims.total, dims.total))
+    want[:ne, :ne] = -1.0
+    assert np.array_equal(signs, want)
+    assert not signs.flags.writeable
+    with pytest.raises(ValueError):
+        signs[0, 0] = 1.0
 
 
 def test_results_are_frozen_and_share_no_operand_memory():
